@@ -378,7 +378,10 @@ def certify_trajectory(traj: Trajectory, kkt: KKTPoint, problem,
 
     Equivalent to calling the per-window scalar functions at each k, but
     computed in one vectorized pass (operator images of the iterates are
-    formed once and reused by every check).
+    formed once and reused by every check, and each value map is called
+    once on a stack of rows).
+
+    Raises ValueError if a value map does not return one value per row.
     """
     if not traj.full_history:
         raise ValueError("certification needs a full-history trajectory")
@@ -388,6 +391,17 @@ def certify_trajectory(traj: Trajectory, kkt: KKTPoint, problem,
     # values as-is instead of warning. Asserted runs raise on non-finite V.
     with np.errstate(over="ignore", invalid="ignore"):
         return _certify(traj, kkt, problem, tol)
+
+
+def _stack_values(fn, rows: np.ndarray, name: str) -> np.ndarray:
+    """Values of ``fn`` on each row of ``rows``, checked to have shape (k,)."""
+    values = np.asarray(fn.evaluate(rows), dtype=float)
+    if values.shape != (rows.shape[0],):
+        raise ValueError(
+            f"{name}.evaluate returned shape {values.shape} for a stack of "
+            f"{rows.shape[0]} rows; value maps must be row-wise"
+        )
+    return values
 
 
 def _certify(traj, kkt, problem, tol):
@@ -400,6 +414,15 @@ def _certify(traj, kkt, problem, tol):
 
     X, Y = traj.X, traj.Y
     big_k = traj.n_iters
+    n_rows = big_k - 1
+    # Value maps first: their stacked temporaries are freed before the
+    # window arrays below exist, so they do not raise peak memory.
+    f_vals = _stack_values(problem.f, X, "f")
+    g_vals = _stack_values(problem.gstar, Y, "gstar")
+    ex, ey = traj.ergodic_X[: n_rows - 1], traj.ergodic_Y[: n_rows - 1]
+    f_erg = _stack_values(problem.f, ex, "f")
+    g_erg = _stack_values(problem.gstar, ey, "gstar")
+
     LX = L.apply_stack(X)
     x_star, y_star = kkt.star.x, kkt.star.y
     lx_star = L.apply(x_star)
@@ -416,8 +439,6 @@ def _certify(traj, kkt, problem, tol):
     p_inc = ((inc_x * inc_x).sum(axis=1) / tau + (inc_y * inc_y).sum(axis=1) / sigma
              - (1.0 + theta) * (inc_lx * inc_y).sum(axis=1))
 
-    f_vals = np.array([problem.f.evaluate(x) for x in X])
-    g_vals = np.array([problem.gstar.evaluate(y) for y in Y])
     gaps = f_vals + g_vals + LX @ y_star - Y @ lx_star - kkt.f_star - kkt.gstar_star
 
     c = 0.5 * (1.0 - theta)
@@ -447,17 +468,15 @@ def _certify(traj, kkt, problem, tol):
 
     lower = 0.5 * p_star[1 : big_k] - v[: big_k - 1]
 
-    # Ergodic gaps D(avg_k) for k = 1..K-2, reusing cumulative images of L
+    # Ergodic gaps D(avg_k) for k = 1..K-2, reusing cumulative images of L.
+    # The L-terms stay per-row dot products: a matrix-vector product sums
+    # in another order and would change the last bits.
     lex = np.cumsum(LX[1:], axis=0) / np.arange(1, big_k + 1)[:, None]
-    n_rows = big_k - 1
+    lex_y = np.fromiter(map(y_star.dot, lex[: n_rows - 1]), float, n_rows - 1)
+    ey_lx = np.fromiter(map(lx_star.dot, ey), float, n_rows - 1)
     erg = np.empty(n_rows)
     erg[0] = math.nan
-    ex, ey = traj.ergodic_X, traj.ergodic_Y
-    for k in range(1, n_rows):
-        fe = problem.f.evaluate(ex[k - 1])
-        ge = problem.gstar.evaluate(ey[k - 1])
-        erg[k] = (fe + ge + float(lex[k - 1] @ y_star) - float(ey[k - 1] @ lx_star)
-                  - kkt.f_star - kkt.gstar_star)
+    erg[1:] = f_erg + g_erg + lex_y - ey_lx - kkt.f_star - kkt.gstar_star
 
     sum_gap = np.concatenate([[0.0], np.cumsum(gaps[1 : big_k - 1])])
     dist = np.sqrt((dxs[:n_rows] * dxs[:n_rows]).sum(axis=1)

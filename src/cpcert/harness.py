@@ -9,7 +9,9 @@ rate      least-squares slope of log(metric) vs log(k) from a trajectory CSV
 plotdata  two-column (k, value) files per metric plus a gnuplot script
 
 Exit codes: 0 all asserted certificates pass, 1 a certificate failed,
-2 usage/config error. CSV and JSON outputs are byte-deterministic for a
+2 usage/config error, 3 the run could not be certified: the long-run
+oracle rejected its saddle point, or the solver produced a non-finite
+iterate. CSV and JSON outputs are byte-deterministic for a
 fixed config: floats are serialized with shortest round-trip precision and
 summaries carry no timestamps.
 """
@@ -28,9 +30,9 @@ import numpy as np
 
 from .certificates import (CertificateTable, _flag_arrays, certify_trajectory,
                            kkt_residual)
-from .problems import kkt_by_long_run, problem_from_config
-from .solver import (SolverParams, Trajectory, Validity, run, suggest_steps,
-                     validate_params)
+from .problems import OracleRejectedError, kkt_by_long_run, problem_from_config
+from .solver import (NonFiniteIterateError, SolverParams, Trajectory, Validity,
+                     run, suggest_steps, validate_params)
 from .hilbert import PPoint
 
 __all__ = [
@@ -546,6 +548,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (OracleRejectedError, NonFiniteIterateError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -40,11 +40,24 @@ DEFAULT_NORM_SAFETY = 1.0 + 1e-8
 
 def as_vector(v) -> np.ndarray:
     """Coerce ``v`` to a 1-D float64 array, rejecting non-finite entries."""
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    if arr.ndim != 1:
-        raise ValueError(f"expected a vector, got array of shape {arr.shape}")
+    arr = as_vector_unchecked(v)
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector has non-finite entries")
+    return arr
+
+
+def as_vector_unchecked(v) -> np.ndarray:
+    """Coerce ``v`` to a 1-D float64 array without scanning its entries.
+
+    For operator and prox inputs inside the solver loop, whose data were
+    validated at problem construction and whose iterates are checked for
+    finiteness once per iteration by :func:`cpcert.solver.run`.
+    """
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim == 0:
+        return arr.reshape(1)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a vector, got array of shape {arr.shape}")
     return arr
 
 
@@ -79,7 +92,8 @@ class PPoint:
 class LinearOperator:
     """A bounded linear map L : R^cols -> R^rows with explicit adjoint.
 
-    Subclasses implement :meth:`apply` and :meth:`apply_adjoint`.
+    Subclasses implement :meth:`apply` and :meth:`apply_adjoint`. Both
+    check the input dimension but do not scan entries for finiteness.
     ``norm_bound`` is a certified upper bound on the operator norm; it is
     either supplied exactly (structured operators) or set to a
     power-iteration estimate inflated by a small safety factor.
@@ -139,12 +153,12 @@ class MatrixOperator(LinearOperator):
         return self._a
 
     def apply(self, x):
-        x = as_vector(x)
+        x = as_vector_unchecked(x)
         self._check_domain(x)
         return self._a @ x
 
     def apply_adjoint(self, y):
-        y = as_vector(y)
+        y = as_vector_unchecked(y)
         self._check_range(y)
         return self._a.T @ y
 
@@ -162,7 +176,7 @@ class IdentityOperator(LinearOperator):
         super().__init__(n, n, 1.0)
 
     def apply(self, x):
-        x = as_vector(x)
+        x = as_vector_unchecked(x)
         self._check_domain(x)
         return x.copy()
 
@@ -179,12 +193,12 @@ class ZeroOperator(LinearOperator):
         super().__init__(rows, cols, 0.0)
 
     def apply(self, x):
-        x = as_vector(x)
+        x = as_vector_unchecked(x)
         self._check_domain(x)
         return np.zeros(self.rows)
 
     def apply_adjoint(self, y):
-        y = as_vector(y)
+        y = as_vector_unchecked(y)
         self._check_range(y)
         return np.zeros(self.cols)
 
@@ -206,12 +220,12 @@ class ForwardDifferenceOperator(LinearOperator):
         super().__init__(n - 1, n, 2.0)
 
     def apply(self, x):
-        x = as_vector(x)
+        x = as_vector_unchecked(x)
         self._check_domain(x)
-        return np.diff(x)
+        return x[1:] - x[:-1]  # np.diff's arithmetic without its call overhead
 
     def apply_adjoint(self, y):
-        y = as_vector(y)
+        y = as_vector_unchecked(y)
         self._check_range(y)
         out = np.zeros(self.cols)
         out[:-1] -= y

@@ -18,10 +18,11 @@ from . import prox as _prox
 from .certificates import KKTPoint, kkt_residual, make_kkt
 from .hilbert import (ForwardDifferenceOperator, LinearOperator,
                       MatrixOperator, PPoint, as_vector, load_matrix)
-from .prox import ProxFn
+from .prox import ProxFn, rowwise
 from .solver import Validity, run, validate_params
 
 __all__ = [
+    "OracleRejectedError",
     "ProblemSpec",
     "make_quadratic",
     "make_lasso",
@@ -33,6 +34,10 @@ __all__ = [
     "problem_from_config",
     "GENERATORS",
 ]
+
+
+class OracleRejectedError(RuntimeError):
+    """The long-run oracle's point is too far from a saddle point to use."""
 
 
 @dataclass(frozen=True)
@@ -101,11 +106,17 @@ def make_lasso(A: LinearOperator, b, lam: float) -> ProblemSpec:
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     g = _prox.quadratic_distance(b)
-    gstar = _prox.conjugate(
-        g,
-        evaluate=lambda y: 0.5 * float(y @ y) + float(y @ b),
-        domain_description="R^m",
-    )
+
+    def gstar_value(y):
+        y = np.asarray(y)
+        if y.ndim == 2:
+            # One dot product per row, as for a single point: a matrix
+            # product sums in another order, and near the saddle point the
+            # gap is at rounding level, so that order would change it.
+            return np.array([gstar_value(row) for row in y])
+        return 0.5 * float(y @ y) + float(y @ b)
+
+    gstar = _prox.conjugate(g, evaluate=gstar_value, domain_description="R^m")
     return ProblemSpec(
         name="lasso",
         f=_prox.l1(lam),
@@ -133,7 +144,8 @@ def make_tv1d(signal, lam: float) -> ProblemSpec:
     band = lam * (1.0 + 1e-12) + 1e-15  # roundoff guard for box membership
 
     def gstar_value(y):
-        return 0.0 if float(np.max(np.abs(y))) <= band else math.inf
+        inside = np.max(np.abs(y), axis=-1) <= band
+        return rowwise(np.where(inside, 0.0, math.inf))
 
     gstar = _prox.conjugate(g, evaluate=gstar_value,
                             domain_description=f"||y||_inf <= {lam}")
@@ -153,7 +165,8 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
 
     Run far past the horizon of the experiment the point will serve (at
     least 10x). The returned point carries its measured fixed-point
-    residual; a residual above ``accept_tol`` rejects the oracle outright.
+    residual; a residual above ``accept_tol`` rejects the oracle outright
+    with :class:`OracleRejectedError`.
     """
     status = validate_params(params)
     if status.kind is not Validity.STRICTLY_VALID:
@@ -164,7 +177,7 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     star = traj.final
     res = kkt_residual(problem, star)
     if res > accept_tol:
-        raise RuntimeError(
+        raise OracleRejectedError(
             f"long-run oracle rejected: residual {res:.3e} > {accept_tol:g} "
             f"after {traj.n_iters} iterations"
         )

@@ -4,6 +4,11 @@ A :class:`ProxFn` bundles a function value map (extended-real, ``inf``
 allowed) with its proximal map ``prox(x, gamma) = argmin_z f(z) +
 ||x - z||^2 / (2 gamma)``. Conjugate proxes are derived through the Moreau
 identity so problems can be stated in terms of g rather than g*.
+
+Value maps are row-wise: a vector of shape (n,) gives a float and a stack
+of shape (k, n) gives one value per row, shape (k,). Prox maps check their
+step size and input shape but do not scan entries for finiteness; the
+solver loop does that once per iteration.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hilbert import as_vector
+from .hilbert import as_vector, as_vector_unchecked
 
 __all__ = [
     "ProxFn",
@@ -39,13 +44,19 @@ class ProxFn:
     """A proper convex lsc function with value map and proximal map.
 
     ``evaluate`` returns the extended-real function value (math.inf for
-    points outside the domain). ``prox`` must be pure and its output must
-    always have finite value.
+    points outside the domain) and is row-wise: a float for a vector of
+    shape (n,), an array of shape (k,) for a stack of shape (k, n).
+    ``prox`` must be pure and its output must always have finite value.
     """
 
-    evaluate: Callable[[np.ndarray], float]
+    evaluate: Callable[[np.ndarray], float | np.ndarray]
     prox: Callable[[np.ndarray, float], np.ndarray]
     domain_description: str = "R^n"
+
+
+def rowwise(values):
+    """A value map's result: a float for one point, the array for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def _check_step(gamma: float):
@@ -58,15 +69,15 @@ def prox_l1(x, gamma: float, lam: float) -> np.ndarray:
     _check_step(gamma)
     if lam < 0:
         raise ValueError("l1 weight must be nonnegative")
-    x = as_vector(x)
+    x = as_vector_unchecked(x)
     return np.sign(x) * np.maximum(np.abs(x) - gamma * lam, 0.0)
 
 
 def prox_quadratic(x, gamma: float, a) -> np.ndarray:
     """Prox of 0.5*||. - a||^2, i.e. (x + gamma*a) / (1 + gamma)."""
     _check_step(gamma)
-    x = as_vector(x)
-    a = as_vector(a)
+    x = as_vector_unchecked(x)
+    a = as_vector_unchecked(a)
     if x.shape != a.shape:
         raise ValueError(f"dimension mismatch: {x.shape[0]} vs {a.shape[0]}")
     return (x + gamma * a) / (1.0 + gamma)
@@ -74,7 +85,7 @@ def prox_quadratic(x, gamma: float, a) -> np.ndarray:
 
 def prox_indicator_nonneg(x, gamma: float = 1.0) -> np.ndarray:
     """Projection onto the nonnegative orthant (step value unused)."""
-    return np.maximum(as_vector(x), 0.0)
+    return np.maximum(as_vector_unchecked(x), 0.0)
 
 
 def prox_conjugate(g: ProxFn, y, sigma: float) -> np.ndarray:
@@ -83,7 +94,7 @@ def prox_conjugate(g: ProxFn, y, sigma: float) -> np.ndarray:
     prox_{sigma g*}(y) = y - sigma * prox_{g/sigma}(y / sigma).
     """
     _check_step(sigma)
-    y = as_vector(y)
+    y = as_vector_unchecked(y)
     return y - sigma * g.prox(y / sigma, 1.0 / sigma)
 
 
@@ -107,7 +118,7 @@ def l1(lam: float) -> ProxFn:
     if lam < 0:
         raise ValueError("l1 weight must be nonnegative")
     return ProxFn(
-        evaluate=lambda x: lam * float(np.abs(x).sum()),
+        evaluate=lambda x: rowwise(lam * np.abs(x).sum(axis=-1)),
         prox=lambda x, gamma: prox_l1(x, gamma, lam),
         domain_description="R^n",
     )
@@ -117,7 +128,7 @@ def quadratic_distance(a) -> ProxFn:
     """0.5 * ||. - a||^2"""
     a = as_vector(a)
     return ProxFn(
-        evaluate=lambda x: 0.5 * float(np.sum((x - a) ** 2)),
+        evaluate=lambda x: rowwise(0.5 * np.sum((x - a) ** 2, axis=-1)),
         prox=lambda x, gamma: prox_quadratic(x, gamma, a),
         domain_description="R^n",
     )
@@ -126,7 +137,8 @@ def quadratic_distance(a) -> ProxFn:
 def nonneg_indicator() -> ProxFn:
     """Indicator of the nonnegative orthant."""
     def evaluate(x):
-        return 0.0 if np.all(np.asarray(x) >= -1e-12) else math.inf
+        inside = np.all(np.asarray(x) >= -1e-12, axis=-1)
+        return rowwise(np.where(inside, 0.0, math.inf))
 
     return ProxFn(
         evaluate=evaluate,
@@ -138,18 +150,19 @@ def nonneg_indicator() -> ProxFn:
 def zero_fn() -> ProxFn:
     """The identically-zero function; prox is the identity."""
     return ProxFn(
-        evaluate=lambda x: 0.0,
-        prox=lambda x, gamma: as_vector(x).copy(),
+        evaluate=lambda x: rowwise(np.zeros(np.shape(x)[:-1])),
+        prox=lambda x, gamma: as_vector_unchecked(x).copy(),
         domain_description="R^n",
     )
 
 
-def conjugate(g: ProxFn, evaluate: Callable[[np.ndarray], float],
+def conjugate(g: ProxFn, evaluate: Callable[[np.ndarray], float | np.ndarray],
               domain_description: str = "") -> ProxFn:
     """Build the ProxFn of g* with prox derived from g by Moreau.
 
     The conjugate's value map cannot be derived automatically and must be
-    supplied; shipped problem generators register it analytically.
+    supplied, row-wise like every value map; shipped problem generators
+    register it analytically.
     """
     return ProxFn(
         evaluate=evaluate,

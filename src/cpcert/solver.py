@@ -23,6 +23,7 @@ import numpy as np
 from .hilbert import PPoint, as_vector
 
 __all__ = [
+    "NonFiniteIterateError",
     "Validity",
     "SolverParams",
     "ParamStatus",
@@ -38,6 +39,10 @@ __all__ = [
 
 # Relative tolerance for classifying the boundary case product == bound.
 EQUALITY_RTOL = 1e-12
+
+
+class NonFiniteIterateError(RuntimeError):
+    """The iteration produced a non-finite prox argument or iterate."""
 
 
 class Validity(enum.Enum):
@@ -157,16 +162,33 @@ def suggest_steps(theta: float, operator_norm: float, safety: float = 0.99,
     return tau, sigma
 
 
+def _advance(x, y, problem, tau, sigma, theta):
+    """One update on raw arrays: returns (x_new, y_new, finite).
+
+    ``finite`` is one finiteness pass over both prox arguments and both new
+    iterates; a prox such as a projection can map a non-finite argument
+    to a finite point, so checking the iterates alone would hide overflow.
+    """
+    L = problem.L
+    x_arg = x - tau * L.apply_adjoint(y)
+    x_new = problem.f.prox(x_arg, tau)
+    x_bar = x_new + theta * (x_new - x)
+    y_arg = y + sigma * L.apply(x_bar)
+    y_new = problem.gstar.prox(y_arg, sigma)
+    finite = bool(np.isfinite(np.concatenate((x_arg, y_arg, x_new, y_new))).all())
+    return x_new, y_new, finite
+
+
 def step(z: PPoint, problem, params: SolverParams) -> PPoint:
     """One primal-dual update from z = (x_k, y_k) to (x_{k+1}, y_{k+1}).
 
     ``problem`` provides ``f.prox``, ``gstar.prox`` and the operator ``L``.
+    Raises ValueError if a prox argument or the new point is non-finite.
     """
-    tau, sigma, theta = params.tau, params.sigma, params.theta
-    L = problem.L
-    x_new = problem.f.prox(z.x - tau * L.apply_adjoint(z.y), tau)
-    x_bar = x_new + theta * (x_new - z.x)
-    y_new = problem.gstar.prox(z.y + sigma * L.apply(x_bar), sigma)
+    x_new, y_new, finite = _advance(z.x, z.y, problem, params.tau,
+                                    params.sigma, params.theta)
+    if not finite:
+        raise ValueError("step produced non-finite entries")
     return PPoint(x_new, y_new)
 
 
@@ -257,9 +279,12 @@ def run(problem, params: SolverParams, z0: PPoint, max_iters: int,
     Raises
     ------
     ValueError
-        Invalid parameters without the override flag, or dimension errors.
-    RuntimeError
-        A non-finite iterate is produced (named by iteration index).
+        Invalid parameters without the override flag, dimension errors, or
+        a non-finite z0.
+    NonFiniteIterateError
+        A prox argument or an iterate is non-finite (named by iteration
+        index). Parameters, dimensions and z0 are validated once, before the
+        loop; each iteration then makes one finiteness pass.
     """
     status = validate_params(params)
     if status.kind is Validity.INVALID and not override_invalid:
@@ -269,51 +294,52 @@ def run(problem, params: SolverParams, z0: PPoint, max_iters: int,
         raise ValueError("max_iters must be >= 1")
     L = problem.L
     n, m = L.cols, L.rows
-    if z0.x.shape[0] != n or z0.y.shape[0] != m:
-        raise ValueError(f"z0 dims ({z0.x.shape[0]}, {z0.y.shape[0]}) do not match "
+    x, y = as_vector(z0.x), as_vector(z0.y)
+    if x.shape[0] != n or y.shape[0] != m:
+        raise ValueError(f"z0 dims ({x.shape[0]}, {y.shape[0]}) do not match "
                          f"problem dims ({n}, {m})")
+    tau, sigma, theta = params.tau, params.sigma, params.theta
 
     if keep_history:
         X = np.empty((max_iters + 1, n))
         Y = np.empty((max_iters + 1, m))
-        X[0], Y[0] = z0.x, z0.y
+        X[0], Y[0] = x, y
     else:
-        window_x = [z0.x]
-        window_y = [z0.y]
+        window_x = [x]
+        window_y = [y]
         sum_x = np.zeros(n)
         sum_y = np.zeros(m)
-    z = z0
     stopped_at = None
     k_final = max_iters
     for k in range(1, max_iters + 1):
         try:
-            z_new = step(z, problem, params)
+            x_new, y_new, finite = _advance(x, y, problem, tau, sigma, theta)
         except ValueError as e:
-            # PPoint construction rejects non-finite entries
-            raise RuntimeError(f"non-finite iterate produced at iteration {k}: {e}") from None
-        if not (np.all(np.isfinite(z_new.x)) and np.all(np.isfinite(z_new.y))):
-            raise RuntimeError(f"non-finite iterate produced at iteration {k}")
+            raise NonFiniteIterateError(
+                f"non-finite iterate produced at iteration {k}: {e}") from None
+        if not finite:
+            raise NonFiniteIterateError(f"non-finite iterate produced at iteration {k}")
         if keep_history:
-            X[k], Y[k] = z_new.x, z_new.y
+            X[k], Y[k] = x_new, y_new
         else:
-            window_x.append(z_new.x)
-            window_y.append(z_new.y)
+            window_x.append(x_new)
+            window_y.append(y_new)
             if len(window_x) > 3:
                 window_x.pop(0)
                 window_y.pop(0)
-            sum_x += z_new.x
-            sum_y += z_new.y
+            sum_x += x_new
+            sum_y += y_new
         if stop is not None:
-            fire = stop(k, z, z_new)
+            fire = stop(k, PPoint(x, y), PPoint(x_new, y_new))
         elif stop_tol is not None:
             res = max(
-                float(np.linalg.norm(z_new.x - z.x)) / params.tau,
-                float(np.linalg.norm(z_new.y - z.y)) / params.sigma,
+                float(np.linalg.norm(x_new - x)) / tau,
+                float(np.linalg.norm(y_new - y)) / sigma,
             )
             fire = res <= stop_tol
         else:
             fire = False
-        z = z_new
+        x, y = x_new, y_new
         if fire:
             stopped_at = k
             k_final = k

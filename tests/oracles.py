@@ -1,14 +1,20 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they check: the spectral-norm
-oracle runs a cyclic Jacobi eigensolver instead of power iteration, and the
+oracle runs a cyclic Jacobi eigensolver instead of power iteration, the
 1-D total-variation oracle enumerates subgradient sign patterns instead of
-running any iterative solver.
+running any iterative solver, the reference step re-validates every input
+instead of trusting the solver loop's single finiteness pass, and the
+reference certificate columns evaluate the value maps one row at a time.
 """
 
 import itertools
+import math
 
 import numpy as np
+
+from cpcert.certificates import eta_coefficients
+from cpcert.hilbert import PPoint, as_vector
 
 
 def jacobi_eigenvalues(s, sweeps=60, tol=1e-14):
@@ -96,3 +102,86 @@ def tv1d_exhaustive(signal, lam, feas_tol=1e-9):
     if best_x is None:
         raise RuntimeError("no feasible sign pattern found")
     return best_x
+
+
+def checked_step(z, problem, params):
+    """One primal-dual update with every input and result re-validated."""
+    tau, sigma, theta = params.tau, params.sigma, params.theta
+    L = problem.L
+    x, y = as_vector(z.x), as_vector(z.y)
+    x_arg = as_vector(x - tau * L.apply_adjoint(as_vector(y)))
+    x_new = as_vector(problem.f.prox(x_arg, tau))
+    x_bar = as_vector(x_new + theta * (x_new - x))
+    y_arg = as_vector(y + sigma * L.apply(x_bar))
+    y_new = as_vector(problem.gstar.prox(y_arg, sigma))
+    return PPoint(x_new, y_new)
+
+
+def checked_iterates(problem, params, z0, iters):
+    """Iterates 0..iters of :func:`checked_step`, stacked as (X, Y)."""
+    zs = [z0]
+    for _ in range(iters):
+        zs.append(checked_step(zs[-1], problem, params))
+    return np.stack([z.x for z in zs]), np.stack([z.y for z in zs])
+
+
+def per_row_certificate_columns(traj, kkt, problem):
+    """Certificate columns of a full-history run, value maps called per row.
+
+    Follows the same formulas as the vectorized certifier, so on the same
+    trajectory every column must agree bitwise.
+    """
+    params = traj.params
+    L = problem.L
+    tau, sigma, theta = params.tau, params.sigma, params.theta
+    m_bound = params.operator_norm
+    X, Y = traj.X, traj.Y
+    big_k = traj.n_iters
+    n_rows = big_k - 1
+    LX = L.apply_stack(X)
+    x_star, y_star = kkt.star.x, kkt.star.y
+    lx_star = L.apply(x_star)
+
+    dxs, dys, ldxs = X - x_star, Y - y_star, LX - lx_star
+    p_star = ((dxs * dxs).sum(axis=1) / tau + (dys * dys).sum(axis=1) / sigma
+              - (1.0 + theta) * (ldxs * dys).sum(axis=1))
+    inc_x, inc_y, inc_lx = np.diff(X, axis=0), np.diff(Y, axis=0), np.diff(LX, axis=0)
+    p_inc = ((inc_x * inc_x).sum(axis=1) / tau + (inc_y * inc_y).sum(axis=1) / sigma
+             - (1.0 + theta) * (inc_lx * inc_y).sum(axis=1))
+
+    f_vals = np.array([problem.f.evaluate(x) for x in X])
+    g_vals = np.array([problem.gstar.evaluate(y) for y in Y])
+    gaps = f_vals + g_vals + LX @ y_star - Y @ lx_star - kkt.f_star - kkt.gstar_star
+
+    c = 0.5 * (1.0 - theta)
+    cross = (dys[:-1] * inc_lx).sum(axis=1) - (ldxs[:-1] * inc_y).sum(axis=1)
+    v = 0.5 * p_star[:-1] - 0.25 * p_inc - c * gaps[1:] - c * cross
+
+    eta_p, eta_m = eta_coefficients(params)
+    k_dx = inc_lx[1:] / m_bound
+    theta_term = theta / (4.0 * tau) * (
+        (inc_x[1:] * inc_x[1:]).sum(axis=1) - (k_dx * k_dx).sum(axis=1))
+    wp = k_dx / math.sqrt(tau) + inc_y[:-1] / math.sqrt(sigma)
+    wm = k_dx / math.sqrt(tau) - inc_y[:-1] / math.sqrt(sigma)
+    descent = (v[1:] - v[:-1] + gaps[1:big_k] + theta_term
+               + 0.25 * eta_p * (wp * wp).sum(axis=1)
+               + 0.25 * eta_m * (wm * wm).sum(axis=1))
+
+    lex = np.cumsum(LX[1:], axis=0) / np.arange(1, big_k + 1)[:, None]
+    erg = np.full(n_rows, math.nan)
+    for k in range(1, n_rows):
+        ex, ey = traj.ergodic_X[k - 1], traj.ergodic_Y[k - 1]
+        erg[k] = (problem.f.evaluate(ex) + problem.gstar.evaluate(ey)
+                  + float(lex[k - 1] @ y_star) - float(ey @ lx_star)
+                  - kkt.f_star - kkt.gstar_star)
+
+    return {
+        "lyapunov": v[:n_rows],
+        "gap": gaps[1:big_k],
+        "ergodic_gap": erg,
+        "descent_residual": descent,
+        "lower_bound_residual": (0.5 * p_star[1:big_k] - v[: big_k - 1])[:n_rows],
+        "dist_to_star": np.sqrt((dxs[:n_rows] * dxs[:n_rows]).sum(axis=1)
+                                + (dys[:n_rows] * dys[:n_rows]).sum(axis=1)),
+        "sum_gap": np.concatenate([[0.0], np.cumsum(gaps[1 : big_k - 1])]),
+    }

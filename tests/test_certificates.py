@@ -11,6 +11,9 @@ from cpcert.certificates import (certify_trajectory, descent_residual,
                                  make_kkt)
 from cpcert.solver import SolverParams, suggest_steps
 
+from oracles import per_row_certificate_columns
+from test_prox import shipped_functions
+
 
 def one_d_problem():
     L = c.MatrixOperator([[1.0]], norm_bound=1.0)
@@ -283,3 +286,33 @@ def test_certificate_report_rows_carry_values():
     assert math.isnan(rows[0].ergodic_gap)
     assert rows[10].pass_descent is True
     assert rows[10].eta_plus == table.eta_plus
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.5, 1.0])
+def test_table_matches_per_row_reference_bitwise(theta, tv_problem):
+    quad = c.random_quadratic(12, 10, seed=7)
+    for problem, kkt in ((quad, quad.kkt), tv_problem):
+        tau, sigma = suggest_steps(theta, problem.L.norm_bound, 0.9)
+        params = SolverParams(tau, sigma, theta, problem.L.norm_bound)
+        z0 = c.PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
+        traj = c.run(problem, params, z0, max_iters=300, stop_tol=None)
+        table = certify_trajectory(traj, kkt, problem)
+        want = per_row_certificate_columns(traj, kkt, problem)
+        for name, column in want.items():
+            assert np.array_equal(getattr(table, name), column, equal_nan=True), \
+                (problem.name, name)
+
+
+def test_certify_rejects_vector_only_value_map():
+    tv = c.make_tv1d(np.array([1.0, 0.0, 1.0, 0.5]), lam=0.7)
+    params = SolverParams(*suggest_steps(1.0, tv.L.norm_bound),
+                          theta=1.0, operator_norm=tv.L.norm_bound)
+    kkt = c.kkt_by_long_run(tv, params, 50000)
+    z0 = c.PPoint(np.zeros(4), np.zeros(3))
+    traj = c.run(tv, params, z0, max_iters=20, stop_tol=None)
+    assert certify_trajectory(traj, kkt, tv).asserted
+    # this box value map returns one scalar for a whole stack
+    box = {name: fn for name, fn, _ in shipped_functions()}["box(conj l1)"]
+    vector_only = c.ProblemSpec(tv.name, tv.f, box, tv.L)
+    with pytest.raises(ValueError, match="row-wise"):
+        certify_trajectory(traj, kkt, vector_only)

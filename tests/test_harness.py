@@ -269,3 +269,18 @@ def test_config_seed_is_problem_seed_fallback(tmp_path):
     assert main(["solve", "--config", str(cfg_path), "--out", str(out), "--seed", "9"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["problem"]["metadata"]["seed"] == 9
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_run_failures_exit_3(tmp_path, capsys):
+    # an oracle rejection or a non-finite iterate is not a certificate failure
+    lasso = {"generator": "lasso", "params": {"rows": 6, "cols": 4, "lam": 0.1, "seed": 1}}
+    cfg = write_config(tmp_path / "oracle.json", problem=lasso, oracle_iters=2)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 3
+    assert "long-run oracle rejected" in capsys.readouterr().err
+    cfg = write_config(tmp_path / "diverge.json", problem=lasso, tau=1e3, sigma=1e3,
+                       iters=200)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "b"),
+                 "--override-invalid"]) == 3
+    assert "non-finite iterate" in capsys.readouterr().err

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from cpcert.hilbert import MatrixOperator
+from cpcert.problems import make_lasso, make_tv1d
 from cpcert.prox import (ProxFn, check_prox_inclusion, conjugate, l1,
                          l1_subgrad_test, nonneg_indicator,
                          nonneg_subgrad_test, prox_conjugate,
@@ -161,3 +163,34 @@ def test_prox_outputs_have_finite_value():
             x = rng.standard_normal(5) * 10.0
             gamma = float(10.0 ** rng.uniform(-3, 3))
             assert math.isfinite(fn.evaluate(fn.prox(x, gamma))), name
+
+
+def test_stacked_evaluate_matches_per_row():
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal(5)
+    tv_box = make_tv1d(rng.standard_normal(6), lam=0.7).gstar
+    lasso_gstar = make_lasso(MatrixOperator(rng.standard_normal((5, 3))), b, 0.3).gstar
+    # (name, function, stacked values must equal the per-row loop bitwise)
+    families = [
+        ("quadratic", quadratic_distance(rng.standard_normal(5)), True),
+        ("l1", l1(0.7), True),
+        ("nonneg", nonneg_indicator(), True),
+        ("zero", zero_fn(), True),
+        ("tv box", tv_box, True),
+        ("lasso conjugate", lasso_gstar, False),
+    ]
+    stack = rng.standard_normal((40, 5)) * 3.0
+    stack[:5] = np.abs(stack[:5]) * 0.02  # inside the orthant and the box
+    for name, fn, exact in families:
+        got = fn.evaluate(stack)
+        want = np.array([fn.evaluate(row) for row in stack])
+        assert got.shape == (40,), name
+        if exact:
+            assert np.array_equal(got, want), name
+        else:
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0), name
+        assert isinstance(fn.evaluate(stack[0]), float), name
+        assert fn.evaluate(stack[:0]).shape == (0,), name
+    for fn in (nonneg_indicator(), tv_box):  # feasible and infeasible rows
+        values = fn.evaluate(stack)
+        assert np.all(values[:5] == 0.0) and np.isinf(values[5:]).any()

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ import cpcert as c
 from cpcert.solver import (EQUALITY_RTOL, SolverParams, Validity, bound_rhs,
                            denominator_identity_residual, run, step,
                            suggest_steps, validate_params)
+
+from oracles import checked_iterates
 
 
 def test_bound_rhs_values():
@@ -260,3 +264,44 @@ def test_trajectory_immutable():
     traj = run(problem, params, c.PPoint([0.0], [0.0]), max_iters=5, stop_tol=None)
     with pytest.raises(ValueError):
         traj.X[0, 0] = 99.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_run_detects_overflow_hidden_by_projection():
+    # x - tau L*y overflows to -inf at iteration 1; projecting it onto the
+    # orthant gives the finite x = 0, so only the prox argument shows it
+    problem = c.ProblemSpec("overflow", c.nonneg_indicator(),
+                            c.quadratic_distance(np.zeros(1)), c.IdentityOperator(1))
+    params = SolverParams(10.0, 1e-3, 1.0, 1.0)
+    z0 = c.PPoint([0.0], [1e308])
+    with pytest.raises(RuntimeError, match=r"iteration 1\b") as info:
+        run(problem, params, z0, max_iters=3, stop_tol=None, override_invalid=True)
+    assert isinstance(info.value, c.NonFiniteIterateError)
+    with pytest.raises(ValueError):
+        step(z0, problem, params)
+
+
+def test_run_rejects_nonfinite_start():
+    problem = one_d_problem()
+    params = SolverParams(0.5, 0.5, 1.0, 1.0)
+    z0 = SimpleNamespace(x=np.array([np.nan]), y=np.array([0.0]))
+    with pytest.raises(ValueError):
+        run(problem, params, z0, max_iters=3)
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.5, 1.0])
+def test_run_matches_checked_reference_bitwise(theta):
+    quad = c.random_quadratic(12, 10, seed=7)
+    tv = c.make_tv1d(c.default_tv_signal(50, seed=0), lam=0.5)
+    for problem in (quad, tv):
+        tau, sigma = suggest_steps(theta, problem.L.norm_bound, 0.9)
+        params = SolverParams(tau, sigma, theta, problem.L.norm_bound)
+        z0 = c.PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
+        traj = run(problem, params, z0, max_iters=300, stop_tol=None)
+        want_x, want_y = checked_iterates(problem, params, z0, 300)
+        assert np.array_equal(traj.X, want_x), problem.name
+        assert np.array_equal(traj.Y, want_y), problem.name
+        z = traj.point(150)
+        stepped = step(z, problem, params)
+        assert np.array_equal(stepped.x, traj.X[151])
+        assert np.array_equal(stepped.y, traj.Y[151])
