@@ -23,23 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import PPoint, p_quadratic_form
-from .solver import ParamStatus, SolverParams, Trajectory, Validity, validate_params
+from .hilbert import PPoint
+from .solver import (ParamStatus, SolverParams, Trajectory, Validity,
+                     running_averages, validate_params)
 
 __all__ = [
     "KKTPoint",
-    "CertificateReport",
     "CertificateTable",
-    "ErgodicReport",
     "make_kkt",
     "kkt_residual",
-    "duality_gap",
-    "lyapunov",
     "eta_coefficients",
-    "eta_from_proof_constants",
-    "descent_residual",
-    "lower_bound_residual",
-    "ergodic_bound_check",
     "certify_trajectory",
     "DEFAULT_TOL",
 ]
@@ -86,50 +79,6 @@ def make_kkt(problem, star: PPoint, check_tol: float | None = 1e-8,
     return KKTPoint(star, f_star, gstar_star, residual if residual is not None else res)
 
 
-def duality_gap(z: PPoint, kkt: KKTPoint, problem) -> float:
-    """Duality gap relative to the saddle point; may be +inf outside domains."""
-    fx = problem.f.evaluate(z.x)
-    gy = problem.gstar.evaluate(z.y)
-    if math.isinf(fx) or math.isinf(gy):
-        return math.inf
-    L = problem.L
-    return (
-        fx + gy
-        + float(L.apply(z.x) @ kkt.star.y)
-        - float(z.y @ L.apply(kkt.star.x))
-        - kkt.f_star - kkt.gstar_star
-    )
-
-
-def lyapunov(zk: PPoint, zk1: PPoint, kkt: KKTPoint, problem,
-             params: SolverParams) -> float:
-    """Lyapunov value V(k) from the consecutive iterates (z_k, z_{k+1}).
-
-    V(k) = 0.5 ||z_k - z*||_P^2 - 0.25 ||z_{k+1} - z_k||_P^2
-           - (1-theta)/2 * D(z_{k+1})
-           - (1-theta)/2 * (<y_k - y*, L(x_{k+1} - x_k)> - <L(x_k - x*), y_{k+1} - y_k>)
-
-    Along runs satisfying the step-size condition this is nonincreasing and
-    bounded below by 0.5 ||z_{k+1} - z*||_P^2.
-    """
-    L = problem.L
-    c = 0.5 * (1.0 - params.theta)
-    gap = duality_gap(zk1, kkt, problem)
-    cross = (
-        float((zk.y - kkt.star.y) @ L.apply(zk1.x - zk.x))
-        - float(L.apply(zk.x - kkt.star.x) @ (zk1.y - zk.y))
-    )
-    v = (
-        0.5 * p_quadratic_form(zk - kkt.star, L, params)
-        - 0.25 * p_quadratic_form(zk1 - zk, L, params)
-        - c * gap
-        - c * cross
-    )
-    if not math.isfinite(v):
-        raise RuntimeError("non-finite Lyapunov value: iterates left dom f x dom g*")
-    return v
-
-
 def _eta_numerator(params: SolverParams) -> float:
     t = params.theta
     return 4.0 * t * (2.0 - t) - params.product * (1.0 - 2.0 * t + 9.0 * t ** 2 - 4.0 * t ** 3)
@@ -157,87 +106,6 @@ def eta_coefficients(params: SolverParams) -> tuple[float, float]:
             "violate sigma*tau*||L||^2*(1+theta)^2 <= 4"
         )
     return num / den_plus, num / den_minus
-
-
-def eta_from_proof_constants(params: SolverParams) -> tuple[float, float]:
-    """Cross-check route: eta_pm = gamma_pm - beta_pm^2 / alpha_pm.
-
-    alpha_pm = (1 pm s t (1-t)) / 2, beta_pm = (2(1-t) pm (1+t) s) / 4,
-    gamma_pm = (1 pm s (1-t)) / 2 with s = sqrt(tau sigma) ||L||. Must agree
-    with :func:`eta_coefficients` to roundoff.
-    """
-    t = params.theta
-    s = math.sqrt(params.tau * params.sigma) * params.operator_norm
-    out = []
-    for sign in (+1.0, -1.0):
-        alpha = 0.5 * (1.0 + sign * s * t * (1.0 - t))
-        beta = 0.25 * (2.0 * (1.0 - t) + sign * (1.0 + t) * s)
-        gamma = 0.5 * (1.0 + sign * s * (1.0 - t))
-        if alpha <= 0:
-            raise ValueError("nonpositive completion constant alpha")
-        out.append(gamma - beta ** 2 / alpha)
-    return out[0], out[1]
-
-
-def descent_residual(zk: PPoint, zk1: PPoint, zk2: PPoint, kkt: KKTPoint,
-                     problem, params: SolverParams) -> float:
-    """LHS - RHS of the per-iteration descent inequality (<= 0 expected).
-
-    Uses three consecutive iterates z_k, z_{k+1}, z_{k+2} of one run and the
-    same certified operator-norm bound as parameter validation; K denotes
-    L scaled by that bound (zero operator if the bound is zero).
-    """
-    L = problem.L
-    m = params.operator_norm
-    eta_p, eta_m = eta_coefficients(params)
-    dx2 = zk2.x - zk1.x
-    dy1 = zk1.y - zk.y
-    k_dx2 = L.apply(dx2) / m if m > 0 else np.zeros_like(zk.y)
-    w_plus = k_dx2 / math.sqrt(params.tau) + dy1 / math.sqrt(params.sigma)
-    w_minus = k_dx2 / math.sqrt(params.tau) - dy1 / math.sqrt(params.sigma)
-    vk = lyapunov(zk, zk1, kkt, problem, params)
-    vk1 = lyapunov(zk1, zk2, kkt, problem, params)
-    return (
-        vk1 - vk
-        + duality_gap(zk1, kkt, problem)
-        + params.theta / (4.0 * params.tau)
-        * (float(dx2 @ dx2) - float(k_dx2 @ k_dx2))
-        + 0.25 * eta_p * float(w_plus @ w_plus)
-        + 0.25 * eta_m * float(w_minus @ w_minus)
-    )
-
-
-def lower_bound_residual(zk: PPoint, zk1: PPoint, kkt: KKTPoint, problem,
-                         params: SolverParams) -> float:
-    """0.5 ||z_{k+1} - z*||_P^2 - V(k), expected <= 0."""
-    vk = lyapunov(zk, zk1, kkt, problem, params)
-    return 0.5 * p_quadratic_form(zk1 - kkt.star, problem.L, params) - vk
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    """Per-iteration certificate values and pass flags.
-
-    Flags are None when the run is observational (Invalid parameters under
-    the override flag); nothing is asserted in that mode.
-    """
-
-    k: int
-    lyapunov: float
-    gap: float
-    ergodic_gap: float
-    descent_residual: float
-    lower_bound_residual: float
-    eta_plus: float
-    eta_minus: float
-    dist_to_star: float
-    sum_gap: float
-    pass_descent: bool | None
-    pass_lower_bound: bool | None
-    pass_v_monotone: bool | None
-    pass_jensen: bool | None
-    pass_sum_bound: bool | None
-    pass_ergodic_rate: bool | None
 
 
 _CHECKS = ("descent", "lower_bound", "v_monotone", "jensen", "sum_bound",
@@ -304,31 +172,6 @@ class CertificateTable:
                             self.descent_residual, self.lower_bound_residual,
                             self.sum_gap, self.v0, self.tol)
 
-    def rows(self) -> list[CertificateReport]:
-        flags = self.flags() if self.asserted else None
-        out = []
-        for i, k in enumerate(self.ks):
-            fl = {c: bool(flags[c][i]) if flags is not None else None for c in _CHECKS}
-            out.append(CertificateReport(
-                k=int(k),
-                lyapunov=float(self.lyapunov[i]),
-                gap=float(self.gap[i]),
-                ergodic_gap=float(self.ergodic_gap[i]),
-                descent_residual=float(self.descent_residual[i]),
-                lower_bound_residual=float(self.lower_bound_residual[i]),
-                eta_plus=self.eta_plus,
-                eta_minus=self.eta_minus,
-                dist_to_star=float(self.dist_to_star[i]),
-                sum_gap=float(self.sum_gap[i]),
-                pass_descent=fl["descent"],
-                pass_lower_bound=fl["lower_bound"],
-                pass_v_monotone=fl["v_monotone"],
-                pass_jensen=fl["jensen"],
-                pass_sum_bound=fl["sum_bound"],
-                pass_ergodic_rate=fl["ergodic_rate"],
-            ))
-        return out
-
     def summarize(self) -> dict:
         """Aggregate pass/fail summary (observational when not asserted)."""
         out = {
@@ -374,17 +217,15 @@ def _json_float(v) -> float | None:
 
 def certify_trajectory(traj: Trajectory, kkt: KKTPoint, problem,
                        tol: float = DEFAULT_TOL) -> CertificateTable:
-    """Evaluate every certificate along a full-history trajectory.
+    """Evaluate every certificate along a trajectory.
 
-    Equivalent to calling the per-window scalar functions at each k, but
-    computed in one vectorized pass (operator images of the iterates are
-    formed once and reused by every check, and each value map is called
-    once on a stack of rows).
+    One vectorized pass: operator images of the iterates are formed once
+    and reused by every check, and each value map is called once on a
+    stack of rows. The per-window scalar definitions of the same values
+    live in the test suite's reference oracles (``tests/oracles.py``).
 
     Raises ValueError if a value map does not return one value per row.
     """
-    if not traj.full_history:
-        raise ValueError("certification needs a full-history trajectory")
     if traj.n_iters < 2:
         raise ValueError("need at least 2 iterations to certify")
     # Diverging observational runs may overflow to inf/NaN; report those
@@ -419,13 +260,19 @@ def _certify(traj, kkt, problem, tol):
     # window arrays below exist, so they do not raise peak memory.
     f_vals = _stack_values(problem.f, X, "f")
     g_vals = _stack_values(problem.gstar, Y, "gstar")
-    ex, ey = traj.ergodic_X[: n_rows - 1], traj.ergodic_Y[: n_rows - 1]
-    f_erg = _stack_values(problem.f, ex, "f")
-    g_erg = _stack_values(problem.gstar, ey, "gstar")
-
-    LX = L.apply_stack(X)
     x_star, y_star = kkt.star.x, kkt.star.y
     lx_star = L.apply(x_star)
+    # Running averages over iterates 1..k for k = 1..K-2, likewise freed
+    # once their values and their L-term are taken.
+    ex = running_averages(X[:n_rows])
+    f_erg = _stack_values(problem.f, ex, "f")
+    del ex
+    ey = running_averages(Y[:n_rows])
+    g_erg = _stack_values(problem.gstar, ey, "gstar")
+    ey_lx = np.fromiter(map(lx_star.dot, ey), float, n_rows - 1)
+    del ey
+
+    LX = L.apply_stack(X)
 
     dxs = X - x_star
     dys = Y - y_star
@@ -471,9 +318,8 @@ def _certify(traj, kkt, problem, tol):
     # Ergodic gaps D(avg_k) for k = 1..K-2, reusing cumulative images of L.
     # The L-terms stay per-row dot products: a matrix-vector product sums
     # in another order and would change the last bits.
-    lex = np.cumsum(LX[1:], axis=0) / np.arange(1, big_k + 1)[:, None]
-    lex_y = np.fromiter(map(y_star.dot, lex[: n_rows - 1]), float, n_rows - 1)
-    ey_lx = np.fromiter(map(lx_star.dot, ey), float, n_rows - 1)
+    lex = running_averages(LX[:n_rows])
+    lex_y = np.fromiter(map(y_star.dot, lex), float, n_rows - 1)
     erg = np.empty(n_rows)
     erg[0] = math.nan
     erg[1:] = f_erg + g_erg + lex_y - ey_lx - kkt.f_star - kkt.gstar_star
@@ -496,42 +342,4 @@ def _certify(traj, kkt, problem, tol):
         tol=tol,
         status=status,
         asserted=asserted,
-    )
-
-
-@dataclass(frozen=True)
-class ErgodicReport:
-    """Per-k outcomes of the ergodic chain checks (k = 1..K-2).
-
-    jensen_ok: D(avg_k) <= (1/k) sum_{i<=k} D(z_i)
-    sum_ok:    sum_{i<=k} D(z_i) <= V(0)
-    rate_ok:   D(avg_k) <= V(0)/k
-    """
-
-    ks: np.ndarray
-    jensen_ok: np.ndarray
-    sum_ok: np.ndarray
-    rate_ok: np.ndarray
-    sum_gap: np.ndarray
-    v0: float
-
-    @property
-    def all_pass(self) -> bool:
-        return bool(np.all(self.jensen_ok) and np.all(self.sum_ok)
-                    and np.all(self.rate_ok))
-
-
-def ergodic_bound_check(traj: Trajectory, kkt: KKTPoint, problem,
-                        tol: float = DEFAULT_TOL) -> ErgodicReport:
-    """Check the ergodic duality-gap chain along a trajectory."""
-    table = certify_trajectory(traj, kkt, problem, tol=tol)
-    flags = table.flags()
-    pos = table.ks >= 1
-    return ErgodicReport(
-        ks=table.ks[pos],
-        jensen_ok=flags["jensen"][pos],
-        sum_ok=flags["sum_bound"][pos],
-        rate_ok=flags["ergodic_rate"][pos],
-        sum_gap=table.sum_gap[pos],
-        v0=table.v0,
     )

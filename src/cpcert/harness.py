@@ -23,13 +23,12 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .certificates import (CertificateTable, _flag_arrays, certify_trajectory,
-                           kkt_residual)
+from .certificates import CertificateTable, _flag_arrays, certify_trajectory
 from .problems import OracleRejectedError, kkt_by_long_run, problem_from_config
 from .solver import (NonFiniteIterateError, SolverParams, Trajectory, Validity,
                      run, suggest_steps, validate_params)
@@ -58,6 +57,26 @@ CSV_COLUMNS = ["k", "gap", "ergodic_gap", "lyapunov", "descent_residual",
 
 class UsageError(ValueError):
     """Bad configuration or command-line input (exit code 2)."""
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# JSON type of each config field; None is also accepted where the default is None.
+_FIELD_TYPES = {
+    **dict.fromkeys(("theta", "tau", "sigma", "safety", "ratio", "tolerance",
+                     "stop_tol"), (_is_number, "a number")),
+    **dict.fromkeys(("iters", "seed", "oracle_iters"), (_is_int, "an integer")),
+    "override_invalid": (lambda v: isinstance(v, bool), "true or false"),
+    "fault": (lambda v: isinstance(v, dict), "an object"),
+    "grid": (lambda v: isinstance(v, dict), "an object"),
+    "out": (lambda v: isinstance(v, str), "a string"),
+}
 
 
 @dataclass
@@ -97,11 +116,24 @@ class ExperimentConfig:
             raise UsageError(f"config file {path} is not valid JSON: {e}") from None
         if not isinstance(raw, dict) or "problem" not in raw:
             raise UsageError(f"config file {path} must be an object with a 'problem' key")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        cls._check_types(raw)
         return cls(**raw)
+
+    @classmethod
+    def _check_types(cls, raw: dict) -> None:
+        """Reject a field of the wrong JSON type with a UsageError."""
+        for name, (ok, what) in _FIELD_TYPES.items():
+            v = raw.get(name)
+            if name in raw and not (ok(v) or (v is None and getattr(cls, name) is None)):
+                raise UsageError(f"config field {name!r} must be {what}, got {v!r}")
+        for key in ("theta", "safety"):
+            vals = (raw.get("grid") or {}).get(key, [])
+            if not (isinstance(vals, list) and all(map(_is_number, vals))):
+                raise UsageError(f"config field 'grid.{key}' must be a list of "
+                                 f"numbers, got {vals!r}")
 
     def apply_overrides(self, args) -> None:
         for name in ("theta", "tau", "sigma", "safety", "ratio", "iters", "seed", "out"):
@@ -113,21 +145,8 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """Experiment-defining fields only (output paths excluded)."""
-        d = {
-            "problem": self.problem,
-            "theta": self.theta,
-            "tau": self.tau,
-            "sigma": self.sigma,
-            "safety": self.safety,
-            "ratio": self.ratio,
-            "iters": self.iters,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "stop_tol": self.stop_tol,
-            "override_invalid": self.override_invalid,
-            "oracle_iters": self.oracle_iters,
-            "fault": self.fault,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name not in ("grid", "out")}
         if self.grid is not None:
             d["grid"] = self.grid
         return d
@@ -227,18 +246,11 @@ def write_json(path, obj) -> None:
 
 def corrupt_trajectory(traj: Trajectory, k: int, delta: float) -> Trajectory:
     """Shift every entry of iterate k by delta (negative-control helper)."""
-    if not traj.full_history:
-        raise ValueError("can only corrupt a full-history trajectory")
     if not 0 <= k <= traj.n_iters:
         raise ValueError(f"iterate {k} out of range 0..{traj.n_iters}")
     X = traj.X.copy()
-    Y = traj.Y.copy()
-    X[k] = X[k] + delta
-    ks = np.arange(1, traj.n_iters + 1)[:, None]
-    EX = np.cumsum(X[1:], axis=0) / ks
-    EY = np.cumsum(Y[1:], axis=0) / ks
-    return Trajectory(traj.params, X, Y, EX, EY, traj.n_iters,
-                      traj.stopped_at, True, 0)
+    X[k] += delta
+    return replace(traj, X=X)
 
 
 # --- experiment execution ---------------------------------------------------
@@ -276,23 +288,28 @@ def _resolved_problem_config(cfg: ExperimentConfig) -> dict:
     return pc
 
 
-def _execute(cfg: ExperimentConfig):
-    """Build problem, run, certify. Returns (problem, kkt, params, traj, table)."""
-    problem = problem_from_config(_resolved_problem_config(cfg))
-    params = _resolve_params(cfg, problem.L.norm_bound)
+def _certified_run(problem, params: SolverParams, cfg: ExperimentConfig, kkt=None):
+    """The run pipeline of ``solve`` and of every ``sweep`` cell.
+
+    Rejects Invalid parameters unless ``cfg.override_invalid`` is set, runs
+    from the origin, applies ``cfg.fault`` and certifies. Without ``kkt``
+    (a sweep shares one across its cells) the saddle point is built after
+    the parameter check, so Invalid parameters fail before any oracle run.
+    Returns (kkt, traj, table).
+    """
     status = validate_params(params)
     if status.kind is Validity.INVALID and not cfg.override_invalid:
         raise UsageError(
             f"parameters are Invalid ({status}); set override_invalid to run anyway"
         )
-    kkt = _get_kkt(problem, cfg)
+    if kkt is None:
+        kkt = _get_kkt(problem, cfg)
     z0 = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
     traj = run(problem, params, z0, max_iters=cfg.iters, stop_tol=cfg.stop_tol,
                override_invalid=cfg.override_invalid)
     if cfg.fault is not None:
         traj = corrupt_trajectory(traj, int(cfg.fault["k"]), float(cfg.fault["delta"]))
-    table = certify_trajectory(traj, kkt, problem, tol=cfg.tolerance)
-    return problem, kkt, params, traj, table
+    return kkt, traj, certify_trajectory(traj, kkt, problem, tol=cfg.tolerance)
 
 
 def _params_block(params: SolverParams) -> dict:
@@ -314,7 +331,9 @@ def _params_block(params: SolverParams) -> dict:
 def cmd_solve(cfg: ExperimentConfig) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    problem, kkt, params, traj, table = _execute(cfg)
+    problem = problem_from_config(_resolved_problem_config(cfg))
+    params = _resolve_params(cfg, problem.L.norm_bound)
+    kkt, traj, table = _certified_run(problem, params, cfg)
     summary = {
         "config": cfg.to_dict(),
         "problem": {"name": problem.name, "rows": problem.L.rows,
@@ -356,7 +375,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     problem = problem_from_config(_resolved_problem_config(cfg))
     kkt = _get_kkt(problem, cfg)
-    z0 = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
+    norm = problem.L.norm_bound
     ratio = float(cfg.grid.get("ratio", cfg.ratio))
     rows = []
     worst = 0
@@ -364,20 +383,14 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         for safety in cfg.grid["safety"]:
             row = {"theta": theta, "safety": safety, "ratio": ratio}
             try:
-                tau, sigma = suggest_steps(theta, problem.L.norm_bound, safety, ratio)
-                params = SolverParams(tau, sigma, theta, problem.L.norm_bound)
-                status = validate_params(params)
-                if status.kind is Validity.INVALID and not cfg.override_invalid:
-                    raise UsageError(f"cell parameters are Invalid ({status})")
-                traj = run(problem, params, z0, max_iters=cfg.iters,
-                           stop_tol=cfg.stop_tol,
-                           override_invalid=cfg.override_invalid)
-                table = certify_trajectory(traj, kkt, problem, tol=cfg.tolerance)
+                tau, sigma = suggest_steps(theta, norm, safety, ratio)
+                *_, table = _certified_run(
+                    problem, SolverParams(tau, sigma, theta, norm), cfg, kkt)
                 summ = table.summarize()
                 flags = table.flags() if table.asserted else None
                 row.update({
-                    "tau": tau, "sigma": sigma, "product": status.product,
-                    "status": status.kind.value,
+                    "tau": tau, "sigma": sigma, "product": table.status.product,
+                    "status": table.status.kind.value,
                     "v_monotone": bool(np.all(flags["v_monotone"])) if flags else None,
                     "max_descent_residual": summ["max_descent_residual"],
                     "ergodic_gap_final": summ["final_ergodic_gap"],

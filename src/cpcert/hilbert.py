@@ -1,12 +1,8 @@
 """Finite-dimensional Hilbert space primitives.
 
-Dense float64 vectors, linear operators with explicit adjoints and a
-certified operator-norm bound, deterministic power-iteration norm
-estimation, and the step-size weighted quadratic form
-
-    ||(x, y)||_P^2 = (1/tau)||x||^2 + (1/sigma)||y||^2 - (1+theta)<Lx, y>
-
-used throughout the convergence certificates.
+Dense float64 vectors, primal-dual points, linear operators with explicit
+adjoints and a certified operator-norm bound, deterministic power-iteration
+norm estimation, and plain-text matrix IO.
 """
 
 from __future__ import annotations
@@ -25,10 +21,7 @@ __all__ = [
     "ZeroOperator",
     "ForwardDifferenceOperator",
     "as_vector",
-    "dot",
     "estimate_norm",
-    "p_quadratic_form",
-    "p_inner",
     "load_matrix",
     "save_matrix",
 ]
@@ -61,15 +54,6 @@ def as_vector_unchecked(v) -> np.ndarray:
     return arr
 
 
-def dot(a, b) -> float:
-    """Canonical inner product sum_i a_i b_i."""
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(a @ b)
-
-
 @dataclass(frozen=True)
 class PPoint:
     """A primal-dual pair (x, y) in the product space H x G."""
@@ -83,10 +67,6 @@ class PPoint:
 
     def __sub__(self, other: "PPoint") -> "PPoint":
         return PPoint(self.x - other.x, self.y - other.y)
-
-    def norm(self) -> float:
-        """Canonical product norm sqrt(||x||^2 + ||y||^2)."""
-        return float(np.sqrt(self.x @ self.x + self.y @ self.y))
 
 
 class LinearOperator:
@@ -281,41 +261,6 @@ def estimate_norm(L: LinearOperator, tol: float = 1e-10,
         RuntimeWarning,
     )
     return sigma
-
-
-def _check_point(z: PPoint, L: LinearOperator):
-    if z.x.shape[0] != L.cols or z.y.shape[0] != L.rows:
-        raise ValueError(
-            f"point dims ({z.x.shape[0]}, {z.y.shape[0]}) do not match "
-            f"operator dims ({L.cols}, {L.rows})"
-        )
-
-
-def p_quadratic_form(z: PPoint, L: LinearOperator, params) -> float:
-    """Quadratic form (1/tau)||x||^2 + (1/sigma)||y||^2 - (1+theta)<Lx, y>.
-
-    ``params`` is anything with ``tau``, ``sigma``, ``theta`` attributes,
-    typically a :class:`cpcert.solver.SolverParams`. Nonnegative for all z
-    whenever the step-size product condition holds.
-    """
-    _check_point(z, L)
-    return (
-        float(z.x @ z.x) / params.tau
-        + float(z.y @ z.y) / params.sigma
-        - (1.0 + params.theta) * float(L.apply(z.x) @ z.y)
-    )
-
-
-def p_inner(z1: PPoint, z2: PPoint, L: LinearOperator, params) -> float:
-    """Symmetric bilinear form polarizing :func:`p_quadratic_form`."""
-    _check_point(z1, L)
-    _check_point(z2, L)
-    return (
-        float(z1.x @ z2.x) / params.tau
-        + float(z1.y @ z2.y) / params.sigma
-        - 0.5 * (1.0 + params.theta)
-        * (float(L.apply(z1.x) @ z2.y) + float(L.apply(z2.x) @ z1.y))
-    )
 
 
 def load_matrix(path) -> np.ndarray:

@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 
+# Iterations per block of the long-run oracle: bounds its stored history.
+_ORACLE_BLOCK = 512
+
+
 class OracleRejectedError(RuntimeError):
     """The long-run oracle's point is too far from a saddle point to use."""
 
@@ -44,17 +48,15 @@ class OracleRejectedError(RuntimeError):
 class ProblemSpec:
     """A saddle-point test problem min_x max_y f(x) + <Lx, y> - g*(y).
 
-    ``g`` is the primal-side function when the problem is naturally stated
-    as min f(x) + g(Lx); it may be None when the problem is given directly
-    through g*. ``gstar`` always carries both the value map and the prox
-    used by the dual update.
+    ``gstar`` carries both the value map and the prox used by the dual
+    update; generators that state the problem through g derive it by
+    Moreau conjugation.
     """
 
     name: str
     f: ProxFn
     gstar: ProxFn
     L: LinearOperator
-    g: ProxFn | None = None
     kkt: KKTPoint | None = None
     metadata: dict = field(default_factory=dict)
 
@@ -120,7 +122,6 @@ def make_lasso(A: LinearOperator, b, lam: float) -> ProblemSpec:
     return ProblemSpec(
         name="lasso",
         f=_prox.l1(lam),
-        g=g,
         gstar=gstar,
         L=A,
         metadata={"generator": "lasso", "lam": lam},
@@ -152,7 +153,6 @@ def make_tv1d(signal, lam: float) -> ProblemSpec:
     return ProblemSpec(
         name="tv1d",
         f=_prox.quadratic_distance(signal),
-        g=g,
         gstar=gstar,
         L=ForwardDifferenceOperator(signal.shape[0]),
         metadata={"generator": "tv1d", "lam": lam},
@@ -164,22 +164,32 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     """Approximate saddle point from a long solver run (oracle construction).
 
     Run far past the horizon of the experiment the point will serve (at
-    least 10x). The returned point carries its measured fixed-point
-    residual; a residual above ``accept_tol`` rejects the oracle outright
-    with :class:`OracleRejectedError`.
+    least 10x). The run goes in blocks of ``_ORACLE_BLOCK`` iterations, each
+    continuing from the last one's final point, so memory stays bounded;
+    the iteration is memoryless and the stop rule is checked on every step,
+    so the point is the one a single run of ``iters`` steps ends at. The
+    returned point carries its measured fixed-point residual; a residual
+    above ``accept_tol`` rejects the oracle outright with
+    :class:`OracleRejectedError`.
     """
     status = validate_params(params)
     if status.kind is not Validity.STRICTLY_VALID:
         raise ValueError(f"long-run oracle needs StrictlyValid parameters, got {status}")
-    z0 = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
-    traj = run(problem, params, z0, max_iters=iters, stop_tol=stop_tol,
-               keep_history=False)
-    star = traj.final
+    z = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
+    done = 0
+    while True:
+        traj = run(problem, params, z, min(_ORACLE_BLOCK, iters - done),
+                   stop_tol=stop_tol)
+        z = traj.final
+        done += traj.n_iters
+        if traj.stopped_at is not None or done >= iters:
+            break
+    star = PPoint(z.x.copy(), z.y.copy())  # do not pin the last block
     res = kkt_residual(problem, star)
     if res > accept_tol:
         raise OracleRejectedError(
             f"long-run oracle rejected: residual {res:.3e} > {accept_tol:g} "
-            f"after {traj.n_iters} iterations"
+            f"after {done} iterations"
         )
     return make_kkt(problem, star, check_tol=None, residual=res)
 

@@ -27,15 +27,11 @@ __all__ = [
     "prox_quadratic",
     "prox_indicator_nonneg",
     "prox_conjugate",
-    "check_prox_inclusion",
     "l1",
     "quadratic_distance",
     "nonneg_indicator",
     "zero_fn",
     "conjugate",
-    "l1_subgrad_test",
-    "quadratic_subgrad_test",
-    "nonneg_subgrad_test",
 ]
 
 
@@ -98,19 +94,6 @@ def prox_conjugate(g: ProxFn, y, sigma: float) -> np.ndarray:
     return y - sigma * g.prox(y / sigma, 1.0 / sigma)
 
 
-def check_prox_inclusion(f: ProxFn, x, gamma: float, subgrad_test) -> bool:
-    """Check the subgradient inclusion (x - p)/gamma in df(p) at p = prox(x).
-
-    ``subgrad_test(p, u)`` decides membership of u in the subdifferential
-    of the concrete f at p, within its own tolerance. Returns False on
-    violation rather than raising.
-    """
-    _check_step(gamma)
-    x = as_vector(x)
-    p = f.prox(x, gamma)
-    return bool(subgrad_test(p, (x - p) / gamma))
-
-
 # --- shipped function families -------------------------------------------
 
 def l1(lam: float) -> ProxFn:
@@ -169,38 +152,3 @@ def conjugate(g: ProxFn, evaluate: Callable[[np.ndarray], float | np.ndarray],
         prox=lambda y, sigma: prox_conjugate(g, y, sigma),
         domain_description=domain_description or f"conjugate of {g.domain_description}",
     )
-
-
-# --- subgradient membership tests for the shipped families ----------------
-
-def l1_subgrad_test(lam: float, tol: float = 1e-9):
-    """u in d(lam*||.||_1)(p): u_i = lam*sign(p_i) off zero, |u_i| <= lam at zero."""
-    def test(p, u):
-        p = np.asarray(p)
-        u = np.asarray(u)
-        at_zero = np.abs(p) <= tol
-        ok_zero = np.abs(u[at_zero]) <= lam + tol
-        ok_pos = np.abs(u[~at_zero] - lam * np.sign(p[~at_zero])) <= tol
-        return bool(np.all(ok_zero) and np.all(ok_pos))
-    return test
-
-
-def quadratic_subgrad_test(a, tol: float = 1e-9):
-    """d(0.5*||. - a||^2)(p) = {p - a}."""
-    a = as_vector(a)
-
-    def test(p, u):
-        return bool(np.linalg.norm(u - (p - a)) <= tol * (1.0 + np.linalg.norm(p)))
-    return test
-
-
-def nonneg_subgrad_test(tol: float = 1e-9):
-    """Normal cone of the orthant: u_i <= 0 where p_i = 0, u_i = 0 where p_i > 0."""
-    def test(p, u):
-        p = np.asarray(p)
-        u = np.asarray(u)
-        if np.any(p < -tol):
-            return False
-        interior = p > tol
-        return bool(np.all(np.abs(u[interior]) <= tol) and np.all(u[~interior] <= tol))
-    return test

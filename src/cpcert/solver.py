@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ __all__ = [
     "ParamStatus",
     "Trajectory",
     "bound_rhs",
-    "denominator_identity_residual",
+    "running_averages",
     "validate_params",
     "suggest_steps",
     "step",
@@ -111,13 +111,6 @@ def bound_rhs(theta: float) -> float:
     return 4.0 * theta * (2.0 - theta) / (1.0 - 2.0 * theta + 9.0 * theta ** 2 - 4.0 * theta ** 3)
 
 
-def denominator_identity_residual(theta: float) -> float:
-    """|(1 - 2t + 9t^2 - 4t^3) - ((1-t)^2 + 4t^2(2-t))| at t = theta."""
-    lhs = 1.0 - 2.0 * theta + 9.0 * theta ** 2 - 4.0 * theta ** 3
-    rhs = (1.0 - theta) ** 2 + 4.0 * theta ** 2 * (2.0 - theta)
-    return abs(lhs - rhs)
-
-
 def validate_params(p: SolverParams) -> ParamStatus:
     """Classify (tau, sigma, theta, ||L||) against the step-size condition.
 
@@ -192,55 +185,44 @@ def step(z: PPoint, problem, params: SolverParams) -> PPoint:
     return PPoint(x_new, y_new)
 
 
+def running_averages(A: np.ndarray) -> np.ndarray:
+    """Row k-1 is the mean of rows 1..k of ``A``, for k = 1..len(A)-1.
+
+    Divides in place, so the only temporary is the cumulative sum.
+    """
+    out = np.cumsum(A[1:], axis=0)
+    out /= np.arange(1, out.shape[0] + 1)[:, None]
+    return out
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Iterate log of one solver run.
 
-    ``X`` and ``Y`` stack the stored iterates row-wise; row i holds iterate
-    ``start_index + i`` (start_index is 0 with full history, K-2 in
-    low-memory mode where only the final three-iterate window is kept).
-    ``ergodic_X``/``ergodic_Y`` stack the running averages over iterates
-    1..k; with full history row k-1 is the average through iterate k, in
-    low-memory mode only the final average is kept.
+    ``X`` and ``Y`` stack iterates 0..n_iters row-wise.
     """
 
     params: SolverParams
     X: np.ndarray
     Y: np.ndarray
-    ergodic_X: np.ndarray
-    ergodic_Y: np.ndarray
     n_iters: int
     stopped_at: int | None
-    full_history: bool
-    start_index: int = 0
 
     def __post_init__(self):
-        for arr in (self.X, self.Y, self.ergodic_X, self.ergodic_Y):
-            arr.flags.writeable = False
-
-    @property
-    def iterates(self) -> list[PPoint]:
-        return [PPoint(x, y) for x, y in zip(self.X, self.Y)]
-
-    @property
-    def ergodic(self) -> list[PPoint]:
-        return [PPoint(x, y) for x, y in zip(self.ergodic_X, self.ergodic_Y)]
+        self.X.flags.writeable = False
+        self.Y.flags.writeable = False
 
     def point(self, k: int) -> PPoint:
-        i = k - self.start_index
-        if not 0 <= i < self.X.shape[0]:
-            raise IndexError(f"iterate {k} not stored (have {self.start_index}..{self.n_iters})")
-        return PPoint(self.X[i], self.Y[i])
+        if not 0 <= k <= self.n_iters:
+            raise IndexError(f"iterate {k} not stored (have 0..{self.n_iters})")
+        return PPoint(self.X[k], self.Y[k])
 
     def ergodic_point(self, k: int) -> PPoint:
         """Running average over iterates 1..k (k >= 1)."""
-        if not self.full_history:
-            if k != self.n_iters:
-                raise IndexError("low-memory trajectory keeps only the final average")
-            return PPoint(self.ergodic_X[-1], self.ergodic_Y[-1])
         if not 1 <= k <= self.n_iters:
             raise IndexError(f"ergodic average defined for 1 <= k <= {self.n_iters}")
-        return PPoint(self.ergodic_X[k - 1], self.ergodic_Y[k - 1])
+        return PPoint(running_averages(self.X[: k + 1])[-1],
+                      running_averages(self.Y[: k + 1])[-1])
 
     @property
     def final(self) -> PPoint:
@@ -249,7 +231,7 @@ class Trajectory:
 
 def run(problem, params: SolverParams, z0: PPoint, max_iters: int,
         stop_tol: float | None = 1e-10, stop=None,
-        override_invalid: bool = False, keep_history: bool = True) -> Trajectory:
+        override_invalid: bool = False) -> Trajectory:
     """Run the iteration from z0 for up to ``max_iters`` steps.
 
     Parameters
@@ -272,9 +254,6 @@ def run(problem, params: SolverParams, z0: PPoint, max_iters: int,
     override_invalid : bool
         Permit Invalid parameters (boundary-exploration experiments);
         downstream certificates then report observational results only.
-    keep_history : bool
-        If False, keep only the final three-iterate window and the final
-        ergodic average (low-memory mode).
 
     Raises
     ------
@@ -300,15 +279,9 @@ def run(problem, params: SolverParams, z0: PPoint, max_iters: int,
                          f"problem dims ({n}, {m})")
     tau, sigma, theta = params.tau, params.sigma, params.theta
 
-    if keep_history:
-        X = np.empty((max_iters + 1, n))
-        Y = np.empty((max_iters + 1, m))
-        X[0], Y[0] = x, y
-    else:
-        window_x = [x]
-        window_y = [y]
-        sum_x = np.zeros(n)
-        sum_y = np.zeros(m)
+    X = np.empty((max_iters + 1, n))
+    Y = np.empty((max_iters + 1, m))
+    X[0], Y[0] = x, y
     stopped_at = None
     k_final = max_iters
     for k in range(1, max_iters + 1):
@@ -319,16 +292,7 @@ def run(problem, params: SolverParams, z0: PPoint, max_iters: int,
                 f"non-finite iterate produced at iteration {k}: {e}") from None
         if not finite:
             raise NonFiniteIterateError(f"non-finite iterate produced at iteration {k}")
-        if keep_history:
-            X[k], Y[k] = x_new, y_new
-        else:
-            window_x.append(x_new)
-            window_y.append(y_new)
-            if len(window_x) > 3:
-                window_x.pop(0)
-                window_y.pop(0)
-            sum_x += x_new
-            sum_y += y_new
+        X[k], Y[k] = x_new, y_new
         if stop is not None:
             fire = stop(k, PPoint(x, y), PPoint(x_new, y_new))
         elif stop_tol is not None:
@@ -344,15 +308,4 @@ def run(problem, params: SolverParams, z0: PPoint, max_iters: int,
             stopped_at = k
             k_final = k
             break
-
-    if keep_history:
-        X = X[: k_final + 1]
-        Y = Y[: k_final + 1]
-        ks = np.arange(1, k_final + 1)[:, None]
-        EX = np.cumsum(X[1:], axis=0) / ks
-        EY = np.cumsum(Y[1:], axis=0) / ks
-        return Trajectory(params, X, Y, EX, EY, k_final, stopped_at, True, 0)
-    EX = sum_x[None, :] / k_final
-    EY = sum_y[None, :] / k_final
-    return Trajectory(params, np.stack(window_x), np.stack(window_y), EX, EY,
-                      k_final, stopped_at, False, k_final + 1 - len(window_x))
+    return Trajectory(params, X[: k_final + 1], Y[: k_final + 1], k_final, stopped_at)

@@ -6,6 +6,12 @@ oracle runs a cyclic Jacobi eigensolver instead of power iteration, the
 running any iterative solver, the reference step re-validates every input
 instead of trusting the solver loop's single finiteness pass, and the
 reference certificate columns evaluate the value maps one row at a time.
+
+The scalar reference certificates (duality gap, Lyapunov value, descent
+and lower-bound residuals) evaluate one window of iterates at a time
+through the step-size weighted quadratic form, where the library computes
+every window in one vectorized pass. The subgradient membership tests
+check the prox inclusion of each shipped function family.
 """
 
 import itertools
@@ -15,6 +21,202 @@ import numpy as np
 
 from cpcert.certificates import eta_coefficients
 from cpcert.hilbert import PPoint, as_vector
+from cpcert.solver import running_averages
+
+
+# --- inner products and the P-form ------------------------------------------
+
+def dot(a, b) -> float:
+    """Canonical inner product sum_i a_i b_i."""
+    a = as_vector(a)
+    b = as_vector(b)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    return float(a @ b)
+
+
+def _check_point(z, L):
+    if z.x.shape[0] != L.cols or z.y.shape[0] != L.rows:
+        raise ValueError(
+            f"point dims ({z.x.shape[0]}, {z.y.shape[0]}) do not match "
+            f"operator dims ({L.cols}, {L.rows})"
+        )
+
+
+def p_quadratic_form(z, L, params) -> float:
+    """Quadratic form (1/tau)||x||^2 + (1/sigma)||y||^2 - (1+theta)<Lx, y>.
+
+    Nonnegative for all z whenever the step-size product condition holds.
+    """
+    _check_point(z, L)
+    return (
+        float(z.x @ z.x) / params.tau
+        + float(z.y @ z.y) / params.sigma
+        - (1.0 + params.theta) * float(L.apply(z.x) @ z.y)
+    )
+
+
+def p_inner(z1, z2, L, params) -> float:
+    """Symmetric bilinear form polarizing :func:`p_quadratic_form`."""
+    _check_point(z1, L)
+    _check_point(z2, L)
+    return (
+        float(z1.x @ z2.x) / params.tau
+        + float(z1.y @ z2.y) / params.sigma
+        - 0.5 * (1.0 + params.theta)
+        * (float(L.apply(z1.x) @ z2.y) + float(L.apply(z2.x) @ z1.y))
+    )
+
+
+def denominator_identity_residual(theta: float) -> float:
+    """|(1 - 2t + 9t^2 - 4t^3) - ((1-t)^2 + 4t^2(2-t))| at t = theta."""
+    lhs = 1.0 - 2.0 * theta + 9.0 * theta ** 2 - 4.0 * theta ** 3
+    rhs = (1.0 - theta) ** 2 + 4.0 * theta ** 2 * (2.0 - theta)
+    return abs(lhs - rhs)
+
+
+# --- scalar reference certificates -------------------------------------------
+
+def duality_gap(z, kkt, problem) -> float:
+    """Duality gap relative to the saddle point; may be +inf outside domains."""
+    fx = problem.f.evaluate(z.x)
+    gy = problem.gstar.evaluate(z.y)
+    if math.isinf(fx) or math.isinf(gy):
+        return math.inf
+    L = problem.L
+    return (
+        fx + gy
+        + float(L.apply(z.x) @ kkt.star.y)
+        - float(z.y @ L.apply(kkt.star.x))
+        - kkt.f_star - kkt.gstar_star
+    )
+
+
+def lyapunov(zk, zk1, kkt, problem, params) -> float:
+    """Lyapunov value V(k) from the consecutive iterates (z_k, z_{k+1}).
+
+    V(k) = 0.5 ||z_k - z*||_P^2 - 0.25 ||z_{k+1} - z_k||_P^2
+           - (1-theta)/2 * D(z_{k+1})
+           - (1-theta)/2 * (<y_k - y*, L(x_{k+1} - x_k)> - <L(x_k - x*), y_{k+1} - y_k>)
+    """
+    L = problem.L
+    c = 0.5 * (1.0 - params.theta)
+    gap = duality_gap(zk1, kkt, problem)
+    cross = (
+        float((zk.y - kkt.star.y) @ L.apply(zk1.x - zk.x))
+        - float(L.apply(zk.x - kkt.star.x) @ (zk1.y - zk.y))
+    )
+    v = (
+        0.5 * p_quadratic_form(zk - kkt.star, L, params)
+        - 0.25 * p_quadratic_form(zk1 - zk, L, params)
+        - c * gap
+        - c * cross
+    )
+    if not math.isfinite(v):
+        raise RuntimeError("non-finite Lyapunov value: iterates left dom f x dom g*")
+    return v
+
+
+def eta_from_proof_constants(params):
+    """Cross-check route: eta_pm = gamma_pm - beta_pm^2 / alpha_pm.
+
+    alpha_pm = (1 pm s t (1-t)) / 2, beta_pm = (2(1-t) pm (1+t) s) / 4,
+    gamma_pm = (1 pm s (1-t)) / 2 with s = sqrt(tau sigma) ||L||. Must agree
+    with :func:`cpcert.certificates.eta_coefficients` to roundoff.
+    """
+    t = params.theta
+    s = math.sqrt(params.tau * params.sigma) * params.operator_norm
+    out = []
+    for sign in (+1.0, -1.0):
+        alpha = 0.5 * (1.0 + sign * s * t * (1.0 - t))
+        beta = 0.25 * (2.0 * (1.0 - t) + sign * (1.0 + t) * s)
+        gamma = 0.5 * (1.0 + sign * s * (1.0 - t))
+        if alpha <= 0:
+            raise ValueError("nonpositive completion constant alpha")
+        out.append(gamma - beta ** 2 / alpha)
+    return out[0], out[1]
+
+
+def descent_residual(zk, zk1, zk2, kkt, problem, params) -> float:
+    """LHS - RHS of the per-iteration descent inequality (<= 0 expected).
+
+    Uses three consecutive iterates z_k, z_{k+1}, z_{k+2} of one run and the
+    same certified operator-norm bound as parameter validation; K denotes
+    L scaled by that bound (zero operator if the bound is zero).
+    """
+    L = problem.L
+    m = params.operator_norm
+    eta_p, eta_m = eta_coefficients(params)
+    dx2 = zk2.x - zk1.x
+    dy1 = zk1.y - zk.y
+    k_dx2 = L.apply(dx2) / m if m > 0 else np.zeros_like(zk.y)
+    w_plus = k_dx2 / math.sqrt(params.tau) + dy1 / math.sqrt(params.sigma)
+    w_minus = k_dx2 / math.sqrt(params.tau) - dy1 / math.sqrt(params.sigma)
+    vk = lyapunov(zk, zk1, kkt, problem, params)
+    vk1 = lyapunov(zk1, zk2, kkt, problem, params)
+    return (
+        vk1 - vk
+        + duality_gap(zk1, kkt, problem)
+        + params.theta / (4.0 * params.tau)
+        * (float(dx2 @ dx2) - float(k_dx2 @ k_dx2))
+        + 0.25 * eta_p * float(w_plus @ w_plus)
+        + 0.25 * eta_m * float(w_minus @ w_minus)
+    )
+
+
+def lower_bound_residual(zk, zk1, kkt, problem, params) -> float:
+    """0.5 ||z_{k+1} - z*||_P^2 - V(k), expected <= 0."""
+    vk = lyapunov(zk, zk1, kkt, problem, params)
+    return 0.5 * p_quadratic_form(zk1 - kkt.star, problem.L, params) - vk
+
+
+# --- prox inclusion checks ---------------------------------------------------
+
+def check_prox_inclusion(f, x, gamma, subgrad_test) -> bool:
+    """Check the subgradient inclusion (x - p)/gamma in df(p) at p = prox(x).
+
+    ``subgrad_test(p, u)`` decides membership of u in the subdifferential
+    of the concrete f at p, within its own tolerance. Returns False on
+    violation rather than raising.
+    """
+    if not gamma > 0:
+        raise ValueError(f"prox step must be positive, got {gamma}")
+    x = as_vector(x)
+    p = f.prox(x, gamma)
+    return bool(subgrad_test(p, (x - p) / gamma))
+
+
+def l1_subgrad_test(lam, tol=1e-9):
+    """u in d(lam*||.||_1)(p): u_i = lam*sign(p_i) off zero, |u_i| <= lam at zero."""
+    def test(p, u):
+        p = np.asarray(p)
+        u = np.asarray(u)
+        at_zero = np.abs(p) <= tol
+        ok_zero = np.abs(u[at_zero]) <= lam + tol
+        ok_pos = np.abs(u[~at_zero] - lam * np.sign(p[~at_zero])) <= tol
+        return bool(np.all(ok_zero) and np.all(ok_pos))
+    return test
+
+
+def quadratic_subgrad_test(a, tol=1e-9):
+    """d(0.5*||. - a||^2)(p) = {p - a}."""
+    a = as_vector(a)
+
+    def test(p, u):
+        return bool(np.linalg.norm(u - (p - a)) <= tol * (1.0 + np.linalg.norm(p)))
+    return test
+
+
+def nonneg_subgrad_test(tol=1e-9):
+    """Normal cone of the orthant: u_i <= 0 where p_i = 0, u_i = 0 where p_i > 0."""
+    def test(p, u):
+        p = np.asarray(p)
+        u = np.asarray(u)
+        if np.any(p < -tol):
+            return False
+        interior = p > tol
+        return bool(np.all(np.abs(u[interior]) <= tol) and np.all(u[~interior] <= tol))
+    return test
 
 
 def jacobi_eigenvalues(s, sweeps=60, tol=1e-14):
@@ -167,10 +369,11 @@ def per_row_certificate_columns(traj, kkt, problem):
                + 0.25 * eta_p * (wp * wp).sum(axis=1)
                + 0.25 * eta_m * (wm * wm).sum(axis=1))
 
-    lex = np.cumsum(LX[1:], axis=0) / np.arange(1, big_k + 1)[:, None]
+    lex = running_averages(LX)
+    ergodic_x, ergodic_y = running_averages(X), running_averages(Y)
     erg = np.full(n_rows, math.nan)
     for k in range(1, n_rows):
-        ex, ey = traj.ergodic_X[k - 1], traj.ergodic_Y[k - 1]
+        ex, ey = ergodic_x[k - 1], ergodic_y[k - 1]
         erg[k] = (problem.f.evaluate(ex) + problem.gstar.evaluate(ey)
                   + float(lex[k - 1] @ y_star) - float(ey @ lx_star)
                   - kkt.f_star - kkt.gstar_star)

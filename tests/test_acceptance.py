@@ -17,14 +17,14 @@ import pytest
 import cpcert as c
 from cpcert.certificates import eta_coefficients
 from cpcert.harness import fit_rate, main
-from cpcert.prox import check_prox_inclusion, prox_conjugate
-from cpcert.solver import (SolverParams, Validity, bound_rhs,
-                           denominator_identity_residual, suggest_steps,
+from cpcert.prox import prox_conjugate
+from cpcert.solver import (SolverParams, Validity, bound_rhs, suggest_steps,
                            validate_params)
 
 import conftest
 from conftest import SAFETIES, THETAS, certified_run
-from oracles import jacobi_spectral_norm
+from oracles import (check_prox_inclusion, denominator_identity_residual,
+                     jacobi_spectral_norm)
 from test_prox import shipped_functions
 
 
@@ -140,8 +140,7 @@ def test_criterion_6_iterate_convergence_and_eta(quad_problems):
                         return False
 
                     z0 = c.PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
-                    c.run(problem, params, z0, max_iters=50000, stop=stop,
-                          keep_history=False)
+                    c.run(problem, params, z0, max_iters=50000, stop=stop)
                     assert hits and hits[0] <= 50000, (problem.name, theta, safety)
                 # exact boundary: eta vanishes to 1e-12 absolute
                 tau, sigma = suggest_steps(theta, norm, safety=1.0)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 import cpcert as c
-from cpcert.certificates import (certify_trajectory, descent_residual,
-                                 duality_gap, ergodic_bound_check,
-                                 eta_coefficients, eta_from_proof_constants,
-                                 kkt_residual, lower_bound_residual, lyapunov,
-                                 make_kkt)
+from cpcert.certificates import (certify_trajectory, eta_coefficients,
+                                 kkt_residual, make_kkt)
 from cpcert.solver import SolverParams, suggest_steps
 
-from oracles import per_row_certificate_columns
+from oracles import (descent_residual, duality_gap, eta_from_proof_constants,
+                     lower_bound_residual, lyapunov, p_quadratic_form,
+                     per_row_certificate_columns)
 from test_prox import shipped_functions
 
 
@@ -81,8 +80,8 @@ def test_lyapunov_zero_at_saddle():
 def test_lyapunov_theta_one_drops_gap_and_cross_terms():
     problem, params, traj = medium_run(theta=1.0, iters=30)
     zk, zk1 = traj.point(3), traj.point(4)
-    want = (0.5 * c.p_quadratic_form(zk - problem.kkt.star, problem.L, params)
-            - 0.25 * c.p_quadratic_form(zk1 - zk, problem.L, params))
+    want = (0.5 * p_quadratic_form(zk - problem.kkt.star, problem.L, params)
+            - 0.25 * p_quadratic_form(zk1 - zk, problem.L, params))
     got = lyapunov(zk, zk1, problem.kkt, problem, params)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -94,7 +93,7 @@ def test_lyapunov_dominates_next_distance_along_run():
         if zk1 is None:
             break
         v = lyapunov(zk, zk1, problem.kkt, problem, params)
-        half_next = 0.5 * c.p_quadratic_form(zk1 - problem.kkt.star, problem.L, params)
+        half_next = 0.5 * p_quadratic_form(zk1 - problem.kkt.star, problem.L, params)
         assert v >= half_next - 1e-10 * (1 + abs(v))
         assert v >= -1e-10 * (1 + abs(v))
 
@@ -243,15 +242,19 @@ def test_k_term_nonnegative_along_run():
 
 def test_ergodic_bound_check_chain():
     problem, params, traj = medium_run(theta=0.75, iters=5000, seed=12)
-    report = ergodic_bound_check(traj, problem.kkt, problem)
-    assert report.all_pass
-    assert report.ks[0] == 1
+    table = certify_trajectory(traj, problem.kkt, problem)
+    flags = table.flags()
+    pos = table.ks >= 1
+    for check in ("jensen", "sum_bound", "ergodic_rate"):
+        assert bool(np.all(flags[check][pos])), check
+    assert table.ks[pos][0] == 1
+    sum_gap = table.sum_gap[pos]
     # Jensen at k = 1 holds with equality: the average IS the first iterate
     gap1 = duality_gap(traj.ergodic_point(1), problem.kkt, problem)
-    assert gap1 == pytest.approx(report.sum_gap[0], rel=1e-12, abs=1e-15)
+    assert gap1 == pytest.approx(sum_gap[0], rel=1e-12, abs=1e-15)
     # partial sums are nondecreasing and bounded by V(0)
-    assert np.all(np.diff(report.sum_gap) >= -1e-15)
-    assert report.sum_gap[-1] <= report.v0 * (1.0 + 1e-9)
+    assert np.all(np.diff(sum_gap) >= -1e-15)
+    assert sum_gap[-1] <= table.v0 * (1.0 + 1e-9)
 
 
 def test_observational_mode_for_invalid_params():
@@ -264,28 +267,19 @@ def test_observational_mode_for_invalid_params():
     summary = table.summarize()
     assert summary["mode"] == "observational"
     assert summary["all_pass"] is None
-    row = table.rows()[5]
-    assert row.pass_descent is None
-    assert row.pass_jensen is None
-
-
-def test_certify_requires_full_history():
-    problem, params, _ = medium_run(iters=10)
-    z0 = c.PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
-    slim = c.run(problem, params, z0, max_iters=10, stop_tol=None, keep_history=False)
-    with pytest.raises(ValueError):
-        certify_trajectory(slim, problem.kkt, problem)
+    # no per-check pass claims either
+    assert summary["fail_counts"] is None
+    assert summary["first_failing_k"] is None
 
 
 def test_certificate_report_rows_carry_values():
     problem, params, traj = medium_run(iters=50, seed=13)
     table = certify_trajectory(traj, problem.kkt, problem)
-    rows = table.rows()
-    assert len(rows) == 49
-    assert rows[0].k == 0
-    assert math.isnan(rows[0].ergodic_gap)
-    assert rows[10].pass_descent is True
-    assert rows[10].eta_plus == table.eta_plus
+    assert len(table.ks) == 49
+    assert table.ks[0] == 0
+    assert math.isnan(table.ergodic_gap[0])
+    assert bool(table.flags()["descent"][10]) is True
+    assert table.eta_plus == eta_coefficients(params)[0]
 
 
 @pytest.mark.parametrize("theta", [0.1, 0.5, 1.0])

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,3 +288,64 @@ def test_run_failures_exit_3(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "b"),
                  "--override-invalid"]) == 3
     assert "non-finite iterate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"iters": "50"},
+    {"grid": {"theta": 0.5, "safety": [0.9]}},
+])
+def test_config_field_of_wrong_type_exits_2(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    command = "sweep" if "grid" in overrides else "solve"
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("theta", True), ("tau", "1"), ("stop_tol", [1e-9]), ("seed", 1.5),
+    ("oracle_iters", "9"), ("override_invalid", 1), ("fault", [20, 1.0]),
+    ("grid", [0.5]), ("out", 3),
+])
+def test_config_type_checks(tmp_path, field, value):
+    path = write_config(tmp_path / "cfg.json", **{field: value})
+    with pytest.raises(UsageError, match=repr(field)):
+        ExperimentConfig.from_file(path)
+
+
+def test_config_accepts_null_where_default_is_null(tmp_path):
+    path = write_config(tmp_path / "cfg.json", tau=None, sigma=None, stop_tol=None,
+                        oracle_iters=None, fault=None, grid=None, tolerance=1)
+    cfg = ExperimentConfig.from_file(path)
+    assert cfg.tau is None and cfg.tolerance == 1
+
+
+def test_sweep_honours_fault(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", iters=60, fault={"k": 20, "delta": 1.0},
+                       grid={"theta": [0.5], "safety": [0.9]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    cell, = json.loads((out / "sweep_summary.json").read_text())["cells"]
+    assert cell["all_pass"] is False
+    assert cell["exit_code"] == 1
+
+
+def test_module_entry_point_has_no_runpy_warning(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cpcert.harness",
+         "validate", "--config", str(root / "configs" / "quadratic.json")],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_solve_rejects_invalid_params_before_oracle(tmp_path, capsys):
+    # the oracle would be rejected (exit 3) if it ran; Invalid params come first
+    lasso = {"generator": "lasso", "params": {"rows": 6, "cols": 4, "lam": 0.1, "seed": 1}}
+    cfg = write_config(tmp_path / "cfg.json", problem=lasso, oracle_iters=2,
+                       tau=10.0, sigma=10.0)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "Invalid" in capsys.readouterr().err

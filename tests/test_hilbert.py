@@ -3,11 +3,10 @@ import pytest
 
 from cpcert.hilbert import (ForwardDifferenceOperator, IdentityOperator,
                             MatrixOperator, PPoint, ZeroOperator, as_vector,
-                            dot, estimate_norm, load_matrix, p_inner,
-                            p_quadratic_form, save_matrix)
+                            estimate_norm, load_matrix, save_matrix)
 from cpcert.solver import SolverParams, suggest_steps
 
-from oracles import jacobi_spectral_norm
+from oracles import dot, jacobi_spectral_norm, p_inner, p_quadratic_form
 
 
 def all_operators(rng):

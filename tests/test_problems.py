@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import cpcert as c
-from cpcert.certificates import duality_gap, kkt_residual
+from cpcert.certificates import kkt_residual
 from cpcert.problems import problem_from_config
 from cpcert.solver import SolverParams, suggest_steps
 
-from oracles import tv1d_exhaustive
+from oracles import duality_gap, tv1d_exhaustive
 
 
 def strict_params(problem, theta=1.0, safety=0.9, ratio=1.0):
@@ -131,6 +131,36 @@ def test_long_run_rejects_unconverged():
     problem = c.random_quadratic(8, 6, seed=11)
     with pytest.raises(RuntimeError):
         c.kkt_by_long_run(problem, strict_params(problem), iters=2)
+
+
+def blocked_oracle_case():
+    tv = c.make_tv1d(c.default_tv_signal(50, seed=0), lam=0.5)
+    z0 = c.PPoint(np.zeros(tv.L.cols), np.zeros(tv.L.rows))
+    return tv, strict_params(tv, theta=1.0), z0
+
+
+def test_long_run_blocks_end_at_single_run_point():
+    # 1300 iterations run as blocks of 512, 512 and 276
+    tv, params, z0 = blocked_oracle_case()
+    kkt = c.kkt_by_long_run(tv, params, 1300, stop_tol=None)
+    final = c.run(tv, params, z0, max_iters=1300, stop_tol=None).final
+    assert np.array_equal(kkt.star.x, final.x)
+    assert np.array_equal(kkt.star.y, final.y)
+
+
+def test_long_run_blocks_stop_inside_second_block():
+    tv, params, z0 = blocked_oracle_case()
+    single = c.run(tv, params, z0, max_iters=1300, stop_tol=1e-11)
+    assert 512 < single.stopped_at <= 1024
+    kkt = c.kkt_by_long_run(tv, params, 1300, stop_tol=1e-11)
+    assert np.array_equal(kkt.star.x, single.final.x)
+    assert np.array_equal(kkt.star.y, single.final.y)
+
+
+def test_long_run_rejection_reports_total_iterations():
+    tv, params, _ = blocked_oracle_case()
+    with pytest.raises(c.OracleRejectedError, match="after 1300 iterations"):
+        c.kkt_by_long_run(tv, params, 1300, stop_tol=None, accept_tol=0.0)
 
 
 def test_long_run_requires_strict_params():

@@ -5,11 +5,12 @@ import pytest
 
 from cpcert.hilbert import MatrixOperator
 from cpcert.problems import make_lasso, make_tv1d
-from cpcert.prox import (ProxFn, check_prox_inclusion, conjugate, l1,
-                         l1_subgrad_test, nonneg_indicator,
-                         nonneg_subgrad_test, prox_conjugate,
-                         prox_indicator_nonneg, prox_l1, prox_quadratic,
-                         quadratic_distance, quadratic_subgrad_test, zero_fn)
+from cpcert.prox import (ProxFn, conjugate, l1, nonneg_indicator,
+                         prox_conjugate, prox_indicator_nonneg, prox_l1,
+                         prox_quadratic, quadratic_distance, zero_fn)
+
+from oracles import (check_prox_inclusion, l1_subgrad_test,
+                     nonneg_subgrad_test, quadratic_subgrad_test)
 
 
 def shipped_functions():

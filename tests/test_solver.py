@@ -1,3 +1,4 @@
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,10 +6,9 @@ import pytest
 
 import cpcert as c
 from cpcert.solver import (EQUALITY_RTOL, SolverParams, Validity, bound_rhs,
-                           denominator_identity_residual, run, step,
-                           suggest_steps, validate_params)
+                           run, step, suggest_steps, validate_params)
 
-from oracles import checked_iterates
+from oracles import checked_iterates, denominator_identity_residual
 
 
 def test_bound_rhs_values():
@@ -171,9 +171,9 @@ def test_run_constant_at_fixed_point():
     tau, sigma = suggest_steps(0.5, problem.L.norm_bound)
     params = SolverParams(tau, sigma, 0.5, problem.L.norm_bound)
     traj = run(problem, params, star, max_iters=20, stop_tol=None)
-    for z in traj.iterates:
-        assert np.linalg.norm(z.x - star.x) <= 1e-10
-        assert np.linalg.norm(z.y - star.y) <= 1e-10
+    for x, y in zip(traj.X, traj.Y):
+        assert np.linalg.norm(x - star.x) <= 1e-10
+        assert np.linalg.norm(y - star.y) <= 1e-10
 
 
 def test_run_converges_on_quadratic():
@@ -240,22 +240,19 @@ def test_run_custom_stop_rule():
     assert traj.stopped_at == 7
 
 
-def test_low_memory_mode_keeps_window_and_average():
-    problem = c.random_quadratic(5, 4, seed=5)
-    tau, sigma = suggest_steps(1.0, problem.L.norm_bound)
-    params = SolverParams(tau, sigma, 1.0, problem.L.norm_bound)
-    z0 = c.PPoint(np.zeros(4), np.zeros(5))
-    full = run(problem, params, z0, max_iters=50, stop_tol=None)
-    slim = run(problem, params, z0, max_iters=50, stop_tol=None, keep_history=False)
-    assert slim.X.shape[0] == 3
-    assert slim.start_index == 48
-    assert np.array_equal(slim.X, full.X[-3:])
-    got = slim.ergodic_point(50)
-    want = full.ergodic_point(50)
-    assert np.linalg.norm(got.x - want.x) <= 1e-12
-    assert np.linalg.norm(got.y - want.y) <= 1e-12
+def test_trajectory_has_one_storage_mode():
+    assert [f.name for f in fields(c.Trajectory)] == [
+        "params", "X", "Y", "n_iters", "stopped_at"]
+    problem = one_d_problem()
+    params = SolverParams(0.5, 0.5, 1.0, 1.0)
+    traj = run(problem, params, c.PPoint([0.0], [0.0]), max_iters=5, stop_tol=None)
+    assert traj.X.shape == (6, 1)
+    assert traj.point(5).x[0] == traj.final.x[0]
+    for k in (-1, 6):
+        with pytest.raises(IndexError):
+            traj.point(k)  # a negative k must not wrap around
     with pytest.raises(IndexError):
-        slim.point(10)
+        traj.ergodic_point(0)
 
 
 def test_trajectory_immutable():
