@@ -39,6 +39,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
+# Table rows per certification block: bounds the certifier's working memory.
+_CERT_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class KKTPoint:
@@ -219,12 +222,26 @@ def certify_trajectory(traj: Trajectory, kkt: KKTPoint, problem,
                        tol: float = DEFAULT_TOL) -> CertificateTable:
     """Evaluate every certificate along a trajectory.
 
-    One vectorized pass: operator images of the iterates are formed once
-    and reused by every check, and each value map is called once on a
-    stack of rows. The per-window scalar definitions of the same values
-    live in the test suite's reference oracles (``tests/oracles.py``).
+    The table is built in blocks of ``_CERT_BLOCK`` rows. Block [lo, hi)
+    reads iterates lo..hi+1, the two-iterate overlap that the descent
+    window needs, and recomputes the one value V(hi) it shares with the
+    next block. Across blocks it carries the prefix sums of X, Y and LX
+    behind the running averages; the sum_gap column is one cumulative sum
+    over the finished gap column. Each value map is called on stacks of
+    rows, so working memory is O(_CERT_BLOCK * (n + m)) besides the
+    history and LX.
 
-    Raises ValueError if a value map does not return one value per row.
+    Two parts stay full-stack because blocking them moves last bits:
+    LX = L.apply_stack(X), whose blocked matrix product rounds some rows
+    differently, and the gap terms LX @ y* and Y @ Lx*, whose blocked
+    matrix-vector products match only for some block sizes. Row sums and
+    per-row dot products do not depend on the split, so the table is
+    bitwise that of one unblocked pass. The per-window scalar definitions
+    of the same values live in the test suite's reference oracles
+    (``tests/oracles.py``).
+
+    Raises ValueError if a value map does not return one value per row,
+    and RuntimeError at the first non-finite V(k) of an asserted run.
     """
     if traj.n_iters < 2:
         raise ValueError("need at least 2 iterations to certify")
@@ -252,49 +269,7 @@ def _certify(traj, kkt, problem, tol):
     L = problem.L
     tau, sigma, theta = params.tau, params.sigma, params.theta
     m_bound = params.operator_norm
-
-    X, Y = traj.X, traj.Y
-    big_k = traj.n_iters
-    n_rows = big_k - 1
-    # Value maps first: their stacked temporaries are freed before the
-    # window arrays below exist, so they do not raise peak memory.
-    f_vals = _stack_values(problem.f, X, "f")
-    g_vals = _stack_values(problem.gstar, Y, "gstar")
-    x_star, y_star = kkt.star.x, kkt.star.y
-    lx_star = L.apply(x_star)
-    # Running averages over iterates 1..k for k = 1..K-2, likewise freed
-    # once their values and their L-term are taken.
-    ex = running_averages(X[:n_rows])
-    f_erg = _stack_values(problem.f, ex, "f")
-    del ex
-    ey = running_averages(Y[:n_rows])
-    g_erg = _stack_values(problem.gstar, ey, "gstar")
-    ey_lx = np.fromiter(map(lx_star.dot, ey), float, n_rows - 1)
-    del ey
-
-    LX = L.apply_stack(X)
-
-    dxs = X - x_star
-    dys = Y - y_star
-    ldxs = LX - lx_star
-    # P-form of z_k - z* and of consecutive increments
-    p_star = ((dxs * dxs).sum(axis=1) / tau + (dys * dys).sum(axis=1) / sigma
-              - (1.0 + theta) * (ldxs * dys).sum(axis=1))
-    inc_x = np.diff(X, axis=0)
-    inc_y = np.diff(Y, axis=0)
-    inc_lx = np.diff(LX, axis=0)
-    p_inc = ((inc_x * inc_x).sum(axis=1) / tau + (inc_y * inc_y).sum(axis=1) / sigma
-             - (1.0 + theta) * (inc_lx * inc_y).sum(axis=1))
-
-    gaps = f_vals + g_vals + LX @ y_star - Y @ lx_star - kkt.f_star - kkt.gstar_star
-
     c = 0.5 * (1.0 - theta)
-    cross = ((dys[:-1] * inc_lx).sum(axis=1) - (ldxs[:-1] * inc_y).sum(axis=1))
-    v = 0.5 * p_star[:-1] - 0.25 * p_inc - c * gaps[1:] - c * cross  # V(0..K-1)
-    if asserted and not np.all(np.isfinite(v)):
-        bad = int(np.argmax(~np.isfinite(v)))
-        raise RuntimeError(f"non-finite Lyapunov value at iteration {bad}")
-
     try:
         eta_p, eta_m = eta_coefficients(params)
     except ValueError:
@@ -302,41 +277,82 @@ def _certify(traj, kkt, problem, tol):
             raise
         eta_p = eta_m = math.nan
 
-    # Descent windows k = 0..K-2: increments x_{k+2}-x_{k+1} vs y_{k+1}-y_k
-    k_dx = inc_lx[1:] / m_bound if m_bound > 0 else np.zeros_like(inc_lx[1:])
-    theta_term = theta / (4.0 * tau) * (
-        (inc_x[1:] * inc_x[1:]).sum(axis=1) - (k_dx * k_dx).sum(axis=1))
-    wp = k_dx / math.sqrt(tau) + inc_y[:-1] / math.sqrt(sigma)
-    wm = k_dx / math.sqrt(tau) - inc_y[:-1] / math.sqrt(sigma)
-    descent = (v[1:] - v[:-1] + gaps[1 : big_k]
-               + theta_term
-               + 0.25 * eta_p * (wp * wp).sum(axis=1)
-               + 0.25 * eta_m * (wm * wm).sum(axis=1))
+    X, Y = traj.X, traj.Y
+    n_rows = traj.n_iters - 1
+    x_star, y_star = kkt.star.x, kkt.star.y
+    lx_star = L.apply(x_star)
+    LX = L.apply_stack(X)
+    lx_y = LX @ y_star
+    y_lx = Y @ lx_star
 
-    lower = 0.5 * p_star[1 : big_k] - v[: big_k - 1]
+    lyap, gap, erg, descent, lower, dist = (np.empty(n_rows) for _ in range(6))
+    erg[0] = math.nan  # averages start at k = 1
+    sum_x = sum_y = sum_lx = None  # prefix sums of rows 1..lo-1
+    for lo in range(0, n_rows, _CERT_BLOCK):
+        hi = min(lo + _CERT_BLOCK, n_rows)
+        rows = slice(lo, hi + 2)
+        Xb, Yb, LXb = X[rows], Y[rows], LX[rows]
+        # gaps[i] = D(z_{lo+i}) for i = 0..hi-lo+1
+        gaps = (_stack_values(problem.f, Xb, "f")
+                + _stack_values(problem.gstar, Yb, "gstar")
+                + lx_y[rows] - y_lx[rows] - kkt.f_star - kkt.gstar_star)
 
-    # Ergodic gaps D(avg_k) for k = 1..K-2, reusing cumulative images of L.
-    # The L-terms stay per-row dot products: a matrix-vector product sums
-    # in another order and would change the last bits.
-    lex = running_averages(LX[:n_rows])
-    lex_y = np.fromiter(map(y_star.dot, lex), float, n_rows - 1)
-    erg = np.empty(n_rows)
-    erg[0] = math.nan
-    erg[1:] = f_erg + g_erg + lex_y - ey_lx - kkt.f_star - kkt.gstar_star
+        dxs = Xb - x_star
+        dys = Yb - y_star
+        ldxs = LXb - lx_star
+        # P-form of z_k - z* and of consecutive increments
+        p_star = ((dxs * dxs).sum(axis=1) / tau + (dys * dys).sum(axis=1) / sigma
+                  - (1.0 + theta) * (ldxs * dys).sum(axis=1))
+        inc_x = np.diff(Xb, axis=0)
+        inc_y = np.diff(Yb, axis=0)
+        inc_lx = np.diff(LXb, axis=0)
+        p_inc = ((inc_x * inc_x).sum(axis=1) / tau + (inc_y * inc_y).sum(axis=1) / sigma
+                 - (1.0 + theta) * (inc_lx * inc_y).sum(axis=1))
+        cross = ((dys[:-1] * inc_lx).sum(axis=1) - (ldxs[:-1] * inc_y).sum(axis=1))
+        v = 0.5 * p_star[:-1] - 0.25 * p_inc - c * gaps[1:] - c * cross  # V(lo..hi)
+        if asserted and not np.all(np.isfinite(v)):
+            bad = lo + int(np.argmax(~np.isfinite(v)))
+            raise RuntimeError(f"non-finite Lyapunov value at iteration {bad}")
 
-    sum_gap = np.concatenate([[0.0], np.cumsum(gaps[1 : big_k - 1])])
-    dist = np.sqrt((dxs[:n_rows] * dxs[:n_rows]).sum(axis=1)
-                   + (dys[:n_rows] * dys[:n_rows]).sum(axis=1))
+        # Descent windows: increments x_{k+2}-x_{k+1} vs y_{k+1}-y_k
+        k_dx = inc_lx[1:] / m_bound if m_bound > 0 else np.zeros_like(inc_lx[1:])
+        theta_term = theta / (4.0 * tau) * (
+            (inc_x[1:] * inc_x[1:]).sum(axis=1) - (k_dx * k_dx).sum(axis=1))
+        wp = k_dx / math.sqrt(tau) + inc_y[:-1] / math.sqrt(sigma)
+        wm = k_dx / math.sqrt(tau) - inc_y[:-1] / math.sqrt(sigma)
+        descent[lo:hi] = (v[1:] - v[:-1] + gaps[1:-1]
+                          + theta_term
+                          + 0.25 * eta_p * (wp * wp).sum(axis=1)
+                          + 0.25 * eta_m * (wm * wm).sum(axis=1))
+        lyap[lo:hi] = v[:-1]
+        gap[lo:hi] = gaps[1:-1]
+        lower[lo:hi] = 0.5 * p_star[1:-1] - v[:-1]
+        dist[lo:hi] = np.sqrt((dxs[:-2] * dxs[:-2]).sum(axis=1)
+                              + (dys[:-2] * dys[:-2]).sum(axis=1))
+
+        # Ergodic gaps D(avg_k) over iterates 1..k. The L-terms stay
+        # per-row dot products: a matrix-vector product sums in another
+        # order and would change the last bits.
+        k0 = max(lo, 1)
+        if k0 < hi:
+            ex, sum_x = running_averages(X[k0:hi], sum_x, k0 - 1)
+            f_erg = _stack_values(problem.f, ex, "f")
+            ey, sum_y = running_averages(Y[k0:hi], sum_y, k0 - 1)
+            g_erg = _stack_values(problem.gstar, ey, "gstar")
+            ey_lx = np.fromiter(map(lx_star.dot, ey), float, hi - k0)
+            lex, sum_lx = running_averages(LX[k0:hi], sum_lx, k0 - 1)
+            lex_y = np.fromiter(map(y_star.dot, lex), float, hi - k0)
+            erg[k0:hi] = f_erg + g_erg + lex_y - ey_lx - kkt.f_star - kkt.gstar_star
 
     return CertificateTable(
         ks=np.arange(n_rows),
-        lyapunov=v[:n_rows],
-        gap=gaps[1 : big_k],
+        lyapunov=lyap,
+        gap=gap,
         ergodic_gap=erg,
         descent_residual=descent,
-        lower_bound_residual=lower[:n_rows],
+        lower_bound_residual=lower,
         dist_to_star=dist,
-        sum_gap=sum_gap,
+        sum_gap=np.concatenate([[0.0], np.cumsum(gap[:-1])]),
         eta_plus=float(eta_p),
         eta_minus=float(eta_m),
         tol=tol,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -195,23 +196,25 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+# Rows formatted at a time by write_trajectory_csv: bounds the Python
+# floats and strings alive at once.
+_CSV_CHUNK = 1024
+
+
 def write_trajectory_csv(path, table: CertificateTable) -> None:
+    """One row per certificate window, formatted column-wise by chunk.
+
+    Every field is a plain number, so joining with commas gives the bytes
+    of ``csv.writer`` without its per-field quoting checks.
+    """
+    columns = [table.ks] + [getattr(table, name) for name in CSV_COLUMNS[1:]]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for i, k in enumerate(table.ks):
-            writer.writerow([
-                int(k),
-                _fmt(table.gap[i]),
-                _fmt(table.ergodic_gap[i]),
-                _fmt(table.lyapunov[i]),
-                _fmt(table.descent_residual[i]),
-                _fmt(table.lower_bound_residual[i]),
-                _fmt(table.eta_plus),
-                _fmt(table.eta_minus),
-                _fmt(table.dist_to_star[i]),
-                _fmt(table.sum_gap[i]),
-            ])
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for lo in range(0, len(table.ks), _CSV_CHUNK):
+            cells = [itertools.repeat(_fmt(col)) if np.ndim(col) == 0
+                     else map(repr, col[lo : lo + _CSV_CHUNK].tolist())
+                     for col in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:
@@ -459,21 +462,19 @@ def emit_plotdata(csv_path, out_dir) -> list[str]:
     cols = read_trajectory_csv(csv_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ks = cols["k"].astype(int)
+    prefixes = [f"{k} " for k in cols["k"].astype(int).tolist()]
     written = []
     metrics = [c for c in CSV_COLUMNS if c != "k"]
     for metric in metrics:
         vals = cols[metric]
-        lin = out_dir / f"{metric}.dat"
-        with open(lin, "w", encoding="utf-8", newline="\n") as fh:
-            for k, v in zip(ks, vals):
-                fh.write(f"{k} {_fmt(v)}\n" if math.isfinite(v) else f"{k} \n")
-        log = out_dir / f"{metric}_loglog.dat"
-        with open(log, "w", encoding="utf-8", newline="\n") as fh:
-            for k, v in zip(ks, vals):
-                good = math.isfinite(v) and v > 0
-                fh.write(f"{k} {_fmt(v)}\n" if good else f"{k} \n")
-        written += [str(lin), str(log)]
+        strs = list(map(repr, vals.tolist()))
+        finite = np.isfinite(vals)
+        for path, keep in ((out_dir / f"{metric}.dat", finite),
+                           (out_dir / f"{metric}_loglog.dat", finite & (vals > 0))):
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(pre + txt + "\n" if ok else pre + "\n"
+                              for pre, txt, ok in zip(prefixes, strs, keep.tolist()))
+            written.append(str(path))
     script = out_dir / "plots.gp"
     with open(script, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# gnuplot script generated from "

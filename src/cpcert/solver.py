@@ -185,14 +185,24 @@ def step(z: PPoint, problem, params: SolverParams) -> PPoint:
     return PPoint(x_new, y_new)
 
 
-def running_averages(A: np.ndarray) -> np.ndarray:
-    """Row k-1 is the mean of rows 1..k of ``A``, for k = 1..len(A)-1.
+def running_averages(A: np.ndarray, prefix: np.ndarray | None = None,
+                     count: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Running means of the rows of ``A``, continuing a carried prefix sum.
 
-    Divides in place, so the only temporary is the cumulative sum.
+    Row j of the means is (prefix + A[0] + ... + A[j]) / (count + j + 1),
+    where ``prefix`` is the sum of the ``count`` rows that precede ``A``
+    (None for a fresh start). Returns (means, sum through the last row).
+    Sums run left to right, so consecutive blocks that each pass on the
+    returned sum give bitwise the means of one unsplit call. A fresh start
+    adds no zero row: 0.0 + (-0.0) would lose a signed zero.
     """
-    out = np.cumsum(A[1:], axis=0)
-    out /= np.arange(1, out.shape[0] + 1)[:, None]
-    return out
+    if prefix is None:
+        sums = np.cumsum(A, axis=0)
+    else:
+        sums = np.cumsum(np.concatenate((prefix[None], A)), axis=0)[1:]
+    total = sums[-1].copy()
+    sums /= np.arange(count + 1, count + sums.shape[0] + 1)[:, None]
+    return sums, total
 
 
 @dataclass(frozen=True)
@@ -221,8 +231,8 @@ class Trajectory:
         """Running average over iterates 1..k (k >= 1)."""
         if not 1 <= k <= self.n_iters:
             raise IndexError(f"ergodic average defined for 1 <= k <= {self.n_iters}")
-        return PPoint(running_averages(self.X[: k + 1])[-1],
-                      running_averages(self.Y[: k + 1])[-1])
+        return PPoint(running_averages(self.X[1 : k + 1])[0][-1],
+                      running_averages(self.Y[1 : k + 1])[0][-1])
 
     @property
     def final(self) -> PPoint:

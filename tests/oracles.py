@@ -369,8 +369,8 @@ def per_row_certificate_columns(traj, kkt, problem):
                + 0.25 * eta_p * (wp * wp).sum(axis=1)
                + 0.25 * eta_m * (wm * wm).sum(axis=1))
 
-    lex = running_averages(LX)
-    ergodic_x, ergodic_y = running_averages(X), running_averages(Y)
+    lex = running_averages(LX[1:])[0]
+    ergodic_x, ergodic_y = running_averages(X[1:])[0], running_averages(Y[1:])[0]
     erg = np.full(n_rows, math.nan)
     for k in range(1, n_rows):
         ex, ey = ergodic_x[k - 1], ergodic_y[k - 1]

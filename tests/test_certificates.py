@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import cpcert as c
+from cpcert import certificates
 from cpcert.certificates import (certify_trajectory, eta_coefficients,
                                  kkt_residual, make_kkt)
+from cpcert.harness import corrupt_trajectory
 from cpcert.solver import SolverParams, suggest_steps
 
 from oracles import (descent_residual, duality_gap, eta_from_proof_constants,
@@ -26,6 +29,24 @@ def medium_run(theta=0.5, safety=0.9, iters=400, seed=7, dims=(8, 6)):
     z0 = c.PPoint(np.zeros(dims[1]), np.zeros(dims[0]))
     traj = c.run(problem, params, z0, max_iters=iters, stop_tol=None)
     return problem, params, traj
+
+
+def origin_run(problem, params, iters, **kw):
+    z0 = c.PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
+    return c.run(problem, params, z0, max_iters=iters, stop_tol=None, **kw)
+
+
+def assert_blocks_match_reference(monkeypatch, traj, kkt, problem):
+    """Every block split gives bitwise the per-row reference columns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = per_row_certificate_columns(traj, kkt, problem)
+    n_rows = traj.n_iters - 1
+    for block in (1, 2, 3, 7, n_rows - 1, n_rows, n_rows + 5):
+        monkeypatch.setattr(certificates, "_CERT_BLOCK", block)
+        table = certify_trajectory(traj, kkt, problem)
+        for name, column in want.items():
+            assert np.array_equal(getattr(table, name), column, equal_nan=True), \
+                (problem.name, block, name)
 
 
 def test_kkt_residual_zero_at_saddle():
@@ -283,18 +304,13 @@ def test_certificate_report_rows_carry_values():
 
 
 @pytest.mark.parametrize("theta", [0.1, 0.5, 1.0])
-def test_table_matches_per_row_reference_bitwise(theta, tv_problem):
+def test_table_matches_per_row_reference_bitwise(theta, tv_problem, monkeypatch):
     quad = c.random_quadratic(12, 10, seed=7)
     for problem, kkt in ((quad, quad.kkt), tv_problem):
         tau, sigma = suggest_steps(theta, problem.L.norm_bound, 0.9)
         params = SolverParams(tau, sigma, theta, problem.L.norm_bound)
-        z0 = c.PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
-        traj = c.run(problem, params, z0, max_iters=300, stop_tol=None)
-        table = certify_trajectory(traj, kkt, problem)
-        want = per_row_certificate_columns(traj, kkt, problem)
-        for name, column in want.items():
-            assert np.array_equal(getattr(table, name), column, equal_nan=True), \
-                (problem.name, name)
+        traj = origin_run(problem, params, 300)
+        assert_blocks_match_reference(monkeypatch, traj, kkt, problem)
 
 
 def test_certify_rejects_vector_only_value_map():
@@ -310,3 +326,61 @@ def test_certify_rejects_vector_only_value_map():
     vector_only = c.ProblemSpec(tv.name, tv.f, box, tv.L)
     with pytest.raises(ValueError, match="row-wise"):
         certify_trajectory(traj, kkt, vector_only)
+
+
+def test_block_split_bitwise_lasso_signed_zeros(monkeypatch):
+    lasso = c.random_lasso(30, 20, 0.2, seed=3)
+    norm = lasso.L.norm_bound
+    kkt = c.kkt_by_long_run(lasso, SolverParams(*suggest_steps(1.0, norm, 0.9),
+                                                theta=1.0, operator_norm=norm), 20000)
+    traj = origin_run(lasso, SolverParams(*suggest_steps(0.5, norm, 0.9),
+                                          theta=0.5, operator_norm=norm), 120)
+    # soft-thresholding leaves -0.0 entries in the history
+    assert np.any(np.signbit(traj.X) & (traj.X == 0.0))
+    assert_blocks_match_reference(monkeypatch, traj, kkt, lasso)
+
+
+def test_block_split_bitwise_overflowing_run(monkeypatch):
+    problem = c.random_quadratic(12, 10, seed=7)
+    norm = problem.L.norm_bound
+    bad = SolverParams(3.0 / norm, 3.0 / norm, 1.0, norm)  # product 9 > 1
+    traj = origin_run(problem, bad, 300, override_invalid=True)
+    table = certify_trajectory(traj, problem.kkt, problem)
+    assert not table.asserted
+    assert np.isinf(table.gap).any() and np.isnan(table.lyapunov).any()
+    assert_blocks_match_reference(monkeypatch, traj, problem.kkt, problem)
+
+
+@pytest.mark.parametrize("block", [7, certificates._CERT_BLOCK])
+def test_block_split_keeps_first_failing_k(monkeypatch, block):
+    problem = c.random_quadratic(12, 10, seed=7)
+    params = SolverParams(*suggest_steps(0.5, problem.L.norm_bound, 0.9),
+                          theta=0.5, operator_norm=problem.L.norm_bound)
+    clean = origin_run(problem, params, block + 40)
+    for k in (block - 1, block, block + 1):
+        traj = corrupt_trajectory(clean, k, 1.0)
+        monkeypatch.setattr(certificates, "_CERT_BLOCK", traj.n_iters + 5)
+        whole = certify_trajectory(traj, problem.kkt, problem).summarize()
+        assert whole["first_failing_k"] is not None
+        monkeypatch.setattr(certificates, "_CERT_BLOCK", block)
+        assert certify_trajectory(traj, problem.kkt, problem).summarize() == whole
+        assert_blocks_match_reference(monkeypatch, traj, problem.kkt, problem)
+
+
+def test_certify_memory_is_bounded_by_history():
+    tv = c.make_tv1d(c.default_tv_signal(200, seed=2), lam=0.5)
+    quad = c.random_quadratic(60, 40, seed=3)
+    for problem, theta in ((tv, 0.5), (quad, 0.75)):
+        norm = problem.L.norm_bound
+        params = SolverParams(*suggest_steps(theta, norm, 0.9), theta=theta,
+                              operator_norm=norm)
+        traj = origin_run(problem, params, 4000)
+        kkt = problem.kkt or make_kkt(problem, traj.final, check_tol=None)
+        history = traj.X.nbytes + traj.Y.nbytes
+        tracemalloc.start()
+        try:
+            certify_trajectory(traj, kkt, problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * history, (problem.name, peak / history)

@@ -6,7 +6,8 @@ import pytest
 
 import cpcert as c
 from cpcert.solver import (EQUALITY_RTOL, SolverParams, Validity, bound_rhs,
-                           run, step, suggest_steps, validate_params)
+                           run, running_averages, step, suggest_steps,
+                           validate_params)
 
 from oracles import checked_iterates, denominator_identity_residual
 
@@ -199,6 +200,24 @@ def test_run_ergodic_matches_recomputation():
         got = traj.ergodic_point(k)
         assert np.linalg.norm(got.x - want_x) <= 1e-12 * (1 + np.linalg.norm(want_x))
         assert np.linalg.norm(got.y - want_y) <= 1e-12 * (1 + np.linalg.norm(want_y))
+
+
+def test_running_averages_blocks_continue_bitwise():
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((50, 6))
+    A[rng.random(A.shape) < 0.3] = -0.0
+    A[:3, 0] = -0.0
+    whole, total = running_averages(A)
+    assert np.signbit(whole[:3, 0]).all()  # no zero row is added in front
+    for block in (1, 2, 7, 49, 50):
+        parts, prefix = [], None
+        for lo in range(0, 50, block):
+            means, prefix = running_averages(A[lo : lo + block], prefix, lo)
+            parts.append(means)
+        got = np.concatenate(parts)
+        assert np.array_equal(got, whole), block
+        assert np.array_equal(np.signbit(got), np.signbit(whole)), block
+        assert np.array_equal(prefix, total), block
 
 
 def test_run_is_deterministic():
