@@ -10,13 +10,10 @@ The command-line front end and its helpers (``main``, ``ExperimentConfig``,
 ``fit_rate``, ``emit_plotdata``) live in :mod:`cpcert.harness`.
 """
 
-from .hilbert import (DEFAULT_NORM_SAFETY, ForwardDifferenceOperator,
-                      IdentityOperator, LinearOperator, MatrixOperator,
-                      PPoint, ZeroOperator, estimate_norm, load_matrix,
-                      save_matrix)
-from .prox import (ProxFn, conjugate, l1, nonneg_indicator, prox_conjugate,
-                   prox_indicator_nonneg, prox_l1, prox_quadratic,
-                   quadratic_distance, zero_fn)
+from .hilbert import (ForwardDifferenceOperator, LinearOperator,
+                      MatrixOperator, PPoint, estimate_norm, load_matrix)
+from .prox import (ProxFn, conjugate, l1, prox_conjugate, prox_l1,
+                   prox_quadratic, quadratic_distance)
 from .solver import (NonFiniteIterateError, SolverParams, ParamStatus,
                      Trajectory, Validity, bound_rhs, run, step, suggest_steps,
                      validate_params)

@@ -57,16 +57,16 @@ class KKTPoint:
     residual: float | None = None
 
 
-def kkt_residual(problem, z: PPoint, tau: float = 1.0, sigma: float = 1.0) -> float:
+def kkt_residual(problem, z: PPoint) -> float:
     """Fixed-point residual of the optimality conditions at z = (x, y).
 
-    Zero iff -L*y in df(x) and Lx in dg*(y), by the prox characterization:
-    x = prox_{tau f}(x - tau L*y) and y = prox_{sigma g*}(y + sigma Lx).
+    Zero iff -L*y in df(x) and Lx in dg*(y), by the prox characterization
+    with unit steps: x = prox_f(x - L*y) and y = prox_{g*}(y + Lx).
     """
     L = problem.L
-    rx = z.x - problem.f.prox(z.x - tau * L.apply_adjoint(z.y), tau)
-    ry = z.y - problem.gstar.prox(z.y + sigma * L.apply(z.x), sigma)
-    return max(float(np.linalg.norm(rx)) / tau, float(np.linalg.norm(ry)) / sigma)
+    rx = z.x - problem.f.prox(z.x - L.apply_adjoint(z.y), 1.0)
+    ry = z.y - problem.gstar.prox(z.y + L.apply(z.x), 1.0)
+    return max(float(np.linalg.norm(rx)), float(np.linalg.norm(ry)))
 
 
 def make_kkt(problem, star: PPoint, check_tol: float | None = 1e-8,

@@ -68,14 +68,22 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_object(v) -> bool:
+    return isinstance(v, dict)
+
+
+def _is_number_list(v) -> bool:
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
 # JSON type of each config field; None is also accepted where the default is None.
 _FIELD_TYPES = {
     **dict.fromkeys(("theta", "tau", "sigma", "safety", "ratio", "tolerance",
                      "stop_tol"), (_is_number, "a number")),
     **dict.fromkeys(("iters", "seed", "oracle_iters"), (_is_int, "an integer")),
     "override_invalid": (lambda v: isinstance(v, bool), "true or false"),
-    "fault": (lambda v: isinstance(v, dict), "an object"),
-    "grid": (lambda v: isinstance(v, dict), "an object"),
+    "fault": (_is_object, "an object"),
+    "grid": (_is_object, "an object"),
     "out": (lambda v: isinstance(v, str), "a string"),
 }
 
@@ -125,16 +133,27 @@ class ExperimentConfig:
 
     @classmethod
     def _check_types(cls, raw: dict) -> None:
-        """Reject a field of the wrong JSON type with a UsageError."""
-        for name, (ok, what) in _FIELD_TYPES.items():
-            v = raw.get(name)
-            if name in raw and not (ok(v) or (v is None and getattr(cls, name) is None)):
+        """Reject a field of the wrong JSON type with a UsageError.
+
+        Generator parameters are checked by
+        :func:`cpcert.problems.problem_from_config`.
+        """
+        def need(name, v, ok, what):
+            if not ok(v):
                 raise UsageError(f"config field {name!r} must be {what}, got {v!r}")
+
+        for name, (ok, what) in _FIELD_TYPES.items():
+            if name in raw and not (raw[name] is None and getattr(cls, name) is None):
+                need(name, raw[name], ok, what)
+        need("problem", raw["problem"], _is_object, "an object")
+        need("problem.params", raw["problem"].get("params", {}), _is_object, "an object")
+        grid = raw.get("grid") or {}
         for key in ("theta", "safety"):
-            vals = (raw.get("grid") or {}).get(key, [])
-            if not (isinstance(vals, list) and all(map(_is_number, vals))):
-                raise UsageError(f"config field 'grid.{key}' must be a list of "
-                                 f"numbers, got {vals!r}")
+            need(f"grid.{key}", grid.get(key, []), _is_number_list, "a list of numbers")
+        need("grid.ratio", grid.get("ratio", 1.0), _is_number, "a number")
+        if raw.get("fault") is not None:
+            need("fault.k", raw["fault"].get("k"), _is_int, "an integer")
+            need("fault.delta", raw["fault"].get("delta"), _is_number, "a number")
 
     def apply_overrides(self, args) -> None:
         for name in ("theta", "tau", "sigma", "safety", "ratio", "iters", "seed", "out"):
@@ -217,17 +236,36 @@ def write_trajectory_csv(path, table: CertificateTable) -> None:
             fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
+def _nonblank(lines):
+    """The lines, raising ValueError at a blank one, which loadtxt would skip."""
+    for line in lines:
+        if not line.strip():
+            raise ValueError("blank line")
+        yield line
+
+
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:
-    """Read a trajectory CSV back into column arrays."""
+    """Read a trajectory CSV back into column arrays.
+
+    A header other than ``CSV_COLUMNS``, no data rows, a blank line, or a
+    row that is not ``len(CSV_COLUMNS)`` numbers is a UsageError.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+        header = fh.readline().rstrip("\r\n").split(",")
         if header != CSV_COLUMNS:
             raise UsageError(f"{path}: unexpected columns {header}")
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.array(rows, dtype=float)
-    if data.size == 0:
-        raise UsageError(f"{path}: no data rows")
+        first = fh.readline()
+        if not first:
+            raise UsageError(f"{path}: no data rows")
+        # streamed line by line, so only the result array is held in full
+        try:
+            data = np.loadtxt(_nonblank(itertools.chain([first], fh)), delimiter=",",
+                              comments=None, ndmin=2)
+        except ValueError as e:
+            raise UsageError(f"{path}: {e}") from None
+    if data.shape[1] != len(CSV_COLUMNS):
+        raise UsageError(f"{path}: rows have {data.shape[1]} fields, "
+                         f"expected {len(CSV_COLUMNS)}")
     return {name: data[:, i] for i, name in enumerate(CSV_COLUMNS)}
 
 
@@ -556,10 +594,7 @@ def main(argv=None) -> int:
         if args.command == "plotdata":
             return cmd_plotdata(args.csv, args.out)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, OSError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ValueError, OSError, KeyError) as e:  # UsageError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (OracleRejectedError, NonFiniteIterateError) as e:

@@ -81,7 +81,7 @@ def make_quadratic(L: LinearOperator, a, b) -> ProblemSpec:
     b = as_vector(b)
     if a.shape[0] != L.cols or b.shape[0] != L.rows:
         raise ValueError("data dimensions do not match the operator")
-    mat = L.as_matrix()
+    mat = L.matrix
     x_star = np.linalg.solve(np.eye(L.cols) + mat.T @ mat, a - mat.T @ b)
     y_star = mat @ x_star + b
     problem = ProblemSpec(
@@ -118,7 +118,7 @@ def make_lasso(A: LinearOperator, b, lam: float) -> ProblemSpec:
             return np.array([gstar_value(row) for row in y])
         return 0.5 * float(y @ y) + float(y @ b)
 
-    gstar = _prox.conjugate(g, evaluate=gstar_value, domain_description="R^m")
+    gstar = _prox.conjugate(g, evaluate=gstar_value)
     return ProblemSpec(
         name="lasso",
         f=_prox.l1(lam),
@@ -148,8 +148,7 @@ def make_tv1d(signal, lam: float) -> ProblemSpec:
         inside = np.max(np.abs(y), axis=-1) <= band
         return rowwise(np.where(inside, 0.0, math.inf))
 
-    gstar = _prox.conjugate(g, evaluate=gstar_value,
-                            domain_description=f"||y||_inf <= {lam}")
+    gstar = _prox.conjugate(g, evaluate=gstar_value)
     return ProblemSpec(
         name="tv1d",
         f=_prox.quadratic_distance(signal),
@@ -227,30 +226,47 @@ def default_tv_signal(n: int, seed: int = 0, noise: float = 0.05) -> np.ndarray:
     return signal + noise * rng.standard_normal(n)
 
 
+def _param(params: dict, key: str, kind, default=None):
+    """``kind(params[key])`` for a JSON number (or a string, for kind str).
+
+    A missing key without a default, or a value of another JSON type, is a
+    ValueError naming the parameter.
+    """
+    v = params.get(key, default)
+    if kind is str:
+        ok = isinstance(v, str)
+    else:
+        ok = isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    if not ok:
+        what = "a string" if kind is str else "a finite number"
+        raise ValueError(f"generator parameter {key!r} must be {what}, got {v!r}")
+    return kind(v)
+
+
 def _build_quadratic(params: dict) -> ProblemSpec:
     if "matrix" in params:
-        L = MatrixOperator(load_matrix(params["matrix"]))
+        L = MatrixOperator(load_matrix(_param(params, "matrix", str)))
         return make_quadratic(L, params["a"], params["b"])
-    return random_quadratic(int(params["rows"]), int(params["cols"]),
-                            int(params.get("seed", 0)))
+    return random_quadratic(_param(params, "rows", int), _param(params, "cols", int),
+                            _param(params, "seed", int, 0))
 
 
 def _build_lasso(params: dict) -> ProblemSpec:
-    lam = float(params["lam"])
+    lam = _param(params, "lam", float)
     if "matrix" in params:
-        A = MatrixOperator(load_matrix(params["matrix"]))
+        A = MatrixOperator(load_matrix(_param(params, "matrix", str)))
         return make_lasso(A, params["b"], lam)
-    return random_lasso(int(params["rows"]), int(params["cols"]), lam,
-                        int(params.get("seed", 0)))
+    return random_lasso(_param(params, "rows", int), _param(params, "cols", int), lam,
+                        _param(params, "seed", int, 0))
 
 
 def _build_tv1d(params: dict) -> ProblemSpec:
-    lam = float(params["lam"])
+    lam = _param(params, "lam", float)
     if "signal" in params:
         p = make_tv1d(params["signal"], lam)
     else:
-        sig = default_tv_signal(int(params["n"]), int(params.get("seed", 0)),
-                                float(params.get("noise", 0.05)))
+        sig = default_tv_signal(_param(params, "n", int), _param(params, "seed", int, 0),
+                                _param(params, "noise", float, 0.05))
         p = make_tv1d(sig, lam)
     p.metadata.update({k: params[k] for k in ("n", "seed") if k in params})
     return p
@@ -276,10 +292,10 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
         name = cfg["generator"]
     except (KeyError, TypeError):
         raise ValueError("problem config needs a 'generator' key") from None
-    try:
-        builder = GENERATORS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown generator {name!r}; available: {sorted(GENERATORS)}"
-        ) from None
-    return builder(cfg.get("params", {}))
+    builder = GENERATORS.get(name) if isinstance(name, str) else None
+    if builder is None:
+        raise ValueError(f"unknown generator {name!r}; available: {sorted(GENERATORS)}")
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"generator params must be an object, got {params!r}")
+    return builder(params)

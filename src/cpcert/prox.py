@@ -13,7 +13,6 @@ solver loop does that once per iteration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,12 +24,9 @@ __all__ = [
     "ProxFn",
     "prox_l1",
     "prox_quadratic",
-    "prox_indicator_nonneg",
     "prox_conjugate",
     "l1",
     "quadratic_distance",
-    "nonneg_indicator",
-    "zero_fn",
     "conjugate",
 ]
 
@@ -47,7 +43,6 @@ class ProxFn:
 
     evaluate: Callable[[np.ndarray], float | np.ndarray]
     prox: Callable[[np.ndarray, float], np.ndarray]
-    domain_description: str = "R^n"
 
 
 def rowwise(values):
@@ -79,11 +74,6 @@ def prox_quadratic(x, gamma: float, a) -> np.ndarray:
     return (x + gamma * a) / (1.0 + gamma)
 
 
-def prox_indicator_nonneg(x, gamma: float = 1.0) -> np.ndarray:
-    """Projection onto the nonnegative orthant (step value unused)."""
-    return np.maximum(as_vector_unchecked(x), 0.0)
-
-
 def prox_conjugate(g: ProxFn, y, sigma: float) -> np.ndarray:
     """Prox of the convex conjugate via the Moreau identity:
 
@@ -103,7 +93,6 @@ def l1(lam: float) -> ProxFn:
     return ProxFn(
         evaluate=lambda x: rowwise(lam * np.abs(x).sum(axis=-1)),
         prox=lambda x, gamma: prox_l1(x, gamma, lam),
-        domain_description="R^n",
     )
 
 
@@ -113,34 +102,10 @@ def quadratic_distance(a) -> ProxFn:
     return ProxFn(
         evaluate=lambda x: rowwise(0.5 * np.sum((x - a) ** 2, axis=-1)),
         prox=lambda x, gamma: prox_quadratic(x, gamma, a),
-        domain_description="R^n",
     )
 
 
-def nonneg_indicator() -> ProxFn:
-    """Indicator of the nonnegative orthant."""
-    def evaluate(x):
-        inside = np.all(np.asarray(x) >= -1e-12, axis=-1)
-        return rowwise(np.where(inside, 0.0, math.inf))
-
-    return ProxFn(
-        evaluate=evaluate,
-        prox=prox_indicator_nonneg,
-        domain_description="x >= 0",
-    )
-
-
-def zero_fn() -> ProxFn:
-    """The identically-zero function; prox is the identity."""
-    return ProxFn(
-        evaluate=lambda x: rowwise(np.zeros(np.shape(x)[:-1])),
-        prox=lambda x, gamma: as_vector_unchecked(x).copy(),
-        domain_description="R^n",
-    )
-
-
-def conjugate(g: ProxFn, evaluate: Callable[[np.ndarray], float | np.ndarray],
-              domain_description: str = "") -> ProxFn:
+def conjugate(g: ProxFn, evaluate: Callable[[np.ndarray], float | np.ndarray]) -> ProxFn:
     """Build the ProxFn of g* with prox derived from g by Moreau.
 
     The conjugate's value map cannot be derived automatically and must be
@@ -150,5 +115,4 @@ def conjugate(g: ProxFn, evaluate: Callable[[np.ndarray], float | np.ndarray],
     return ProxFn(
         evaluate=evaluate,
         prox=lambda y, sigma: prox_conjugate(g, y, sigma),
-        domain_description=domain_description or f"conjugate of {g.domain_description}",
     )

@@ -53,7 +53,12 @@ class Validity(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Step sizes (tau, sigma), relaxation theta, and the certified ||L|| bound."""
+    """Step sizes (tau, sigma), relaxation theta, and the ||L|| bound.
+
+    ``operator_norm`` is taken as an upper bound on ||L||. For a
+    :class:`~cpcert.hilbert.MatrixOperator` it is a power-iteration
+    estimate, which can fall slightly below ||L||.
+    """
 
     tau: float
     sigma: float
@@ -226,13 +231,6 @@ class Trajectory:
         if not 0 <= k <= self.n_iters:
             raise IndexError(f"iterate {k} not stored (have 0..{self.n_iters})")
         return PPoint(self.X[k], self.Y[k])
-
-    def ergodic_point(self, k: int) -> PPoint:
-        """Running average over iterates 1..k (k >= 1)."""
-        if not 1 <= k <= self.n_iters:
-            raise IndexError(f"ergodic average defined for 1 <= k <= {self.n_iters}")
-        return PPoint(running_averages(self.X[1 : k + 1])[0][-1],
-                      running_averages(self.Y[1 : k + 1])[0][-1])
 
     @property
     def final(self) -> PPoint:

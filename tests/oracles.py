@@ -207,18 +207,6 @@ def quadratic_subgrad_test(a, tol=1e-9):
     return test
 
 
-def nonneg_subgrad_test(tol=1e-9):
-    """Normal cone of the orthant: u_i <= 0 where p_i = 0, u_i = 0 where p_i > 0."""
-    def test(p, u):
-        p = np.asarray(p)
-        u = np.asarray(u)
-        if np.any(p < -tol):
-            return False
-        interior = p > tol
-        return bool(np.all(np.abs(u[interior]) <= tol) and np.all(u[~interior] <= tol))
-    return test
-
-
 def jacobi_eigenvalues(s, sweeps=60, tol=1e-14):
     """Eigenvalues of a symmetric matrix by the cyclic Jacobi method."""
     a = np.array(s, dtype=float)

@@ -69,7 +69,7 @@ def test_criterion_2_prox_suite():
                 rhs = float((px - pu) @ (x - u))
                 assert lhs <= rhs + 1e-10 * (1.0 + abs(rhs)), name
         # Moreau identity for every g shipped through a conjugate
-        for g in (c.quadratic_distance(rng.standard_normal(5)), c.l1(0.7), c.zero_fn()):
+        for g in (c.quadratic_distance(rng.standard_normal(5)), c.l1(0.7), c.l1(0.0)):
             for _ in range(100):
                 y = rng.standard_normal(5) * 2.0
                 sigma = float(10.0 ** rng.uniform(-3, 3))

@@ -12,6 +12,7 @@ import cpcert as c
 from cpcert.harness import (CSV_COLUMNS, ExperimentConfig, UsageError,
                             corrupt_trajectory, emit_plotdata, fit_rate, main,
                             read_trajectory_csv, recompute_flags_from_csv)
+from cpcert.solver import running_averages
 
 
 def write_config(path, **overrides):
@@ -146,7 +147,7 @@ def test_sweep_grid_and_exit_codes(tmp_path):
     }))
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
-    rows = list(csv.DictReader((out / "sweep_summary.csv").open()))
+    rows = list(csv.DictReader((out / "sweep_summary.csv").read_text().splitlines()))
     assert len(rows) == 4
     statuses = {(r["theta"], r["safety"]): r["status"] for r in rows}
     assert statuses[("0.25", "0.9")] == "StrictlyValid"
@@ -163,7 +164,7 @@ def test_sweep_fifteen_cell_grid_passes(tmp_path):
     }))
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
-    rows = list(csv.DictReader((out / "sweep_summary.csv").open()))
+    rows = list(csv.DictReader((out / "sweep_summary.csv").read_text().splitlines()))
     assert len(rows) == 15
     assert all(r["all_pass"] == "true" for r in rows)
     assert all(r["status"] == "StrictlyValid" for r in rows)
@@ -179,7 +180,7 @@ def test_sweep_isolates_bad_cells(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["sweep", "--config", str(cfg_path), "--out", str(out)])
     assert code == 0  # no certificate failures; bad cell reported, others ran
-    rows = list(csv.DictReader((out / "sweep_summary.csv").open()))
+    rows = list(csv.DictReader((out / "sweep_summary.csv").read_text().splitlines()))
     by_safety = {r["safety"]: r for r in rows}
     assert by_safety["0.9"]["exit_code"] == "0"
     assert by_safety["1.5"]["status"] == "config-error"
@@ -197,7 +198,7 @@ def test_sweep_rows_order_independent(tmp_path):
         cfg_path.write_text(json.dumps({**base, "grid": {"theta": thetas, "safety": [0.9]}}))
         out = tmp_path / tag
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
-        for r in csv.DictReader((out / "sweep_summary.csv").open()):
+        for r in csv.DictReader((out / "sweep_summary.csv").read_text().splitlines()):
             rows.setdefault(r["theta"], []).append(r)
     for theta, pair in rows.items():
         assert pair[0] == pair[1]
@@ -223,6 +224,42 @@ def test_rate_command_on_solver_output(tmp_path, capsys):
     blob = json.loads(capsys.readouterr().out)
     assert blob["slope"] <= -0.85
     assert main(["rate", str(out / "trajectory.csv"), "--metric", "nope"]) == 2
+
+
+@pytest.fixture(scope="module")
+def good_csv_lines(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("csv")
+    cfg = write_config(tmp / "cfg.json")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp / "out")]) == 0
+    return (tmp / "out" / "trajectory.csv").read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("case", [
+    "good", "comment line", "ragged row", "non-numeric field", "blank line",
+    "header only", "empty file", "eleven columns",
+])
+def test_rate_rejects_malformed_csv(tmp_path, capsys, good_csv_lines, case):
+    header, body = good_csv_lines[0], list(good_csv_lines[1:])
+    if case == "comment line":
+        body.insert(3, "# a comment\n")
+    elif case == "ragged row":
+        body[3] = body[3].rsplit(",", 1)[0] + "\n"
+    elif case == "non-numeric field":
+        body[3] = "x" + body[3]
+    elif case == "blank line":
+        body.insert(3, "\n")
+    elif case == "header only":
+        body = []
+    elif case == "empty file":
+        header, body = "", []
+    elif case == "eleven columns":
+        body = [line.rstrip("\n") + ",1.0\n" for line in body]
+    path = tmp_path / "trajectory.csv"
+    path.write_text(header + "".join(body))
+    code = main(["rate", str(path), "--metric", "ergodic_gap"])
+    err = capsys.readouterr().err
+    assert code == (0 if case == "good" else 2), err
+    assert "rate fit" not in err  # rejected as a file, not for too few points
 
 
 def test_plotdata_outputs(tmp_path):
@@ -254,7 +291,7 @@ def test_corrupt_trajectory_rebuilds_averages():
     bad = corrupt_trajectory(traj, 10, 0.5)
     assert np.allclose(bad.X[10], traj.X[10] + 0.5)
     want = bad.X[1:11].mean(axis=0)
-    assert np.allclose(bad.ergodic_point(10).x, want)
+    assert np.allclose(running_averages(bad.X[1:11])[0][-1], want)
 
 
 def test_cli_usage_exit_code_on_bad_flags(capsys):
@@ -293,12 +330,28 @@ def test_run_failures_exit_3(tmp_path, capsys):
 @pytest.mark.parametrize("overrides", [
     {"iters": "50"},
     {"grid": {"theta": 0.5, "safety": [0.9]}},
+    {"grid": {"theta": [0.5], "safety": [0.9], "ratio": [1.0]}},
+    {"fault": {"k": [20], "delta": 1.0}},
+    {"fault": {"k": 20, "delta": None}},
+    {"problem": [1]},
 ])
 def test_config_field_of_wrong_type_exits_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     command = "sweep" if "grid" in overrides else "solve"
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "config field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem", [
+    {"generator": "quadratic", "params": {"rows": [4], "cols": 3}},
+    {"generator": "tv1d", "params": {"n": 20, "lam": None}},
+    {"generator": "lasso", "params": {"matrix": [1], "b": [1.0], "lam": 0.1}},
+    {"generator": ["quadratic"]},
+])
+def test_generator_param_of_wrong_type_exits_2(tmp_path, capsys, problem):
+    cfg = write_config(tmp_path / "cfg.json", problem=problem)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "generator" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [

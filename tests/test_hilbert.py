@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from cpcert.hilbert import (ForwardDifferenceOperator, IdentityOperator,
-                            MatrixOperator, PPoint, ZeroOperator, as_vector,
-                            estimate_norm, load_matrix, save_matrix)
+from cpcert.hilbert import (ForwardDifferenceOperator, MatrixOperator, PPoint,
+                            as_vector, estimate_norm, load_matrix)
 from cpcert.solver import SolverParams, suggest_steps
 
 from oracles import dot, jacobi_spectral_norm, p_inner, p_quadratic_form
@@ -13,8 +12,8 @@ def all_operators(rng):
     return [
         MatrixOperator(rng.standard_normal((7, 5))),
         MatrixOperator(rng.standard_normal((3, 9))),
-        IdentityOperator(6),
-        ZeroOperator(4, 5),
+        MatrixOperator(np.eye(6), norm_bound=1.0),
+        MatrixOperator(np.zeros((4, 5))),
         ForwardDifferenceOperator(8),
     ]
 
@@ -41,7 +40,7 @@ def test_as_vector_rejects_nonfinite():
 
 
 def test_apply_examples():
-    ident = IdentityOperator(2)
+    ident = MatrixOperator(np.eye(2), norm_bound=1.0)
     assert np.array_equal(ident.apply(np.array([5.0, -3.0])), [5.0, -3.0])
     diag = MatrixOperator(np.diag([3.0, 1.0]))
     assert np.array_equal(diag.apply(np.array([1.0, 1.0])), [3.0, 1.0])
@@ -94,7 +93,9 @@ def test_estimate_norm_diagonal():
 
 
 def test_estimate_norm_zero_operator():
-    assert estimate_norm(ZeroOperator(3, 4)) == 0.0
+    L = MatrixOperator(np.zeros((3, 4)))
+    assert L.norm_bound == 0.0
+    assert estimate_norm(L) == 0.0
 
 
 def test_estimate_norm_against_jacobi_oracle():
@@ -120,7 +121,7 @@ def test_estimate_norm_warns_without_converging():
 
 def test_estimate_norm_rejects_bad_tol():
     with pytest.raises(ValueError):
-        estimate_norm(IdentityOperator(2), tol=0.0)
+        estimate_norm(MatrixOperator(np.eye(2), norm_bound=1.0), tol=0.0)
 
 
 def test_certified_bound_inflates_estimate():
@@ -174,7 +175,7 @@ def test_p_inner_matches_quadratic_form_and_is_symmetric():
 
 
 def test_p_inner_canonical_when_uncoupled():
-    L = ZeroOperator(3, 3)
+    L = MatrixOperator(np.zeros((3, 3)))
     params = params_for(1.0, 1.0, 0.0, 0.0)
     rng = np.random.default_rng(10)
     for _ in range(10):
@@ -242,7 +243,7 @@ def test_matrix_text_roundtrip(tmp_path):
     rng = np.random.default_rng(14)
     a = rng.standard_normal((3, 5))
     path = tmp_path / "m.txt"
-    save_matrix(path, a)
+    path.write_text("3 5\n" + "".join(" ".join(map(repr, row)) + "\n" for row in a.tolist()))
     assert np.array_equal(load_matrix(path), a)
 
 

@@ -23,7 +23,7 @@ def test_quadratic_one_d_closed_form():
 def test_quadratic_decouples_with_zero_operator():
     a = np.array([1.0, -2.0, 0.5])
     b = np.array([3.0, 4.0])
-    problem = c.make_quadratic(c.ZeroOperator(2, 3), a, b)
+    problem = c.make_quadratic(c.MatrixOperator(np.zeros((2, 3))), a, b)
     assert np.allclose(problem.kkt.star.x, a)
     assert np.allclose(problem.kkt.star.y, b)
 
@@ -193,7 +193,7 @@ def test_problem_from_config_registry(tmp_path):
     assert p.L.rows == 11 and p.L.cols == 12
 
     mat = tmp_path / "A.txt"
-    c.save_matrix(mat, np.array([[1.0, 0.5], [0.0, 2.0]]))
+    mat.write_text("2 2\n1.0 0.5\n0.0 2.0\n")
     p = problem_from_config({"generator": "lasso",
                              "params": {"matrix": str(mat), "b": [1.0, -1.0], "lam": 0.1}})
     assert p.L.rows == 2 and p.L.cols == 2

@@ -5,12 +5,10 @@ import pytest
 
 from cpcert.hilbert import MatrixOperator
 from cpcert.problems import make_lasso, make_tv1d
-from cpcert.prox import (ProxFn, conjugate, l1, nonneg_indicator,
-                         prox_conjugate, prox_indicator_nonneg, prox_l1,
-                         prox_quadratic, quadratic_distance, zero_fn)
+from cpcert.prox import (ProxFn, conjugate, l1, prox_conjugate, prox_l1,
+                         prox_quadratic, quadratic_distance)
 
-from oracles import (check_prox_inclusion, l1_subgrad_test,
-                     nonneg_subgrad_test, quadratic_subgrad_test)
+from oracles import check_prox_inclusion, l1_subgrad_test, quadratic_subgrad_test
 
 
 def shipped_functions():
@@ -21,8 +19,7 @@ def shipped_functions():
     cases = [
         ("l1", l1(0.7), l1_subgrad_test(0.7)),
         ("quadratic", quadratic_distance(a), quadratic_subgrad_test(a)),
-        ("nonneg", nonneg_indicator(), nonneg_subgrad_test()),
-        ("zero", zero_fn(), lambda p, u: np.linalg.norm(u) <= 1e-9 * (1 + np.linalg.norm(p))),
+        ("zero", l1(0.0), lambda p, u: np.linalg.norm(u) <= 1e-9 * (1 + np.linalg.norm(p))),
     ]
     # conjugates shipped through the problem generators
     box = conjugate(l1(0.7), evaluate=lambda y: 0.0 if np.max(np.abs(y)) <= 0.7 + 1e-12 else math.inf)
@@ -81,17 +78,6 @@ def test_prox_quadratic_dimension_mismatch():
         prox_quadratic(np.ones(2), 1.0, np.ones(3))
 
 
-def test_prox_indicator_nonneg_examples():
-    assert np.allclose(prox_indicator_nonneg(np.array([-1.0, 2.0])), [0.0, 2.0])
-    x = np.array([0.5, 1.0, 0.0])
-    assert np.array_equal(prox_indicator_nonneg(x), x)
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        x = rng.standard_normal(5)
-        once = prox_indicator_nonneg(x)
-        assert np.array_equal(prox_indicator_nonneg(once), once)
-
-
 def test_prox_conjugate_quadratic_closed_form():
     b = np.array([1.0, -2.0])
     g = quadratic_distance(b)
@@ -106,7 +92,7 @@ def test_prox_conjugate_quadratic_closed_form():
 
 
 def test_prox_conjugate_of_zero_projects_to_origin():
-    g = zero_fn()
+    g = l1(0.0)
     rng = np.random.default_rng(3)
     for _ in range(10):
         y = rng.standard_normal(4)
@@ -115,7 +101,7 @@ def test_prox_conjugate_of_zero_projects_to_origin():
 
 def test_moreau_identity_for_shipped_g():
     rng = np.random.default_rng(4)
-    for g in (quadratic_distance(rng.standard_normal(5)), l1(0.3), zero_fn()):
+    for g in (quadratic_distance(rng.standard_normal(5)), l1(0.3), l1(0.0)):
         for _ in range(100):
             y = rng.standard_normal(5)
             sigma = float(10.0 ** rng.uniform(-3, 3))
@@ -175,13 +161,12 @@ def test_stacked_evaluate_matches_per_row():
     families = [
         ("quadratic", quadratic_distance(rng.standard_normal(5)), True),
         ("l1", l1(0.7), True),
-        ("nonneg", nonneg_indicator(), True),
-        ("zero", zero_fn(), True),
+        ("zero", l1(0.0), True),
         ("tv box", tv_box, True),
         ("lasso conjugate", lasso_gstar, False),
     ]
     stack = rng.standard_normal((40, 5)) * 3.0
-    stack[:5] = np.abs(stack[:5]) * 0.02  # inside the orthant and the box
+    stack[:5] = np.abs(stack[:5]) * 0.02  # inside the box
     for name, fn, exact in families:
         got = fn.evaluate(stack)
         want = np.array([fn.evaluate(row) for row in stack])
@@ -192,6 +177,5 @@ def test_stacked_evaluate_matches_per_row():
             assert np.allclose(got, want, rtol=1e-12, atol=0.0), name
         assert isinstance(fn.evaluate(stack[0]), float), name
         assert fn.evaluate(stack[:0]).shape == (0,), name
-    for fn in (nonneg_indicator(), tv_box):  # feasible and infeasible rows
-        values = fn.evaluate(stack)
-        assert np.all(values[:5] == 0.0) and np.isinf(values[5:]).any()
+    values = tv_box.evaluate(stack)  # feasible and infeasible rows
+    assert np.all(values[:5] == 0.0) and np.isinf(values[5:]).any()
