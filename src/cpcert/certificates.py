@@ -25,11 +25,13 @@ import numpy as np
 
 from .hilbert import PPoint
 from .solver import (ParamStatus, SolverParams, Trajectory, Validity,
-                     running_averages, validate_params)
+                     continued_cumsum, running_averages, validate_params)
 
 __all__ = [
     "KKTPoint",
     "CertificateTable",
+    "CertifyCarry",
+    "RunSummary",
     "make_kkt",
     "kkt_residual",
     "eta_coefficients",
@@ -40,6 +42,7 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 # Table rows per certification block: bounds the certifier's working memory.
+# Segments of a run fed with a CertifyCarry start at multiples of it.
 _CERT_BLOCK = 256
 
 
@@ -144,12 +147,14 @@ def _flag_arrays(ks, lyap, ergodic_gap, descent, lower, sum_gap, v0, tol):
 
 @dataclass(frozen=True)
 class CertificateTable:
-    """Certificate values for every full three-iterate window of one run.
+    """Certificate values for full three-iterate windows of one run.
 
     Row k (k = 0..K-2) holds V(k), D(z_{k+1}), D(avg_k), the descent and
     lower-bound residuals for the window (z_k, z_{k+1}, z_{k+2}), the
     canonical distance ||z_k - z*||, and sum_gap = sum_{i<=k} D(z_i).
-    ``ergodic_gap`` is NaN at k = 0 (averages start at k = 1).
+    ``ergodic_gap`` is NaN at k = 0 (averages start at k = 1). A table of
+    one segment of a run (see :class:`CertifyCarry`) holds that segment's
+    rows, with their run-wide k; ``v0`` is always the run's V(0).
     """
 
     ks: np.ndarray
@@ -160,15 +165,12 @@ class CertificateTable:
     lower_bound_residual: np.ndarray
     dist_to_star: np.ndarray
     sum_gap: np.ndarray
+    v0: float
     eta_plus: float
     eta_minus: float
     tol: float
     status: ParamStatus
     asserted: bool
-
-    @property
-    def v0(self) -> float:
-        return float(self.lyapunov[0])
 
     def flags(self) -> dict[str, np.ndarray]:
         return _flag_arrays(self.ks, self.lyapunov, self.ergodic_gap,
@@ -177,39 +179,79 @@ class CertificateTable:
 
     def summarize(self) -> dict:
         """Aggregate pass/fail summary (observational when not asserted)."""
+        summary = RunSummary()
+        summary.add(self)
+        return summary.result()
+
+
+class RunSummary:
+    """The summary of one run's table, folded from the tables of its segments.
+
+    Add the tables of a run's consecutive segments in order; :meth:`result`
+    is then what :meth:`CertificateTable.summarize` gives for the table of
+    the whole run. A segment's last row has no successor in its own table,
+    so its V-monotonicity check is made when the next segment arrives.
+    Only the last table and running counts are held.
+    """
+
+    def __init__(self):
+        self._last = None
+        self._rows = 0
+        self._max = {}
+        self._fails = dict.fromkeys(_CHECKS, 0)
+        self._first_k = None
+
+    def add(self, table: CertificateTable) -> None:
+        prev, self._last = self._last, table
+        self._rows += len(table.ks)
+        for name in ("descent_residual", "lower_bound_residual"):
+            m = np.max(getattr(table, name))
+            self._max[name] = m if prev is None else np.maximum(self._max[name], m)
+        if not table.asserted:
+            return
+        if prev is not None:
+            v = prev.lyapunov[-1]
+            if not table.lyapunov[0] <= v + prev.tol * (1.0 + np.abs(v)):
+                self._fail("v_monotone", 1, int(prev.ks[-1]))
+        flags = table.flags()
+        bad = ~np.logical_and.reduce([flags[c] for c in _CHECKS])
+        if bad.any():
+            for c in _CHECKS:
+                self._fail(c, int(np.size(flags[c]) - np.count_nonzero(flags[c])),
+                           int(table.ks[np.argmax(bad)]))
+
+    def _fail(self, check: str, count: int, k: int) -> None:
+        self._fails[check] += count
+        if count and self._first_k is None:
+            self._first_k = k
+
+    def result(self) -> dict:
+        t = self._last
         out = {
-            "rows": int(len(self.ks)),
-            "status": self.status.kind.value,
-            "asserted": self.asserted,
-            "tol": self.tol,
-            "v0": _json_float(self.v0),
-            "eta_plus": _json_float(self.eta_plus),
-            "eta_minus": _json_float(self.eta_minus),
-            "max_descent_residual": _json_float(np.max(self.descent_residual)),
-            "max_lower_bound_residual": _json_float(np.max(self.lower_bound_residual)),
-            "final_gap": _json_float(self.gap[-1]),
-            "final_ergodic_gap": _json_float(self.ergodic_gap[-1]),
-            "final_dist_to_star": _json_float(self.dist_to_star[-1]),
-            "final_sum_gap": _json_float(self.sum_gap[-1]),
+            "rows": self._rows,
+            "status": t.status.kind.value,
+            "asserted": t.asserted,
+            "tol": t.tol,
+            "v0": _json_float(t.v0),
+            "eta_plus": _json_float(t.eta_plus),
+            "eta_minus": _json_float(t.eta_minus),
+            "max_descent_residual": _json_float(self._max["descent_residual"]),
+            "max_lower_bound_residual": _json_float(self._max["lower_bound_residual"]),
+            "final_gap": _json_float(t.gap[-1]),
+            "final_ergodic_gap": _json_float(t.ergodic_gap[-1]),
+            "final_dist_to_star": _json_float(t.dist_to_star[-1]),
+            "final_sum_gap": _json_float(t.sum_gap[-1]),
         }
-        if not self.asserted:
+        if not t.asserted:
             out["mode"] = "observational"
             out["all_pass"] = None
             out["first_failing_k"] = None
             out["fail_counts"] = None
             return out
-        flags = self.flags()
-        fail_counts = {c: int(np.size(flags[c]) - np.count_nonzero(flags[c]))
-                       for c in _CHECKS}
-        all_ok = all(v == 0 for v in fail_counts.values())
-        first_k = None
-        if not all_ok:
-            bad = ~np.logical_and.reduce([flags[c] for c in _CHECKS])
-            first_k = int(self.ks[np.argmax(bad)])
         out["mode"] = "asserted"
-        out["all_pass"] = bool(all_ok)
-        out["first_failing_k"] = first_k
-        out["fail_counts"] = fail_counts
+        out["all_pass"] = self._first_k is None
+        out["first_failing_k"] = self._first_k
+        out["fail_counts"] = dict(self._fails)
         return out
 
 
@@ -218,37 +260,80 @@ def _json_float(v) -> float | None:
     return v if math.isfinite(v) else None
 
 
+@dataclass
+class CertifyCarry:
+    """What :func:`certify_trajectory` carries from one segment of a run to the next.
+
+    Pass a fresh ``CertifyCarry()`` with a run's first segment and the same
+    object with each later one. It holds the number of iterates fed so far
+    (the table row offset follows from it), the prefix sums of X, Y and LX
+    behind the running averages, the running sum of the gap column, V(0),
+    and the last two iterates fed, with their images and gap terms: the
+    overlap that the next segment's first windows need. A call that raises
+    leaves the carry as it was.
+    """
+
+    iterates: int = 0
+    v0: float = math.nan
+    sum_x: np.ndarray | None = None
+    sum_y: np.ndarray | None = None
+    sum_lx: np.ndarray | None = None
+    gap_sum: float | None = None
+    overlap: tuple = ()
+
+
 def certify_trajectory(traj: Trajectory, kkt: KKTPoint, problem,
-                       tol: float = DEFAULT_TOL) -> CertificateTable:
+                       tol: float = DEFAULT_TOL,
+                       carry: CertifyCarry | None = None) -> CertificateTable:
     """Evaluate every certificate along a trajectory.
 
     The table is built in blocks of ``_CERT_BLOCK`` rows. Block [lo, hi)
     reads iterates lo..hi+1, the two-iterate overlap that the descent
     window needs, and recomputes the one value V(hi) it shares with the
     next block. Across blocks it carries the prefix sums of X, Y and LX
-    behind the running averages; the sum_gap column is one cumulative sum
-    over the finished gap column. Each value map is called on stacks of
-    rows, so working memory is O(_CERT_BLOCK * (n + m)) besides the
-    history and LX.
+    behind the running averages and the running sum of the gap column.
+    Each value map is called on stacks of rows, so working memory is
+    O(_CERT_BLOCK * (n + m)) besides the history and LX.
 
-    Two parts stay full-stack because blocking them moves last bits:
-    LX = L.apply_stack(X), whose blocked matrix product rounds some rows
-    differently, and the gap terms LX @ y* and Y @ Lx*, whose blocked
-    matrix-vector products match only for some block sizes. Row sums and
-    per-row dot products do not depend on the split, so the table is
-    bitwise that of one unblocked pass. The per-window scalar definitions
-    of the same values live in the test suite's reference oracles
-    (``tests/oracles.py``).
+    With a ``carry``, ``traj`` is one segment of a longer run, and the
+    returned table holds the rows whose windows the segments fed so far
+    complete. The first segment starts at iterate 0; each later one is the
+    run continued from the last iterate fed, so its first iterate repeats
+    that one and is skipped. Its rows are certified and may then be
+    dropped: the carry holds all that later rows need.
 
-    Raises ValueError if a value map does not return one value per row,
-    and RuntimeError at the first non-finite V(k) of an asserted run.
+    Chunk alignment: LX = L.apply_stack(X) and the gap terms LX @ y* and
+    Y @ Lx* are computed once per call, over the iterates it brings, and
+    blocked matrix-vector products round some rows differently unless the
+    block starts at a multiple of 256 rows from iterate 0. A segment fed
+    with a carry must therefore start at a multiple of ``_CERT_BLOCK``
+    iterates (a ValueError otherwise), and each row's products are computed
+    exactly once. The table is then bitwise that of one call on the whole
+    history, except that a dense ``apply_stack`` (a matrix-matrix product)
+    may round some rows differently on segments than on the whole history.
+    Row sums and per-row dot products do not depend on the split. Without
+    a carry the whole history is one chunk. The per-window scalar
+    definitions of the same values live in the test suite's reference
+    oracles (``tests/oracles.py``).
+
+    Raises ValueError for a negative or non-finite ``tol``, for fewer than
+    2 iterations, if a value map does not return one value per row, and
+    RuntimeError at the first non-finite V(k) of an asserted run.
     """
-    if traj.n_iters < 2:
-        raise ValueError("need at least 2 iterations to certify")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"certificate tolerance must be finite and nonnegative, got {tol}")
+    if carry is None:
+        carry, X, Y = CertifyCarry(), traj.X, traj.Y
+    elif carry.iterates % _CERT_BLOCK:
+        raise ValueError(f"a continued segment must start at a multiple of "
+                         f"{_CERT_BLOCK} iterates, not at iterate {carry.iterates}")
+    else:
+        new = slice(1 if carry.iterates else 0, None)
+        X, Y = traj.X[new], traj.Y[new]
     # Diverging observational runs may overflow to inf/NaN; report those
     # values as-is instead of warning. Asserted runs raise on non-finite V.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _certify(traj, kkt, problem, tol)
+        return _certify(traj.params, X, Y, kkt, problem, tol, carry)
 
 
 def _stack_values(fn, rows: np.ndarray, name: str) -> np.ndarray:
@@ -262,8 +347,13 @@ def _stack_values(fn, rows: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
-def _certify(traj, kkt, problem, tol):
-    params = traj.params
+def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
+    """Certify the rows that the iterates ``X_new``, ``Y_new`` complete;
+    then advance ``carry`` past them."""
+    fed = carry.iterates
+    r0, r1 = max(fed - 2, 0), fed + X_new.shape[0] - 2  # table rows [r0, r1)
+    if r1 <= r0:
+        raise ValueError("need at least 2 iterations to certify")
     status = validate_params(params)
     asserted = status.kind is not Validity.INVALID
     L = problem.L
@@ -277,20 +367,25 @@ def _certify(traj, kkt, problem, tol):
             raise
         eta_p = eta_m = math.nan
 
-    X, Y = traj.X, traj.Y
-    n_rows = traj.n_iters - 1
     x_star, y_star = kkt.star.x, kkt.star.y
     lx_star = L.apply(x_star)
-    LX = L.apply_stack(X)
-    lx_y = LX @ y_star
-    y_lx = Y @ lx_star
+    LX_new = L.apply_stack(X_new)
+    fresh = (X_new, Y_new, LX_new, LX_new @ y_star, Y_new @ lx_star)
+    if carry.overlap:
+        X, Y, LX, lx_y, y_lx = (np.concatenate(pair) for pair in zip(carry.overlap, fresh))
+    else:
+        X, Y, LX, lx_y, y_lx = fresh
+    base = fed - (len(carry.overlap[0]) if carry.overlap else 0)  # iterate of X[0]
 
+    n_rows = r1 - r0
     lyap, gap, erg, descent, lower, dist = (np.empty(n_rows) for _ in range(6))
-    erg[0] = math.nan  # averages start at k = 1
-    sum_x = sum_y = sum_lx = None  # prefix sums of rows 1..lo-1
-    for lo in range(0, n_rows, _CERT_BLOCK):
-        hi = min(lo + _CERT_BLOCK, n_rows)
-        rows = slice(lo, hi + 2)
+    if r0 == 0:
+        erg[0] = math.nan  # averages start at k = 1
+    sum_x, sum_y, sum_lx = carry.sum_x, carry.sum_y, carry.sum_lx  # rows 1..lo-1
+    for lo in range(r0, r1, _CERT_BLOCK):
+        hi = min(lo + _CERT_BLOCK, r1)
+        rows = slice(lo - base, hi - base + 2)
+        out = slice(lo - r0, hi - r0)
         Xb, Yb, LXb = X[rows], Y[rows], LX[rows]
         # gaps[i] = D(z_{lo+i}) for i = 0..hi-lo+1
         gaps = (_stack_values(problem.f, Xb, "f")
@@ -320,39 +415,52 @@ def _certify(traj, kkt, problem, tol):
             (inc_x[1:] * inc_x[1:]).sum(axis=1) - (k_dx * k_dx).sum(axis=1))
         wp = k_dx / math.sqrt(tau) + inc_y[:-1] / math.sqrt(sigma)
         wm = k_dx / math.sqrt(tau) - inc_y[:-1] / math.sqrt(sigma)
-        descent[lo:hi] = (v[1:] - v[:-1] + gaps[1:-1]
-                          + theta_term
-                          + 0.25 * eta_p * (wp * wp).sum(axis=1)
-                          + 0.25 * eta_m * (wm * wm).sum(axis=1))
-        lyap[lo:hi] = v[:-1]
-        gap[lo:hi] = gaps[1:-1]
-        lower[lo:hi] = 0.5 * p_star[1:-1] - v[:-1]
-        dist[lo:hi] = np.sqrt((dxs[:-2] * dxs[:-2]).sum(axis=1)
-                              + (dys[:-2] * dys[:-2]).sum(axis=1))
+        descent[out] = (v[1:] - v[:-1] + gaps[1:-1]
+                        + theta_term
+                        + 0.25 * eta_p * (wp * wp).sum(axis=1)
+                        + 0.25 * eta_m * (wm * wm).sum(axis=1))
+        lyap[out] = v[:-1]
+        gap[out] = gaps[1:-1]
+        lower[out] = 0.5 * p_star[1:-1] - v[:-1]
+        dist[out] = np.sqrt((dxs[:-2] * dxs[:-2]).sum(axis=1)
+                            + (dys[:-2] * dys[:-2]).sum(axis=1))
 
         # Ergodic gaps D(avg_k) over iterates 1..k. The L-terms stay
         # per-row dot products: a matrix-vector product sums in another
         # order and would change the last bits.
         k0 = max(lo, 1)
         if k0 < hi:
-            ex, sum_x = running_averages(X[k0:hi], sum_x, k0 - 1)
+            avg = slice(k0 - base, hi - base)
+            ex, sum_x = running_averages(X[avg], sum_x, k0 - 1)
             f_erg = _stack_values(problem.f, ex, "f")
-            ey, sum_y = running_averages(Y[k0:hi], sum_y, k0 - 1)
+            ey, sum_y = running_averages(Y[avg], sum_y, k0 - 1)
             g_erg = _stack_values(problem.gstar, ey, "gstar")
             ey_lx = np.fromiter(map(lx_star.dot, ey), float, hi - k0)
-            lex, sum_lx = running_averages(LX[k0:hi], sum_lx, k0 - 1)
+            lex, sum_lx = running_averages(LX[avg], sum_lx, k0 - 1)
             lex_y = np.fromiter(map(y_star.dot, lex), float, hi - k0)
-            erg[k0:hi] = f_erg + g_erg + lex_y - ey_lx - kkt.f_star - kkt.gstar_star
+            erg[k0 - r0 : hi - r0] = (f_erg + g_erg + lex_y - ey_lx
+                                      - kkt.f_star - kkt.gstar_star)
 
+    # sum_gap[k] = gap[0] + ... + gap[k-1], continuing the carried sum
+    gap_sums = continued_cumsum(gap, carry.gap_sum)
+    first = 0.0 if carry.gap_sum is None else carry.gap_sum
+    v0 = float(lyap[0]) if r0 == 0 else carry.v0
+
+    carry.iterates = fed + X_new.shape[0]
+    carry.v0 = v0
+    carry.sum_x, carry.sum_y, carry.sum_lx = sum_x, sum_y, sum_lx
+    carry.gap_sum = gap_sums[-1]
+    carry.overlap = tuple(a[-2:].copy() for a in (X, Y, LX, lx_y, y_lx))
     return CertificateTable(
-        ks=np.arange(n_rows),
+        ks=np.arange(r0, r1),
         lyapunov=lyap,
         gap=gap,
         ergodic_gap=erg,
         descent_residual=descent,
         lower_bound_residual=lower,
         dist_to_star=dist,
-        sum_gap=np.concatenate([[0.0], np.cumsum(gap[:-1])]),
+        sum_gap=np.concatenate([[first], gap_sums[:-1]]),
+        v0=v0,
         eta_plus=float(eta_p),
         eta_minus=float(eta_m),
         tol=tol,

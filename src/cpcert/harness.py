@@ -29,8 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import CertificateTable, _flag_arrays, certify_trajectory
-from .problems import OracleRejectedError, kkt_by_long_run, problem_from_config
+from .certificates import (_CERT_BLOCK, CertificateTable, CertifyCarry,
+                           RunSummary, _flag_arrays, certify_trajectory)
+from .problems import (OracleRejectedError, is_finite_number, kkt_by_long_run,
+                       problem_from_config)
 from .solver import (NonFiniteIterateError, SolverParams, Trajectory, Validity,
                      run, suggest_steps, validate_params)
 from .hilbert import PPoint
@@ -60,10 +62,6 @@ class UsageError(ValueError):
     """Bad configuration or command-line input (exit code 2)."""
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -72,14 +70,14 @@ def _is_object(v) -> bool:
     return isinstance(v, dict)
 
 
-def _is_number_list(v) -> bool:
-    return isinstance(v, list) and all(map(_is_number, v))
+def _is_finite_list(v) -> bool:
+    return isinstance(v, list) and all(map(is_finite_number, v))
 
 
 # JSON type of each config field; None is also accepted where the default is None.
 _FIELD_TYPES = {
     **dict.fromkeys(("theta", "tau", "sigma", "safety", "ratio", "tolerance",
-                     "stop_tol"), (_is_number, "a number")),
+                     "stop_tol"), (is_finite_number, "a finite number")),
     **dict.fromkeys(("iters", "seed", "oracle_iters"), (_is_int, "an integer")),
     "override_invalid": (lambda v: isinstance(v, bool), "true or false"),
     "fault": (_is_object, "an object"),
@@ -149,16 +147,19 @@ class ExperimentConfig:
         need("problem.params", raw["problem"].get("params", {}), _is_object, "an object")
         grid = raw.get("grid") or {}
         for key in ("theta", "safety"):
-            need(f"grid.{key}", grid.get(key, []), _is_number_list, "a list of numbers")
-        need("grid.ratio", grid.get("ratio", 1.0), _is_number, "a number")
+            need(f"grid.{key}", grid.get(key, []), _is_finite_list,
+                 "a list of finite numbers")
+        need("grid.ratio", grid.get("ratio", 1.0), is_finite_number, "a finite number")
         if raw.get("fault") is not None:
             need("fault.k", raw["fault"].get("k"), _is_int, "an integer")
-            need("fault.delta", raw["fault"].get("delta"), _is_number, "a number")
+            need("fault.delta", raw["fault"].get("delta"), is_finite_number, "a finite number")
 
     def apply_overrides(self, args) -> None:
         for name in ("theta", "tau", "sigma", "safety", "ratio", "iters", "seed", "out"):
             v = getattr(args, name, None)
             if v is not None:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise UsageError(f"--{name} must be a finite number, got {v!r}")
                 setattr(self, name, v)
         if getattr(args, "override_invalid", False):
             self.override_invalid = True
@@ -287,11 +288,15 @@ def write_json(path, obj) -> None:
 
 def corrupt_trajectory(traj: Trajectory, k: int, delta: float) -> Trajectory:
     """Shift every entry of iterate k by delta (negative-control helper)."""
-    if not 0 <= k <= traj.n_iters:
-        raise ValueError(f"iterate {k} out of range 0..{traj.n_iters}")
+    _check_iterate(k, traj.n_iters)
     X = traj.X.copy()
     X[k] += delta
     return replace(traj, X=X)
+
+
+def _check_iterate(k: int, n_iters: int) -> None:
+    if not 0 <= k <= n_iters:
+        raise ValueError(f"iterate {k} out of range 0..{n_iters}")
 
 
 # --- experiment execution ---------------------------------------------------
@@ -329,22 +334,24 @@ def _resolved_problem_config(cfg: ExperimentConfig) -> dict:
     return pc
 
 
-def _certified_run(problem, params: SolverParams, cfg: ExperimentConfig, kkt=None):
-    """The run pipeline of ``solve`` and of every ``sweep`` cell.
-
-    Rejects Invalid parameters unless ``cfg.override_invalid`` is set, runs
-    from the origin, applies ``cfg.fault`` and certifies. Without ``kkt``
-    (a sweep shares one across its cells) the saddle point is built after
-    the parameter check, so Invalid parameters fail before any oracle run.
-    Returns (kkt, traj, table).
-    """
+def _check_runnable(params: SolverParams, cfg: ExperimentConfig) -> None:
+    """Reject Invalid parameters unless ``cfg.override_invalid`` is set."""
     status = validate_params(params)
     if status.kind is Validity.INVALID and not cfg.override_invalid:
         raise UsageError(
             f"parameters are Invalid ({status}); set override_invalid to run anyway"
         )
-    if kkt is None:
-        kkt = _get_kkt(problem, cfg)
+
+
+def _certified_run(problem, params: SolverParams, cfg: ExperimentConfig):
+    """The run pipeline of ``solve``: check, oracle, run, fault, certify.
+
+    The saddle point is built after the parameter check, so Invalid
+    parameters fail before any oracle run. The whole history is certified
+    in one chunk. Returns (kkt, traj, table).
+    """
+    _check_runnable(params, cfg)
+    kkt = _get_kkt(problem, cfg)
     z0 = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
     traj = run(problem, params, z0, max_iters=cfg.iters, stop_tol=cfg.stop_tol,
                override_invalid=cfg.override_invalid)
@@ -418,35 +425,47 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     kkt = _get_kkt(problem, cfg)
     norm = problem.L.norm_bound
     ratio = float(cfg.grid.get("ratio", cfg.ratio))
+    grid = [(theta, safety) for theta in cfg.grid["theta"]
+            for safety in cfg.grid["safety"]]
+    outcomes = {}  # grid index -> a summary dict or the cell's exception
+    params = {}
+    for i, (theta, safety) in enumerate(grid):
+        try:
+            p = SolverParams(*suggest_steps(theta, norm, safety, ratio), theta, norm)
+            _check_runnable(p, cfg)
+            params[i] = p
+        except ValueError as e:  # UsageError is a ValueError
+            outcomes[i] = e
+    outcomes.update(_sweep_cells(problem, params, cfg, kkt))
+
     rows = []
     worst = 0
-    for theta in cfg.grid["theta"]:
-        for safety in cfg.grid["safety"]:
-            row = {"theta": theta, "safety": safety, "ratio": ratio}
-            try:
-                tau, sigma = suggest_steps(theta, norm, safety, ratio)
-                *_, table = _certified_run(
-                    problem, SolverParams(tau, sigma, theta, norm), cfg, kkt)
-                summ = table.summarize()
-                flags = table.flags() if table.asserted else None
-                row.update({
-                    "tau": tau, "sigma": sigma, "product": table.status.product,
-                    "status": table.status.kind.value,
-                    "v_monotone": bool(np.all(flags["v_monotone"])) if flags else None,
-                    "max_descent_residual": summ["max_descent_residual"],
-                    "ergodic_gap_final": summ["final_ergodic_gap"],
-                    "all_pass": summ["all_pass"],
-                    "first_failing_k": summ["first_failing_k"],
-                    "exit_code": 0 if summ["all_pass"] in (True, None) else 1,
-                })
-            except (UsageError, ValueError) as e:
-                row.update({k: None for k in SWEEP_COLUMNS if k not in row})
-                row["status"] = "config-error"
-                row["exit_code"] = 2
-                print(f"sweep cell theta={theta} safety={safety}: {e}", file=sys.stderr)
+    for i, (theta, safety) in enumerate(grid):
+        row = {"theta": theta, "safety": safety, "ratio": ratio}
+        summ = outcomes[i]  # a summary dict or the cell's exception
+        if isinstance(summ, ValueError):
+            row.update({k: None for k in SWEEP_COLUMNS if k not in row})
+            row["status"] = "config-error"
+            row["exit_code"] = 2
+            print(f"sweep cell theta={theta} safety={safety}: {summ}", file=sys.stderr)
+        elif isinstance(summ, Exception):
+            raise summ
+        else:
+            p = params[i]
+            row.update({
+                "tau": p.tau, "sigma": p.sigma, "product": p.product,
+                "status": summ["status"],
+                "v_monotone": (summ["fail_counts"]["v_monotone"] == 0
+                               if summ["asserted"] else None),
+                "max_descent_residual": summ["max_descent_residual"],
+                "ergodic_gap_final": summ["final_ergodic_gap"],
+                "all_pass": summ["all_pass"],
+                "first_failing_k": summ["first_failing_k"],
+                "exit_code": 0 if summ["all_pass"] in (True, None) else 1,
+            })
             if row["exit_code"] == 1:
                 worst = 1
-            rows.append(row)
+        rows.append(row)
     with open(out_dir / "sweep_summary.csv", "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
@@ -455,6 +474,78 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     write_json(out_dir / "sweep_summary.json",
                {"config": cfg.to_dict(), "cells": rows})
     return worst
+
+
+@dataclass
+class _Cell:
+    """A sweep cell in flight: its point, certifier state and first failure."""
+
+    params: SolverParams
+    z: PPoint
+    carry: CertifyCarry
+    summary: RunSummary
+    n_iters: int = 0
+    error: Exception | None = None
+
+
+def _sweep_cells(problem, params: dict, cfg: ExperimentConfig, kkt) -> dict:
+    """Run the cells ``params`` (grid index -> SolverParams) as one batch.
+
+    The batch runs in segments that end at multiples of ``_CERT_BLOCK``
+    iterates. Each segment goes to each cell's certifier and is dropped,
+    so memory holds one segment per cell, never a full history. A cell
+    whose run stops leaves the batch; so does one whose run fails. A cell
+    whose certificate fails keeps running uncertified, so that its outcome
+    is what running, corrupting and certifying it alone would raise first:
+    a run failure, then a fault outside the run, then the certificate
+    failure. Returns grid index -> summary dict or exception.
+    """
+    z0 = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
+    live = {i: _Cell(p, z0, CertifyCarry(), RunSummary()) for i, p in params.items()}
+    outcomes = {}
+    fault_k = None if cfg.fault is None else int(cfg.fault["k"])
+    start = 0  # the first iterate each segment brings
+    while live:
+        end = min(start + _CERT_BLOCK, cfg.iters + 1)
+        try:
+            batch = run(problem, [c.params for c in live.values()],
+                        [c.z for c in live.values()], max_iters=end - max(start, 1),
+                        stop_tol=cfg.stop_tol, override_invalid=cfg.override_invalid)
+        except ValueError as e:  # such as iters < 1: each cell alone would raise it
+            outcomes.update(dict.fromkeys(live, e))
+            break
+        for (i, cell), seg, err in zip(list(live.items()), batch.trajectories,
+                                        batch.errors):
+            if err is not None:
+                outcomes[i] = err
+                del live[i]
+                continue
+            first = cell.n_iters  # iterate index of seg.X[0], fed already unless 0
+            cell.n_iters += seg.n_iters
+            cell.z = PPoint(seg.X[-1].copy(), seg.Y[-1].copy())
+            if fault_k is not None and start <= fault_k <= cell.n_iters:
+                seg = corrupt_trajectory(seg, fault_k - first, float(cfg.fault["delta"]))
+            if cell.error is None:
+                try:
+                    table = certify_trajectory(seg, kkt, problem, tol=cfg.tolerance,
+                                               carry=cell.carry)
+                    cell.summary.add(table)
+                except (ValueError, RuntimeError) as e:
+                    cell.error = e
+            if seg.stopped_at is None and cell.n_iters < cfg.iters:
+                continue
+            del live[i]
+            try:
+                if fault_k is not None:
+                    _check_iterate(fault_k, cell.n_iters)
+                if cell.error is not None:
+                    raise cell.error
+                outcomes[i] = cell.summary.result()
+            except (ValueError, RuntimeError) as e:
+                outcomes[i] = e
+        del batch, seg  # free this segment before the next one is run
+        start = end
+    return outcomes
 
 
 def _csv_cell(v):

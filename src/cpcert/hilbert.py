@@ -29,24 +29,30 @@ _NORM_SAFETY = 1.0 + 1e-8
 
 def as_vector(v) -> np.ndarray:
     """Coerce ``v`` to a 1-D float64 array, rejecting non-finite entries."""
-    arr = as_vector_unchecked(v)
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a vector, got array of shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector has non-finite entries")
     return arr
 
 
-def as_vector_unchecked(v) -> np.ndarray:
-    """Coerce ``v`` to a 1-D float64 array without scanning its entries.
+def as_operand(v) -> np.ndarray:
+    """Coerce ``v`` to one float64 vector (n,) or a stack of them (k, n).
 
-    For operator and prox inputs inside the solver loop, whose data were
-    validated at problem construction and whose iterates are checked for
-    finiteness once per iteration by :func:`cpcert.solver.run`.
+    Does not scan entries: for operator and prox inputs inside the solver
+    loop, whose data were validated at problem construction and whose
+    iterates are checked for finiteness once per iteration by
+    :func:`cpcert.solver.run`.
     """
     arr = np.asarray(v, dtype=float)
     if arr.ndim == 0:
         return arr.reshape(1)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a vector, got array of shape {arr.shape}")
+    if arr.ndim > 2:
+        raise ValueError(f"expected a vector or a stack of vectors, got array "
+                         f"of shape {arr.shape}")
     return arr
 
 
@@ -68,9 +74,11 @@ class PPoint:
 class LinearOperator:
     """A bounded linear map L : R^cols -> R^rows with explicit adjoint.
 
-    Subclasses implement :meth:`apply`, :meth:`apply_adjoint` and the
-    row-wise :meth:`apply_stack`. The first two check the input dimension
-    but do not scan entries for finiteness. ``norm_bound`` is a bound on
+    Subclasses implement :meth:`apply`, :meth:`apply_adjoint` and
+    :meth:`apply_stack`. The first two act on the last axis: a vector gives
+    a vector, and a stack of cells' vectors (k, n) gives each row the bits
+    of its own single-vector apply. They check the input dimension but do
+    not scan entries for finiteness. ``norm_bound`` is a bound on
     the operator norm, either supplied exactly (structured operators) or a
     power-iteration estimate (see :class:`MatrixOperator`).
     """
@@ -91,16 +99,20 @@ class LinearOperator:
         raise NotImplementedError
 
     def apply_stack(self, xs: np.ndarray) -> np.ndarray:
-        """Apply to each row of ``xs`` (shape (k, cols)) -> shape (k, rows)."""
+        """Apply to each row of ``xs`` (shape (k, cols)) -> shape (k, rows).
+
+        For a history of one run: the rounding of a row may depend on the
+        rows around it (see :class:`MatrixOperator`).
+        """
         raise NotImplementedError
 
     def _check_domain(self, x: np.ndarray):
-        if x.shape[0] != self.cols:
-            raise ValueError(f"dimension mismatch: operator expects {self.cols}, got {x.shape[0]}")
+        if x.shape[-1] != self.cols:
+            raise ValueError(f"dimension mismatch: operator expects {self.cols}, got {x.shape[-1]}")
 
     def _check_range(self, y: np.ndarray):
-        if y.shape[0] != self.rows:
-            raise ValueError(f"dimension mismatch: adjoint expects {self.rows}, got {y.shape[0]}")
+        if y.shape[-1] != self.rows:
+            raise ValueError(f"dimension mismatch: adjoint expects {self.rows}, got {y.shape[-1]}")
 
 
 class MatrixOperator(LinearOperator):
@@ -110,6 +122,11 @@ class MatrixOperator(LinearOperator):
     1 + 1e-8. That is an estimate, not a certified upper bound: power
     iteration stops on relative change, and when the top singular values
     cluster it has been measured up to 7.2e-6 (relative) below ||L||.
+
+    :meth:`apply` and :meth:`apply_adjoint` make one matrix-vector product
+    per row of a stack: a matrix-matrix product rounds each row
+    differently from the vector product, and depends on the other rows.
+    :meth:`apply_stack` is one matrix-matrix product over a history.
     """
 
     def __init__(self, matrix, norm_bound: float | None = None):
@@ -130,17 +147,25 @@ class MatrixOperator(LinearOperator):
         return self._a
 
     def apply(self, x):
-        x = as_vector_unchecked(x)
+        x = as_operand(x)
         self._check_domain(x)
-        return self._a @ x
+        return self._a @ x if x.ndim == 1 else _gemv_rows(self._a, x)
 
     def apply_adjoint(self, y):
-        y = as_vector_unchecked(y)
+        y = as_operand(y)
         self._check_range(y)
-        return self._a.T @ y
+        return self._a.T @ y if y.ndim == 1 else _gemv_rows(self._a.T, y)
 
     def apply_stack(self, xs):
         return xs @ self._a.T
+
+
+def _gemv_rows(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``a @ row`` for each row of ``xs``, one matrix-vector product each."""
+    out = np.empty((xs.shape[0], a.shape[0]))
+    for i, row in enumerate(xs):
+        out[i] = a @ row
+    return out
 
 
 class ForwardDifferenceOperator(LinearOperator):
@@ -157,16 +182,16 @@ class ForwardDifferenceOperator(LinearOperator):
         super().__init__(n - 1, n, 2.0)
 
     def apply(self, x):
-        x = as_vector_unchecked(x)
+        x = as_operand(x)
         self._check_domain(x)
-        return x[1:] - x[:-1]  # np.diff's arithmetic without its call overhead
+        return x[..., 1:] - x[..., :-1]  # np.diff's arithmetic without its call overhead
 
     def apply_adjoint(self, y):
-        y = as_vector_unchecked(y)
+        y = as_operand(y)
         self._check_range(y)
-        out = np.zeros(self.cols)
-        out[:-1] -= y
-        out[1:] += y
+        out = np.zeros(y.shape[:-1] + (self.cols,))
+        out[..., :-1] -= y
+        out[..., 1:] += y
         return out
 
     def apply_stack(self, xs):

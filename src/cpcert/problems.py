@@ -226,6 +226,17 @@ def default_tv_signal(n: int, seed: int = 0, noise: float = 0.05) -> np.ndarray:
     return signal + noise * rng.standard_normal(n)
 
 
+def is_finite_number(v) -> bool:
+    """A JSON number that is a finite float: not a bool, NaN, an infinity
+    (Python's json parses Infinity and NaN) or an int too large for a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _param(params: dict, key: str, kind, default=None):
     """``kind(params[key])`` for a JSON number (or a string, for kind str).
 
@@ -236,17 +247,26 @@ def _param(params: dict, key: str, kind, default=None):
     if kind is str:
         ok = isinstance(v, str)
     else:
-        ok = isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        ok = is_finite_number(v)
     if not ok:
         what = "a string" if kind is str else "a finite number"
         raise ValueError(f"generator parameter {key!r} must be {what}, got {v!r}")
     return kind(v)
 
 
+def _vector_param(params: dict, key: str) -> np.ndarray:
+    """``params[key]`` as a vector: it must be a JSON list of finite numbers."""
+    v = params.get(key)
+    if not (isinstance(v, list) and all(map(is_finite_number, v))):
+        raise ValueError(f"generator parameter {key!r} must be a list of finite "
+                         f"numbers, got {v!r}")
+    return np.array(v, dtype=float)
+
+
 def _build_quadratic(params: dict) -> ProblemSpec:
     if "matrix" in params:
         L = MatrixOperator(load_matrix(_param(params, "matrix", str)))
-        return make_quadratic(L, params["a"], params["b"])
+        return make_quadratic(L, _vector_param(params, "a"), _vector_param(params, "b"))
     return random_quadratic(_param(params, "rows", int), _param(params, "cols", int),
                             _param(params, "seed", int, 0))
 
@@ -255,7 +275,7 @@ def _build_lasso(params: dict) -> ProblemSpec:
     lam = _param(params, "lam", float)
     if "matrix" in params:
         A = MatrixOperator(load_matrix(_param(params, "matrix", str)))
-        return make_lasso(A, params["b"], lam)
+        return make_lasso(A, _vector_param(params, "b"), lam)
     return random_lasso(_param(params, "rows", int), _param(params, "cols", int), lam,
                         _param(params, "seed", int, 0))
 
@@ -263,7 +283,7 @@ def _build_lasso(params: dict) -> ProblemSpec:
 def _build_tv1d(params: dict) -> ProblemSpec:
     lam = _param(params, "lam", float)
     if "signal" in params:
-        p = make_tv1d(params["signal"], lam)
+        p = make_tv1d(_vector_param(params, "signal"), lam)
     else:
         sig = default_tv_signal(_param(params, "n", int), _param(params, "seed", int, 0),
                                 _param(params, "noise", float, 0.05))

@@ -5,10 +5,13 @@ allowed) with its proximal map ``prox(x, gamma) = argmin_z f(z) +
 ||x - z||^2 / (2 gamma)``. Conjugate proxes are derived through the Moreau
 identity so problems can be stated in terms of g rather than g*.
 
-Value maps are row-wise: a vector of shape (n,) gives a float and a stack
-of shape (k, n) gives one value per row, shape (k,). Prox maps check their
-step size and input shape but do not scan entries for finiteness; the
-solver loop does that once per iteration.
+Value maps and prox maps are row-wise: a vector of shape (n,) gives a
+float (a vector, for a prox) and a stack of shape (k, n) gives one value
+(one row) per row. A prox of a stack takes a step column of shape (k, 1),
+one step per row, and computes each row with the arithmetic of its own
+single-vector prox. Prox maps check their step size and input shape but do
+not scan entries for finiteness; the solver loop does that once per
+iteration.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hilbert import as_vector, as_vector_unchecked
+from .hilbert import as_operand, as_vector
 
 __all__ = [
     "ProxFn",
@@ -38,7 +41,9 @@ class ProxFn:
     ``evaluate`` returns the extended-real function value (math.inf for
     points outside the domain) and is row-wise: a float for a vector of
     shape (n,), an array of shape (k,) for a stack of shape (k, n).
-    ``prox`` must be pure and its output must always have finite value.
+    ``prox`` must be pure and its output must always have finite value; it
+    is called with a vector and a float step, or with a stack of rows and
+    a column of steps.
     """
 
     evaluate: Callable[[np.ndarray], float | np.ndarray]
@@ -50,37 +55,39 @@ def rowwise(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def _check_step(gamma: float):
-    if not gamma > 0:
+def _check_step(gamma):
+    """A step is a positive float, or a column of them for a stack."""
+    ok = (gamma > 0).all() if isinstance(gamma, np.ndarray) else gamma > 0
+    if not ok:
         raise ValueError(f"prox step must be positive, got {gamma}")
 
 
-def prox_l1(x, gamma: float, lam: float) -> np.ndarray:
+def prox_l1(x, gamma, lam: float) -> np.ndarray:
     """Soft-thresholding: componentwise shrink towards 0 by gamma*lam."""
     _check_step(gamma)
     if lam < 0:
         raise ValueError("l1 weight must be nonnegative")
-    x = as_vector_unchecked(x)
+    x = as_operand(x)
     return np.sign(x) * np.maximum(np.abs(x) - gamma * lam, 0.0)
 
 
-def prox_quadratic(x, gamma: float, a) -> np.ndarray:
+def prox_quadratic(x, gamma, a) -> np.ndarray:
     """Prox of 0.5*||. - a||^2, i.e. (x + gamma*a) / (1 + gamma)."""
     _check_step(gamma)
-    x = as_vector_unchecked(x)
-    a = as_vector_unchecked(a)
-    if x.shape != a.shape:
-        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {a.shape[0]}")
+    x = as_operand(x)
+    a = as_operand(a)
+    if x.shape[-1] != a.shape[-1]:
+        raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {a.shape[-1]}")
     return (x + gamma * a) / (1.0 + gamma)
 
 
-def prox_conjugate(g: ProxFn, y, sigma: float) -> np.ndarray:
+def prox_conjugate(g: ProxFn, y, sigma) -> np.ndarray:
     """Prox of the convex conjugate via the Moreau identity:
 
     prox_{sigma g*}(y) = y - sigma * prox_{g/sigma}(y / sigma).
     """
     _check_step(sigma)
-    y = as_vector_unchecked(y)
+    y = as_operand(y)
     return y - sigma * g.prox(y / sigma, 1.0 / sigma)
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "SolverParams",
     "ParamStatus",
     "Trajectory",
+    "RunBatch",
     "bound_rhs",
     "running_averages",
     "validate_params",
@@ -163,9 +164,13 @@ def suggest_steps(theta: float, operator_norm: float, safety: float = 0.99,
 def _advance(x, y, problem, tau, sigma, theta):
     """One update on raw arrays: returns (x_new, y_new, finite).
 
-    ``finite`` is one finiteness pass over both prox arguments and both new
-    iterates; a prox such as a projection can map a non-finite argument
-    to a finite point, so checking the iterates alone would hide overflow.
+    ``x`` and ``y`` are one point's vectors with float step sizes, or the
+    rows of a batch of cells, (B, n) and (B, m), with step columns of shape
+    (B, 1). Operators and proxes act on the last axis, so each row gets the
+    bits of its own single-cell update. ``finite`` is one flag per cell
+    from a finiteness pass over both prox arguments and both new iterates;
+    a prox such as a projection can map a non-finite argument to a finite
+    point, so checking the iterates alone would hide overflow.
     """
     L = problem.L
     x_arg = x - tau * L.apply_adjoint(y)
@@ -173,7 +178,7 @@ def _advance(x, y, problem, tau, sigma, theta):
     x_bar = x_new + theta * (x_new - x)
     y_arg = y + sigma * L.apply(x_bar)
     y_new = problem.gstar.prox(y_arg, sigma)
-    finite = bool(np.isfinite(np.concatenate((x_arg, y_arg, x_new, y_new))).all())
+    finite = np.isfinite(np.concatenate((x_arg, y_arg, x_new, y_new), axis=-1)).all(axis=-1)
     return x_new, y_new, finite
 
 
@@ -190,21 +195,30 @@ def step(z: PPoint, problem, params: SolverParams) -> PPoint:
     return PPoint(x_new, y_new)
 
 
+def continued_cumsum(A: np.ndarray, prefix=None) -> np.ndarray:
+    """Cumulative sums of the rows of ``A``, continuing a carried sum.
+
+    Row j is prefix + A[0] + ... + A[j] (``prefix`` None for a fresh
+    start). Sums run left to right, so consecutive blocks that each pass on
+    the last row give bitwise the sums of one unsplit call. A fresh start
+    adds no zero row: 0.0 + (-0.0) would lose a signed zero.
+    """
+    if prefix is None:
+        return np.cumsum(A, axis=0)
+    return np.cumsum(np.concatenate((np.asarray(prefix)[None], A)), axis=0)[1:]
+
+
 def running_averages(A: np.ndarray, prefix: np.ndarray | None = None,
                      count: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Running means of the rows of ``A``, continuing a carried prefix sum.
 
     Row j of the means is (prefix + A[0] + ... + A[j]) / (count + j + 1),
     where ``prefix`` is the sum of the ``count`` rows that precede ``A``
-    (None for a fresh start). Returns (means, sum through the last row).
-    Sums run left to right, so consecutive blocks that each pass on the
-    returned sum give bitwise the means of one unsplit call. A fresh start
-    adds no zero row: 0.0 + (-0.0) would lose a signed zero.
+    (None for a fresh start). Returns (means, sum through the last row);
+    consecutive blocks that each pass on the returned sum give bitwise the
+    means of one unsplit call (see :func:`continued_cumsum`).
     """
-    if prefix is None:
-        sums = np.cumsum(A, axis=0)
-    else:
-        sums = np.cumsum(np.concatenate((prefix[None], A)), axis=0)[1:]
+    sums = continued_cumsum(A, prefix)
     total = sums[-1].copy()
     sums /= np.arange(count + 1, count + sums.shape[0] + 1)[:, None]
     return sums, total
@@ -237,19 +251,36 @@ class Trajectory:
         return PPoint(self.X[-1], self.Y[-1])
 
 
-def run(problem, params: SolverParams, z0: PPoint, max_iters: int,
+@dataclass(frozen=True)
+class RunBatch:
+    """Iterate logs of cells that :func:`run` advanced together.
+
+    ``trajectories[i]`` is cell i's Trajectory, exactly as a run of that
+    cell alone returns it, or None when the cell failed; ``errors[i]`` is
+    then the NonFiniteIterateError that run would raise. ``n_iters`` is the
+    number of steps the batch took: that of its longest-running cell.
+    """
+
+    trajectories: tuple
+    errors: tuple
+    n_iters: int
+
+
+def run(problem, params, z0, max_iters: int,
         stop_tol: float | None = 1e-10, stop=None,
-        override_invalid: bool = False) -> Trajectory:
+        override_invalid: bool = False):
     """Run the iteration from z0 for up to ``max_iters`` steps.
 
     Parameters
     ----------
     problem : object
         Provides ``f``, ``gstar`` (ProxFn) and ``L`` (LinearOperator).
-    params : SolverParams
-        Must not classify Invalid unless ``override_invalid`` is set.
-    z0 : PPoint
-        Initial point.
+    params : SolverParams or sequence of SolverParams
+        Must not classify Invalid unless ``override_invalid`` is set. A
+        sequence runs a batch of cells, one per entry, advanced together as
+        the rows of (B, n) and (B, m) stacks.
+    z0 : PPoint or sequence of PPoint
+        Initial point; for a batch, one per cell.
     max_iters : int
         Iteration cap; the trajectory then holds iterates 0..K with K <=
         max_iters.
@@ -263,6 +294,13 @@ def run(problem, params: SolverParams, z0: PPoint, max_iters: int,
         Permit Invalid parameters (boundary-exploration experiments);
         downstream certificates then report observational results only.
 
+    Returns
+    -------
+    Trajectory, or for a batch a :class:`RunBatch`
+        A cell's arithmetic never depends on the other cells: each cell's
+        trajectory is bitwise that of its run alone. A cell leaves the
+        batch when it stops or fails; the others keep running.
+
     Raises
     ------
     ValueError
@@ -270,50 +308,99 @@ def run(problem, params: SolverParams, z0: PPoint, max_iters: int,
         a non-finite z0.
     NonFiniteIterateError
         A prox argument or an iterate is non-finite (named by iteration
-        index). Parameters, dimensions and z0 are validated once, before the
-        loop; each iteration then makes one finiteness pass.
+        index); a batch reports it per cell instead. Parameters,
+        dimensions and z0 are validated once, before the loop; each
+        iteration then makes one finiteness pass.
     """
-    status = validate_params(params)
-    if status.kind is Validity.INVALID and not override_invalid:
-        raise ValueError(f"solver parameters are Invalid ({status}); "
-                         "pass override_invalid=True to run anyway")
+    batch = not isinstance(params, SolverParams)
+    cells = tuple(params) if batch else (params,)
+    starts = tuple(z0) if batch else (z0,)
+    if not cells or len(starts) != len(cells):
+        raise ValueError(f"a batch needs one start point per cell, got "
+                         f"{len(starts)} for {len(cells)} cells")
+    for p in cells:
+        status = validate_params(p)
+        if status.kind is Validity.INVALID and not override_invalid:
+            raise ValueError(f"solver parameters are Invalid ({status}); "
+                             "pass override_invalid=True to run anyway")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     L = problem.L
     n, m = L.cols, L.rows
-    x, y = as_vector(z0.x), as_vector(z0.y)
-    if x.shape[0] != n or y.shape[0] != m:
-        raise ValueError(f"z0 dims ({x.shape[0]}, {y.shape[0]}) do not match "
-                         f"problem dims ({n}, {m})")
-    tau, sigma, theta = params.tau, params.sigma, params.theta
+    xs, ys = [], []
+    for z in starts:
+        x, y = as_vector(z.x), as_vector(z.y)
+        if x.shape[0] != n or y.shape[0] != m:
+            raise ValueError(f"z0 dims ({x.shape[0]}, {y.shape[0]}) do not match "
+                             f"problem dims ({n}, {m})")
+        xs.append(x)
+        ys.append(y)
+    if batch:
+        x, y = np.stack(xs), np.stack(ys)
+        tau, sigma, theta = (np.array([[getattr(p, name)] for p in cells])
+                             for name in ("tau", "sigma", "theta"))
+    else:
+        x, y = xs[0], ys[0]
+        tau, sigma, theta = params.tau, params.sigma, params.theta
+    # a lone cell keeps plain vectors and float steps; rows() shows it as a
+    # one-row stack for the bookkeeping
+    rows = (lambda a: a) if batch else (lambda a: a[None])
 
-    X = np.empty((max_iters + 1, n))
-    Y = np.empty((max_iters + 1, m))
-    X[0], Y[0] = x, y
-    stopped_at = None
-    k_final = max_iters
+    B = len(cells)
+    X = np.empty((B, max_iters + 1, n))
+    Y = np.empty((B, max_iters + 1, m))
+    X[:, 0], Y[:, 0] = rows(x), rows(y)
+    live = np.arange(B)  # the cell of each stack row
+    at = slice(None) if batch else 0  # where the rows go in X[:, k]
+    ends = [max_iters] * B
+    stopped = [None] * B
+    errors = [None] * B
     for k in range(1, max_iters + 1):
         try:
             x_new, y_new, finite = _advance(x, y, problem, tau, sigma, theta)
+            why = ""
         except ValueError as e:
-            raise NonFiniteIterateError(
-                f"non-finite iterate produced at iteration {k}: {e}") from None
-        if not finite:
-            raise NonFiniteIterateError(f"non-finite iterate produced at iteration {k}")
-        X[k], Y[k] = x_new, y_new
-        if stop is not None:
-            fire = stop(k, PPoint(x, y), PPoint(x_new, y_new))
-        elif stop_tol is not None:
-            res = max(
-                float(np.linalg.norm(x_new - x)) / tau,
-                float(np.linalg.norm(y_new - y)) / sigma,
-            )
-            fire = res <= stop_tol
-        else:
-            fire = False
+            x_new, y_new, finite = x, y, np.zeros(live.size, dtype=bool)
+            why = f": {e}"
+        X[at, k], Y[at, k] = x_new, y_new
+        leave = []  # stack rows whose cell fails or stops at k
+        if not (finite.all() if batch else finite):
+            leave = np.flatnonzero(~np.atleast_1d(finite)).tolist()
+            for i in leave:
+                errors[live[i]] = NonFiniteIterateError(
+                    f"non-finite iterate produced at iteration {k}{why}")
+        if stop is not None or stop_tol is not None:
+            if stop is None:
+                dx, dy = rows(x_new - x), rows(y_new - y)
+            else:
+                xo, yo, xn, yn = rows(x), rows(y), rows(x_new), rows(y_new)
+            for i, cell in enumerate(live.tolist()):
+                if i in leave:
+                    continue
+                if stop is not None:
+                    fire = stop(k, PPoint(xo[i], yo[i]), PPoint(xn[i], yn[i]))
+                else:
+                    # np.linalg.norm of a vector is sqrt(v.dot(v))
+                    fire = max(math.sqrt(dx[i].dot(dx[i])) / cells[cell].tau,
+                               math.sqrt(dy[i].dot(dy[i])) / cells[cell].sigma) <= stop_tol
+                if fire:
+                    stopped[cell] = ends[cell] = k
+                    leave.append(i)
         x, y = x_new, y_new
-        if fire:
-            stopped_at = k
-            k_final = k
-            break
-    return Trajectory(params, X[: k_final + 1], Y[: k_final + 1], k_final, stopped_at)
+        if leave:
+            keep = np.ones(live.size, dtype=bool)
+            keep[leave] = False
+            live = at = live[keep]
+            if not live.size:
+                break
+            x, y, tau, sigma, theta = (a[keep] for a in (x, y, tau, sigma, theta))
+
+    trajectories = tuple(
+        None if errors[i] else
+        Trajectory(cells[i], X[i, : ends[i] + 1], Y[i, : ends[i] + 1], ends[i], stopped[i])
+        for i in range(B))
+    if batch:
+        return RunBatch(trajectories, tuple(errors), k)
+    if errors[0]:
+        raise errors[0]
+    return trajectories[0]

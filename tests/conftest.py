@@ -30,13 +30,22 @@ def tv_problem():
     return problem, kkt
 
 
-def certified_run(problem, kkt, theta, safety, iters=RUN_ITERS, tol=1e-9):
+def grid_params(problem, theta, safety):
     tau, sigma = c.suggest_steps(theta, problem.L.norm_bound, safety, 1.0)
-    params = c.SolverParams(tau, sigma, theta, problem.L.norm_bound)
+    return c.SolverParams(tau, sigma, theta, problem.L.norm_bound)
+
+
+def certified_runs(problem, kkt, cells, iters=RUN_ITERS, tol=1e-9):
+    """Certified runs of ``cells`` ((theta, safety) pairs) from one batched run.
+
+    Each cell's trajectory is bitwise that of its run alone.
+    """
+    params = [grid_params(problem, theta, safety) for theta, safety in cells]
     z0 = c.PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
-    traj = c.run(problem, params, z0, max_iters=iters, stop_tol=None)
-    table = c.certify_trajectory(traj, kkt, problem, tol=tol)
-    return params, traj, table
+    batch = c.run(problem, params, [z0] * len(params), max_iters=iters, stop_tol=None)
+    assert not any(batch.errors)
+    return [(p, traj, c.certify_trajectory(traj, kkt, problem, tol=tol))
+            for p, traj in zip(params, batch.trajectories)]
 
 
 def grid_cases(quad_problems, tv_problem):
@@ -50,11 +59,10 @@ def certified_grid(quad_problems, tv_problem):
     """All acceptance runs keyed by (problem label, theta, safety)."""
     t0 = time.perf_counter()
     runs = {}
+    cells = [(theta, safety) for theta in THETAS for safety in SAFETIES]
     for label, problem, kkt in grid_cases(quad_problems, tv_problem):
-        for theta in THETAS:
-            for safety in SAFETIES:
-                params, traj, table = certified_run(problem, kkt, theta, safety)
-                runs[(label, theta, safety)] = (problem, kkt, params, traj, table)
+        for cell, result in zip(cells, certified_runs(problem, kkt, cells)):
+            runs[(label, *cell)] = (problem, kkt, *result)
     FIXTURE_SECONDS["certified_grid"] = time.perf_counter() - t0
     return runs
 
@@ -64,9 +72,9 @@ def boundary_grid(quad_problems, tv_problem):
     """Boundary runs (safety = 1.0, ErgodicOnly) for every problem and theta."""
     t0 = time.perf_counter()
     runs = {}
+    cells = [(theta, 1.0) for theta in THETAS]
     for label, problem, kkt in grid_cases(quad_problems, tv_problem):
-        for theta in THETAS:
-            params, traj, table = certified_run(problem, kkt, theta, 1.0)
-            runs[(label, theta)] = (problem, kkt, params, traj, table)
+        for (theta, _), result in zip(cells, certified_runs(problem, kkt, cells)):
+            runs[(label, theta)] = (problem, kkt, *result)
     FIXTURE_SECONDS["boundary_grid"] = time.perf_counter() - t0
     return runs

@@ -22,7 +22,7 @@ from cpcert.solver import (SolverParams, Validity, bound_rhs, suggest_steps,
                            validate_params)
 
 import conftest
-from conftest import SAFETIES, THETAS, certified_run
+from conftest import SAFETIES, THETAS
 from oracles import (check_prox_inclusion, denominator_identity_residual,
                      jacobi_spectral_norm)
 from test_prox import shipped_functions

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,8 +7,8 @@ import pytest
 
 import cpcert as c
 from cpcert import certificates
-from cpcert.certificates import (certify_trajectory, eta_coefficients,
-                                 kkt_residual, make_kkt)
+from cpcert.certificates import (CertifyCarry, RunSummary, certify_trajectory,
+                                 eta_coefficients, kkt_residual, make_kkt)
 from cpcert.harness import corrupt_trajectory
 from cpcert.solver import SolverParams, running_averages, suggest_steps
 
@@ -390,3 +391,92 @@ def test_certify_memory_is_bounded_by_history():
         finally:
             tracemalloc.stop()
         assert peak <= 2 * history, (problem.name, peak / history)
+
+
+# --- certifying a run segment by segment ------------------------------------
+
+TABLE_COLUMNS = ("ks", "lyapunov", "gap", "ergodic_gap", "descent_residual",
+                 "lower_bound_residual", "dist_to_star", "sum_gap")
+
+
+def run_segments(problem, params, iters):
+    """The run as the sweep makes it: segments ending at multiples of _CERT_BLOCK."""
+    z = c.PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
+    start = 0
+    while start <= iters:
+        end = min(start + certificates._CERT_BLOCK, iters + 1)
+        seg = c.run(problem, params, z, end - max(start, 1), stop_tol=None)
+        yield start, seg
+        z, start = seg.final, end
+
+
+def segment_problems(tv_problem):
+    quad = c.random_quadratic(12, 10, seed=7)
+    lasso = c.random_lasso(30, 20, 0.2, seed=3)
+    norm = lasso.L.norm_bound
+    lasso_kkt = c.kkt_by_long_run(lasso, SolverParams(*suggest_steps(1.0, norm, 0.9),
+                                                      theta=1.0, operator_norm=norm), 20000)
+    return [(quad, quad.kkt), tv_problem, (lasso, lasso_kkt)]
+
+
+@pytest.mark.parametrize("theta", [0.1, 1.0])
+def test_segments_certify_bitwise_as_whole_history(theta, tv_problem):
+    for problem, kkt in segment_problems(tv_problem):
+        norm = problem.L.norm_bound
+        params = SolverParams(*suggest_steps(theta, norm, 0.9), theta=theta,
+                              operator_norm=norm)
+        clean = origin_run(problem, params, 700)
+        segments = list(run_segments(problem, params, 700))
+        for fault_k in (None, 255, 256, 257):
+            carry, summary, tables = CertifyCarry(), RunSummary(), []
+            for start, seg in segments:
+                if fault_k is not None and start <= fault_k <= start + seg.n_iters:
+                    seg = corrupt_trajectory(seg, fault_k - max(start - 1, 0), 1.0)
+                table = certify_trajectory(seg, kkt, problem, carry=carry)
+                summary.add(table)
+                tables.append(table)
+            whole = clean if fault_k is None else corrupt_trajectory(clean, fault_k, 1.0)
+            want = certify_trajectory(whole, kkt, problem)
+            assert len(tables) == 3
+            for table in tables:
+                assert table.v0 == want.v0
+            for name in TABLE_COLUMNS:
+                got = np.concatenate([getattr(t, name) for t in tables])
+                assert np.array_equal(got, getattr(want, name), equal_nan=True), \
+                    (problem.name, fault_k, name)
+            assert summary.result() == want.summarize(), (problem.name, fault_k)
+            assert (want.summarize()["first_failing_k"] is None) == (fault_k is None)
+
+
+def test_segment_boundary_checks_v_monotone():
+    # V rises only from the last row of one segment to the first of the next
+    problem = c.random_quadratic(12, 10, seed=7)
+    params = SolverParams(*suggest_steps(0.5, problem.L.norm_bound, 0.9), theta=0.5,
+                          operator_norm=problem.L.norm_bound)
+    (_, first), (_, second) = run_segments(problem, params, 400)
+    carry, summary = CertifyCarry(), RunSummary()
+    a = certify_trajectory(first, problem.kkt, problem, carry=carry)
+    b = certify_trajectory(second, problem.kkt, problem, carry=carry)
+    summary.add(a)
+    summary.add(dataclasses.replace(b, lyapunov=b.lyapunov + 10 * (1.0 + abs(a.v0))))
+    result = summary.result()
+    assert result["fail_counts"]["v_monotone"] == 1
+    assert result["first_failing_k"] == a.ks[-1] == 253
+
+
+def test_continued_segment_must_be_block_aligned():
+    problem, params, traj = medium_run(iters=300)
+    carry = CertifyCarry()
+    certify_trajectory(c.run(problem, params, c.PPoint(np.zeros(6), np.zeros(8)), 99,
+                             stop_tol=None), problem.kkt, problem, carry=carry)
+    with pytest.raises(ValueError, match="multiple of"):
+        certify_trajectory(traj, problem.kkt, problem, carry=carry)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9])
+def test_certify_rejects_nonfinite_or_negative_tol(tol):
+    # an infinite tolerance turned every allowance into inf and passed anything
+    problem, params, traj = medium_run(iters=50)
+    bad = corrupt_trajectory(traj, 20, 1e3)
+    with pytest.raises(ValueError, match="tolerance"):
+        certify_trajectory(bad, problem.kkt, problem, tol=tol)

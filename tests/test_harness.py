@@ -1,8 +1,10 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -402,3 +404,165 @@ def test_solve_rejects_invalid_params_before_oracle(tmp_path, capsys):
                        tau=10.0, sigma=10.0)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "Invalid" in capsys.readouterr().err
+
+
+# --- the batched sweep -------------------------------------------------------
+
+TV_SMALL = {"generator": "tv1d", "params": {"n": 30, "seed": 1, "lam": 0.5}}
+
+
+@pytest.mark.parametrize("extra", [
+    {},
+    {"fault": {"k": 300, "delta": 1.0}},
+    {"stop_tol": 1e-7},
+])
+def test_sweep_row_equals_standalone_solve(tmp_path, extra):
+    cfg = write_config(tmp_path / "cfg.json", problem=TV_SMALL, iters=600,
+                       grid={"theta": [0.25, 1.0], "safety": [0.9, 1.0]}, **extra)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+    cells = json.loads((out / "sweep_summary.json").read_text())["cells"]
+    assert code == (1 if "fault" in extra else 0)
+    for cell in cells:
+        solo = tmp_path / f"solve-{cell['theta']}-{cell['safety']}"
+        solo_code = main(["solve", "--config", str(cfg), "--out", str(solo),
+                          "--theta", str(cell["theta"]), "--safety", str(cell["safety"])])
+        summary = json.loads((solo / "summary.json").read_text())
+        cert, params = summary["certificates"], summary["params"]
+        assert cell["exit_code"] == solo_code
+        assert [cell[k] for k in ("tau", "sigma", "product", "status")] == \
+            [params[k] for k in ("tau", "sigma", "product", "status")]
+        assert cell["max_descent_residual"] == cert["max_descent_residual"]
+        assert cell["ergodic_gap_final"] == cert["final_ergodic_gap"]
+        assert cell["all_pass"] == cert["all_pass"]
+        assert cell["first_failing_k"] == cert["first_failing_k"]
+        assert cell["v_monotone"] == (cert["fail_counts"]["v_monotone"] == 0)
+    if "stop_tol" in extra:
+        stops = {json.loads((tmp_path / f"solve-{c['theta']}-{c['safety']}"
+                             / "summary.json").read_text())["stopped_at"] for c in cells}
+        assert len(stops) > 1 and None not in stops
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("thetas, code, message", [
+    ([0.5, 0.25], 3, "non-finite iterate produced at iteration 1"),
+    ([0.25, 0.5], 1, "non-finite Lyapunov value"),
+])
+def test_sweep_first_failing_cell_in_grid_order_sets_exit(tmp_path, capsys, monkeypatch,
+                                                          thetas, code, message):
+    # the theta = 0.5 cell's run turns non-finite (exit 3); the huge fault
+    # makes every other cell's Lyapunov value non-finite (exit 1)
+    import cpcert.harness as harness
+
+    build = harness.problem_from_config
+    norm = 2.0  # the forward-difference bound
+    bad_tau, _ = c.suggest_steps(0.5, norm, 0.9)
+
+    def sabotaged(pc):
+        problem = build(pc)
+        prox = problem.f.prox
+
+        def f_prox(x, gamma):
+            return np.where(np.asarray(gamma) == bad_tau, np.nan, prox(x, gamma))
+
+        return c.ProblemSpec(problem.name, c.ProxFn(problem.f.evaluate, f_prox),
+                             problem.gstar, problem.L, problem.kkt, problem.metadata)
+
+    monkeypatch.setattr(harness, "problem_from_config", sabotaged)
+    cfg = write_config(tmp_path / "cfg.json", problem=TV_SMALL, iters=300,
+                       fault={"k": 280, "delta": 1e200},
+                       grid={"theta": thetas, "safety": [0.9]})
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "sweep_summary.json").exists()
+
+
+def test_sweep_memory_is_one_segment_per_cell(tmp_path):
+    # a sweep that kept each cell's history would need twice the memory at
+    # twice the iterations
+    peaks = {}
+    for iters in (2000, 4000):
+        cfg = write_config(tmp_path / f"cfg{iters}.json",
+                           problem={"generator": "tv1d",
+                                    "params": {"n": 50, "seed": 0, "lam": 0.5}},
+                           iters=iters, oracle_iters=20000,
+                           grid={"theta": [0.5, 1.0], "safety": [0.9]})
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--config", str(cfg), "--out",
+                         str(tmp_path / f"out{iters}")]) == 0
+            peaks[iters] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4000] <= 1.2 * peaks[2000], peaks
+
+
+def test_bench_child_hooks_see_the_sweep(tmp_path):
+    # bench/child.py wraps cpcert.harness.run and certify_trajectory by name
+    root = Path(__file__).resolve().parents[1]
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "child.py"), str(report), "trace", "--",
+         "sweep", "--config", str(root / "configs" / "tv_sweep.json"),
+         "--out", str(tmp_path / "out")],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(report.read_text())
+    assert data["t_first_run"] is not None
+    names = {span["name"] for span in data["spans"]}
+    assert {"solver.run", "certificates.certify_trajectory"} <= names
+    notes = data["notes"]
+    assert sum(notes["cert_rows"]) == 15 * 1999
+    assert all(isinstance(n, int) and n > 0 for n in notes["run_iters"])
+
+
+# --- non-finite numbers and wrong-typed vectors in configs ---------------------
+
+@pytest.mark.parametrize("overrides", [
+    {"tolerance": math.inf},
+    {"tolerance": math.nan},
+    {"fault": {"k": 20, "delta": math.inf}},
+    {"theta": math.nan},
+    {"stop_tol": -math.inf},
+])
+def test_solve_rejects_nonfinite_config_numbers(tmp_path, capsys, overrides):
+    # an infinite tolerance made every allowance inf and passed a corrupted run
+    cfg = write_config(tmp_path / "cfg.json", **{"fault": {"k": 20, "delta": 1e3},
+                                                 **overrides})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [
+    {"theta": [0.5, math.nan], "safety": [0.9]},
+    {"theta": [0.5], "safety": [math.inf]},
+    {"theta": [0.5], "safety": [0.9], "ratio": math.inf},
+])
+def test_sweep_rejects_nonfinite_grid_numbers(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path / "cfg.json", grid=grid)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_cli_rejects_nonfinite_overrides(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--theta", "inf"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem", [
+    {"generator": "tv1d", "params": {"signal": {"a": 1}, "lam": 0.5}},
+    {"generator": "tv1d", "params": {"signal": "0 1 2", "lam": 0.5}},
+    {"generator": "tv1d", "params": {"signal": [[1.0, 2.0]], "lam": 0.5}},
+    {"generator": "quadratic", "params": {"matrix": "m.txt", "a": [1.0, None], "b": [1.0]}},
+    {"generator": "lasso", "params": {"matrix": "m.txt", "b": {"x": 1.0}, "lam": 0.1}},
+])
+def test_vector_generator_param_of_wrong_type_exits_2(tmp_path, capsys, monkeypatch,
+                                                      problem):
+    (tmp_path / "m.txt").write_text("1 2\n1.0 2.0\n")
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "cfg.json", problem=problem)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "must be a list of finite numbers" in capsys.readouterr().err

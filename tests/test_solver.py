@@ -322,3 +322,101 @@ def test_run_matches_checked_reference_bitwise(theta):
         stepped = step(z, problem, params)
         assert np.array_equal(stepped.x, traj.X[151])
         assert np.array_equal(stepped.y, traj.Y[151])
+
+
+# --- batched runs ----------------------------------------------------------
+
+def batch_problems():
+    lasso = c.random_lasso(30, 20, 0.2, seed=3)
+    return {
+        "tv1d": c.make_tv1d(c.default_tv_signal(50, seed=0), lam=0.5),
+        "quadratic": c.random_quadratic(12, 10, seed=7),
+        "lasso": lasso,
+    }
+
+
+def batch_cells(problem, thetas=(0.1, 0.5, 1.0), safeties=(0.5, 0.9, 0.99)):
+    norm = problem.L.norm_bound
+    return [SolverParams(*suggest_steps(theta, norm, safety), theta=theta,
+                         operator_norm=norm)
+            for theta in thetas for safety in safeties]
+
+
+def origin(problem):
+    return c.PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
+
+
+def assert_same_run(got, want):
+    assert got.params == want.params
+    assert (got.n_iters, got.stopped_at) == (want.n_iters, want.stopped_at)
+    assert np.array_equal(got.X, want.X) and np.array_equal(got.Y, want.Y)
+
+
+@pytest.mark.parametrize("name", ["tv1d", "quadratic", "lasso"])
+def test_batched_run_matches_single_runs_bitwise(name):
+    problem = batch_problems()[name]
+    cells = batch_cells(problem)
+    z0 = origin(problem)
+    batch = run(problem, cells, [z0] * len(cells), max_iters=300, stop_tol=None)
+    assert batch.n_iters == 300 and not any(batch.errors)
+    for params, traj in zip(cells, batch.trajectories):
+        assert_same_run(traj, run(problem, params, z0, max_iters=300, stop_tol=None))
+
+
+@pytest.mark.parametrize("name", ["tv1d", "quadratic", "lasso"])
+def test_batched_run_stops_each_cell_as_alone(name):
+    problem = batch_problems()[name]
+    cells = batch_cells(problem)
+    z0 = origin(problem)
+    batch = run(problem, cells, [z0] * len(cells), max_iters=1000, stop_tol=1e-6)
+    stops = [traj.stopped_at for traj in batch.trajectories]
+    assert len(set(stops)) > 3 and None not in stops  # cells leave at different k
+    assert batch.n_iters == max(stops)
+    for params, traj in zip(cells, batch.trajectories):
+        assert_same_run(traj, run(problem, params, z0, max_iters=1000, stop_tol=1e-6))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_batched_run_isolates_a_diverging_cell():
+    problem = batch_problems()["quadratic"]
+    norm = problem.L.norm_bound
+    cells = batch_cells(problem, thetas=(0.5,))
+    cells.insert(1, SolverParams(1e3, 1e3, 0.5, norm))  # Invalid
+    z0 = origin(problem)
+    batch = run(problem, cells, [z0] * len(cells), max_iters=200, stop_tol=None,
+                override_invalid=True)
+    with pytest.raises(c.NonFiniteIterateError) as alone:
+        run(problem, cells[1], z0, max_iters=200, stop_tol=None, override_invalid=True)
+    assert batch.trajectories[1] is None
+    assert str(batch.errors[1]) == str(alone.value)
+    for i in (0, 2, 3):
+        assert batch.errors[i] is None
+        assert_same_run(batch.trajectories[i],
+                        run(problem, cells[i], z0, max_iters=200, stop_tol=None))
+
+
+def test_batched_run_checks_its_cells():
+    problem = one_d_problem()
+    good = SolverParams(0.5, 0.5, 1.0, 1.0)
+    z0 = c.PPoint([0.0], [0.0])
+    with pytest.raises(ValueError, match="one start point per cell"):
+        run(problem, [good, good], [z0], max_iters=5)
+    with pytest.raises(ValueError, match="Invalid"):
+        run(problem, [good, SolverParams(2.0, 2.0, 1.0, 1.0)], [z0, z0], max_iters=5)
+    batch = run(problem, [good], [z0], max_iters=5, stop=lambda k, zp, zn: k == 3)
+    assert batch.trajectories[0].stopped_at == 3 and batch.n_iters == 3
+
+
+def test_batched_run_continues_in_segments():
+    # a run continued from its last point repeats the steps of one long run
+    problem = batch_problems()["tv1d"]
+    cells = batch_cells(problem, thetas=(0.25, 1.0), safeties=(0.9,))
+    z0 = origin(problem)
+    whole = run(problem, cells, [z0] * 2, max_iters=300, stop_tol=None)
+    first = run(problem, cells, [z0] * 2, max_iters=120, stop_tol=None)
+    rest = run(problem, cells, [t.final for t in first.trajectories], max_iters=180,
+               stop_tol=None)
+    for w, a, b in zip(whole.trajectories, first.trajectories, rest.trajectories):
+        assert np.array_equal(w.X, np.concatenate((a.X, b.X[1:])))
+        assert np.array_equal(w.Y, np.concatenate((a.Y, b.Y[1:])))
