@@ -311,10 +311,10 @@ def certify_trajectory(traj: Trajectory, kkt: KKTPoint, problem,
     exactly once. The table is then bitwise that of one call on the whole
     history, except that a dense ``apply_stack`` (a matrix-matrix product)
     may round some rows differently on segments than on the whole history.
-    Row sums and per-row dot products do not depend on the split. Without
-    a carry the whole history is one chunk. The per-window scalar
-    definitions of the same values live in the test suite's reference
-    oracles (``tests/oracles.py``).
+    Row sums and per-row dot products do not depend on the split. No
+    ``carry`` means a fresh one: the history is one chunk. The per-window
+    scalar definitions of the same values live in the test suite's
+    reference oracles (``tests/oracles.py``).
 
     Raises ValueError for a negative or non-finite ``tol``, for fewer than
     2 iterations, if a value map does not return one value per row, and
@@ -323,13 +323,12 @@ def certify_trajectory(traj: Trajectory, kkt: KKTPoint, problem,
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"certificate tolerance must be finite and nonnegative, got {tol}")
     if carry is None:
-        carry, X, Y = CertifyCarry(), traj.X, traj.Y
-    elif carry.iterates % _CERT_BLOCK:
+        carry = CertifyCarry()
+    if carry.iterates % _CERT_BLOCK:
         raise ValueError(f"a continued segment must start at a multiple of "
                          f"{_CERT_BLOCK} iterates, not at iterate {carry.iterates}")
-    else:
-        new = slice(1 if carry.iterates else 0, None)
-        X, Y = traj.X[new], traj.Y[new]
+    new = slice(1 if carry.iterates else 0, None)
+    X, Y = traj.X[new], traj.Y[new]
     # Diverging observational runs may overflow to inf/NaN; report those
     # values as-is instead of warning. Asserted runs raise on non-finite V.
     with np.errstate(over="ignore", invalid="ignore"):

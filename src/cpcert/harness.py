@@ -24,13 +24,13 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .certificates import (_CERT_BLOCK, CertificateTable, CertifyCarry,
-                           RunSummary, _flag_arrays, certify_trajectory)
+from .certificates import (_CERT_BLOCK, CertifyCarry, RunSummary,
+                           _flag_arrays, certify_trajectory)
 from .problems import (OracleRejectedError, is_finite_number, kkt_by_long_run,
                        problem_from_config)
 from .solver import (NonFiniteIterateError, SolverParams, Trajectory, Validity,
@@ -216,24 +216,20 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-# Rows formatted at a time by write_trajectory_csv: bounds the Python
-# floats and strings alive at once.
-_CSV_CHUNK = 1024
+def write_trajectory_csv(path, tables) -> None:
+    """One row per certificate window, from a run's segment tables in order.
 
-
-def write_trajectory_csv(path, table: CertificateTable) -> None:
-    """One row per certificate window, formatted column-wise by chunk.
-
-    Every field is a plain number, so joining with commas gives the bytes
-    of ``csv.writer`` without its per-field quoting checks.
+    Formatting one table (at most ``_CERT_BLOCK`` rows) at a time bounds
+    the Python strings alive at once. Every field is a plain number, so
+    joining with commas gives the bytes of ``csv.writer`` without its
+    per-field quoting checks.
     """
-    columns = [table.ks] + [getattr(table, name) for name in CSV_COLUMNS[1:]]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for lo in range(0, len(table.ks), _CSV_CHUNK):
+        for table in tables:
+            columns = [table.ks] + [getattr(table, name) for name in CSV_COLUMNS[1:]]
             cells = [itertools.repeat(_fmt(col)) if np.ndim(col) == 0
-                     else map(repr, col[lo : lo + _CSV_CHUNK].tolist())
-                     for col in columns]
+                     else map(repr, col.tolist()) for col in columns]
             fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
@@ -343,23 +339,6 @@ def _check_runnable(params: SolverParams, cfg: ExperimentConfig) -> None:
         )
 
 
-def _certified_run(problem, params: SolverParams, cfg: ExperimentConfig):
-    """The run pipeline of ``solve``: check, oracle, run, fault, certify.
-
-    The saddle point is built after the parameter check, so Invalid
-    parameters fail before any oracle run. The whole history is certified
-    in one chunk. Returns (kkt, traj, table).
-    """
-    _check_runnable(params, cfg)
-    kkt = _get_kkt(problem, cfg)
-    z0 = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
-    traj = run(problem, params, z0, max_iters=cfg.iters, stop_tol=cfg.stop_tol,
-               override_invalid=cfg.override_invalid)
-    if cfg.fault is not None:
-        traj = corrupt_trajectory(traj, int(cfg.fault["k"]), float(cfg.fault["delta"]))
-    return kkt, traj, certify_trajectory(traj, kkt, problem, tol=cfg.tolerance)
-
-
 def _params_block(params: SolverParams) -> dict:
     status = validate_params(params)
     return {
@@ -381,19 +360,23 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     problem = problem_from_config(_resolved_problem_config(cfg))
     params = _resolve_params(cfg, problem.L.norm_bound)
-    kkt, traj, table = _certified_run(problem, params, cfg)
+    _check_runnable(params, cfg)  # Invalid parameters fail before any oracle run
+    kkt = _get_kkt(problem, cfg)
+    cell = _certified_cells(problem, {0: params}, cfg, kkt, keep_tables=True)[0]
+    if isinstance(cell, Exception):
+        raise cell
     summary = {
         "config": cfg.to_dict(),
         "problem": {"name": problem.name, "rows": problem.L.rows,
                     "cols": problem.L.cols, "metadata": problem.metadata},
         "params": _params_block(params),
-        "iterations": traj.n_iters,
-        "stopped_at": traj.stopped_at,
+        "iterations": cell.n_iters,
+        "stopped_at": cell.stopped_at,
         "kkt_oracle_residual": kkt.residual,
-        "final_fixed_point_residual": _final_residual(traj, params),
-        "certificates": table.summarize(),
+        "final_fixed_point_residual": cell.final_residual,
+        "certificates": cell.summary.result(),
     }
-    write_trajectory_csv(out_dir / "trajectory.csv", table)
+    write_trajectory_csv(out_dir / "trajectory.csv", cell.tables)
     write_json(out_dir / "summary.json", summary)
     cert = summary["certificates"]
     if cert["all_pass"] is False:
@@ -401,13 +384,6 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
               f"(see {out_dir / 'summary.json'})", file=sys.stderr)
         return 1
     return 0
-
-
-def _final_residual(traj: Trajectory, params: SolverParams) -> float:
-    dx = traj.X[-1] - traj.X[-2]
-    dy = traj.Y[-1] - traj.Y[-2]
-    return max(float(np.linalg.norm(dx)) / params.tau,
-               float(np.linalg.norm(dy)) / params.sigma)
 
 
 SWEEP_COLUMNS = ["theta", "safety", "ratio", "tau", "sigma", "product",
@@ -427,7 +403,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     ratio = float(cfg.grid.get("ratio", cfg.ratio))
     grid = [(theta, safety) for theta in cfg.grid["theta"]
             for safety in cfg.grid["safety"]]
-    outcomes = {}  # grid index -> a summary dict or the cell's exception
+    outcomes = {}  # grid index -> a finished _Cell or the cell's exception
     params = {}
     for i, (theta, safety) in enumerate(grid):
         try:
@@ -436,22 +412,22 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             params[i] = p
         except ValueError as e:  # UsageError is a ValueError
             outcomes[i] = e
-    outcomes.update(_sweep_cells(problem, params, cfg, kkt))
+    outcomes.update(_certified_cells(problem, params, cfg, kkt))
 
     rows = []
     worst = 0
     for i, (theta, safety) in enumerate(grid):
         row = {"theta": theta, "safety": safety, "ratio": ratio}
-        summ = outcomes[i]  # a summary dict or the cell's exception
-        if isinstance(summ, ValueError):
+        outcome = outcomes[i]
+        if isinstance(outcome, ValueError):
             row.update({k: None for k in SWEEP_COLUMNS if k not in row})
             row["status"] = "config-error"
             row["exit_code"] = 2
-            print(f"sweep cell theta={theta} safety={safety}: {summ}", file=sys.stderr)
-        elif isinstance(summ, Exception):
-            raise summ
+            print(f"sweep cell theta={theta} safety={safety}: {outcome}", file=sys.stderr)
+        elif isinstance(outcome, Exception):
+            raise outcome
         else:
-            p = params[i]
+            p, summ = params[i], outcome.summary.result()
             row.update({
                 "tau": p.tau, "sigma": p.sigma, "product": p.product,
                 "status": summ["status"],
@@ -478,30 +454,36 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 @dataclass
 class _Cell:
-    """A sweep cell in flight: its point, certifier state and first failure."""
+    """A cell in flight: its point, certifier state and first failure;
+    once finished, its whole run's counts, summary and (if kept) tables."""
 
     params: SolverParams
     z: PPoint
-    carry: CertifyCarry
-    summary: RunSummary
+    tables: list | None
+    carry: CertifyCarry = field(default_factory=CertifyCarry)
+    summary: RunSummary = field(default_factory=RunSummary)
     n_iters: int = 0
+    stopped_at: int | None = None
+    final_residual: float = math.nan
     error: Exception | None = None
 
 
-def _sweep_cells(problem, params: dict, cfg: ExperimentConfig, kkt) -> dict:
-    """Run the cells ``params`` (grid index -> SolverParams) as one batch.
+def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
+                     keep_tables: bool = False) -> dict:
+    """Run and certify the cells ``params`` (index -> SolverParams) as one batch.
 
     The batch runs in segments that end at multiples of ``_CERT_BLOCK``
     iterates. Each segment goes to each cell's certifier and is dropped,
-    so memory holds one segment per cell, never a full history. A cell
-    whose run stops leaves the batch; so does one whose run fails. A cell
-    whose certificate fails keeps running uncertified, so that its outcome
-    is what running, corrupting and certifying it alone would raise first:
-    a run failure, then a fault outside the run, then the certificate
-    failure. Returns grid index -> summary dict or exception.
+    so memory holds one segment per cell, never a full history; with
+    ``keep_tables`` each cell also keeps its segment tables. A cell whose
+    run stops leaves the batch; so does one whose run fails. A cell whose
+    certificate fails keeps running uncertified, so that its outcome is
+    what running, corrupting and certifying it alone would raise first: a
+    run failure, then a fault outside the run, then the certificate
+    failure. Returns index -> the finished :class:`_Cell` or its exception.
     """
     z0 = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
-    live = {i: _Cell(p, z0, CertifyCarry(), RunSummary()) for i, p in params.items()}
+    live = {i: _Cell(p, z0, [] if keep_tables else None) for i, p in params.items()}
     outcomes = {}
     fault_k = None if cfg.fault is None else int(cfg.fault["k"])
     start = 0  # the first iterate each segment brings
@@ -516,31 +498,38 @@ def _sweep_cells(problem, params: dict, cfg: ExperimentConfig, kkt) -> dict:
             break
         for (i, cell), seg, err in zip(list(live.items()), batch.trajectories,
                                         batch.errors):
-            if err is not None:
-                outcomes[i] = err
+            if err is not None:  # named by its run-wide iteration
+                outcomes[i] = NonFiniteIterateError(cell.n_iters + err.iteration, err.detail)
                 del live[i]
                 continue
             first = cell.n_iters  # iterate index of seg.X[0], fed already unless 0
             cell.n_iters += seg.n_iters
             cell.z = PPoint(seg.X[-1].copy(), seg.Y[-1].copy())
-            if fault_k is not None and start <= fault_k <= cell.n_iters:
+            if fault_k is not None and first <= fault_k <= cell.n_iters:
                 seg = corrupt_trajectory(seg, fault_k - first, float(cfg.fault["delta"]))
             if cell.error is None:
                 try:
                     table = certify_trajectory(seg, kkt, problem, tol=cfg.tolerance,
                                                carry=cell.carry)
                     cell.summary.add(table)
+                    if cell.tables is not None:
+                        cell.tables.append(table)
                 except (ValueError, RuntimeError) as e:
                     cell.error = e
             if seg.stopped_at is None and cell.n_iters < cfg.iters:
                 continue
             del live[i]
+            if seg.stopped_at is not None:
+                cell.stopped_at = first + seg.stopped_at
+            dx, dy = seg.X[-1] - seg.X[-2], seg.Y[-1] - seg.Y[-2]
+            cell.final_residual = max(float(np.linalg.norm(dx)) / cell.params.tau,
+                                      float(np.linalg.norm(dy)) / cell.params.sigma)
             try:
                 if fault_k is not None:
                     _check_iterate(fault_k, cell.n_iters)
                 if cell.error is not None:
                     raise cell.error
-                outcomes[i] = cell.summary.result()
+                outcomes[i] = cell
             except (ValueError, RuntimeError) as e:
                 outcomes[i] = e
         del batch, seg  # free this segment before the next one is run

@@ -19,7 +19,7 @@ from .certificates import KKTPoint, kkt_residual, make_kkt
 from .hilbert import (ForwardDifferenceOperator, LinearOperator,
                       MatrixOperator, PPoint, as_vector, load_matrix)
 from .prox import ProxFn, rowwise
-from .solver import Validity, run, validate_params
+from .solver import NonFiniteIterateError, Validity, run, validate_params
 
 __all__ = [
     "OracleRejectedError",
@@ -177,8 +177,11 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     z = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
     done = 0
     while True:
-        traj = run(problem, params, z, min(_ORACLE_BLOCK, iters - done),
-                   stop_tol=stop_tol)
+        try:
+            traj = run(problem, params, z, min(_ORACLE_BLOCK, iters - done),
+                       stop_tol=stop_tol)
+        except NonFiniteIterateError as e:  # named by its run-wide iteration
+            raise NonFiniteIterateError(done + e.iteration, e.detail) from None
         z = traj.final
         done += traj.n_iters
         if traj.stopped_at is not None or done >= iters:

@@ -43,7 +43,14 @@ EQUALITY_RTOL = 1e-12
 
 
 class NonFiniteIterateError(RuntimeError):
-    """The iteration produced a non-finite prox argument or iterate."""
+    """The iteration produced a non-finite prox argument or iterate.
+
+    ``iteration`` counts from the start point of the run that raised it.
+    """
+
+    def __init__(self, iteration: int, detail: str = ""):
+        super().__init__(f"non-finite iterate produced at iteration {iteration}{detail}")
+        self.iteration, self.detail = iteration, detail
 
 
 class Validity(enum.Enum):
@@ -278,7 +285,8 @@ def run(problem, params, z0, max_iters: int,
     params : SolverParams or sequence of SolverParams
         Must not classify Invalid unless ``override_invalid`` is set. A
         sequence runs a batch of cells, one per entry, advanced together as
-        the rows of (B, n) and (B, m) stacks.
+        the rows of (B, n) and (B, m) stacks; a one-cell batch steps on
+        plain vectors, as a single SolverParams does.
     z0 : PPoint or sequence of PPoint
         Initial point; for a batch, one per cell.
     max_iters : int
@@ -315,6 +323,7 @@ def run(problem, params, z0, max_iters: int,
     batch = not isinstance(params, SolverParams)
     cells = tuple(params) if batch else (params,)
     starts = tuple(z0) if batch else (z0,)
+    stacked = len(cells) > 1  # a stack of one would only add per-row loops
     if not cells or len(starts) != len(cells):
         raise ValueError(f"a batch needs one start point per cell, got "
                          f"{len(starts)} for {len(cells)} cells")
@@ -335,23 +344,23 @@ def run(problem, params, z0, max_iters: int,
                              f"problem dims ({n}, {m})")
         xs.append(x)
         ys.append(y)
-    if batch:
+    if stacked:
         x, y = np.stack(xs), np.stack(ys)
         tau, sigma, theta = (np.array([[getattr(p, name)] for p in cells])
                              for name in ("tau", "sigma", "theta"))
     else:
         x, y = xs[0], ys[0]
-        tau, sigma, theta = params.tau, params.sigma, params.theta
+        tau, sigma, theta = cells[0].tau, cells[0].sigma, cells[0].theta
     # a lone cell keeps plain vectors and float steps; rows() shows it as a
     # one-row stack for the bookkeeping
-    rows = (lambda a: a) if batch else (lambda a: a[None])
+    rows = (lambda a: a) if stacked else (lambda a: a[None])
 
     B = len(cells)
     X = np.empty((B, max_iters + 1, n))
     Y = np.empty((B, max_iters + 1, m))
     X[:, 0], Y[:, 0] = rows(x), rows(y)
     live = np.arange(B)  # the cell of each stack row
-    at = slice(None) if batch else 0  # where the rows go in X[:, k]
+    at = slice(None) if stacked else 0  # where the rows go in X[:, k]
     ends = [max_iters] * B
     stopped = [None] * B
     errors = [None] * B
@@ -364,11 +373,10 @@ def run(problem, params, z0, max_iters: int,
             why = f": {e}"
         X[at, k], Y[at, k] = x_new, y_new
         leave = []  # stack rows whose cell fails or stops at k
-        if not (finite.all() if batch else finite):
+        if not (finite.all() if stacked else finite):
             leave = np.flatnonzero(~np.atleast_1d(finite)).tolist()
             for i in leave:
-                errors[live[i]] = NonFiniteIterateError(
-                    f"non-finite iterate produced at iteration {k}{why}")
+                errors[live[i]] = NonFiniteIterateError(k, why)
         if stop is not None or stop_tol is not None:
             if stop is None:
                 dx, dy = rows(x_new - x), rows(y_new - y)

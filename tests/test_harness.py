@@ -498,13 +498,80 @@ def test_sweep_memory_is_one_segment_per_cell(tmp_path):
     assert peaks[4000] <= 1.2 * peaks[2000], peaks
 
 
-def test_bench_child_hooks_see_the_sweep(tmp_path):
+QUAD_12x10 = {"generator": "quadratic", "params": {"rows": 12, "cols": 10, "seed": 7}}
+
+
+@pytest.mark.parametrize("k, code, message", [
+    (300, 1, "non-finite Lyapunov value at iteration 299"),
+    (605, 2, "iterate 605 out of range 0..600"),
+], ids=["certificate", "fault-range"])
+def test_solve_writes_nothing_when_it_fails_after_its_first_segment(tmp_path, capsys,
+                                                                   k, code, message):
+    cfg = write_config(tmp_path / "cfg.json", problem=QUAD_12x10, iters=600,
+                       fault={"k": k, "delta": 1e308})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_run_failure_names_its_run_wide_iteration(tmp_path, capsys, monkeypatch,
+                                                  command):
+    # the prox fails at iteration 300, in the second 256-iterate segment
+    import cpcert.harness as harness
+
+    build = harness.problem_from_config
+
+    def sabotaged(pc):
+        problem = build(pc)
+        prox, calls = problem.f.prox, []
+
+        def f_prox(x, gamma):
+            calls.append(gamma)
+            return np.full_like(x, np.nan) if len(calls) == 300 else prox(x, gamma)
+
+        spec = c.ProblemSpec(problem.name, c.ProxFn(problem.f.evaluate, f_prox),
+                             problem.gstar, problem.L, problem.kkt, problem.metadata)
+        calls.clear()  # the saddle-point check above called the prox
+        return spec
+
+    monkeypatch.setattr(harness, "problem_from_config", sabotaged)
+    cfg = write_config(tmp_path / "cfg.json", problem=QUAD_12x10, iters=600,
+                       grid={"theta": [1.0], "safety": [0.9]})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "non-finite iterate produced at iteration 300\n" in capsys.readouterr().err
+
+
+def test_solve_memory_is_one_segment(tmp_path):
+    # a solve that kept the run's history would need about twice the memory
+    # at twice the iterations; its tables are small beside the history
+    peaks = {}
+    for iters in (2000, 4000):
+        cfg = write_config(tmp_path / f"cfg{iters}.json", iters=iters,
+                           problem={"generator": "quadratic",
+                                    "params": {"rows": 120, "cols": 80, "seed": 0}})
+        tracemalloc.start()
+        try:
+            assert main(["solve", "--config", str(cfg), "--out",
+                         str(tmp_path / f"out{iters}")]) == 0
+            peaks[iters] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4000] <= 1.2 * peaks[2000], peaks
+
+
+@pytest.mark.parametrize("command", ["sweep", "solve"])
+def test_bench_child_hooks_see_the_sweep(tmp_path, command):
     # bench/child.py wraps cpcert.harness.run and certify_trajectory by name
+    config, rows = {"sweep": ("tv_sweep.json", 15 * 1999),
+                    "solve": ("quadratic.json", 1999)}[command]
     root = Path(__file__).resolve().parents[1]
     report = tmp_path / "report.json"
     proc = subprocess.run(
         [sys.executable, str(root / "bench" / "child.py"), str(report), "trace", "--",
-         "sweep", "--config", str(root / "configs" / "tv_sweep.json"),
+         command, "--config", str(root / "configs" / config),
          "--out", str(tmp_path / "out")],
         cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -513,7 +580,7 @@ def test_bench_child_hooks_see_the_sweep(tmp_path):
     names = {span["name"] for span in data["spans"]}
     assert {"solver.run", "certificates.certify_trajectory"} <= names
     notes = data["notes"]
-    assert sum(notes["cert_rows"]) == 15 * 1999
+    assert sum(notes["cert_rows"]) == rows
     assert all(isinstance(n, int) and n > 0 for n in notes["run_iters"])
 
 

@@ -157,6 +157,20 @@ def test_long_run_blocks_stop_inside_second_block():
     assert np.array_equal(kkt.star.y, single.final.y)
 
 
+def test_long_run_names_the_run_wide_nonfinite_iteration():
+    # the prox fails at iteration 600, inside the second block of 512
+    tv, params, _ = blocked_oracle_case()
+    prox, calls = tv.f.prox, []
+
+    def f_prox(x, gamma):
+        calls.append(gamma)
+        return np.full_like(x, np.nan) if len(calls) == 600 else prox(x, gamma)
+
+    bad = c.ProblemSpec(tv.name, c.ProxFn(tv.f.evaluate, f_prox), tv.gstar, tv.L)
+    with pytest.raises(c.NonFiniteIterateError, match="at iteration 600$"):
+        c.kkt_by_long_run(bad, params, 1300, stop_tol=None)
+
+
 def test_long_run_rejection_reports_total_iterations():
     tv, params, _ = blocked_oracle_case()
     with pytest.raises(c.OracleRejectedError, match="after 1300 iterations"):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import cpcert as c
-from cpcert.solver import (EQUALITY_RTOL, SolverParams, Validity, bound_rhs,
-                           run, running_averages, step, suggest_steps,
-                           validate_params)
+from cpcert.solver import (EQUALITY_RTOL, RunBatch, SolverParams, Validity,
+                           bound_rhs, run, running_averages, step,
+                           suggest_steps, validate_params)
 
 from oracles import checked_iterates, denominator_identity_residual
 
@@ -361,6 +361,10 @@ def test_batched_run_matches_single_runs_bitwise(name):
     assert batch.n_iters == 300 and not any(batch.errors)
     for params, traj in zip(cells, batch.trajectories):
         assert_same_run(traj, run(problem, params, z0, max_iters=300, stop_tol=None))
+    # a one-cell batch still returns a RunBatch, with the plain run's bits
+    one = run(problem, cells[:1], [z0], max_iters=300, stop_tol=None)
+    assert isinstance(one, RunBatch) and (one.n_iters, one.errors) == (300, (None,))
+    assert_same_run(one.trajectories[0], batch.trajectories[0])
 
 
 @pytest.mark.parametrize("name", ["tv1d", "quadratic", "lasso"])
