@@ -3,7 +3,7 @@
 Evaluates, at every iteration of a recorded run, the analysis objects that
 prove convergence of the relaxed primal-dual iteration:
 
-* the duality gap D(x, y) = f(x) + g*(y) + <y*, Lx> - <y, Lx*> - f(x*) - g*(y*),
+* the duality gap D(x, y) = f(x) + g*(y) + <L*y*, x> - <y, Lx*> - f(x*) - g*(y*),
   nonnegative and zero at a saddle point;
 * the Lyapunov value V(k) built from the step-size weighted quadratic form;
 * the descent inequality V(k+1) <= V(k) - D(z_{k+1}) - (weighted increment
@@ -266,18 +266,17 @@ class CertifyCarry:
 
     Pass a fresh ``CertifyCarry()`` with a run's first segment and the same
     object with each later one. It holds the number of iterates fed so far
-    (the table row offset follows from it), the prefix sums of X, Y and LX
+    (the table row offset follows from it), the prefix sums of X and Y
     behind the running averages, the running sum of the gap column, V(0),
-    and the last two iterates fed, with their images and gap terms: the
-    overlap that the next segment's first windows need. A call that raises
-    leaves the carry as it was.
+    and the last two iterates fed, with their images: the overlap that the
+    next segment's first windows need. A call that raises leaves the carry
+    as it was.
     """
 
     iterates: int = 0
     v0: float = math.nan
     sum_x: np.ndarray | None = None
     sum_y: np.ndarray | None = None
-    sum_lx: np.ndarray | None = None
     gap_sum: float | None = None
     overlap: tuple = ()
 
@@ -290,9 +289,9 @@ def certify_trajectory(traj: Trajectory, kkt: KKTPoint, problem,
     The table is built in blocks of ``_CERT_BLOCK`` rows. Block [lo, hi)
     reads iterates lo..hi+1, the two-iterate overlap that the descent
     window needs, and recomputes the one value V(hi) it shares with the
-    next block. Across blocks it carries the prefix sums of X, Y and LX
-    behind the running averages and the running sum of the gap column.
-    Each value map is called on stacks of rows, so working memory is
+    next block. Across blocks it carries the prefix sums of X and Y behind
+    the running averages and the running sum of the gap column. Each value
+    map is called on stacks of rows, so working memory is
     O(_CERT_BLOCK * (n + m)) besides the history and LX.
 
     With a ``carry``, ``traj`` is one segment of a longer run, and the
@@ -302,19 +301,18 @@ def certify_trajectory(traj: Trajectory, kkt: KKTPoint, problem,
     that one and is skipped. Its rows are certified and may then be
     dropped: the carry holds all that later rows need.
 
-    Chunk alignment: LX = L.apply_stack(X) and the gap terms LX @ y* and
-    Y @ Lx* are computed once per call, over the iterates it brings, and
-    blocked matrix-vector products round some rows differently unless the
-    block starts at a multiple of 256 rows from iterate 0. A segment fed
-    with a carry must therefore start at a multiple of ``_CERT_BLOCK``
-    iterates (a ValueError otherwise), and each row's products are computed
-    exactly once. The table is then bitwise that of one call on the whole
-    history, except that a dense ``apply_stack`` (a matrix-matrix product)
-    may round some rows differently on segments than on the whole history.
-    Row sums and per-row dot products do not depend on the split. No
-    ``carry`` means a fresh one: the history is one chunk. The per-window
-    scalar definitions of the same values live in the test suite's
-    reference oracles (``tests/oracles.py``).
+    Chunk alignment: LX = L.apply_stack(X) is computed once per call, over
+    the iterates it brings, and a dense ``apply_stack`` (a matrix-matrix
+    product) may round a row differently depending on where it sits in the
+    stack. A segment fed with a carry must therefore start at a multiple of
+    ``_CERT_BLOCK`` iterates (a ValueError otherwise), and each row's image
+    is computed exactly once. Every other value is a row-wise reduction,
+    which does not depend on the split, so the table is bitwise that of one
+    call on the whole history, except for rows that a dense ``apply_stack``
+    rounds differently on segments. No ``carry`` means a fresh one: the
+    history is one chunk. The per-window scalar definitions of the same
+    values live in the test suite's reference oracles
+    (``tests/oracles.py``).
 
     Raises ValueError for a negative or non-finite ``tol``, for fewer than
     2 iterations, if a value map does not return one value per row, and
@@ -346,6 +344,14 @@ def _stack_values(fn, rows: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
+def _gaps(problem, kkt, xs, ys, lty_star, lx_star) -> np.ndarray:
+    """D(x, y) for each row pair of ``xs``, ``ys``, with the inner products
+    <L*y*, x> and <y, Lx*> as row-wise reductions."""
+    return (_stack_values(problem.f, xs, "f") + _stack_values(problem.gstar, ys, "gstar")
+            + (xs * lty_star).sum(axis=1) - (ys * lx_star).sum(axis=1)
+            - kkt.f_star - kkt.gstar_star)
+
+
 def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
     """Certify the rows that the iterates ``X_new``, ``Y_new`` complete;
     then advance ``carry`` past them."""
@@ -367,29 +373,25 @@ def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
         eta_p = eta_m = math.nan
 
     x_star, y_star = kkt.star.x, kkt.star.y
-    lx_star = L.apply(x_star)
-    LX_new = L.apply_stack(X_new)
-    fresh = (X_new, Y_new, LX_new, LX_new @ y_star, Y_new @ lx_star)
+    lx_star, lty_star = L.apply(x_star), L.apply_adjoint(y_star)
+    fresh = (X_new, Y_new, L.apply_stack(X_new))
     if carry.overlap:
-        X, Y, LX, lx_y, y_lx = (np.concatenate(pair) for pair in zip(carry.overlap, fresh))
+        X, Y, LX = (np.concatenate(pair) for pair in zip(carry.overlap, fresh))
     else:
-        X, Y, LX, lx_y, y_lx = fresh
+        X, Y, LX = fresh
     base = fed - (len(carry.overlap[0]) if carry.overlap else 0)  # iterate of X[0]
 
     n_rows = r1 - r0
     lyap, gap, erg, descent, lower, dist = (np.empty(n_rows) for _ in range(6))
     if r0 == 0:
         erg[0] = math.nan  # averages start at k = 1
-    sum_x, sum_y, sum_lx = carry.sum_x, carry.sum_y, carry.sum_lx  # rows 1..lo-1
+    sum_x, sum_y = carry.sum_x, carry.sum_y  # rows 1..lo-1
     for lo in range(r0, r1, _CERT_BLOCK):
         hi = min(lo + _CERT_BLOCK, r1)
         rows = slice(lo - base, hi - base + 2)
         out = slice(lo - r0, hi - r0)
         Xb, Yb, LXb = X[rows], Y[rows], LX[rows]
-        # gaps[i] = D(z_{lo+i}) for i = 0..hi-lo+1
-        gaps = (_stack_values(problem.f, Xb, "f")
-                + _stack_values(problem.gstar, Yb, "gstar")
-                + lx_y[rows] - y_lx[rows] - kkt.f_star - kkt.gstar_star)
+        gaps = _gaps(problem, kkt, Xb, Yb, lty_star, lx_star)  # D(z_{lo..hi+1})
 
         dxs = Xb - x_star
         dys = Yb - y_star
@@ -424,21 +426,13 @@ def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
         dist[out] = np.sqrt((dxs[:-2] * dxs[:-2]).sum(axis=1)
                             + (dys[:-2] * dys[:-2]).sum(axis=1))
 
-        # Ergodic gaps D(avg_k) over iterates 1..k. The L-terms stay
-        # per-row dot products: a matrix-vector product sums in another
-        # order and would change the last bits.
+        # Ergodic gaps D(avg_k) over iterates 1..k
         k0 = max(lo, 1)
         if k0 < hi:
             avg = slice(k0 - base, hi - base)
             ex, sum_x = running_averages(X[avg], sum_x, k0 - 1)
-            f_erg = _stack_values(problem.f, ex, "f")
             ey, sum_y = running_averages(Y[avg], sum_y, k0 - 1)
-            g_erg = _stack_values(problem.gstar, ey, "gstar")
-            ey_lx = np.fromiter(map(lx_star.dot, ey), float, hi - k0)
-            lex, sum_lx = running_averages(LX[avg], sum_lx, k0 - 1)
-            lex_y = np.fromiter(map(y_star.dot, lex), float, hi - k0)
-            erg[k0 - r0 : hi - r0] = (f_erg + g_erg + lex_y - ey_lx
-                                      - kkt.f_star - kkt.gstar_star)
+            erg[k0 - r0 : hi - r0] = _gaps(problem, kkt, ex, ey, lty_star, lx_star)
 
     # sum_gap[k] = gap[0] + ... + gap[k-1], continuing the carried sum
     gap_sums = continued_cumsum(gap, carry.gap_sum)
@@ -447,9 +441,9 @@ def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
 
     carry.iterates = fed + X_new.shape[0]
     carry.v0 = v0
-    carry.sum_x, carry.sum_y, carry.sum_lx = sum_x, sum_y, sum_lx
+    carry.sum_x, carry.sum_y = sum_x, sum_y
     carry.gap_sum = gap_sums[-1]
-    carry.overlap = tuple(a[-2:].copy() for a in (X, Y, LX, lx_y, y_lx))
+    carry.overlap = tuple(a[-2:].copy() for a in (X, Y, LX))
     return CertificateTable(
         ks=np.arange(r0, r1),
         lyapunov=lyap,

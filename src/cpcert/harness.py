@@ -32,7 +32,7 @@ import numpy as np
 from .certificates import (_CERT_BLOCK, CertifyCarry, RunSummary,
                            _flag_arrays, certify_trajectory)
 from .problems import (OracleRejectedError, is_finite_number, kkt_by_long_run,
-                       problem_from_config)
+                       problem_from_config, read_problem_file)
 from .solver import (NonFiniteIterateError, SolverParams, Trajectory, Validity,
                      run, suggest_steps, validate_params)
 from .hilbert import PPoint
@@ -78,7 +78,8 @@ def _is_finite_list(v) -> bool:
 _FIELD_TYPES = {
     **dict.fromkeys(("theta", "tau", "sigma", "safety", "ratio", "tolerance",
                      "stop_tol"), (is_finite_number, "a finite number")),
-    **dict.fromkeys(("iters", "seed", "oracle_iters"), (_is_int, "an integer")),
+    **dict.fromkeys(("iters", "seed"), (_is_int, "an integer")),
+    "oracle_iters": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "override_invalid": (lambda v: isinstance(v, bool), "true or false"),
     "fault": (_is_object, "an object"),
     "grid": (_is_object, "an object"),
@@ -312,7 +313,8 @@ def _resolve_params(cfg: ExperimentConfig, operator_norm: float) -> SolverParams
 def _get_kkt(problem, cfg: ExperimentConfig):
     if problem.kkt is not None:
         return problem.kkt
-    oracle_iters = cfg.oracle_iters or max(20000, 10 * cfg.iters)
+    oracle_iters = (max(20000, 10 * cfg.iters) if cfg.oracle_iters is None
+                    else cfg.oracle_iters)
     oracle_params = SolverParams(
         *suggest_steps(1.0, problem.L.norm_bound, 0.9, 1.0),
         theta=1.0, operator_norm=problem.L.norm_bound,
@@ -321,12 +323,12 @@ def _get_kkt(problem, cfg: ExperimentConfig):
 
 
 def _resolved_problem_config(cfg: ExperimentConfig) -> dict:
-    """Problem config with the experiment seed as the default generator seed."""
-    pc = dict(cfg.problem)
-    params = dict(pc.get("params", {}))
-    if "generator" in pc and "seed" not in params:
-        params["seed"] = cfg.seed
-    pc["params"] = params
+    """Problem config, read from its file if it references one, with the
+    experiment seed as the default generator seed."""
+    pc = read_problem_file(cfg.problem)
+    params = pc.get("params", {}) if isinstance(pc, dict) else None
+    if isinstance(params, dict) and "generator" in pc and "seed" not in params:
+        pc = {**pc, "params": {**params, "seed": cfg.seed}}
     return pc
 
 

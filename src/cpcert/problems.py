@@ -108,17 +108,7 @@ def make_lasso(A: LinearOperator, b, lam: float) -> ProblemSpec:
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     g = _prox.quadratic_distance(b)
-
-    def gstar_value(y):
-        y = np.asarray(y)
-        if y.ndim == 2:
-            # One dot product per row, as for a single point: a matrix
-            # product sums in another order, and near the saddle point the
-            # gap is at rounding level, so that order would change it.
-            return np.array([gstar_value(row) for row in y])
-        return 0.5 * float(y @ y) + float(y @ b)
-
-    gstar = _prox.conjugate(g, evaluate=gstar_value)
+    gstar = _prox.conjugate(g, evaluate=lambda y: rowwise(np.sum(y * (0.5 * y + b), axis=-1)))
     return ProblemSpec(
         name="lasso",
         f=_prox.l1(lam),
@@ -302,15 +292,25 @@ GENERATORS = {
 }
 
 
+def read_problem_file(cfg):
+    """The problem definition in the JSON file that ``cfg`` references as
+    {"file": path}, or ``cfg`` itself when it references none."""
+    if not (isinstance(cfg, dict) and "file" in cfg and "generator" not in cfg):
+        return cfg
+    path = cfg["file"]
+    if not isinstance(path, str):
+        raise ValueError(f"problem.file must be a string, got {path!r}")
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def problem_from_config(cfg: dict) -> ProblemSpec:
     """Build a problem from {"generator": name, "params": {...}}.
 
     A problem definition may also live in its own JSON file, referenced as
-    {"file": path}.
+    {"file": path} (see :func:`read_problem_file`).
     """
-    if isinstance(cfg, dict) and "file" in cfg and "generator" not in cfg:
-        with open(cfg["file"], "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+    cfg = read_problem_file(cfg)
     try:
         name = cfg["generator"]
     except (KeyError, TypeError):

@@ -330,7 +330,7 @@ def per_row_certificate_columns(traj, kkt, problem):
     n_rows = big_k - 1
     LX = L.apply_stack(X)
     x_star, y_star = kkt.star.x, kkt.star.y
-    lx_star = L.apply(x_star)
+    lx_star, lty_star = L.apply(x_star), L.apply_adjoint(y_star)
 
     dxs, dys, ldxs = X - x_star, Y - y_star, LX - lx_star
     p_star = ((dxs * dxs).sum(axis=1) / tau + (dys * dys).sum(axis=1) / sigma
@@ -341,7 +341,8 @@ def per_row_certificate_columns(traj, kkt, problem):
 
     f_vals = np.array([problem.f.evaluate(x) for x in X])
     g_vals = np.array([problem.gstar.evaluate(y) for y in Y])
-    gaps = f_vals + g_vals + LX @ y_star - Y @ lx_star - kkt.f_star - kkt.gstar_star
+    gaps = (f_vals + g_vals + (X * lty_star).sum(axis=1) - (Y * lx_star).sum(axis=1)
+            - kkt.f_star - kkt.gstar_star)
 
     c = 0.5 * (1.0 - theta)
     cross = (dys[:-1] * inc_lx).sum(axis=1) - (ldxs[:-1] * inc_y).sum(axis=1)
@@ -357,13 +358,12 @@ def per_row_certificate_columns(traj, kkt, problem):
                + 0.25 * eta_p * (wp * wp).sum(axis=1)
                + 0.25 * eta_m * (wm * wm).sum(axis=1))
 
-    lex = running_averages(LX[1:])[0]
     ergodic_x, ergodic_y = running_averages(X[1:])[0], running_averages(Y[1:])[0]
     erg = np.full(n_rows, math.nan)
     for k in range(1, n_rows):
         ex, ey = ergodic_x[k - 1], ergodic_y[k - 1]
         erg[k] = (problem.f.evaluate(ex) + problem.gstar.evaluate(ey)
-                  + float(lex[k - 1] @ y_star) - float(ey @ lx_star)
+                  + float((ex * lty_star).sum()) - float((ey * lx_star).sum())
                   - kkt.f_star - kkt.gstar_star)
 
     return {

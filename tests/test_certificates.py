@@ -448,6 +448,45 @@ def test_segments_certify_bitwise_as_whole_history(theta, tv_problem):
             assert (want.summarize()["first_failing_k"] is None) == (fault_k is None)
 
 
+def lx_form_gaps(traj, kkt, problem):
+    """The gap and ergodic_gap columns in the <Lx, y*> form, with the running
+    average of LX for averages, each with the magnitude sum of its terms."""
+    L, X, Y = problem.L, traj.X, traj.Y
+    x_star, y_star = kkt.star.x, kkt.star.y
+    lx_star, LX = L.apply(x_star), L.apply_stack(X)
+    abs_l = np.abs(L.apply_stack(np.eye(L.cols))).T  # |L_ij|
+
+    def form(xs, ys, lxs, abs_xs, abs_ys):
+        f, g = problem.f.evaluate(xs), problem.gstar.evaluate(ys)
+        value = f + g + lxs @ y_star - ys @ lx_star - kkt.f_star - kkt.gstar_star
+        # every summand, down to each product L_ij x_j y*_i and y_i L_ij x*_j
+        terms = (np.abs(f) + np.abs(g) + abs(kkt.f_star) + abs(kkt.gstar_star)
+                 + abs_xs @ abs_l.T @ np.abs(y_star) + abs_ys @ abs_l @ np.abs(x_star))
+        return value, terms
+
+    def avg(A):  # averages of iterates 1..k for the rows k = 1..K-2
+        return running_averages(A[1:-2])[0]
+
+    return (form(X[1:-1], Y[1:-1], LX[1:-1], np.abs(X[1:-1]), np.abs(Y[1:-1])),
+            form(avg(X), avg(Y), avg(LX), avg(np.abs(X)), avg(np.abs(Y))))
+
+
+@pytest.mark.parametrize("theta", [0.1, 1.0])
+def test_gaps_match_the_lx_form_within_rounding(theta, tv_problem):
+    u = np.finfo(float).eps / 2
+    for problem, kkt in segment_problems(tv_problem):
+        norm = problem.L.norm_bound
+        params = SolverParams(*suggest_steps(theta, norm, 0.9), theta=theta,
+                              operator_norm=norm)
+        traj = origin_run(problem, params, 600)
+        table = certify_trajectory(traj, kkt, problem)
+        (gap, gap_terms), (erg, erg_terms) = lx_form_gaps(traj, kkt, problem)
+        n_m = problem.L.cols + problem.L.rows
+        assert np.all(np.abs(table.gap - gap) <= n_m * u * gap_terms), problem.name
+        assert np.all(np.abs(table.ergodic_gap[1:] - erg)
+                      <= (n_m + table.ks[1:]) * u * erg_terms), problem.name
+
+
 def test_segment_boundary_checks_v_monotone():
     # V rises only from the last row of one segment to the first of the next
     problem = c.random_quadratic(12, 10, seed=7)

@@ -2,8 +2,8 @@
 
 `solve` on configs/quadratic.json and configs/lasso.json and `sweep` on
 configs/tv_sweep.json must write these exact bytes. The lasso config covers
-the dense-gemm operator images and the per-row conjugate value map. A change that moves any output bit has to say so
-and update the hashes.
+the dense-gemm operator images and the stacked lasso conjugate value map. A
+change that moves any output bit has to say so and update the hashes.
 """
 
 import hashlib
@@ -18,16 +18,16 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 GOLDEN = {
     ("solve", "lasso.json"): {
-        "trajectory.csv": "9b4d68e7c12447940327b0a5e5c32af6bd5d6fad990d34be2e8d6699c2fae19c",
-        "summary.json": "9ef1ed91a55babb372e0e260ee2194c12cd7d6d22c14814eb1ec5a28704e75e9",
+        "trajectory.csv": "bd7656b2a01cf1d4d15296bc28cd22fb7d1fc84942fcc1117141d67d48111a6c",
+        "summary.json": "bd03810afb2f15911d9771d8452d061f779e285473c054adc7ce82219c58abf0",
     },
     ("solve", "quadratic.json"): {
-        "trajectory.csv": "8a60b36e6e5d81ec1d4b2b83a0c4c62115d87b047dae6e45c3da01163a773133",
-        "summary.json": "b44e1a8fbe0a9ebd7cc624257fe513eca8d9814b6b30c3435e144336cdb9be3c",
+        "trajectory.csv": "037a7d08b393dd336374a56ea33356fc697c5ba4b45ff65e72ef7d184907b240",
+        "summary.json": "9fd66eeb6ea65856f94e08ca9a7e5db671418433b1578a3b9f61409dff66cf5b",
     },
     ("sweep", "tv_sweep.json"): {
-        "sweep_summary.csv": "0fb8c7dfc40b5db8df020eb124c0c14b248c66405ac58e83f8396c6d5d85160d",
-        "sweep_summary.json": "67deffc6ada0b19d4e2ee39a167ec4f2435f78e4fd3a9d93db5efe8032fa1fd6",
+        "sweep_summary.csv": "0ab15d1ef9bf8c5b34778c068ad0b923cef5c7cad8161726c0c5173ee59e0996",
+        "sweep_summary.json": "4c29e31185354641c053ed3463803d531f72e2016923d3c6d92bdbd80d6cf167",
     },
 }
 

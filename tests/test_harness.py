@@ -633,3 +633,39 @@ def test_vector_generator_param_of_wrong_type_exits_2(tmp_path, capsys, monkeypa
     cfg = write_config(tmp_path / "cfg.json", problem=problem)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "must be a list of finite numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", [[1], 0])
+def test_problem_file_must_be_a_string(tmp_path, capsys, path):
+    # [1] crashed with a TypeError; 0 opened file descriptor 0 (stdin)
+    cfg = write_config(tmp_path / "cfg.json", problem={"file": path})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "problem.file" in capsys.readouterr().err
+
+
+def test_seed_reaches_a_file_referenced_generator(tmp_path):
+    quad = {"generator": "quadratic", "params": {"rows": 4, "cols": 3}}
+    seeded = {"generator": "quadratic", "params": {"rows": 4, "cols": 3, "seed": 11}}
+    summaries = {}
+    for name, problem in (("inline", quad), ("file", quad), ("seeded", seeded)):
+        if name != "inline":
+            (tmp_path / f"{name}_problem.json").write_text(json.dumps(problem))
+            problem = {"file": str(tmp_path / f"{name}_problem.json")}
+        cfg = write_config(tmp_path / f"{name}.json", problem=problem, iters=40)
+        out = tmp_path / name
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
+        summaries[name] = json.loads((out / "summary.json").read_text())
+    inline, by_file = summaries["inline"], summaries["file"]
+    assert inline["problem"]["metadata"]["seed"] == 5
+    assert by_file["problem"]["metadata"] == inline["problem"]["metadata"]
+    assert by_file["certificates"] == inline["certificates"]
+    assert summaries["seeded"]["problem"]["metadata"]["seed"] == 11  # the file's seed wins
+
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_oracle_iters_below_one_exits_2(tmp_path, capsys, value):
+    # 0 used to mean the default oracle length
+    lasso = {"generator": "lasso", "params": {"rows": 6, "cols": 4, "lam": 0.1, "seed": 1}}
+    cfg = write_config(tmp_path / "cfg.json", problem=lasso, oracle_iters=value)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "oracle_iters" in capsys.readouterr().err

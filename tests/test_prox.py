@@ -157,24 +157,21 @@ def test_stacked_evaluate_matches_per_row():
     b = rng.standard_normal(5)
     tv_box = make_tv1d(rng.standard_normal(6), lam=0.7).gstar
     lasso_gstar = make_lasso(MatrixOperator(rng.standard_normal((5, 3))), b, 0.3).gstar
-    # (name, function, stacked values must equal the per-row loop bitwise)
+    # stacked values must equal the per-row loop bitwise
     families = [
-        ("quadratic", quadratic_distance(rng.standard_normal(5)), True),
-        ("l1", l1(0.7), True),
-        ("zero", l1(0.0), True),
-        ("tv box", tv_box, True),
-        ("lasso conjugate", lasso_gstar, False),
+        ("quadratic", quadratic_distance(rng.standard_normal(5))),
+        ("l1", l1(0.7)),
+        ("zero", l1(0.0)),
+        ("tv box", tv_box),
+        ("lasso conjugate", lasso_gstar),
     ]
     stack = rng.standard_normal((40, 5)) * 3.0
     stack[:5] = np.abs(stack[:5]) * 0.02  # inside the box
-    for name, fn, exact in families:
+    for name, fn in families:
         got = fn.evaluate(stack)
         want = np.array([fn.evaluate(row) for row in stack])
         assert got.shape == (40,), name
-        if exact:
-            assert np.array_equal(got, want), name
-        else:
-            assert np.allclose(got, want, rtol=1e-12, atol=0.0), name
+        assert np.array_equal(got, want), name
         assert isinstance(fn.evaluate(stack[0]), float), name
         assert fn.evaluate(stack[:0]).shape == (0,), name
     values = tv_box.evaluate(stack)  # feasible and infeasible rows
