@@ -112,6 +112,9 @@ class ExperimentConfig:
     fault: dict | None = None
     grid: dict | None = None
     out: str = "results"
+    # Not a config key: the directory that relative paths in ``problem``
+    # resolve against, the config file's own (see from_file).
+    base_dir: str = field(default=".", init=False, repr=False, compare=False)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -124,11 +127,13 @@ class ExperimentConfig:
             raise UsageError(f"config file {path} is not valid JSON: {e}") from None
         if not isinstance(raw, dict) or "problem" not in raw:
             raise UsageError(f"config file {path} must be an object with a 'problem' key")
-        unknown = set(raw) - {f.name for f in fields(cls)}
+        unknown = set(raw) - {f.name for f in fields(cls) if f.init}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         cls._check_types(raw)
-        return cls(**raw)
+        cfg = cls(**raw)
+        cfg.base_dir = str(Path(path).parent)
+        return cfg
 
     @classmethod
     def _check_types(cls, raw: dict) -> None:
@@ -168,7 +173,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """Experiment-defining fields only (output paths excluded)."""
         d = {f.name: getattr(self, f.name) for f in fields(self)
-             if f.name not in ("grid", "out")}
+             if f.name not in ("grid", "out", "base_dir")}
         if self.grid is not None:
             d["grid"] = self.grid
         return d
@@ -324,8 +329,9 @@ def _get_kkt(problem, cfg: ExperimentConfig):
 
 def _resolved_problem_config(cfg: ExperimentConfig) -> dict:
     """Problem config, read from its file if it references one, with the
-    experiment seed as the default generator seed."""
-    pc = read_problem_file(cfg.problem)
+    experiment seed as the default generator seed. Relative paths in it
+    resolve against the config file's directory."""
+    pc = read_problem_file(cfg.problem, cfg.base_dir)
     params = pc.get("params", {}) if isinstance(pc, dict) else None
     if isinstance(params, dict) and "generator" in pc and "seed" not in params:
         pc = {**pc, "params": {**params, "seed": cfg.seed}}

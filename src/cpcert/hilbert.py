@@ -121,7 +121,9 @@ class MatrixOperator(LinearOperator):
     Without ``norm_bound`` the bound is :func:`estimate_norm` times
     1 + 1e-8. That is an estimate, not a certified upper bound: power
     iteration stops on relative change, and when the top singular values
-    cluster it has been measured up to 7.2e-6 (relative) below ||L||.
+    cluster it has been measured up to 1.0e-4 (relative) below ||L||
+    with no warning raised (40x40 matrices, sigma_1 - sigma_2 from 1e-9
+    to 1e-2).
 
     :meth:`apply` and :meth:`apply_adjoint` make one matrix-vector product
     per row of a stack: a matrix-matrix product rounds each row

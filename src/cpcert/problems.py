@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -172,18 +173,20 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
                        stop_tol=stop_tol)
         except NonFiniteIterateError as e:  # named by its run-wide iteration
             raise NonFiniteIterateError(done + e.iteration, e.detail) from None
-        z = traj.final
+        # copy the final point and drop the block before the next one runs
+        z = PPoint(traj.X[-1].copy(), traj.Y[-1].copy())
         done += traj.n_iters
-        if traj.stopped_at is not None or done >= iters:
+        stopped = traj.stopped_at is not None
+        del traj
+        if stopped or done >= iters:
             break
-    star = PPoint(z.x.copy(), z.y.copy())  # do not pin the last block
-    res = kkt_residual(problem, star)
+    res = kkt_residual(problem, z)
     if res > accept_tol:
         raise OracleRejectedError(
             f"long-run oracle rejected: residual {res:.3e} > {accept_tol:g} "
             f"after {done} iterations"
         )
-    return make_kkt(problem, star, check_tol=None, residual=res)
+    return make_kkt(problem, z, check_tol=None, residual=res)
 
 
 # --- seeded instance builders and the config registry ---------------------
@@ -292,16 +295,26 @@ GENERATORS = {
 }
 
 
-def read_problem_file(cfg):
+def read_problem_file(cfg, base_dir="."):
     """The problem definition in the JSON file that ``cfg`` references as
-    {"file": path}, or ``cfg`` itself when it references none."""
-    if not (isinstance(cfg, dict) and "file" in cfg and "generator" not in cfg):
-        return cfg
-    path = cfg["file"]
-    if not isinstance(path, str):
-        raise ValueError(f"problem.file must be a string, got {path!r}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    {"file": path}, or ``cfg`` itself when it references none.
+
+    A relative path, of that file or of a generator's "matrix", resolves
+    against the directory of the JSON file it appears in: ``base_dir`` for
+    ``cfg`` itself.
+    """
+    if isinstance(cfg, dict) and "file" in cfg and "generator" not in cfg:
+        path = cfg["file"]
+        if not isinstance(path, str):
+            raise ValueError(f"problem.file must be a string, got {path!r}")
+        path = Path(base_dir, path)
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        base_dir = path.parent
+    params = cfg.get("params") if isinstance(cfg, dict) else None
+    if isinstance(params, dict) and isinstance(params.get("matrix"), str):
+        cfg = {**cfg, "params": {**params, "matrix": str(Path(base_dir, params["matrix"]))}}
+    return cfg
 
 
 def problem_from_config(cfg: dict) -> ProblemSpec:

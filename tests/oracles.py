@@ -315,11 +315,13 @@ def checked_iterates(problem, params, z0, iters):
     return np.stack([z.x for z in zs]), np.stack([z.y for z in zs])
 
 
-def per_row_certificate_columns(traj, kkt, problem):
+def per_row_certificate_columns(traj, kkt, problem, LX=None):
     """Certificate columns of a full-history run, value maps called per row.
 
     Follows the same formulas as the vectorized certifier, so on the same
-    trajectory every column must agree bitwise.
+    trajectory every column must agree bitwise. ``LX`` is the history's
+    image, ``L.apply_stack(traj.X)`` unless given: a run certified in
+    segments has each segment's image computed on its own.
     """
     params = traj.params
     L = problem.L
@@ -328,7 +330,8 @@ def per_row_certificate_columns(traj, kkt, problem):
     X, Y = traj.X, traj.Y
     big_k = traj.n_iters
     n_rows = big_k - 1
-    LX = L.apply_stack(X)
+    if LX is None:
+        LX = L.apply_stack(X)
     x_star, y_star = kkt.star.x, kkt.star.y
     lx_star, lty_star = L.apply(x_star), L.apply_adjoint(y_star)
 

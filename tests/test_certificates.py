@@ -48,8 +48,10 @@ def assert_blocks_match_reference(monkeypatch, traj, kkt, problem):
     with np.errstate(over="ignore", invalid="ignore"):
         want = per_row_certificate_columns(traj, kkt, problem)
     n_rows = traj.n_iters - 1
+    width = traj.X.shape[1] + traj.Y.shape[1]
     for block in (1, 2, 3, 7, n_rows - 1, n_rows, n_rows + 5):
         monkeypatch.setattr(certificates, "_CERT_BLOCK", block)
+        assert certificates._block_rows(width) == block  # the loop takes it
         table = certify_trajectory(traj, kkt, problem)
         for name, column in want.items():
             assert np.array_equal(getattr(table, name), column, equal_nan=True), \
@@ -446,6 +448,66 @@ def test_segments_certify_bitwise_as_whole_history(theta, tv_problem):
                     (problem.name, fault_k, name)
             assert summary.result() == want.summarize(), (problem.name, fault_k)
             assert (want.summarize()["first_failing_k"] is None) == (fault_k is None)
+
+
+def test_block_rows_follow_iterate_bytes():
+    # a 900x600 lasso gets blocks of about 32 rows; small problems keep
+    # whole 256-row blocks, and no iterate width goes below the floor
+    assert certificates._block_rows(1500) == 32
+    assert certificates._block_rows(22) == certificates._block_rows(99) == 256
+    assert certificates._block_rows(10 ** 7) == certificates._MIN_BLOCK_ROWS
+
+
+def dense_segment_case():
+    """A dense lasso run fed in 256-aligned segments, with its history and
+    the image of each segment's new iterates, as the certifier computes it."""
+    lasso = c.random_lasso(60, 40, 0.2, seed=5)
+    norm = lasso.L.norm_bound
+    params = SolverParams(*suggest_steps(0.5, norm, 0.9), theta=0.5, operator_norm=norm)
+    segments = list(run_segments(lasso, params, 700))
+    # a later segment's first iterate repeats the last one fed
+    fed = [(s.X[min(i, 1):], s.Y[min(i, 1):]) for i, (_, s) in enumerate(segments)]
+    history = c.Trajectory(params, *(np.concatenate(a) for a in zip(*fed)), 700, None)
+    lx = np.concatenate([lasso.L.apply_stack(x) for x, _ in fed])
+    kkt = make_kkt(lasso, history.final, check_tol=None)
+    return lasso, kkt, segments, history, lx
+
+
+@pytest.mark.parametrize("rows", [1, 7, 32, 256])
+def test_dense_segments_bitwise_for_any_block_rows(monkeypatch, rows):
+    # each block's rows are views of the segment, except the block that
+    # starts in the carried two-iterate overlap; rows=1 makes two of those
+    lasso, kkt, segments, history, lx = dense_segment_case()
+    want = per_row_certificate_columns(history, kkt, lasso, LX=lx)
+    monkeypatch.setattr(certificates, "_block_rows", lambda width: rows)
+    carry, tables = CertifyCarry(), []
+    for _, seg in segments:
+        tables.append(certify_trajectory(seg, kkt, lasso, carry=carry))
+    assert [len(t.ks) for t in tables] == [254, 256, 189]
+    for name, column in want.items():
+        got = np.concatenate([getattr(t, name) for t in tables])
+        assert np.array_equal(got, column, equal_nan=True), (rows, name)
+
+
+def test_certify_segment_memory_is_blocks_not_copies():
+    # one 256-iterate segment of a 900x600 lasso: X and Y are 3.1 MB, its
+    # image 1.8 MB; copying the segment with its overlap and making
+    # 256-row temporaries took about 29 MB
+    lasso = c.random_lasso(900, 600, 0.2, seed=0)
+    norm = lasso.L.norm_bound
+    params = SolverParams(*suggest_steps(1.0, norm, 0.9), theta=1.0, operator_norm=norm)
+    (_, first), (_, second) = run_segments(lasso, params, 511)
+    kkt = make_kkt(lasso, second.final, check_tol=None)
+    carry = CertifyCarry()
+    certify_trajectory(first, kkt, lasso, carry=carry)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        certify_trajectory(second, kkt, lasso, carry=carry)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6, peak / 1e6
 
 
 def lx_form_gaps(traj, kkt, problem):

@@ -216,6 +216,29 @@ def test_validate_prints_status(tmp_path, capsys):
     assert blob["product"] > blob["bound_rhs"]
 
 
+def test_relative_paths_resolve_against_the_file_that_names_them(tmp_path, monkeypatch,
+                                                                capsys):
+    # problem.file is relative to the config, a generator's matrix to the
+    # problem file; both used to open against the working directory
+    sub = tmp_path / "cfgdir" / "sub"
+    sub.mkdir(parents=True)
+    (sub / "A.txt").write_text("2 2\n1.0 0.5\n0.0 2.0\n")
+    (sub / "problem.json").write_text(json.dumps(
+        {"generator": "quadratic", "params": {"matrix": "A.txt", "a": [1.0, 0.0],
+                                              "b": [0.5, -1.0]}}))
+    write_config(tmp_path / "cfgdir" / "cfg.json", problem={"file": "sub/problem.json"})
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    cfg = os.path.join("..", "cfgdir", "cfg.json")
+    assert main(["validate", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "StrictlyValid"
+    assert main(["solve", "--config", cfg, "--out", "out"]) == 0
+    summary = json.loads((elsewhere / "out" / "summary.json").read_text())
+    assert summary["config"]["problem"] == {"file": "sub/problem.json"}  # as written
+    assert (summary["problem"]["rows"], summary["problem"]["cols"]) == (2, 2)
+
+
 def test_rate_command_on_solver_output(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", iters=600, theta=0.5)
     out = tmp_path / "out"

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import cpcert as c
+from cpcert import problems
 from cpcert.certificates import kkt_residual
 from cpcert.problems import problem_from_config
 from cpcert.solver import SolverParams, suggest_steps
@@ -155,6 +158,21 @@ def test_long_run_blocks_stop_inside_second_block():
     kkt = c.kkt_by_long_run(tv, params, 1300, stop_tol=1e-11)
     assert np.array_equal(kkt.star.x, single.final.x)
     assert np.array_equal(kkt.star.y, single.final.y)
+
+
+def test_long_run_holds_one_block_at_a_time():
+    # the last block's final point used to be views that pinned the whole
+    # block while the next one ran: two blocks' history live at once
+    lasso = c.random_lasso(120, 80, 0.2, seed=1)
+    block = (problems._ORACLE_BLOCK + 1) * (lasso.L.rows + lasso.L.cols) * 8
+    tracemalloc.start()
+    try:
+        c.kkt_by_long_run(lasso, strict_params(lasso, theta=1.0),
+                          3 * problems._ORACLE_BLOCK, stop_tol=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * block, peak / block
 
 
 def test_long_run_names_the_run_wide_nonfinite_iteration():
