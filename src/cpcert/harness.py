@@ -222,20 +222,44 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _fmt_column(col) -> list[str]:
+    """``[repr(float(v)) for v in col]``, formatting each distinct value once.
+
+    Values are keyed by their float64 bits: equal bits give equal text, and
+    ``-0.0`` stays apart from ``0.0``, which compare equal as floats. NaNs
+    of different payloads are separate keys that all print ``nan``. A dict
+    finds the distinct values, where ``np.unique`` would sort, and its
+    first call pages in about 0.5 MB of sort kernels, which shows in a
+    process's peak RSS.
+    """
+    col = np.asarray(col, dtype=np.float64)
+    bits = col.view(np.int64).tolist()
+    values = dict(zip(bits, col.tolist()))  # one value per distinct bit pattern
+    if len(values) == len(bits):
+        return list(map(repr, values.values()))
+    text = dict(zip(values, map(repr, values.values())))
+    return list(map(text.__getitem__, bits))
+
+
 def write_trajectory_csv(path, tables) -> None:
     """One row per certificate window, from a run's segment tables in order.
 
     Formatting one table (at most ``_CERT_BLOCK`` rows) at a time bounds
-    the Python strings alive at once. Every field is a plain number, so
-    joining with commas gives the bytes of ``csv.writer`` without its
+    the Python strings alive at once. Each float column of a table is
+    formatted once per distinct bit pattern (:func:`_fmt_column`); near z*
+    the certificate values settle and repeat, and the bytes are those of
+    formatting every value with ``repr``. Every field is a plain number,
+    so joining with commas gives the bytes of ``csv.writer`` without its
     per-field quoting checks.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for table in tables:
-            columns = [table.ks] + [getattr(table, name) for name in CSV_COLUMNS[1:]]
-            cells = [itertools.repeat(_fmt(col)) if np.ndim(col) == 0
-                     else map(repr, col.tolist()) for col in columns]
+            cells = [map(repr, table.ks.tolist())]
+            for name in CSV_COLUMNS[1:]:
+                col = getattr(table, name)  # eta_plus and eta_minus are 0-d
+                cells.append(itertools.repeat(_fmt(col)) if np.ndim(col) == 0
+                             else _fmt_column(col))
             fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
@@ -583,23 +607,31 @@ def emit_plotdata(csv_path, out_dir) -> list[str]:
 
     <metric>.dat skips non-finite values; <metric>_loglog.dat additionally
     blanks nonpositive values so log axes stay valid. Output bytes are a
-    pure function of the input CSV.
+    pure function of the input CSV: each value is written as its shortest
+    round-trip ``repr``, formatted once per distinct bit pattern
+    (:func:`_fmt_column`), so the CSV's own number text (``1.50``,
+    ``1E-5``) comes out canonical. Each file's text is joined whole and
+    written at once; one file's text is held at a time.
     """
     cols = read_trajectory_csv(csv_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    prefixes = [f"{k} " for k in cols["k"].astype(int).tolist()]
+    n = len(cols["k"])
+    # each line is three parts: "k ", the value (empty where blanked), "\n"
+    parts = [None] * (3 * n)
+    parts[0::3] = [f"{k} " for k in cols["k"].astype(int).tolist()]
+    parts[2::3] = ["\n"] * n
     written = []
     metrics = [c for c in CSV_COLUMNS if c != "k"]
     for metric in metrics:
         vals = cols[metric]
-        strs = list(map(repr, vals.tolist()))
+        strs = _fmt_column(vals)
         finite = np.isfinite(vals)
         for path, keep in ((out_dir / f"{metric}.dat", finite),
                            (out_dir / f"{metric}_loglog.dat", finite & (vals > 0))):
+            parts[1::3] = [s if ok else "" for s, ok in zip(strs, keep.tolist())]
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.writelines(pre + txt + "\n" if ok else pre + "\n"
-                              for pre, txt, ok in zip(prefixes, strs, keep.tolist()))
+                fh.write("".join(parts))
             written.append(str(path))
     script = out_dir / "plots.gp"
     with open(script, "w", encoding="utf-8", newline="\n") as fh:

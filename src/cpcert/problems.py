@@ -37,8 +37,11 @@ __all__ = [
 ]
 
 
-# Iterations per block of the long-run oracle: bounds its stored history.
+# Iterations per block of the long-run oracle, and the bytes of iterates
+# one block may store: together they bound its stored history. 8 MiB keeps
+# 512-iteration blocks up to n + m = 2048.
 _ORACLE_BLOCK = 512
+_ORACLE_BLOCK_BYTES = 8 << 20
 
 
 class OracleRejectedError(RuntimeError):
@@ -154,8 +157,8 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     """Approximate saddle point from a long solver run (oracle construction).
 
     Run far past the horizon of the experiment the point will serve (at
-    least 10x). The run goes in blocks of ``_ORACLE_BLOCK`` iterations, each
-    continuing from the last one's final point, so memory stays bounded;
+    least 10x). The run goes in blocks (:func:`_oracle_block` iterations),
+    each continuing from the last one's final point, so memory stays bounded;
     the iteration is memoryless and the stop rule is checked on every step,
     so the point is the one a single run of ``iters`` steps ends at. The
     returned point carries its measured fixed-point residual; a residual
@@ -166,10 +169,11 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     if status.kind is not Validity.STRICTLY_VALID:
         raise ValueError(f"long-run oracle needs StrictlyValid parameters, got {status}")
     z = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
+    block = _oracle_block(problem)
     done = 0
     while True:
         try:
-            traj = run(problem, params, z, min(_ORACLE_BLOCK, iters - done),
+            traj = run(problem, params, z, min(block, iters - done),
                        stop_tol=stop_tol)
         except NonFiniteIterateError as e:  # named by its run-wide iteration
             raise NonFiniteIterateError(done + e.iteration, e.detail) from None
@@ -187,6 +191,13 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
             f"after {done} iterations"
         )
     return make_kkt(problem, z, check_tol=None, residual=res)
+
+
+def _oracle_block(problem: ProblemSpec) -> int:
+    """Iterations per oracle block: ``_ORACLE_BLOCK``, or fewer so that a
+    block stores about ``_ORACLE_BLOCK_BYTES`` of iterates (at least one)."""
+    per_iterate = 8 * (problem.L.rows + problem.L.cols)
+    return min(_ORACLE_BLOCK, max(1, _ORACLE_BLOCK_BYTES // per_iterate))
 
 
 # --- seeded instance builders and the config registry ---------------------

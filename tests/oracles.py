@@ -12,14 +12,20 @@ and lower-bound residuals) evaluate one window of iterates at a time
 through the step-size weighted quadratic form, where the library computes
 every window in one vectorized pass. The subgradient membership tests
 check the prox inclusion of each shipped function family.
+
+The reference writers format every value of ``trajectory.csv`` and of the
+``plotdata`` files with its own ``repr`` call, line by line, where the
+library formats each distinct bit pattern of a column once.
 """
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
 from cpcert.certificates import eta_coefficients
+from cpcert.harness import CSV_COLUMNS, read_trajectory_csv
 from cpcert.hilbert import PPoint, as_vector
 from cpcert.solver import running_averages
 
@@ -379,3 +385,34 @@ def per_row_certificate_columns(traj, kkt, problem, LX=None):
                                 + (dys[:n_rows] * dys[:n_rows]).sum(axis=1)),
         "sum_gap": np.concatenate([[0.0], np.cumsum(gaps[1 : big_k - 1])]),
     }
+
+
+# --- per-value serialization ------------------------------------------------
+
+def write_trajectory_csv_per_value(path, tables) -> None:
+    """``trajectory.csv`` from segment tables, one ``repr`` call per field."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for table in tables:
+            columns = [table.ks] + [getattr(table, name) for name in CSV_COLUMNS[1:]]
+            cells = [itertools.repeat(repr(float(col))) if np.ndim(col) == 0
+                     else map(repr, col.tolist()) for col in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def emit_plotdata_per_value(csv_path, out_dir) -> None:
+    """The ``.dat`` files of ``plotdata``, one ``repr`` call per value, written
+    line by line (``plots.gp`` is not formatted from values and is omitted)."""
+    cols = read_trajectory_csv(csv_path)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    prefixes = [f"{k} " for k in cols["k"].astype(int).tolist()]
+    for metric in CSV_COLUMNS[1:]:
+        vals = cols[metric]
+        strs = list(map(repr, vals.tolist()))
+        finite = np.isfinite(vals)
+        for path, keep in ((out_dir / f"{metric}.dat", finite),
+                           (out_dir / f"{metric}_loglog.dat", finite & (vals > 0))):
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(pre + txt + "\n" if ok else pre + "\n"
+                              for pre, txt, ok in zip(prefixes, strs, keep.tolist()))

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -160,19 +161,33 @@ def test_long_run_blocks_stop_inside_second_block():
     assert np.array_equal(kkt.star.y, single.final.y)
 
 
+def oracle_peak_bytes(problem, iters):
+    tracemalloc.start()
+    try:
+        c.kkt_by_long_run(problem, strict_params(problem, theta=1.0), iters,
+                          stop_tol=None, accept_tol=math.inf)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_long_run_holds_one_block_at_a_time():
     # the last block's final point used to be views that pinned the whole
     # block while the next one ran: two blocks' history live at once
     lasso = c.random_lasso(120, 80, 0.2, seed=1)
-    block = (problems._ORACLE_BLOCK + 1) * (lasso.L.rows + lasso.L.cols) * 8
-    tracemalloc.start()
-    try:
-        c.kkt_by_long_run(lasso, strict_params(lasso, theta=1.0),
-                          3 * problems._ORACLE_BLOCK, stop_tol=None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rows = problems._oracle_block(lasso)
+    block = (rows + 1) * (lasso.L.rows + lasso.L.cols) * 8
+    peak = oracle_peak_bytes(lasso, 3 * rows)
     assert peak <= 1.3 * block, peak / block
+
+
+def test_long_run_blocks_are_sized_by_bytes():
+    # 300 iterations of a wide problem used to be one block of 301
+    # iterates, 24 MB at n = 5000; now blocks hold about 8 MiB each
+    tv = c.make_tv1d(c.default_tv_signal(5000, seed=0), lam=0.5)
+    assert problems._oracle_block(tv) < 300
+    peak = oracle_peak_bytes(tv, 300)
+    assert peak <= 1.3 * problems._ORACLE_BLOCK_BYTES, peak / problems._ORACLE_BLOCK_BYTES
 
 
 def test_long_run_names_the_run_wide_nonfinite_iteration():
