@@ -235,8 +235,6 @@ def _fmt_column(col) -> list[str]:
     col = np.asarray(col, dtype=np.float64)
     bits = col.view(np.int64).tolist()
     values = dict(zip(bits, col.tolist()))  # one value per distinct bit pattern
-    if len(values) == len(bits):
-        return list(map(repr, values.values()))
     text = dict(zip(values, map(repr, values.values())))
     return list(map(text.__getitem__, bits))
 

@@ -161,6 +161,33 @@ def test_long_run_blocks_stop_inside_second_block():
     assert np.array_equal(kkt.star.y, single.final.y)
 
 
+def cap_oracle_block(monkeypatch, tv, rows):
+    """Set the oracle's byte cap to ``rows`` iterates of ``tv``."""
+    monkeypatch.setattr(problems, "_ORACLE_BLOCK_BYTES",
+                        rows * 8 * (tv.L.rows + tv.L.cols))
+    assert problems._oracle_block(tv) == rows
+
+
+def test_byte_capped_blocks_end_at_single_run_point(monkeypatch):
+    # 1300 iterations run as 144 blocks of 9 and one of 4
+    tv, params, z0 = blocked_oracle_case()
+    cap_oracle_block(monkeypatch, tv, 9)
+    kkt = c.kkt_by_long_run(tv, params, 1300, stop_tol=None)
+    final = c.run(tv, params, z0, max_iters=1300, stop_tol=None).final
+    assert np.array_equal(kkt.star.x, final.x)
+    assert np.array_equal(kkt.star.y, final.y)
+
+
+def test_byte_capped_blocks_stop_inside_a_block(monkeypatch):
+    tv, params, z0 = blocked_oracle_case()
+    cap_oracle_block(monkeypatch, tv, 9)
+    single = c.run(tv, params, z0, max_iters=1300, stop_tol=1e-11)
+    assert single.stopped_at % 9 not in (0, 1)  # neither a block's first nor last step
+    kkt = c.kkt_by_long_run(tv, params, 1300, stop_tol=1e-11)
+    assert np.array_equal(kkt.star.x, single.final.x)
+    assert np.array_equal(kkt.star.y, single.final.y)
+
+
 def oracle_peak_bytes(problem, iters):
     tracemalloc.start()
     try:

@@ -75,22 +75,6 @@ def test_fmt_column_strided_views():
         assert _fmt_column(col) == per_value(col)
 
 
-def test_fmt_column_matches_repr_hypothesis():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    value = st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(
-        lambda b: float(floats_from_bits([b])[0])))
-
-    @hypothesis.settings(max_examples=200, deadline=None, database=None)
-    @hypothesis.given(st.lists(value, max_size=50), st.integers(0, 3))
-    def check(values, repeats):
-        # repeat a prefix so that most columns hold equal bit patterns
-        col = np.array(values + values[: len(values) // 2] * repeats, dtype=np.float64)
-        assert _fmt_column(col) == per_value(col)
-
-    check()
-
-
 # --- written files against the per-value reference writers ----------------
 
 def solve_and_capture_tables(tmp_path, monkeypatch, cfg):
