@@ -57,18 +57,30 @@ def _block_rows(width: int) -> int:
     return min(max(_CERT_BLOCK_BYTES // (8 * width), _MIN_BLOCK_ROWS), _CERT_BLOCK)
 
 
+# Where a saddle point came from: a closed form, a direct algorithm, a
+# short run whose point was polished on its active set, or a long run.
+ORACLE_KINDS = ("closed_form", "direct", "polished", "long_run")
+
+
 @dataclass(frozen=True)
 class KKTPoint:
     """A saddle point (x*, y*) with cached objective values f(x*), g*(y*).
 
-    ``residual`` records the measured fixed-point residual when the point
-    came from a long solver run rather than a closed form.
+    ``residual`` records its measured fixed-point residual. ``kind`` says
+    where the point came from (one of ``ORACLE_KINDS``) and ``iterations``
+    how many solver steps produced it, None for a point no run produced.
     """
 
     star: PPoint
     f_star: float
     gstar_star: float
     residual: float | None = None
+    kind: str = "closed_form"
+    iterations: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ORACLE_KINDS:
+            raise ValueError(f"unknown oracle kind {self.kind!r}; one of {ORACLE_KINDS}")
 
 
 def kkt_residual(problem, z: PPoint) -> float:
@@ -84,7 +96,8 @@ def kkt_residual(problem, z: PPoint) -> float:
 
 
 def make_kkt(problem, star: PPoint, check_tol: float | None = 1e-8,
-             residual: float | None = None) -> KKTPoint:
+             residual: float | None = None, kind: str = "closed_form",
+             iterations: int | None = None) -> KKTPoint:
     """Build a KKTPoint, verifying the optimality residual unless disabled."""
     res = kkt_residual(problem, star)
     if check_tol is not None and res > check_tol:
@@ -93,7 +106,8 @@ def make_kkt(problem, star: PPoint, check_tol: float | None = 1e-8,
     gstar_star = problem.gstar.evaluate(star.y)
     if not (math.isfinite(f_star) and math.isfinite(gstar_star)):
         raise ValueError("saddle point has non-finite objective values")
-    return KKTPoint(star, f_star, gstar_star, residual if residual is not None else res)
+    return KKTPoint(star, f_star, gstar_star, residual if residual is not None else res,
+                    kind, iterations)
 
 
 def _eta_numerator(params: SolverParams) -> float:

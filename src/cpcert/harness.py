@@ -349,6 +349,13 @@ def _get_kkt(problem, cfg: ExperimentConfig):
     return kkt_by_long_run(problem, oracle_params, oracle_iters)
 
 
+def _oracle_fields(kkt) -> dict:
+    """Where the saddle point came from, for summary.json: its kind, the
+    solver steps that produced it (None for none) and its residual."""
+    return {"kkt_oracle_kind": kkt.kind, "kkt_oracle_iterations": kkt.iterations,
+            "kkt_oracle_residual": kkt.residual}
+
+
 def _resolved_problem_config(cfg: ExperimentConfig) -> dict:
     """Problem config, read from its file if it references one, with the
     experiment seed as the default generator seed. Relative paths in it
@@ -402,7 +409,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         "params": _params_block(params),
         "iterations": cell.n_iters,
         "stopped_at": cell.stopped_at,
-        "kkt_oracle_residual": kkt.residual,
+        **_oracle_fields(kkt),
         "final_fixed_point_residual": cell.final_residual,
         "certificates": cell.summary.result(),
     }
@@ -447,12 +454,13 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     rows = []
     worst = 0
     for i, (theta, safety) in enumerate(grid):
-        row = {"theta": theta, "safety": safety, "ratio": ratio}
+        row = {"theta": theta, "safety": safety, "ratio": ratio, "error": None}
         outcome = outcomes[i]
         if isinstance(outcome, ValueError):
             row.update({k: None for k in SWEEP_COLUMNS if k not in row})
             row["status"] = "config-error"
             row["exit_code"] = 2
+            row["error"] = str(outcome)
             print(f"sweep cell theta={theta} safety={safety}: {outcome}", file=sys.stderr)
         elif isinstance(outcome, Exception):
             raise outcome
@@ -478,7 +486,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         for row in rows:
             writer.writerow([_csv_cell(row[c]) for c in SWEEP_COLUMNS])
     write_json(out_dir / "sweep_summary.json",
-               {"config": cfg.to_dict(), "cells": rows})
+               {"config": cfg.to_dict(), **_oracle_fields(kkt), "cells": rows})
     return worst
 
 

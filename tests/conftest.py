@@ -24,10 +24,8 @@ def quad_problems():
 @pytest.fixture(scope="session")
 def tv_problem():
     problem = c.make_tv1d(c.default_tv_signal(50, seed=0), lam=0.5)
-    tau, sigma = c.suggest_steps(1.0, problem.L.norm_bound, 0.9, 1.0)
-    oracle_params = c.SolverParams(tau, sigma, 1.0, problem.L.norm_bound)
-    kkt = c.kkt_by_long_run(problem, oracle_params, 400000, stop_tol=1e-14)
-    return problem, kkt
+    assert problem.kkt.kind == "direct"
+    return problem, problem.kkt
 
 
 def grid_params(problem, theta, safety):

@@ -4,6 +4,13 @@
 configs/tv_sweep.json must write these exact bytes. The lasso config covers
 the dense-gemm operator images and the stacked lasso conjugate value map. A
 change that moves any output bit has to say so and update the hashes.
+
+Last regenerated when the lasso oracle began polishing its point on the
+active set and TV-1D began taking z* from Condat's direct algorithm: z*
+moved by about 1e-14, which moves the lasso and tv_sweep certificate values
+in their last bits. Every summary also gained the oracle's provenance
+(``kkt_oracle_kind``, ``kkt_oracle_iterations``) and each sweep row an
+``error`` field; the quadratic trajectory.csv did not change.
 """
 
 import hashlib
@@ -18,16 +25,16 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 GOLDEN = {
     ("solve", "lasso.json"): {
-        "trajectory.csv": "bd7656b2a01cf1d4d15296bc28cd22fb7d1fc84942fcc1117141d67d48111a6c",
-        "summary.json": "bd03810afb2f15911d9771d8452d061f779e285473c054adc7ce82219c58abf0",
+        "trajectory.csv": "bd2015a8352ae024ac08e99cd2bd7ebc47136c9c2668fb7c9e7d27dca866c486",
+        "summary.json": "c33811eb89b5d1a9bc84c2012eb89128e67c864898c8beda044ba97dfb5c76b0",
     },
     ("solve", "quadratic.json"): {
         "trajectory.csv": "037a7d08b393dd336374a56ea33356fc697c5ba4b45ff65e72ef7d184907b240",
-        "summary.json": "9fd66eeb6ea65856f94e08ca9a7e5db671418433b1578a3b9f61409dff66cf5b",
+        "summary.json": "bffa6dc951e841701ea4b9067f565f41dcef483ef0c42580e929afe0d83826e7",
     },
     ("sweep", "tv_sweep.json"): {
-        "sweep_summary.csv": "0ab15d1ef9bf8c5b34778c068ad0b923cef5c7cad8161726c0c5173ee59e0996",
-        "sweep_summary.json": "4c29e31185354641c053ed3463803d531f72e2016923d3c6d92bdbd80d6cf167",
+        "sweep_summary.csv": "a63c067e80871444a026bb6fe13df87071cfb2bff270ec6fcd22171d99cb069c",
+        "sweep_summary.json": "c1859e63c3a3a060371d5603fdbabaecd3f07b8e9952f130ebbc0129c0a3ac22",
     },
 }
 

@@ -189,6 +189,41 @@ def test_sweep_isolates_bad_cells(tmp_path, capsys):
     assert by_safety["1.5"]["exit_code"] == "2"
 
 
+def test_sweep_row_carries_its_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "sweep.json", iters=60,
+                       grid={"theta": [1.0], "safety": [0.9, 1.5]})  # 1.5 has no steps
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    good, bad = json.loads((out / "sweep_summary.json").read_text())["cells"]
+    assert good["error"] is None and good["status"] == "StrictlyValid"
+    assert bad["status"] == "config-error"
+    assert bad["error"] == "safety must lie in (0, 1], got 1.5"
+    assert f"safety=1.5: {bad['error']}" in capsys.readouterr().err
+    header = (out / "sweep_summary.csv").read_text().splitlines()[0]
+    assert "error" not in header.split(",")
+
+
+@pytest.mark.parametrize("command, config, kind", [
+    ("solve", "quadratic.json", "closed_form"),
+    ("solve", "lasso.json", "polished"),
+    ("sweep", "tv_sweep.json", "direct"),
+])
+def test_shipped_configs_report_their_oracle(tmp_path, command, config, kind):
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "out"
+    assert main([command, "--config", str(root / "configs" / config),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / f"{'summary' if command == 'solve' else 'sweep_summary'}.json")
+                         .read_text())
+    assert summary["kkt_oracle_kind"] == kind
+    iterations = summary["kkt_oracle_iterations"]
+    if kind == "polished":
+        assert isinstance(iterations, int) and iterations > 0
+    else:
+        assert iterations is None
+    assert 0.0 <= summary["kkt_oracle_residual"] <= 1e-12
+
+
 def test_sweep_rows_order_independent(tmp_path):
     base = {
         "problem": {"generator": "quadratic", "params": {"rows": 5, "cols": 4, "seed": 2}},
@@ -605,6 +640,27 @@ def test_bench_child_hooks_see_the_sweep(tmp_path, command):
     notes = data["notes"]
     assert sum(notes["cert_rows"]) == rows
     assert all(isinstance(n, int) and n > 0 for n in notes["run_iters"])
+
+
+def test_bench_child_sees_the_polish_inside_the_oracle_span(tmp_path):
+    # bench/child.py times the oracle as the span of kkt_by_long_run and
+    # counts its steps by wrapping cpcert.problems.run
+    root = Path(__file__).resolve().parents[1]
+    report, out = tmp_path / "report.json", tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "child.py"), str(report), "trace", "--",
+         "solve", "--config", str(root / "configs" / "lasso.json"), "--out", str(out)],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(report.read_text())
+    spans = data["spans"]
+    oracle = [i for i, s in enumerate(spans) if s["name"] == "problems.kkt_by_long_run"]
+    assert len(oracle) == 1
+    runs = [s for s in spans if s["name"] == "problems.run"]
+    assert runs and all(s["parent"] == oracle[0] for s in runs)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["kkt_oracle_kind"] == "polished"
+    assert sum(data["notes"]["oracle_iters"]) == summary["kkt_oracle_iterations"]
 
 
 # --- non-finite numbers and wrong-typed vectors in configs ---------------------

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -106,6 +108,7 @@ def test_tv_small_instances_match_exhaustive_oracle():
             problem = c.make_tv1d(sig, lam)
             kkt = c.kkt_by_long_run(problem, strict_params(problem), 200000)
             assert np.max(np.abs(kkt.star.x - want)) <= 1e-7, (trial, lam)
+            assert np.max(np.abs(problem.kkt.star.x - want)) <= 1e-12, (trial, lam)
 
 
 def test_tv_requires_two_samples():
@@ -289,3 +292,159 @@ def test_problem_from_file_reference(tmp_path):
     assert p.metadata["seed"] == 11
     with pytest.raises(OSError):
         problem_from_config({"file": str(tmp_path / "missing.json")})
+
+
+# --- the direct TV-1D saddle point ---------------------------------------------
+
+def assert_direct(problem, tol=1e-12):
+    assert problem.kkt is not None and problem.kkt.kind == "direct"
+    assert problem.kkt.iterations is None
+    assert problem.kkt.residual == kkt_residual(problem, problem.kkt.star) <= tol
+    assert problem.gstar.evaluate(problem.kkt.star.y) == 0.0  # y* inside the box band
+    return problem.kkt.star
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_tv_direct_matches_long_run(seed):
+    tv = c.make_tv1d(c.default_tv_signal(50, seed=seed), lam=0.5)
+    star = assert_direct(tv)
+    long_run = c.kkt_by_long_run(tv, strict_params(tv), 200000)
+    assert long_run.kind == "long_run"
+    assert np.max(np.abs(long_run.star.x - star.x)) <= 1e-11
+    assert np.max(np.abs(long_run.star.y - star.y)) <= 1e-11
+
+
+def test_tv_direct_zero_lambda_is_the_signal():
+    sig = np.random.default_rng(1).standard_normal(40)
+    star = assert_direct(c.make_tv1d(sig, lam=0.0))
+    assert np.array_equal(star.x, sig)
+    assert not star.y.any()
+
+
+def test_tv_direct_large_lambda_is_the_mean():
+    sig = c.default_tv_signal(60, seed=2)
+    lam = 1.01 * float(np.max(np.abs(np.cumsum(sig - sig.mean()))))
+    star = assert_direct(c.make_tv1d(sig, lam))
+    assert np.allclose(star.x, sig.mean(), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("sig, lam, want", [
+    ([0.0, 1.0], 0.2, [0.2, 0.8]),  # a jump of 1 shrinks by 2 lam
+    ([0.0, 1.0], 0.7, [0.5, 0.5]),  # lam >= half the jump merges the two
+    ([2.0, -1.0], 0.5, [1.5, -0.5]),
+])
+def test_tv_direct_two_samples(sig, lam, want):
+    star = assert_direct(c.make_tv1d(sig, lam))
+    assert np.allclose(star.x, want, rtol=0.0, atol=1e-15)
+
+
+def test_tv_direct_constant_signal():
+    star = assert_direct(c.make_tv1d(np.full(9, -0.3), lam=0.4))
+    assert np.array_equal(star.x, np.full(9, -0.3))
+    assert not star.y.any()
+
+
+def test_tv_direct_large_signal_is_fast():
+    sig = c.default_tv_signal(5000, seed=0)
+    t0 = time.perf_counter()
+    tv = c.make_tv1d(sig, lam=0.5)
+    elapsed = time.perf_counter() - t0
+    assert_direct(tv, tol=1e-10)
+    assert elapsed < 0.5, elapsed
+
+
+def test_tv_direct_falls_back_to_the_long_run(monkeypatch):
+    # a direct point that fails the residual check is not attached
+    monkeypatch.setattr(problems, "_condat_tv1d", lambda s, lam: [0.0] * len(s))
+    tv = c.make_tv1d(c.default_tv_signal(20, seed=0), lam=0.1)
+    assert tv.kkt is None
+
+
+# --- the polished lasso oracle --------------------------------------------------
+
+@pytest.mark.parametrize("rows, cols", [(90, 60), (200, 100)])
+@pytest.mark.parametrize("seed", range(5))
+def test_polished_lasso_matches_long_run(rows, cols, seed):
+    lasso = c.random_lasso(rows, cols, 0.2, seed)
+    params = strict_params(lasso)
+    kkt = c.kkt_by_long_run(lasso, params, 4000)
+    assert kkt.kind == "polished"
+    assert kkt.residual <= problems._POLISH_TOL
+    plain = dataclasses.replace(lasso, polish=None)
+    long_run = c.kkt_by_long_run(plain, params, 4000, stop_tol=None)
+    assert long_run.kind == "long_run" and long_run.iterations == 4000
+    assert np.max(np.abs(kkt.star.x - long_run.star.x)) <= 1e-12
+    assert np.max(np.abs(kkt.star.y - long_run.star.y)) <= 1e-12
+
+
+@pytest.mark.parametrize("iters, stop_tol", [(1300, None), (4000, 1e-13)])
+def test_failed_polish_ends_at_the_long_run_point(monkeypatch, iters, stop_tol):
+    # with every candidate refused, the oracle is the plain block loop
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        return None
+
+    monkeypatch.setattr(problems, "_lasso_polish", refuse)
+    lasso = c.random_lasso(90, 60, 0.2, seed=0)
+    params = strict_params(lasso)
+    kkt = c.kkt_by_long_run(lasso, params, iters, stop_tol=stop_tol)
+    z0 = c.PPoint(np.zeros(lasso.L.cols), np.zeros(lasso.L.rows))
+    single = c.run(lasso, params, z0, max_iters=iters, stop_tol=stop_tol)
+    assert calls  # the hook was tried after a block that did not stop
+    assert kkt.kind == "long_run"
+    assert np.array_equal(kkt.star.x, single.final.x)
+    assert np.array_equal(kkt.star.y, single.final.y)
+    assert kkt.iterations == single.n_iters
+    assert single.stopped_at == (None if stop_tol is None else kkt.iterations)
+
+
+def test_failed_refinement_ends_at_the_long_run_point(monkeypatch):
+    # a candidate whose residual stays above _POLISH_TOL is dropped too
+    lasso = c.random_lasso(90, 60, 0.2, seed=0)
+    params = strict_params(lasso)
+    monkeypatch.setattr(problems, "_POLISH_TOL", 0.0)
+    kkt = c.kkt_by_long_run(lasso, params, 1300, stop_tol=None)
+    z0 = c.PPoint(np.zeros(lasso.L.cols), np.zeros(lasso.L.rows))
+    final = c.run(lasso, params, z0, max_iters=1300, stop_tol=None).final
+    assert kkt.kind == "long_run" and kkt.iterations == 1300
+    assert np.array_equal(kkt.star.x, final.x)
+    assert np.array_equal(kkt.star.y, final.y)
+
+
+def test_polish_refuses_a_support_larger_than_the_rows(monkeypatch):
+    lasso = c.random_lasso(30, 60, 0.05, seed=3)
+    dense = c.PPoint(np.linspace(0.1, 1.0, 60), np.zeros(30))
+    assert lasso.polish(dense) is None
+    seen = []
+    polish = problems._lasso_polish
+
+    def spy(A, b, lam, x):
+        out = polish(A, b, lam, x)
+        seen.append((int(np.count_nonzero(x)), out))
+        return out
+
+    monkeypatch.setattr(problems, "_lasso_polish", spy)
+    kkt = c.kkt_by_long_run(lasso, strict_params(lasso), 3000, stop_tol=None,
+                            accept_tol=math.inf)
+    wide = [out for size, out in seen if size > lasso.L.rows]
+    assert wide and all(out is None for out in wide)
+    if kkt.kind == "polished":
+        assert np.count_nonzero(kkt.star.x) <= lasso.L.rows
+
+
+def test_polish_candidate_satisfies_the_lasso_conditions():
+    lasso = c.random_lasso(90, 60, 0.2, seed=1)
+    params = strict_params(lasso)
+    z0 = c.PPoint(np.zeros(60), np.zeros(90))
+    z = c.run(lasso, params, z0, max_iters=600, stop_tol=None).final
+    cand = lasso.polish(z)
+    assert cand is not None
+    support = cand.x != 0
+    assert np.array_equal(support, z.x != 0)
+    assert np.array_equal(np.sign(cand.x), np.sign(z.x))
+    grad = lasso.L.apply_adjoint(cand.y)  # A^T (A x - b)
+    assert np.allclose(grad[support], -0.2 * np.sign(cand.x[support]), rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(grad[~support])) <= 0.2
+    assert kkt_residual(lasso, cand) <= 1e-11
