@@ -41,20 +41,21 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
-# Segments of a run fed with a CertifyCarry start at multiples of this many
-# iterates; it is also the most table rows in one certification block.
-_CERT_BLOCK = 256
-# Bytes of iterate rows per certification block: each block temporary, such
-# as a (rows, n) or (rows, m) difference, then stays in a core's L2 cache.
-_CERT_BLOCK_BYTES = 384 * 1024
-# The fewest rows per block, so that re-reading the two-row overlap each
-# block needs stays cheap.
-_MIN_BLOCK_ROWS = 8
+# Bytes of iterates per run segment: each segment temporary, such as a
+# (rows, n) or (rows, m) difference, then stays in a core's L2 cache.
+_SEGMENT_BYTES = 384 * 1024
+# The fewest iterates per segment, so that re-reading the two carried
+# iterates stays cheap, and the most, so that a segment's table stays small.
+_MIN_SEGMENT, _MAX_SEGMENT = 8, 256
 
 
-def _block_rows(width: int) -> int:
-    """Table rows per certification block for iterates of ``width`` = n + m entries."""
-    return min(max(_CERT_BLOCK_BYTES // (8 * width), _MIN_BLOCK_ROWS), _CERT_BLOCK)
+def _segment_iterates(width: int) -> int:
+    """Iterates per run segment for iterates of ``width`` = n + m entries.
+
+    A run certified in segments (see :class:`CertifyCarry`) ends each one
+    at a multiple of this many iterates.
+    """
+    return min(max(_SEGMENT_BYTES // (8 * width), _MIN_SEGMENT), _MAX_SEGMENT)
 
 
 # Where a saddle point came from: a closed form, a direct algorithm, a
@@ -96,8 +97,7 @@ def kkt_residual(problem, z: PPoint) -> float:
 
 
 def make_kkt(problem, star: PPoint, check_tol: float | None = 1e-8,
-             residual: float | None = None, kind: str = "closed_form",
-             iterations: int | None = None) -> KKTPoint:
+             kind: str = "closed_form", iterations: int | None = None) -> KKTPoint:
     """Build a KKTPoint, verifying the optimality residual unless disabled."""
     res = kkt_residual(problem, star)
     if check_tol is not None and res > check_tol:
@@ -106,8 +106,7 @@ def make_kkt(problem, star: PPoint, check_tol: float | None = 1e-8,
     gstar_star = problem.gstar.evaluate(star.y)
     if not (math.isfinite(f_star) and math.isfinite(gstar_star)):
         raise ValueError("saddle point has non-finite objective values")
-    return KKTPoint(star, f_star, gstar_star, residual if residual is not None else res,
-                    kind, iterations)
+    return KKTPoint(star, f_star, gstar_star, res, kind, iterations)
 
 
 def _eta_numerator(params: SolverParams) -> float:
@@ -293,9 +292,9 @@ class CertifyCarry:
     object with each later one. It holds the number of iterates fed so far
     (the table row offset follows from it), the prefix sums of X and Y
     behind the running averages, the running sum of the gap column, V(0),
-    and the last two iterates fed, with their images: the overlap that the
-    next segment's first windows need. A call that raises leaves the carry
-    as it was.
+    the images L x* and L* y*, computed once per run, and the last two
+    iterates fed, with their images: the overlap that the next segment's
+    first windows need. A call that raises leaves the carry as it was.
     """
 
     iterates: int = 0
@@ -303,6 +302,8 @@ class CertifyCarry:
     sum_x: np.ndarray | None = None
     sum_y: np.ndarray | None = None
     gap_sum: float | None = None
+    lx_star: np.ndarray | None = None
+    lty_star: np.ndarray | None = None
     overlap: tuple = ()
 
 
@@ -311,38 +312,34 @@ def certify_trajectory(traj: Trajectory, kkt: KKTPoint, problem,
                        carry: CertifyCarry | None = None) -> CertificateTable:
     """Evaluate every certificate along a trajectory.
 
-    The table is built in blocks of rows, as many as fit
-    ``_CERT_BLOCK_BYTES`` of iterates (n + m entries each), at least
-    ``_MIN_BLOCK_ROWS`` and at most ``_CERT_BLOCK``. Block [lo, hi) reads
-    iterates lo..hi+1, the two-iterate overlap that the descent window
-    needs, and recomputes the one value V(hi) it shares with the next
-    block. Across blocks it carries the prefix sums of X and Y behind the
-    running averages and the running sum of the gap column. A block's rows
-    are views of ``traj``; only a block that starts in the carried overlap
-    copies its rows. Each value map is called on stacks of rows, so working
-    memory is LX plus a few block-sized temporaries: about 5.4 MB above
-    its inputs for a 256-iterate segment of a 900x600 lasso, whose X and Y
-    take 3.1 MB.
+    The iterates are certified in one pass: each value map is called on
+    the stack of rows, and the P-forms, descent and lower-bound residuals,
+    distances and ergodic gaps are row-wise reductions over stacks of
+    differences. Working memory is therefore a fixed number of
+    history-sized temporaries, about seven rows of n + m floats per row
+    passed, so a long run is fed in segments.
 
     With a ``carry``, ``traj`` is one segment of a longer run, and the
     returned table holds the rows whose windows the segments fed so far
     complete. The first segment starts at iterate 0; each later one is the
     run continued from the last iterate fed, so its first iterate repeats
-    that one and is skipped. Its rows are certified and may then be
-    dropped: the carry holds all that later rows need.
+    that one and is skipped. The segment is certified together with the
+    two iterates carried over from the one before; its rows may then be
+    dropped, as the carry holds all that later rows need.
 
-    Chunk alignment: LX = L.apply_stack(X) is computed once per call, over
+    Segment alignment: LX = L.apply_stack(X) is computed once per call, over
     the iterates it brings, and a dense ``apply_stack`` (a matrix-matrix
     product) may round a row differently depending on where it sits in the
-    stack. A segment fed with a carry must therefore start at a multiple of
-    ``_CERT_BLOCK`` iterates (a ValueError otherwise), and each row's image
-    is computed exactly once. Every other value is a row-wise reduction,
-    which does not depend on the split, so the table is bitwise that of one
-    call on the whole history, except for rows that a dense ``apply_stack``
-    rounds differently on segments. No ``carry`` means a fresh one: the
-    history is one chunk. The per-window scalar definitions of the same
-    values live in the test suite's reference oracles
-    (``tests/oracles.py``).
+    stack. A segment fed with a carry must therefore start at a multiple
+    of ``_segment_iterates(n + m)`` iterates (a ValueError otherwise): as
+    many iterates as fit in ``_SEGMENT_BYTES``, at least ``_MIN_SEGMENT``
+    and at most ``_MAX_SEGMENT``. Each row's image is computed exactly
+    once. Every other value is a row-wise reduction, which does not depend
+    on the split, so the table is bitwise that of one call on the whole
+    history, except for rows that a dense ``apply_stack`` rounds
+    differently on segments. No ``carry`` means a fresh one: the history
+    is one segment. The per-window scalar definitions of the same values
+    live in the test suite's reference oracles (``tests/oracles.py``).
 
     Raises ValueError for a negative or non-finite ``tol``, for fewer than
     2 iterations, if a value map does not return one value per row, and
@@ -352,9 +349,10 @@ def certify_trajectory(traj: Trajectory, kkt: KKTPoint, problem,
         raise ValueError(f"certificate tolerance must be finite and nonnegative, got {tol}")
     if carry is None:
         carry = CertifyCarry()
-    if carry.iterates % _CERT_BLOCK:
+    segment = _segment_iterates(traj.X.shape[1] + traj.Y.shape[1])
+    if carry.iterates % segment:
         raise ValueError(f"a continued segment must start at a multiple of "
-                         f"{_CERT_BLOCK} iterates, not at iterate {carry.iterates}")
+                         f"{segment} iterates, not at iterate {carry.iterates}")
     new = slice(1 if carry.iterates else 0, None)
     X, Y = traj.X[new], traj.Y[new]
     # Diverging observational runs may overflow to inf/NaN; report those
@@ -403,69 +401,54 @@ def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
         eta_p = eta_m = math.nan
 
     x_star, y_star = kkt.star.x, kkt.star.y
-    lx_star, lty_star = L.apply(x_star), L.apply_adjoint(y_star)
+    if carry.lx_star is None:
+        lx_star, lty_star = L.apply(x_star), L.apply_adjoint(y_star)
+    else:
+        lx_star, lty_star = carry.lx_star, carry.lty_star
     fresh = (X_new, Y_new, L.apply_stack(X_new))  # X_new[0] is iterate ``fed``
+    # iterates r0..r1+1: the carried overlap, then the new ones
+    X, Y, LX = map(np.concatenate, zip(carry.overlap, fresh)) if carry.overlap else fresh
+    gaps = _gaps(problem, kkt, X, Y, lty_star, lx_star)  # D(z_{r0..r1+1})
 
-    def window(lo, hi):
-        """X, Y and LX rows of iterates lo..hi+1: views into the segment,
-        except for a block that starts in the carried overlap."""
-        if lo >= fed:
-            return tuple(a[lo - fed : hi + 2 - fed] for a in fresh)
-        return tuple(np.concatenate((o[lo - fed + 2 :], a[: hi + 2 - fed]))
-                     for o, a in zip(carry.overlap, fresh))
+    dxs = X - x_star
+    dys = Y - y_star
+    ldxs = LX - lx_star
+    # P-form of z_k - z* and of consecutive increments
+    p_star = ((dxs * dxs).sum(axis=1) / tau + (dys * dys).sum(axis=1) / sigma
+              - (1.0 + theta) * (ldxs * dys).sum(axis=1))
+    inc_x = np.diff(X, axis=0)
+    inc_y = np.diff(Y, axis=0)
+    inc_lx = np.diff(LX, axis=0)
+    p_inc = ((inc_x * inc_x).sum(axis=1) / tau + (inc_y * inc_y).sum(axis=1) / sigma
+             - (1.0 + theta) * (inc_lx * inc_y).sum(axis=1))
+    cross = ((dys[:-1] * inc_lx).sum(axis=1) - (ldxs[:-1] * inc_y).sum(axis=1))
+    v = 0.5 * p_star[:-1] - 0.25 * p_inc - c * gaps[1:] - c * cross  # V(r0..r1)
+    if asserted and not np.all(np.isfinite(v)):
+        bad = r0 + int(np.argmax(~np.isfinite(v)))
+        raise RuntimeError(f"non-finite Lyapunov value at iteration {bad}")
 
-    n_rows = r1 - r0
-    lyap, gap, erg, descent, lower, dist = (np.empty(n_rows) for _ in range(6))
-    if r0 == 0:
-        erg[0] = math.nan  # averages start at k = 1
-    sum_x, sum_y = carry.sum_x, carry.sum_y  # rows 1..lo-1
-    step = _block_rows(X_new.shape[1] + Y_new.shape[1])
-    for lo in range(r0, r1, step):
-        hi = min(lo + step, r1)
-        out = slice(lo - r0, hi - r0)
-        Xb, Yb, LXb = window(lo, hi)
-        gaps = _gaps(problem, kkt, Xb, Yb, lty_star, lx_star)  # D(z_{lo..hi+1})
+    # Descent windows: increments x_{k+2}-x_{k+1} vs y_{k+1}-y_k
+    k_dx = inc_lx[1:] / m_bound if m_bound > 0 else np.zeros_like(inc_lx[1:])
+    theta_term = theta / (4.0 * tau) * (
+        (inc_x[1:] * inc_x[1:]).sum(axis=1) - (k_dx * k_dx).sum(axis=1))
+    wp = k_dx / math.sqrt(tau) + inc_y[:-1] / math.sqrt(sigma)
+    wm = k_dx / math.sqrt(tau) - inc_y[:-1] / math.sqrt(sigma)
+    descent = (v[1:] - v[:-1] + gaps[1:-1]
+               + theta_term
+               + 0.25 * eta_p * (wp * wp).sum(axis=1)
+               + 0.25 * eta_m * (wm * wm).sum(axis=1))
+    lyap = v[:-1]
+    gap = gaps[1:-1]
+    dist = np.sqrt((dxs[:-2] * dxs[:-2]).sum(axis=1) + (dys[:-2] * dys[:-2]).sum(axis=1))
 
-        dxs = Xb - x_star
-        dys = Yb - y_star
-        ldxs = LXb - lx_star
-        # P-form of z_k - z* and of consecutive increments
-        p_star = ((dxs * dxs).sum(axis=1) / tau + (dys * dys).sum(axis=1) / sigma
-                  - (1.0 + theta) * (ldxs * dys).sum(axis=1))
-        inc_x = np.diff(Xb, axis=0)
-        inc_y = np.diff(Yb, axis=0)
-        inc_lx = np.diff(LXb, axis=0)
-        p_inc = ((inc_x * inc_x).sum(axis=1) / tau + (inc_y * inc_y).sum(axis=1) / sigma
-                 - (1.0 + theta) * (inc_lx * inc_y).sum(axis=1))
-        cross = ((dys[:-1] * inc_lx).sum(axis=1) - (ldxs[:-1] * inc_y).sum(axis=1))
-        v = 0.5 * p_star[:-1] - 0.25 * p_inc - c * gaps[1:] - c * cross  # V(lo..hi)
-        if asserted and not np.all(np.isfinite(v)):
-            bad = lo + int(np.argmax(~np.isfinite(v)))
-            raise RuntimeError(f"non-finite Lyapunov value at iteration {bad}")
-
-        # Descent windows: increments x_{k+2}-x_{k+1} vs y_{k+1}-y_k
-        k_dx = inc_lx[1:] / m_bound if m_bound > 0 else np.zeros_like(inc_lx[1:])
-        theta_term = theta / (4.0 * tau) * (
-            (inc_x[1:] * inc_x[1:]).sum(axis=1) - (k_dx * k_dx).sum(axis=1))
-        wp = k_dx / math.sqrt(tau) + inc_y[:-1] / math.sqrt(sigma)
-        wm = k_dx / math.sqrt(tau) - inc_y[:-1] / math.sqrt(sigma)
-        descent[out] = (v[1:] - v[:-1] + gaps[1:-1]
-                        + theta_term
-                        + 0.25 * eta_p * (wp * wp).sum(axis=1)
-                        + 0.25 * eta_m * (wm * wm).sum(axis=1))
-        lyap[out] = v[:-1]
-        gap[out] = gaps[1:-1]
-        lower[out] = 0.5 * p_star[1:-1] - v[:-1]
-        dist[out] = np.sqrt((dxs[:-2] * dxs[:-2]).sum(axis=1)
-                            + (dys[:-2] * dys[:-2]).sum(axis=1))
-
-        # Ergodic gaps D(avg_k) over iterates 1..k
-        k0 = max(lo, 1)
-        if k0 < hi:
-            avg = slice(k0 - lo, hi - lo)
-            ex, sum_x = running_averages(Xb[avg], sum_x, k0 - 1)
-            ey, sum_y = running_averages(Yb[avg], sum_y, k0 - 1)
-            erg[k0 - r0 : hi - r0] = _gaps(problem, kkt, ex, ey, lty_star, lx_star)
+    # Ergodic gaps D(avg_k) over iterates 1..k; averages start at k = 1
+    erg = np.full(r1 - r0, math.nan)
+    sum_x, sum_y = carry.sum_x, carry.sum_y  # rows 1..r0-1
+    k0 = max(r0, 1)
+    if k0 < r1:
+        ex, sum_x = running_averages(X[k0 - r0 : r1 - r0], sum_x, k0 - 1)
+        ey, sum_y = running_averages(Y[k0 - r0 : r1 - r0], sum_y, k0 - 1)
+        erg[k0 - r0 :] = _gaps(problem, kkt, ex, ey, lty_star, lx_star)
 
     # sum_gap[k] = gap[0] + ... + gap[k-1], continuing the carried sum
     gap_sums = continued_cumsum(gap, carry.gap_sum)
@@ -476,16 +459,15 @@ def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
     carry.v0 = v0
     carry.sum_x, carry.sum_y = sum_x, sum_y
     carry.gap_sum = gap_sums[-1]
-    # the last two iterates fed; a one-iterate segment keeps one carried
-    carry.overlap = tuple(a[-2:].copy() if len(a) >= 2 else np.concatenate((o[-1:], a))
-                          for o, a in zip(carry.overlap or fresh, fresh))
+    carry.lx_star, carry.lty_star = lx_star, lty_star
+    carry.overlap = tuple(a[-2:].copy() for a in (X, Y, LX))
     return CertificateTable(
         ks=np.arange(r0, r1),
         lyapunov=lyap,
         gap=gap,
         ergodic_gap=erg,
         descent_residual=descent,
-        lower_bound_residual=lower,
+        lower_bound_residual=0.5 * p_star[1:-1] - lyap,
         dist_to_star=dist,
         sum_gap=np.concatenate([[first], gap_sums[:-1]]),
         v0=v0,

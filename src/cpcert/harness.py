@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import (_CERT_BLOCK, CertifyCarry, RunSummary,
-                           _flag_arrays, certify_trajectory)
+from .certificates import (CertifyCarry, RunSummary, _flag_arrays,
+                           _segment_iterates, certify_trajectory)
 from .problems import (OracleRejectedError, is_finite_number, kkt_by_long_run,
                        problem_from_config, read_problem_file)
 from .solver import (NonFiniteIterateError, SolverParams, Trajectory, Validity,
@@ -242,8 +242,8 @@ def _fmt_column(col) -> list[str]:
 def write_trajectory_csv(path, tables) -> None:
     """One row per certificate window, from a run's segment tables in order.
 
-    Formatting one table (at most ``_CERT_BLOCK`` rows) at a time bounds
-    the Python strings alive at once. Each float column of a table is
+    Formatting one table (one run segment, at most 256 rows) at a time
+    bounds the Python strings alive at once. Each float column of a table is
     formatted once per distinct bit pattern (:func:`_fmt_column`); near z*
     the certificate values settle and repeat, and the bytes are those of
     formatting every value with ``repr``. Every field is a plain number,
@@ -510,9 +510,11 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
                      keep_tables: bool = False) -> dict:
     """Run and certify the cells ``params`` (index -> SolverParams) as one batch.
 
-    The batch runs in segments that end at multiples of ``_CERT_BLOCK``
-    iterates. Each segment goes to each cell's certifier and is dropped,
-    so memory holds one segment per cell, never a full history; with
+    The batch runs in segments that end at multiples of
+    ``certificates._segment_iterates(n + m)`` iterates: as many as fit in
+    384 KiB, between 8 and 256. Each segment goes to each cell's
+    certifier and is dropped, so memory holds one segment per cell, never
+    a full history; with
     ``keep_tables`` each cell also keeps its segment tables. A cell whose
     run stops leaves the batch; so does one whose run fails. A cell whose
     certificate fails keeps running uncertified, so that its outcome is
@@ -524,9 +526,10 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
     live = {i: _Cell(p, z0, [] if keep_tables else None) for i, p in params.items()}
     outcomes = {}
     fault_k = None if cfg.fault is None else int(cfg.fault["k"])
+    segment = _segment_iterates(problem.L.cols + problem.L.rows)
     start = 0  # the first iterate each segment brings
     while live:
-        end = min(start + _CERT_BLOCK, cfg.iters + 1)
+        end = min(start + segment, cfg.iters + 1)
         try:
             batch = run(problem, [c.params for c in live.values()],
                         [c.z for c in live.values()], max_iters=end - max(start, 1),

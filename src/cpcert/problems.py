@@ -233,8 +233,7 @@ def make_tv1d(signal, lam: float) -> ProblemSpec:
     res, star = _tv1d_direct(problem, signal, lam)
     if res > _STORED_KKT_TOL:
         return problem
-    return replace(problem, kkt=make_kkt(problem, star, check_tol=None, residual=res,
-                                         kind="direct"))
+    return replace(problem, kkt=make_kkt(problem, star, check_tol=None, kind="direct"))
 
 
 def _tv1d_direct(problem: ProblemSpec, signal: np.ndarray,
@@ -391,7 +390,7 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
             f"long-run oracle rejected: residual {res:.3e} > {accept_tol:g} "
             f"after {done} iterations"
         )
-    return make_kkt(problem, z, check_tol=None, residual=res, kind=kind, iterations=done)
+    return make_kkt(problem, z, check_tol=None, kind=kind, iterations=done)
 
 
 def _polished(problem: ProblemSpec, params, z: PPoint,

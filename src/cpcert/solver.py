@@ -274,8 +274,7 @@ class RunBatch:
 
 
 def run(problem, params, z0, max_iters: int,
-        stop_tol: float | None = 1e-10, stop=None,
-        override_invalid: bool = False):
+        stop_tol: float | None = 1e-10, override_invalid: bool = False):
     """Run the iteration from z0 for up to ``max_iters`` steps.
 
     Parameters
@@ -293,11 +292,9 @@ def run(problem, params, z0, max_iters: int,
         Iteration cap; the trajectory then holds iterates 0..K with K <=
         max_iters.
     stop_tol : float or None
-        Fixed-point residual threshold max(||dx||/tau, ||dy||/sigma) <=
-        stop_tol stops the run early; None disables the default rule.
-    stop : callable or None
-        Custom rule ``stop(k, z_prev, z_new) -> bool`` checked after each
-        step (k is the index of z_new); overrides the default rule.
+        A cell stops early at the first step k whose fixed-point residual
+        max(||x_k - x_{k-1}||/tau, ||y_k - y_{k-1}||/sigma) is at most
+        stop_tol; None runs every cell for ``max_iters`` steps.
     override_invalid : bool
         Permit Invalid parameters (boundary-exploration experiments);
         downstream certificates then report observational results only.
@@ -377,21 +374,14 @@ def run(problem, params, z0, max_iters: int,
             leave = np.flatnonzero(~np.atleast_1d(finite)).tolist()
             for i in leave:
                 errors[live[i]] = NonFiniteIterateError(k, why)
-        if stop is not None or stop_tol is not None:
-            if stop is None:
-                dx, dy = rows(x_new - x), rows(y_new - y)
-            else:
-                xo, yo, xn, yn = rows(x), rows(y), rows(x_new), rows(y_new)
+        if stop_tol is not None:
+            dx, dy = rows(x_new - x), rows(y_new - y)
             for i, cell in enumerate(live.tolist()):
                 if i in leave:
                     continue
-                if stop is not None:
-                    fire = stop(k, PPoint(xo[i], yo[i]), PPoint(xn[i], yn[i]))
-                else:
-                    # np.linalg.norm of a vector is sqrt(v.dot(v))
-                    fire = max(math.sqrt(dx[i].dot(dx[i])) / cells[cell].tau,
-                               math.sqrt(dy[i].dot(dy[i])) / cells[cell].sigma) <= stop_tol
-                if fire:
+                # np.linalg.norm of a vector is sqrt(v.dot(v))
+                if max(math.sqrt(dx[i].dot(dx[i])) / cells[cell].tau,
+                       math.sqrt(dy[i].dot(dy[i])) / cells[cell].sigma) <= stop_tol:
                     stopped[cell] = ends[cell] = k
                     leave.append(i)
         x, y = x_new, y_new

@@ -116,6 +116,21 @@ def test_criterion_5_ergodic_bound_and_rate(certified_grid):
             assert fit.slope <= -0.85, (label, theta, safety, fit.slope)
 
 
+def first_iterate_near(problem, params, star, radius, max_iters):
+    """The first k <= max_iters whose iterate lies within ``radius`` of
+    ``star``, or None; the run goes in pieces of 1000 steps."""
+    z, done = c.PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows)), 0
+    while done < max_iters:
+        traj = c.run(problem, params, z, min(1000, max_iters - done), stop_tol=None)
+        dist = np.hypot(np.linalg.norm(traj.X[1:] - star.x, axis=1),
+                        np.linalg.norm(traj.Y[1:] - star.y, axis=1))
+        near = np.flatnonzero(dist <= radius)
+        if near.size:
+            return done + 1 + int(near[0])
+        z, done = traj.final, done + traj.n_iters
+    return None
+
+
 def test_criterion_6_iterate_convergence_and_eta(quad_problems):
     with criterion(6, "iterate convergence and eta positivity"):
         for problem in quad_problems:
@@ -129,19 +144,8 @@ def test_criterion_6_iterate_convergence_and_eta(quad_problems):
                     ep, em = eta_coefficients(params)
                     assert ep > 0 and em > 0
 
-                    hits = []
-
-                    def stop(k, zp, zn):
-                        d = math.hypot(np.linalg.norm(zn.x - star.x),
-                                       np.linalg.norm(zn.y - star.y))
-                        if d <= 1e-7:
-                            hits.append(k)
-                            return True
-                        return False
-
-                    z0 = c.PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
-                    c.run(problem, params, z0, max_iters=50000, stop=stop)
-                    assert hits and hits[0] <= 50000, (problem.name, theta, safety)
+                    hit = first_iterate_near(problem, params, star, 1e-7, 50000)
+                    assert hit is not None, (problem.name, theta, safety)
                 # exact boundary: eta vanishes to 1e-12 absolute
                 tau, sigma = suggest_steps(theta, norm, safety=1.0)
                 ep, em = eta_coefficients(SolverParams(tau, sigma, theta, norm))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -43,19 +44,46 @@ def origin_run(problem, params, iters, **kw):
     return c.run(problem, params, z0, max_iters=iters, stop_tol=None, **kw)
 
 
-def assert_blocks_match_reference(monkeypatch, traj, kkt, problem):
-    """Every block split gives bitwise the per-row reference columns."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = per_row_certificate_columns(traj, kkt, problem)
-    n_rows = traj.n_iters - 1
-    width = traj.X.shape[1] + traj.Y.shape[1]
-    for block in (1, 2, 3, 7, n_rows - 1, n_rows, n_rows + 5):
-        monkeypatch.setattr(certificates, "_CERT_BLOCK", block)
-        assert certificates._block_rows(width) == block  # the loop takes it
-        table = certify_trajectory(traj, kkt, problem)
+def segment_bounds(length, iterates):
+    """(start, end) iterates of each segment of a run of ``iterates``
+    iterates cut every ``length``, as the harness cuts it; the first segment
+    ends at the first multiple of ``length`` that gives it one window
+    (three iterates)."""
+    start, end = 0, -(-3 // length) * length
+    while start < iterates:
+        end = min(end, iterates)
+        yield start, end
+        start, end = end, end + length
+
+
+def certify_in_segments(monkeypatch, traj, kkt, problem, length):
+    """The tables of ``traj`` fed in carried segments of ``length`` iterates,
+    each later one repeating the last iterate fed, and the history's image
+    as the segments compute it."""
+    monkeypatch.setattr(certificates, "_segment_iterates", lambda width: length)
+    carry, tables, images = CertifyCarry(), [], []
+    for start, end in segment_bounds(length, traj.n_iters + 1):
+        lo = max(start - 1, 0)
+        seg = c.Trajectory(traj.params, traj.X[lo:end], traj.Y[lo:end], end - lo - 1, None)
+        images.append(problem.L.apply_stack(traj.X[start:end]))
+        tables.append(certify_trajectory(seg, kkt, problem, carry=carry))
+    return tables, np.concatenate(images)
+
+
+def assert_segments_match_reference(monkeypatch, traj, kkt, problem):
+    """Carried segments of every length give bitwise the per-row reference
+    columns, on the history's image as the segments compute it."""
+    n = traj.n_iters + 1  # iterates
+    for length in (1, 2, 3, 7, n - 1, n, n + 5):
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables, lx = certify_in_segments(monkeypatch, traj, kkt, problem, length)
+            want = per_row_certificate_columns(traj, kkt, problem, LX=lx)
+        ks = np.concatenate([t.ks for t in tables])
+        assert np.array_equal(ks, np.arange(n - 2)), (problem.name, length)
         for name, column in want.items():
-            assert np.array_equal(getattr(table, name), column, equal_nan=True), \
-                (problem.name, block, name)
+            got = np.concatenate([getattr(t, name) for t in tables])
+            assert np.array_equal(got, column, equal_nan=True), \
+                (problem.name, length, name)
 
 
 def test_kkt_residual_zero_at_saddle():
@@ -319,7 +347,7 @@ def test_table_matches_per_row_reference_bitwise(theta, tv_problem, monkeypatch)
         tau, sigma = suggest_steps(theta, problem.L.norm_bound, 0.9)
         params = SolverParams(tau, sigma, theta, problem.L.norm_bound)
         traj = origin_run(problem, params, 300)
-        assert_blocks_match_reference(monkeypatch, traj, kkt, problem)
+        assert_segments_match_reference(monkeypatch, traj, kkt, problem)
 
 
 def test_certify_rejects_vector_only_value_map():
@@ -346,7 +374,7 @@ def test_block_split_bitwise_lasso_signed_zeros(monkeypatch):
                                           theta=0.5, operator_norm=norm), 120)
     # soft-thresholding leaves -0.0 entries in the history
     assert np.any(np.signbit(traj.X) & (traj.X == 0.0))
-    assert_blocks_match_reference(monkeypatch, traj, kkt, lasso)
+    assert_segments_match_reference(monkeypatch, traj, kkt, lasso)
 
 
 def test_block_split_bitwise_overflowing_run(monkeypatch):
@@ -357,42 +385,49 @@ def test_block_split_bitwise_overflowing_run(monkeypatch):
     table = certify_trajectory(traj, problem.kkt, problem)
     assert not table.asserted
     assert np.isinf(table.gap).any() and np.isnan(table.lyapunov).any()
-    assert_blocks_match_reference(monkeypatch, traj, problem.kkt, problem)
+    assert_segments_match_reference(monkeypatch, traj, problem.kkt, problem)
 
 
-@pytest.mark.parametrize("block", [7, certificates._CERT_BLOCK])
-def test_block_split_keeps_first_failing_k(monkeypatch, block):
+@pytest.mark.parametrize("length", [7, 256])
+def test_block_split_keeps_first_failing_k(monkeypatch, length):
     problem = c.random_quadratic(12, 10, seed=7)
     params = SolverParams(*suggest_steps(0.5, problem.L.norm_bound, 0.9),
                           theta=0.5, operator_norm=problem.L.norm_bound)
-    clean = origin_run(problem, params, block + 40)
-    for k in (block - 1, block, block + 1):
+    clean = origin_run(problem, params, length + 40)
+    for k in (length - 1, length, length + 1):
         traj = corrupt_trajectory(clean, k, 1.0)
-        monkeypatch.setattr(certificates, "_CERT_BLOCK", traj.n_iters + 5)
         whole = certify_trajectory(traj, problem.kkt, problem).summarize()
         assert whole["first_failing_k"] is not None
-        monkeypatch.setattr(certificates, "_CERT_BLOCK", block)
-        assert certify_trajectory(traj, problem.kkt, problem).summarize() == whole
-        assert_blocks_match_reference(monkeypatch, traj, problem.kkt, problem)
+        summary = RunSummary()
+        for table in certify_in_segments(monkeypatch, traj, problem.kkt, problem,
+                                         length)[0]:
+            summary.add(table)
+        assert summary.result() == whole
+        assert_segments_match_reference(monkeypatch, traj, problem.kkt, problem)
 
 
-def test_certify_memory_is_bounded_by_history():
+def test_certify_memory_is_bounded_per_row():
+    # one call holds a fixed number of history-sized temporaries, about 7
+    # rows of n + m floats per row passed (6.5 to 7.9 measured); the harness
+    # passes at most about 384 KiB of iterates at once
     tv = c.make_tv1d(c.default_tv_signal(200, seed=2), lam=0.5)
     quad = c.random_quadratic(60, 40, seed=3)
-    for problem, theta in ((tv, 0.5), (quad, 0.75)):
+    for (problem, theta), iters in itertools.product(((tv, 0.5), (quad, 0.75)),
+                                                     (300, 4000)):
         norm = problem.L.norm_bound
         params = SolverParams(*suggest_steps(theta, norm, 0.9), theta=theta,
                               operator_norm=norm)
-        traj = origin_run(problem, params, 4000)
+        traj = origin_run(problem, params, iters)
         kkt = problem.kkt or make_kkt(problem, traj.final, check_tol=None)
-        history = traj.X.nbytes + traj.Y.nbytes
+        row_bytes = traj.X.itemsize * (traj.X.shape[1] + traj.Y.shape[1])
         tracemalloc.start()
         try:
             certify_trajectory(traj, kkt, problem)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * history, (problem.name, peak / history)
+        rows = traj.n_iters + 1
+        assert peak <= 10 * rows * row_bytes, (problem.name, peak / (rows * row_bytes))
 
 
 # --- certifying a run segment by segment ------------------------------------
@@ -402,14 +437,14 @@ TABLE_COLUMNS = ("ks", "lyapunov", "gap", "ergodic_gap", "descent_residual",
 
 
 def run_segments(problem, params, iters):
-    """The run as the sweep makes it: segments ending at multiples of _CERT_BLOCK."""
+    """The run as the sweep makes it: segments ending at multiples of
+    ``_segment_iterates(n + m)`` iterates."""
     z = c.PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
-    start = 0
-    while start <= iters:
-        end = min(start + certificates._CERT_BLOCK, iters + 1)
+    length = certificates._segment_iterates(problem.L.cols + problem.L.rows)
+    for start, end in segment_bounds(length, iters + 1):
         seg = c.run(problem, params, z, end - max(start, 1), stop_tol=None)
         yield start, seg
-        z, start = seg.final, end
+        z = seg.final
 
 
 def segment_problems(tv_problem):
@@ -451,16 +486,18 @@ def test_segments_certify_bitwise_as_whole_history(theta, tv_problem):
 
 
 def test_block_rows_follow_iterate_bytes():
-    # a 900x600 lasso gets blocks of about 32 rows; small problems keep
-    # whole 256-row blocks, and no iterate width goes below the floor
-    assert certificates._block_rows(1500) == 32
-    assert certificates._block_rows(22) == certificates._block_rows(99) == 256
-    assert certificates._block_rows(10 ** 7) == certificates._MIN_BLOCK_ROWS
+    # a 900x600 lasso gets segments of 32 iterates; problems up to n + m =
+    # 192 keep 256-iterate segments, and no iterate width goes below the floor
+    assert certificates._segment_iterates(1500) == 32
+    assert certificates._segment_iterates(22) == certificates._segment_iterates(192) == 256
+    assert certificates._segment_iterates(193) < 256
+    assert certificates._segment_iterates(10 ** 7) == certificates._MIN_SEGMENT
 
 
 def dense_segment_case():
-    """A dense lasso run fed in 256-aligned segments, with its history and
-    the image of each segment's new iterates, as the certifier computes it."""
+    """A dense lasso run cut into segments by ``_segment_iterates``, with its
+    history and the image of each segment's new iterates, as the certifier
+    computes it."""
     lasso = c.random_lasso(60, 40, 0.2, seed=5)
     norm = lasso.L.norm_bound
     params = SolverParams(*suggest_steps(0.5, norm, 0.9), theta=0.5, operator_norm=norm)
@@ -475,28 +512,29 @@ def dense_segment_case():
 
 @pytest.mark.parametrize("rows", [1, 7, 32, 256])
 def test_dense_segments_bitwise_for_any_block_rows(monkeypatch, rows):
-    # each block's rows are views of the segment, except the block that
-    # starts in the carried two-iterate overlap; rows=1 makes two of those
+    # segments of ``rows`` iterates, each certified with the two iterates
+    # carried over from the one before
+    monkeypatch.setattr(certificates, "_segment_iterates", lambda width: rows)
     lasso, kkt, segments, history, lx = dense_segment_case()
     want = per_row_certificate_columns(history, kkt, lasso, LX=lx)
-    monkeypatch.setattr(certificates, "_block_rows", lambda width: rows)
     carry, tables = CertifyCarry(), []
     for _, seg in segments:
         tables.append(certify_trajectory(seg, kkt, lasso, carry=carry))
-    assert [len(t.ks) for t in tables] == [254, 256, 189]
+    assert [len(t.ks) for t in tables] == [
+        end - max(start, 2) for start, end in segment_bounds(rows, 701)]
     for name, column in want.items():
         got = np.concatenate([getattr(t, name) for t in tables])
         assert np.array_equal(got, column, equal_nan=True), (rows, name)
 
 
 def test_certify_segment_memory_is_blocks_not_copies():
-    # one 256-iterate segment of a 900x600 lasso: X and Y are 3.1 MB, its
-    # image 1.8 MB; copying the segment with its overlap and making
-    # 256-row temporaries took about 29 MB
+    # one 32-iterate segment of a 900x600 lasso: X and Y are 0.4 MB, its
+    # image 0.2 MB, and about seven history-sized temporaries come on top
     lasso = c.random_lasso(900, 600, 0.2, seed=0)
     norm = lasso.L.norm_bound
     params = SolverParams(*suggest_steps(1.0, norm, 0.9), theta=1.0, operator_norm=norm)
-    (_, first), (_, second) = run_segments(lasso, params, 511)
+    assert certificates._segment_iterates(lasso.L.cols + lasso.L.rows) == 32
+    (_, first), (_, second) = run_segments(lasso, params, 63)
     kkt = make_kkt(lasso, second.final, check_tol=None)
     carry = CertifyCarry()
     certify_trajectory(first, kkt, lasso, carry=carry)
@@ -507,7 +545,7 @@ def test_certify_segment_memory_is_blocks_not_copies():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 8e6, peak / 1e6
+    assert peak <= 5e6, peak / 1e6  # 3.8 MB measured
 
 
 def lx_form_gaps(traj, kkt, problem):

@@ -620,6 +620,21 @@ def test_solve_memory_is_one_segment(tmp_path):
     assert peaks[4000] <= 1.2 * peaks[2000], peaks
 
 
+def test_wide_solve_memory_is_byte_sized_segments(tmp_path):
+    # n = 20000: 256-iterate segments held 82 MB of iterates and peaked at
+    # 144 MB; segments sized from 384 KiB of iterates (8 here) peak at 30 MB
+    cfg = write_config(tmp_path / "cfg.json", iters=300,
+                       problem={"generator": "tv1d",
+                                "params": {"n": 20000, "seed": 0, "lam": 0.5}})
+    tracemalloc.start()
+    try:
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50e6, peak / 1e6
+
+
 @pytest.mark.parametrize("command", ["sweep", "solve"])
 def test_bench_child_hooks_see_the_sweep(tmp_path, command):
     # bench/child.py wraps cpcert.harness.run and certify_trajectory by name

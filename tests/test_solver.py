@@ -251,15 +251,6 @@ def test_run_names_nan_iteration():
         run(problem, insane, z0, max_iters=100000, override_invalid=True, stop_tol=None)
 
 
-def test_run_custom_stop_rule():
-    problem = one_d_problem()
-    params = SolverParams(0.5, 0.5, 1.0, 1.0)
-    traj = run(problem, params, c.PPoint([0.0], [0.0]), max_iters=100,
-               stop=lambda k, zp, zn: k == 7)
-    assert traj.n_iters == 7
-    assert traj.stopped_at == 7
-
-
 def test_trajectory_has_one_storage_mode():
     assert [f.name for f in fields(c.Trajectory)] == [
         "params", "X", "Y", "n_iters", "stopped_at"]
@@ -408,8 +399,8 @@ def test_batched_run_checks_its_cells():
         run(problem, [good, good], [z0], max_iters=5)
     with pytest.raises(ValueError, match="Invalid"):
         run(problem, [good, SolverParams(2.0, 2.0, 1.0, 1.0)], [z0, z0], max_iters=5)
-    batch = run(problem, [good], [z0], max_iters=5, stop=lambda k, zp, zn: k == 3)
-    assert batch.trajectories[0].stopped_at == 3 and batch.n_iters == 3
+    batch = run(problem, [good], [z0], max_iters=5, stop_tol=np.inf)
+    assert batch.trajectories[0].stopped_at == 1 and batch.n_iters == 1
 
 
 def test_batched_run_continues_in_segments():
