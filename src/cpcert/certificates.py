@@ -413,13 +413,15 @@ def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
     dxs = X - x_star
     dys = Y - y_star
     ldxs = LX - lx_star
-    # P-form of z_k - z* and of consecutive increments
-    p_star = ((dxs * dxs).sum(axis=1) / tau + (dys * dys).sum(axis=1) / sigma
-              - (1.0 + theta) * (ldxs * dys).sum(axis=1))
+    # P-form of z_k - z* and of consecutive increments; their squared norms
+    # are reused below (a row's sum does not depend on the rows around it)
+    sq_dx, sq_dy = (dxs * dxs).sum(axis=1), (dys * dys).sum(axis=1)
+    p_star = sq_dx / tau + sq_dy / sigma - (1.0 + theta) * (ldxs * dys).sum(axis=1)
     inc_x = np.diff(X, axis=0)
     inc_y = np.diff(Y, axis=0)
     inc_lx = np.diff(LX, axis=0)
-    p_inc = ((inc_x * inc_x).sum(axis=1) / tau + (inc_y * inc_y).sum(axis=1) / sigma
+    sq_inc_x = (inc_x * inc_x).sum(axis=1)
+    p_inc = (sq_inc_x / tau + (inc_y * inc_y).sum(axis=1) / sigma
              - (1.0 + theta) * (inc_lx * inc_y).sum(axis=1))
     cross = ((dys[:-1] * inc_lx).sum(axis=1) - (ldxs[:-1] * inc_y).sum(axis=1))
     v = 0.5 * p_star[:-1] - 0.25 * p_inc - c * gaps[1:] - c * cross  # V(r0..r1)
@@ -429,8 +431,7 @@ def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
 
     # Descent windows: increments x_{k+2}-x_{k+1} vs y_{k+1}-y_k
     k_dx = inc_lx[1:] / m_bound if m_bound > 0 else np.zeros_like(inc_lx[1:])
-    theta_term = theta / (4.0 * tau) * (
-        (inc_x[1:] * inc_x[1:]).sum(axis=1) - (k_dx * k_dx).sum(axis=1))
+    theta_term = theta / (4.0 * tau) * (sq_inc_x[1:] - (k_dx * k_dx).sum(axis=1))
     wp = k_dx / math.sqrt(tau) + inc_y[:-1] / math.sqrt(sigma)
     wm = k_dx / math.sqrt(tau) - inc_y[:-1] / math.sqrt(sigma)
     descent = (v[1:] - v[:-1] + gaps[1:-1]
@@ -439,7 +440,7 @@ def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
                + 0.25 * eta_m * (wm * wm).sum(axis=1))
     lyap = v[:-1]
     gap = gaps[1:-1]
-    dist = np.sqrt((dxs[:-2] * dxs[:-2]).sum(axis=1) + (dys[:-2] * dys[:-2]).sum(axis=1))
+    dist = np.sqrt(sq_dx[:-2] + sq_dy[:-2])
 
     # Ergodic gaps D(avg_k) over iterates 1..k; averages start at k = 1
     erg = np.full(r1 - r0, math.nan)

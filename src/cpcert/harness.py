@@ -9,7 +9,8 @@ rate      least-squares slope of log(metric) vs log(k) from a trajectory CSV
 plotdata  two-column (k, value) files per metric plus a gnuplot script
 
 Exit codes: 0 all asserted certificates pass, 1 a certificate failed,
-2 usage/config error, 3 the run could not be certified: the long-run
+2 usage/config error (or a ValueError from a solver step, such as a prox
+of the wrong shape), 3 the run could not be certified: the long-run
 oracle rejected its saddle point, or the solver produced a non-finite
 iterate. CSV and JSON outputs are byte-deterministic for a
 fixed config: floats are serialized with shortest round-trip precision and
@@ -31,10 +32,11 @@ import numpy as np
 
 from .certificates import (CertifyCarry, RunSummary, _flag_arrays,
                            _segment_iterates, certify_trajectory)
-from .problems import (OracleRejectedError, is_finite_number, kkt_by_long_run,
+from .problems import (OracleRejectedError, check_keys, is_finite_list,
+                       is_finite_number, is_int, kkt_by_long_run,
                        problem_from_config, read_problem_file)
 from .solver import (NonFiniteIterateError, SolverParams, Trajectory, Validity,
-                     run, suggest_steps, validate_params)
+                     fixed_point_residual, run, suggest_steps, validate_params)
 from .hilbert import PPoint
 
 __all__ = [
@@ -62,29 +64,26 @@ class UsageError(ValueError):
     """Bad configuration or command-line input (exit code 2)."""
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_object(v) -> bool:
     return isinstance(v, dict)
 
 
-def _is_finite_list(v) -> bool:
-    return isinstance(v, list) and all(map(is_finite_number, v))
-
-
 # JSON type of each config field; None is also accepted where the default is None.
+# Certification needs three iterates, so a run takes at least 2 iterations.
 _FIELD_TYPES = {
     **dict.fromkeys(("theta", "tau", "sigma", "safety", "ratio", "tolerance",
                      "stop_tol"), (is_finite_number, "a finite number")),
-    **dict.fromkeys(("iters", "seed"), (_is_int, "an integer")),
-    "oracle_iters": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "iters": (lambda v: is_int(v) and v >= 2, "an integer >= 2"),
+    "seed": (is_int, "an integer"),
+    "oracle_iters": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
     "override_invalid": (lambda v: isinstance(v, bool), "true or false"),
     "fault": (_is_object, "an object"),
     "grid": (_is_object, "an object"),
     "out": (lambda v: isinstance(v, str), "a string"),
 }
+# The keys of the config's sub-objects; ``problem``'s are checked by
+# :func:`cpcert.problems.problem_from_config`.
+_SUBKEYS = {"grid": {"theta", "safety", "ratio"}, "fault": {"k", "delta"}}
 
 
 @dataclass
@@ -127,9 +126,7 @@ class ExperimentConfig:
             raise UsageError(f"config file {path} is not valid JSON: {e}") from None
         if not isinstance(raw, dict) or "problem" not in raw:
             raise UsageError(f"config file {path} must be an object with a 'problem' key")
-        unknown = set(raw) - {f.name for f in fields(cls) if f.init}
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        check_keys(raw, {f.name for f in fields(cls) if f.init}, "the config", UsageError)
         cls._check_types(raw)
         cfg = cls(**raw)
         cfg.base_dir = str(Path(path).parent)
@@ -151,21 +148,25 @@ class ExperimentConfig:
                 need(name, raw[name], ok, what)
         need("problem", raw["problem"], _is_object, "an object")
         need("problem.params", raw["problem"].get("params", {}), _is_object, "an object")
+        for name, keys in _SUBKEYS.items():
+            check_keys(raw.get(name) or {}, keys, name, UsageError)
         grid = raw.get("grid") or {}
         for key in ("theta", "safety"):
-            need(f"grid.{key}", grid.get(key, []), _is_finite_list,
+            need(f"grid.{key}", grid.get(key, []), is_finite_list,
                  "a list of finite numbers")
         need("grid.ratio", grid.get("ratio", 1.0), is_finite_number, "a finite number")
         if raw.get("fault") is not None:
-            need("fault.k", raw["fault"].get("k"), _is_int, "an integer")
+            need("fault.k", raw["fault"].get("k"), is_int, "an integer")
             need("fault.delta", raw["fault"].get("delta"), is_finite_number, "a finite number")
 
     def apply_overrides(self, args) -> None:
+        """Set the fields given as options, checked as their config values are."""
         for name in ("theta", "tau", "sigma", "safety", "ratio", "iters", "seed", "out"):
             v = getattr(args, name, None)
             if v is not None:
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise UsageError(f"--{name} must be a finite number, got {v!r}")
+                ok, what = _FIELD_TYPES[name]
+                if not ok(v):
+                    raise UsageError(f"--{name} must be {what}, got {v!r}")
                 setattr(self, name, v)
         if getattr(args, "override_invalid", False):
             self.override_invalid = True
@@ -432,6 +433,9 @@ SWEEP_COLUMNS = ["theta", "safety", "ratio", "tau", "sigma", "product",
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     if not cfg.grid or "theta" not in cfg.grid or "safety" not in cfg.grid:
         raise UsageError("sweep config needs grid: {theta: [...], safety: [...]}")
+    if cfg.tau is not None or cfg.sigma is not None:
+        raise UsageError("a sweep takes its step sizes from grid.safety; "
+                         "give no tau or sigma")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     problem = problem_from_config(_resolved_problem_config(cfg))
@@ -492,8 +496,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 @dataclass
 class _Cell:
-    """A cell in flight: its point, certifier state and first failure;
-    once finished, its whole run's counts, summary and (if kept) tables."""
+    """A cell in flight: its point and certifier state; once finished, its
+    whole run's counts, summary and (if kept) tables."""
 
     params: SolverParams
     z: PPoint
@@ -503,7 +507,6 @@ class _Cell:
     n_iters: int = 0
     stopped_at: int | None = None
     final_residual: float = math.nan
-    error: Exception | None = None
 
 
 def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
@@ -514,13 +517,14 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
     ``certificates._segment_iterates(n + m)`` iterates: as many as fit in
     384 KiB, between 8 and 256. Each segment goes to each cell's
     certifier and is dropped, so memory holds one segment per cell, never
-    a full history; with
-    ``keep_tables`` each cell also keeps its segment tables. A cell whose
-    run stops leaves the batch; so does one whose run fails. A cell whose
-    certificate fails keeps running uncertified, so that its outcome is
-    what running, corrupting and certifying it alone would raise first: a
-    run failure, then a fault outside the run, then the certificate
-    failure. Returns index -> the finished :class:`_Cell` or its exception.
+    a full history; with ``keep_tables`` each cell also keeps its segment
+    tables. A cell ends at its first failure: a non-finite iterate, a
+    certificate error, or, once its run is done, a fault outside the run.
+    A cell whose run stops leaves the batch as well. ``cfg.iters`` is at
+    least 2 (checked at load), so every segment certifies at least one
+    window. An error that a step raises itself (see :func:`run`) ends the
+    whole batch and propagates. Returns index -> the finished
+    :class:`_Cell` or its failure.
     """
     z0 = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
     live = {i: _Cell(p, z0, [] if keep_tables else None) for i, p in params.items()}
@@ -530,49 +534,39 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
     start = 0  # the first iterate each segment brings
     while live:
         end = min(start + segment, cfg.iters + 1)
-        try:
-            batch = run(problem, [c.params for c in live.values()],
-                        [c.z for c in live.values()], max_iters=end - max(start, 1),
-                        stop_tol=cfg.stop_tol, override_invalid=cfg.override_invalid)
-        except ValueError as e:  # such as iters < 1: each cell alone would raise it
-            outcomes.update(dict.fromkeys(live, e))
-            break
+        batch = run(problem, [c.params for c in live.values()],
+                    [c.z for c in live.values()], max_iters=end - max(start, 1),
+                    stop_tol=cfg.stop_tol, override_invalid=cfg.override_invalid)
         for (i, cell), seg, err in zip(list(live.items()), batch.trajectories,
                                         batch.errors):
-            if err is not None:  # named by its run-wide iteration
-                outcomes[i] = NonFiniteIterateError(cell.n_iters + err.iteration, err.detail)
+            first = cell.n_iters  # iterate index of seg.X[0], fed already unless 0
+            try:
+                if err is not None:  # named by its run-wide iteration
+                    raise NonFiniteIterateError(first + err.iteration)
+                cell.n_iters += seg.n_iters
+                cell.z = PPoint(seg.X[-1].copy(), seg.Y[-1].copy())
+                if fault_k is not None and first <= fault_k <= cell.n_iters:
+                    seg = corrupt_trajectory(seg, fault_k - first, float(cfg.fault["delta"]))
+                table = certify_trajectory(seg, kkt, problem, tol=cfg.tolerance,
+                                           carry=cell.carry)
+                cell.summary.add(table)
+                if cell.tables is not None:
+                    cell.tables.append(table)
+                if seg.stopped_at is None and cell.n_iters < cfg.iters:
+                    continue  # the cell runs on
+                if fault_k is not None:
+                    _check_iterate(fault_k, cell.n_iters)
+            except (ValueError, RuntimeError) as e:
+                outcomes[i] = e
                 del live[i]
                 continue
-            first = cell.n_iters  # iterate index of seg.X[0], fed already unless 0
-            cell.n_iters += seg.n_iters
-            cell.z = PPoint(seg.X[-1].copy(), seg.Y[-1].copy())
-            if fault_k is not None and first <= fault_k <= cell.n_iters:
-                seg = corrupt_trajectory(seg, fault_k - first, float(cfg.fault["delta"]))
-            if cell.error is None:
-                try:
-                    table = certify_trajectory(seg, kkt, problem, tol=cfg.tolerance,
-                                               carry=cell.carry)
-                    cell.summary.add(table)
-                    if cell.tables is not None:
-                        cell.tables.append(table)
-                except (ValueError, RuntimeError) as e:
-                    cell.error = e
-            if seg.stopped_at is None and cell.n_iters < cfg.iters:
-                continue
+            outcomes[i] = cell
             del live[i]
             if seg.stopped_at is not None:
                 cell.stopped_at = first + seg.stopped_at
-            dx, dy = seg.X[-1] - seg.X[-2], seg.Y[-1] - seg.Y[-2]
-            cell.final_residual = max(float(np.linalg.norm(dx)) / cell.params.tau,
-                                      float(np.linalg.norm(dy)) / cell.params.sigma)
-            try:
-                if fault_k is not None:
-                    _check_iterate(fault_k, cell.n_iters)
-                if cell.error is not None:
-                    raise cell.error
-                outcomes[i] = cell
-            except (ValueError, RuntimeError) as e:
-                outcomes[i] = e
+            cell.final_residual = fixed_point_residual(
+                seg.X[-1] - seg.X[-2], seg.Y[-1] - seg.Y[-2],
+                cell.params.tau, cell.params.sigma)
         del batch, seg  # free this segment before the next one is run
         start = end
     return outcomes

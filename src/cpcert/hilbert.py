@@ -74,12 +74,14 @@ class PPoint:
 class LinearOperator:
     """A bounded linear map L : R^cols -> R^rows with explicit adjoint.
 
-    Subclasses implement :meth:`apply`, :meth:`apply_adjoint` and
-    :meth:`apply_stack`. The first two act on the last axis: a vector gives
-    a vector, and a stack of cells' vectors (k, n) gives each row the bits
-    of its own single-vector apply. They check the input dimension but do
-    not scan entries for finiteness. ``norm_bound`` is a bound on
-    the operator norm, either supplied exactly (structured operators) or a
+    Subclasses implement :meth:`apply` and :meth:`apply_adjoint`. Both act
+    on the last axis: a vector gives a vector, and a stack of cells' vectors
+    (k, n) gives each row the bits of its own single-vector apply. They
+    check the input dimension but do not scan entries for finiteness.
+    :meth:`apply_stack`, the image of a run's history, is :meth:`apply` on
+    the stack unless a subclass has a faster form (see
+    :class:`MatrixOperator`). ``norm_bound`` is a bound on the operator
+    norm, either supplied exactly (structured operators) or a
     power-iteration estimate (see :class:`MatrixOperator`).
     """
 
@@ -101,10 +103,10 @@ class LinearOperator:
     def apply_stack(self, xs: np.ndarray) -> np.ndarray:
         """Apply to each row of ``xs`` (shape (k, cols)) -> shape (k, rows).
 
-        For a history of one run: the rounding of a row may depend on the
-        rows around it (see :class:`MatrixOperator`).
+        For a history of one run: in a subclass's own form, the rounding of
+        a row may depend on the rows around it (see :class:`MatrixOperator`).
         """
-        raise NotImplementedError
+        return self.apply(xs)
 
     def _check_domain(self, x: np.ndarray):
         if x.shape[-1] != self.cols:
@@ -195,9 +197,6 @@ class ForwardDifferenceOperator(LinearOperator):
         out[..., :-1] -= y
         out[..., 1:] += y
         return out
-
-    def apply_stack(self, xs):
-        return np.diff(xs, axis=1)
 
 
 def estimate_norm(L: LinearOperator, tol: float = 1e-10,

@@ -370,7 +370,7 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
             traj = run(problem, params, z, min(block, iters - done),
                        stop_tol=stop_tol)
         except NonFiniteIterateError as e:  # named by its run-wide iteration
-            raise NonFiniteIterateError(done + e.iteration, e.detail) from None
+            raise NonFiniteIterateError(done + e.iteration) from None
         # copy the final point and drop the block before the next one runs
         z = PPoint(traj.X[-1].copy(), traj.Y[-1].copy())
         done += traj.n_iters
@@ -451,6 +451,11 @@ def default_tv_signal(n: int, seed: int = 0, noise: float = 0.05) -> np.ndarray:
     return signal + noise * rng.standard_normal(n)
 
 
+def is_int(v) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def is_finite_number(v) -> bool:
     """A JSON number that is a finite float: not a bool, NaN, an infinity
     (Python's json parses Infinity and NaN) or an int too large for a float."""
@@ -462,19 +467,30 @@ def is_finite_number(v) -> bool:
         return False
 
 
+def is_finite_list(v) -> bool:
+    """A JSON list of finite numbers."""
+    return isinstance(v, list) and all(map(is_finite_number, v))
+
+
+def check_keys(obj: dict, allowed, where: str, error=ValueError) -> None:
+    """Reject the keys of the JSON object ``obj`` outside ``allowed`` with
+    ``error`` (a ValueError subclass), naming them and ``where`` they are."""
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise error(f"unknown keys in {where}: {sorted(unknown)}")
+
+
 def _param(params: dict, key: str, kind, default=None):
-    """``kind(params[key])`` for a JSON number (or a string, for kind str).
+    """``kind(params[key])`` for a JSON integer (kind int), finite number
+    (float) or string (str).
 
     A missing key without a default, or a value of another JSON type, is a
     ValueError naming the parameter.
     """
     v = params.get(key, default)
-    if kind is str:
-        ok = isinstance(v, str)
-    else:
-        ok = is_finite_number(v)
-    if not ok:
-        what = "a string" if kind is str else "a finite number"
+    ok, what = {int: (is_int, "an integer"), float: (is_finite_number, "a finite number"),
+                str: (lambda v: isinstance(v, str), "a string")}[kind]
+    if not ok(v):
         raise ValueError(f"generator parameter {key!r} must be {what}, got {v!r}")
     return kind(v)
 
@@ -482,13 +498,14 @@ def _param(params: dict, key: str, kind, default=None):
 def _vector_param(params: dict, key: str) -> np.ndarray:
     """``params[key]`` as a vector: it must be a JSON list of finite numbers."""
     v = params.get(key)
-    if not (isinstance(v, list) and all(map(is_finite_number, v))):
+    if not is_finite_list(v):
         raise ValueError(f"generator parameter {key!r} must be a list of finite "
                          f"numbers, got {v!r}")
     return np.array(v, dtype=float)
 
 
 def _build_quadratic(params: dict) -> ProblemSpec:
+    check_keys(params, ("rows", "cols", "seed", "matrix", "a", "b"), "quadratic params")
     if "matrix" in params:
         L = MatrixOperator(load_matrix(_param(params, "matrix", str)))
         return make_quadratic(L, _vector_param(params, "a"), _vector_param(params, "b"))
@@ -497,6 +514,7 @@ def _build_quadratic(params: dict) -> ProblemSpec:
 
 
 def _build_lasso(params: dict) -> ProblemSpec:
+    check_keys(params, ("rows", "cols", "lam", "seed", "matrix", "b"), "lasso params")
     lam = _param(params, "lam", float)
     if "matrix" in params:
         A = MatrixOperator(load_matrix(_param(params, "matrix", str)))
@@ -506,6 +524,7 @@ def _build_lasso(params: dict) -> ProblemSpec:
 
 
 def _build_tv1d(params: dict) -> ProblemSpec:
+    check_keys(params, ("n", "lam", "seed", "noise", "signal"), "tv1d params")
     lam = _param(params, "lam", float)
     if "signal" in params:
         p = make_tv1d(_vector_param(params, "signal"), lam)
@@ -533,6 +552,7 @@ def read_problem_file(cfg, base_dir="."):
     ``cfg`` itself.
     """
     if isinstance(cfg, dict) and "file" in cfg and "generator" not in cfg:
+        check_keys(cfg, ("file",), "problem")
         path = cfg["file"]
         if not isinstance(path, str):
             raise ValueError(f"problem.file must be a string, got {path!r}")
@@ -560,6 +580,7 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     builder = GENERATORS.get(name) if isinstance(name, str) else None
     if builder is None:
         raise ValueError(f"unknown generator {name!r}; available: {sorted(GENERATORS)}")
+    check_keys(cfg, ("generator", "params"), "problem")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ValueError(f"generator params must be an object, got {params!r}")

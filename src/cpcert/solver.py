@@ -31,6 +31,7 @@ __all__ = [
     "RunBatch",
     "bound_rhs",
     "running_averages",
+    "fixed_point_residual",
     "validate_params",
     "suggest_steps",
     "step",
@@ -48,9 +49,9 @@ class NonFiniteIterateError(RuntimeError):
     ``iteration`` counts from the start point of the run that raised it.
     """
 
-    def __init__(self, iteration: int, detail: str = ""):
-        super().__init__(f"non-finite iterate produced at iteration {iteration}{detail}")
-        self.iteration, self.detail = iteration, detail
+    def __init__(self, iteration: int):
+        super().__init__(f"non-finite iterate produced at iteration {iteration}")
+        self.iteration = iteration
 
 
 class Validity(enum.Enum):
@@ -202,6 +203,12 @@ def step(z: PPoint, problem, params: SolverParams) -> PPoint:
     return PPoint(x_new, y_new)
 
 
+def fixed_point_residual(dx, dy, tau: float, sigma: float) -> float:
+    """max(||dx||/tau, ||dy||/sigma) for a step's increments dx, dy; each
+    norm is sqrt(v.dot(v)), np.linalg.norm's arithmetic on a vector."""
+    return max(math.sqrt(dx.dot(dx)) / tau, math.sqrt(dy.dot(dy)) / sigma)
+
+
 def continued_cumsum(A: np.ndarray, prefix=None) -> np.ndarray:
     """Cumulative sums of the rows of ``A``, continuing a carried sum.
 
@@ -310,12 +317,13 @@ def run(problem, params, z0, max_iters: int,
     ------
     ValueError
         Invalid parameters without the override flag, dimension errors, or
-        a non-finite z0.
+        a non-finite z0, all checked once, before the loop. An error that a
+        step raises itself, such as a prox returning the wrong shape,
+        propagates unchanged and ends the whole batch.
     NonFiniteIterateError
         A prox argument or an iterate is non-finite (named by iteration
-        index); a batch reports it per cell instead. Parameters,
-        dimensions and z0 are validated once, before the loop; each
-        iteration then makes one finiteness pass.
+        index), found by one finiteness pass per iteration; a batch reports
+        it per cell instead.
     """
     batch = not isinstance(params, SolverParams)
     cells = tuple(params) if batch else (params,)
@@ -362,26 +370,20 @@ def run(problem, params, z0, max_iters: int,
     stopped = [None] * B
     errors = [None] * B
     for k in range(1, max_iters + 1):
-        try:
-            x_new, y_new, finite = _advance(x, y, problem, tau, sigma, theta)
-            why = ""
-        except ValueError as e:
-            x_new, y_new, finite = x, y, np.zeros(live.size, dtype=bool)
-            why = f": {e}"
+        x_new, y_new, finite = _advance(x, y, problem, tau, sigma, theta)
         X[at, k], Y[at, k] = x_new, y_new
         leave = []  # stack rows whose cell fails or stops at k
         if not (finite.all() if stacked else finite):
             leave = np.flatnonzero(~np.atleast_1d(finite)).tolist()
             for i in leave:
-                errors[live[i]] = NonFiniteIterateError(k, why)
+                errors[live[i]] = NonFiniteIterateError(k)
         if stop_tol is not None:
             dx, dy = rows(x_new - x), rows(y_new - y)
             for i, cell in enumerate(live.tolist()):
                 if i in leave:
                     continue
-                # np.linalg.norm of a vector is sqrt(v.dot(v))
-                if max(math.sqrt(dx[i].dot(dx[i])) / cells[cell].tau,
-                       math.sqrt(dy[i].dot(dy[i])) / cells[cell].sigma) <= stop_tol:
+                p = cells[cell]
+                if fixed_point_residual(dx[i], dy[i], p.tau, p.sigma) <= stop_tol:
                     stopped[cell] = ends[cell] = k
                     leave.append(i)
         x, y = x_new, y_new

@@ -407,6 +407,12 @@ def test_config_field_of_wrong_type_exits_2(tmp_path, capsys, overrides):
     {"generator": "tv1d", "params": {"n": 20, "lam": None}},
     {"generator": "lasso", "params": {"matrix": [1], "b": [1.0], "lam": 0.1}},
     {"generator": ["quadratic"]},
+    # a fraction for an integer ran truncated: "n": 20.5 certified n = 20
+    # while summary.json recorded 20.5
+    {"generator": "quadratic", "params": {"rows": 4.7, "cols": 3.2, "seed": 1.9}},
+    {"generator": "quadratic", "params": {"rows": 4, "cols": 3, "seed": 1.9}},
+    {"generator": "lasso", "params": {"rows": 6, "cols": 4.0, "lam": 0.1}},
+    {"generator": "tv1d", "params": {"n": 20.5, "lam": 0.5}},
 ])
 def test_generator_param_of_wrong_type_exits_2(tmp_path, capsys, problem):
     cfg = write_config(tmp_path / "cfg.json", problem=problem)
@@ -574,10 +580,8 @@ def test_solve_writes_nothing_when_it_fails_after_its_first_segment(tmp_path, ca
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep"])
-def test_run_failure_names_its_run_wide_iteration(tmp_path, capsys, monkeypatch,
-                                                  command):
-    # the prox fails at iteration 300, in the second 256-iterate segment
+def sabotage_f_prox(monkeypatch, at_call, bad):
+    """Make the built problem's f.prox return ``bad(x)`` at its call ``at_call``."""
     import cpcert.harness as harness
 
     build = harness.problem_from_config
@@ -588,7 +592,7 @@ def test_run_failure_names_its_run_wide_iteration(tmp_path, capsys, monkeypatch,
 
         def f_prox(x, gamma):
             calls.append(gamma)
-            return np.full_like(x, np.nan) if len(calls) == 300 else prox(x, gamma)
+            return bad(x) if len(calls) == at_call else prox(x, gamma)
 
         spec = c.ProblemSpec(problem.name, c.ProxFn(problem.f.evaluate, f_prox),
                              problem.gstar, problem.L, problem.kkt, problem.metadata)
@@ -596,6 +600,13 @@ def test_run_failure_names_its_run_wide_iteration(tmp_path, capsys, monkeypatch,
         return spec
 
     monkeypatch.setattr(harness, "problem_from_config", sabotaged)
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_run_failure_names_its_run_wide_iteration(tmp_path, capsys, monkeypatch,
+                                                  command):
+    # the prox fails at iteration 300, in the second 256-iterate segment
+    sabotage_f_prox(monkeypatch, 300, lambda x: np.full_like(x, np.nan))
     cfg = write_config(tmp_path / "cfg.json", problem=QUAD_12x10, iters=600,
                        grid={"theta": [1.0], "safety": [0.9]})
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
@@ -763,3 +774,101 @@ def test_oracle_iters_below_one_exits_2(tmp_path, capsys, value):
     cfg = write_config(tmp_path / "cfg.json", problem=lasso, oracle_iters=value)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "oracle_iters" in capsys.readouterr().err
+
+
+# --- one failure per cell, and the boundaries of the config ------------------
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_step_error_is_not_a_nonfinite_iterate(tmp_path, capsys, monkeypatch, command):
+    # a prox returning 11 entries for 10 is a program error (exit 2), which
+    # was reported as a non-finite iterate (exit 3)
+    sabotage_f_prox(monkeypatch, 300, lambda x: np.append(x, 0.0))
+    cfg = write_config(tmp_path / "cfg.json", problem=QUAD_12x10, iters=600,
+                       grid={"theta": [1.0], "safety": [0.9]})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "could not be broadcast" in err and "non-finite" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_cell_ends_at_its_first_failure(tmp_path, capsys, monkeypatch, command):
+    # the fault breaks the certificate in the second segment; the NaN prox
+    # at iteration 600 would fail the run later, but the cell ended at 299
+    sabotage_f_prox(monkeypatch, 600, lambda x: np.full_like(x, np.nan))
+    cfg = write_config(tmp_path / "cfg.json", problem=QUAD_12x10, iters=600,
+                       fault={"k": 300, "delta": 1e308},
+                       grid={"theta": [1.0], "safety": [0.9]})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite Lyapunov value at iteration 299" in err
+    assert "non-finite iterate" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("iters", [0, 1])
+@pytest.mark.parametrize("source", ["json", "option"])
+def test_iters_below_two_exits_2(tmp_path, capsys, command, iters, source):
+    # sweep wrote a config-error row per cell and exited 0
+    cfg = write_config(tmp_path / "cfg.json", grid={"theta": [1.0], "safety": [0.9]},
+                       **({"iters": iters} if source == "json" else {}))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if source == "option":
+        argv += ["--iters", str(iters)]
+    assert main(argv) == 2
+    assert "must be an integer >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"problem": {"generator": "quadratic", "paramz": {"rows": 4, "cols": 3}}}, "paramz"),
+    ({"problem": {"file": "p.json", "params": {}}}, "params"),
+    ({"problem": {"generator": "quadratic",
+                  "params": {"rows": 4, "cols": 3, "sead": 2}}}, "sead"),
+    ({"problem": {"generator": "lasso",
+                  "params": {"rows": 6, "cols": 4, "lam": 0.1, "lambda": 5.0}}}, "lambda"),
+    ({"problem": {"generator": "tv1d",
+                  "params": {"n": 20, "lam": 0.5, "noize": 0.5}}}, "noize"),
+    ({"grid": {"theta": [1.0], "safety": [0.9], "ratios": 2.0}}, "ratios"),
+    ({"fault": {"k": 20, "delta": 1.0, "kk": 30}}, "kk"),
+], ids=["problem", "problem-file", "quadratic", "lasso", "tv1d", "grid", "fault"])
+def test_unknown_key_below_top_level_exits_2(tmp_path, capsys, overrides, key):
+    (tmp_path / "p.json").write_text(json.dumps(
+        {"generator": "quadratic", "params": {"rows": 4, "cols": 3}}))
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    command = "sweep" if "grid" in overrides else "solve"
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown keys in" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("source", ["json", "option"])
+def test_sweep_rejects_tau_and_sigma(tmp_path, capsys, source):
+    # a sweep given tau = sigma = 0.001 ran the grid's steps and recorded 0.001
+    steps = {"tau": 0.001, "sigma": 0.001}
+    cfg = write_config(tmp_path / "cfg.json", grid={"theta": [1.0], "safety": [0.9]},
+                       **(steps if source == "json" else {}))
+    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if source == "option":
+        argv += ["--tau", "0.001", "--sigma", "0.001"]
+    assert main(argv) == 2
+    assert "give no tau or sigma" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "sweep_summary.json").exists()
+
+
+def test_observational_run_past_the_p_positivity_corner(tmp_path):
+    # 1 - sqrt(tau sigma) ||L|| theta (1 - theta) <= 0: the eta weights are
+    # undefined, which an observational run reports as null / nan
+    cfg = write_config(tmp_path / "cfg.json", theta=0.5, tau=3.0, sigma=3.0, iters=30,
+                       override_invalid=True,
+                       problem={"generator": "quadratic",
+                                "params": {"rows": 4, "cols": 3, "seed": 1}})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["params"]["p_positivity_ok"] is False
+    cert = summary["certificates"]
+    assert cert["mode"] == "observational"
+    assert cert["eta_plus"] is None and cert["eta_minus"] is None
+    cols = read_trajectory_csv(out / "trajectory.csv")
+    assert np.isnan(cols["eta_plus"]).all() and np.isnan(cols["eta_minus"]).all()
+    assert np.isfinite(cols["lyapunov"]).all()

@@ -6,8 +6,9 @@ import pytest
 
 import cpcert as c
 from cpcert.solver import (EQUALITY_RTOL, RunBatch, SolverParams, Validity,
-                           bound_rhs, run, running_averages, step,
-                           suggest_steps, validate_params)
+                           bound_rhs, fixed_point_residual, run,
+                           running_averages, step, suggest_steps,
+                           validate_params)
 
 from oracles import checked_iterates, denominator_identity_residual
 
@@ -287,6 +288,35 @@ def test_run_detects_overflow_hidden_by_projection():
     assert isinstance(info.value, c.NonFiniteIterateError)
     with pytest.raises(ValueError):
         step(z0, problem, params)
+
+
+@pytest.mark.parametrize("cells", [1, 2])
+def test_run_propagates_a_step_error(cells):
+    # a prox returning the wrong shape is an error of the program, not a
+    # non-finite iterate; in a batch it ends every cell
+    problem = batch_problems()["quadratic"]
+    calls = []
+
+    def f_prox(x, gamma):
+        calls.append(gamma)
+        out = problem.f.prox(x, gamma)
+        return np.append(out, 0.0) if len(calls) == 5 else out
+
+    broken = c.ProblemSpec("broken", c.ProxFn(problem.f.evaluate, f_prox),
+                           problem.gstar, problem.L)
+    params = batch_cells(problem, thetas=(0.5,), safeties=(0.9,)) * cells
+    with pytest.raises(ValueError, match="could not be broadcast") as info:
+        run(broken, params, [origin(problem)] * cells, max_iters=10, stop_tol=None)
+    assert not isinstance(info.value, c.NonFiniteIterateError)
+
+
+def test_fixed_point_residual_is_the_norm_ratio_bitwise():
+    rng = np.random.default_rng(4)
+    for n, m in ((1, 1), (10, 12), (600, 900)):
+        dx, dy = rng.standard_normal(n), rng.standard_normal(m)
+        tau, sigma = rng.uniform(0.01, 2.0, 2)
+        want = max(float(np.linalg.norm(dx)) / tau, float(np.linalg.norm(dy)) / sigma)
+        assert fixed_point_residual(dx, dy, tau, sigma) == want
 
 
 def test_run_rejects_nonfinite_start():
