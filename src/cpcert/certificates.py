@@ -47,6 +47,10 @@ _SEGMENT_BYTES = 384 * 1024
 # The fewest iterates per segment, so that re-reading the two carried
 # iterates stays cheap, and the most, so that a segment's table stays small.
 _MIN_SEGMENT, _MAX_SEGMENT = 8, 256
+# An upper bound on the working memory of one certify call, in rows of
+# n + m floats per iterate passed: about 3.5 measured, besides the iterates
+# themselves (see :func:`_certify`).
+_WORKING_ROWS = 4
 
 
 def _segment_iterates(width: int) -> int:
@@ -316,8 +320,9 @@ def certify_trajectory(traj: Trajectory, kkt: KKTPoint, problem,
     the stack of rows, and the P-forms, descent and lower-bound residuals,
     distances and ergodic gaps are row-wise reductions over stacks of
     differences. Working memory is therefore a fixed number of
-    history-sized temporaries, about seven rows of n + m floats per row
-    passed, so a long run is fed in segments.
+    history-sized temporaries, each dropped once its row sums are taken:
+    about 3.5 rows of n + m floats per row passed (at most
+    ``_WORKING_ROWS``), so a long run is fed in segments.
 
     With a ``carry``, ``traj`` is one segment of a longer run, and the
     returned table holds the rows whose windows the segments fed so far
@@ -372,17 +377,27 @@ def _stack_values(fn, rows: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
-def _gaps(problem, kkt, xs, ys, lty_star, lx_star) -> np.ndarray:
-    """D(x, y) for each row pair of ``xs``, ``ys``, with the inner products
-    <L*y*, x> and <y, Lx*> as row-wise reductions."""
-    return (_stack_values(problem.f, xs, "f") + _stack_values(problem.gstar, ys, "gstar")
-            + (xs * lty_star).sum(axis=1) - (ys * lx_star).sum(axis=1)
-            - kkt.f_star - kkt.gstar_star)
+def _gap_terms(fn, rows: np.ndarray, star_image: np.ndarray, name: str) -> tuple:
+    """The terms of the gap that one side of each row brings: the value map
+    ``fn`` on the row and its inner product with ``star_image``."""
+    return _stack_values(fn, rows, name), (rows * star_image).sum(axis=1)
+
+
+def _gaps(kkt, x_terms, y_terms) -> np.ndarray:
+    """D(x, y) for each row from the terms of its x, (f(x), <L*y*, x>), and
+    of its y, (g*(y), <y, Lx*>) (see :func:`_gap_terms`)."""
+    (fx, x_dot), (gy, y_dot) = x_terms, y_terms
+    return fx + gy + x_dot - y_dot - kkt.f_star - kkt.gstar_star
 
 
 def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
     """Certify the rows that the iterates ``X_new``, ``Y_new`` complete;
-    then advance ``carry`` past them."""
+    then advance ``carry`` past them.
+
+    Each full-width array is dropped as soon as its row sums are taken, so
+    at most five (rows, n) or (rows, m) arrays are alive at once besides
+    the iterates passed (``_WORKING_ROWS``).
+    """
     fed = carry.iterates
     r0, r1 = max(fed - 2, 0), fed + X_new.shape[0] - 2  # table rows [r0, r1)
     if r1 <= r0:
@@ -405,51 +420,81 @@ def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
         lx_star, lty_star = L.apply(x_star), L.apply_adjoint(y_star)
     else:
         lx_star, lty_star = carry.lx_star, carry.lty_star
-    fresh = (X_new, Y_new, L.apply_stack(X_new))  # X_new[0] is iterate ``fed``
     # iterates r0..r1+1: the carried overlap, then the new ones
-    X, Y, LX = map(np.concatenate, zip(carry.overlap, fresh)) if carry.overlap else fresh
-    gaps = _gaps(problem, kkt, X, Y, lty_star, lx_star)  # D(z_{r0..r1+1})
+    LX = L.apply_stack(X_new)  # X_new[0] is iterate ``fed``
+    X, Y = X_new, Y_new
+    if carry.overlap:
+        LX = np.concatenate((carry.overlap[2], LX))
+        X, Y = (np.concatenate(pair) for pair in zip(carry.overlap, (X, Y)))
+    overlap = tuple(a[-2:].copy() for a in (X, Y, LX))
+    # ergodic averages over iterates 1..k start at k = 1: rows k0..r1-1
+    k0 = max(r0, 1)
+    averaged, averaging = slice(k0 - r0, r1 - r0), k0 < r1
+    sum_x, sum_y = carry.sum_x, carry.sum_y  # rows 1..r0-1
 
+    # x side: gap terms, ||x_k - x*||^2, ||x_{k+1} - x_k||^2, ergodic terms
+    x_terms = _gap_terms(problem.f, X, lty_star, "f")
     dxs = X - x_star
-    dys = Y - y_star
-    ldxs = LX - lx_star
-    # P-form of z_k - z* and of consecutive increments; their squared norms
-    # are reused below (a row's sum does not depend on the rows around it)
-    sq_dx, sq_dy = (dxs * dxs).sum(axis=1), (dys * dys).sum(axis=1)
-    p_star = sq_dx / tau + sq_dy / sigma - (1.0 + theta) * (ldxs * dys).sum(axis=1)
+    sq_dx = (dxs * dxs).sum(axis=1)
+    del dxs
     inc_x = np.diff(X, axis=0)
-    inc_y = np.diff(Y, axis=0)
-    inc_lx = np.diff(LX, axis=0)
     sq_inc_x = (inc_x * inc_x).sum(axis=1)
-    p_inc = (sq_inc_x / tau + (inc_y * inc_y).sum(axis=1) / sigma
+    del inc_x
+    if averaging:
+        ex, sum_x = running_averages(X[averaged], sum_x, k0 - 1)
+        erg_x = _gap_terms(problem.f, ex, lty_star, "f")
+        del ex
+    del X
+
+    # y side: gap terms and ergodic terms; y_k - y* and the increments stay
+    gaps = _gaps(kkt, x_terms, _gap_terms(problem.gstar, Y, lx_star, "gstar"))
+    erg = np.full(r1 - r0, math.nan)
+    if averaging:
+        ey, sum_y = running_averages(Y[averaged], sum_y, k0 - 1)
+        erg[averaged] = _gaps(kkt, erg_x, _gap_terms(problem.gstar, ey, lx_star, "gstar"))
+        del ey
+    inc_y = np.diff(Y, axis=0)
+    dys = Y - y_star
+    del Y
+    sq_dy = (dys * dys).sum(axis=1)
+    sq_inc_y = (inc_y * inc_y).sum(axis=1)
+
+    # P-form of z_k - z* and of consecutive increments, and their cross term
+    inc_lx = np.diff(LX, axis=0)
+    ldxs = LX - lx_star
+    del LX
+    p_star = sq_dx / tau + sq_dy / sigma - (1.0 + theta) * (ldxs * dys).sum(axis=1)
+    p_inc = (sq_inc_x / tau + sq_inc_y / sigma
              - (1.0 + theta) * (inc_lx * inc_y).sum(axis=1))
     cross = ((dys[:-1] * inc_lx).sum(axis=1) - (ldxs[:-1] * inc_y).sum(axis=1))
+    del dys, ldxs
     v = 0.5 * p_star[:-1] - 0.25 * p_inc - c * gaps[1:] - c * cross  # V(r0..r1)
     if asserted and not np.all(np.isfinite(v)):
         bad = r0 + int(np.argmax(~np.isfinite(v)))
         raise RuntimeError(f"non-finite Lyapunov value at iteration {bad}")
 
-    # Descent windows: increments x_{k+2}-x_{k+1} vs y_{k+1}-y_k
+    # Descent windows: increments x_{k+2}-x_{k+1} vs y_{k+1}-y_k, in the
+    # weighted norms of w+- = K dx / sqrt(tau) +- dy / sqrt(sigma)
     k_dx = inc_lx[1:] / m_bound if m_bound > 0 else np.zeros_like(inc_lx[1:])
+    del inc_lx
     theta_term = theta / (4.0 * tau) * (sq_inc_x[1:] - (k_dx * k_dx).sum(axis=1))
-    wp = k_dx / math.sqrt(tau) + inc_y[:-1] / math.sqrt(sigma)
-    wm = k_dx / math.sqrt(tau) - inc_y[:-1] / math.sqrt(sigma)
+    k_part = k_dx / math.sqrt(tau)
+    del k_dx
+    y_part = inc_y[:-1] / math.sqrt(sigma)
+    del inc_y
+    w = k_part + y_part
+    sq_wp = (w * w).sum(axis=1)
+    del w
+    w = k_part - y_part
+    sq_wm = (w * w).sum(axis=1)
+    del w, k_part, y_part
     descent = (v[1:] - v[:-1] + gaps[1:-1]
                + theta_term
-               + 0.25 * eta_p * (wp * wp).sum(axis=1)
-               + 0.25 * eta_m * (wm * wm).sum(axis=1))
+               + 0.25 * eta_p * sq_wp
+               + 0.25 * eta_m * sq_wm)
     lyap = v[:-1]
     gap = gaps[1:-1]
     dist = np.sqrt(sq_dx[:-2] + sq_dy[:-2])
-
-    # Ergodic gaps D(avg_k) over iterates 1..k; averages start at k = 1
-    erg = np.full(r1 - r0, math.nan)
-    sum_x, sum_y = carry.sum_x, carry.sum_y  # rows 1..r0-1
-    k0 = max(r0, 1)
-    if k0 < r1:
-        ex, sum_x = running_averages(X[k0 - r0 : r1 - r0], sum_x, k0 - 1)
-        ey, sum_y = running_averages(Y[k0 - r0 : r1 - r0], sum_y, k0 - 1)
-        erg[k0 - r0 :] = _gaps(problem, kkt, ex, ey, lty_star, lx_star)
 
     # sum_gap[k] = gap[0] + ... + gap[k-1], continuing the carried sum
     gap_sums = continued_cumsum(gap, carry.gap_sum)
@@ -461,7 +506,7 @@ def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
     carry.sum_x, carry.sum_y = sum_x, sum_y
     carry.gap_sum = gap_sums[-1]
     carry.lx_star, carry.lty_star = lx_star, lty_star
-    carry.overlap = tuple(a[-2:].copy() for a in (X, Y, LX))
+    carry.overlap = overlap
     return CertificateTable(
         ks=np.arange(r0, r1),
         lyapunov=lyap,

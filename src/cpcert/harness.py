@@ -338,16 +338,23 @@ def _resolve_params(cfg: ExperimentConfig, operator_norm: float) -> SolverParams
     return SolverParams(tau, sigma, cfg.theta, operator_norm)
 
 
-def _get_kkt(problem, cfg: ExperimentConfig):
+def _get_kkt(problem, cfg: ExperimentConfig, cells) -> tuple:
+    """The saddle point for ``problem``, and the leading pieces of the
+    long-run oracle's run when a cell in ``cells`` (SolverParams) runs at
+    the oracle's parameters, which a run of that cell replays
+    (:func:`_certified_cells`); otherwise no pieces are kept."""
     if problem.kkt is not None:
-        return problem.kkt
+        return problem.kkt, []
     oracle_iters = (max(20000, 10 * cfg.iters) if cfg.oracle_iters is None
                     else cfg.oracle_iters)
     oracle_params = SolverParams(
         *suggest_steps(1.0, problem.L.norm_bound, 0.9, 1.0),
         theta=1.0, operator_norm=problem.L.norm_bound,
     )
-    return kkt_by_long_run(problem, oracle_params, oracle_iters)
+    prefix = []
+    kkt = kkt_by_long_run(problem, oracle_params, oracle_iters,
+                          prefix=prefix if oracle_params in cells else None)
+    return kkt, prefix
 
 
 def _oracle_fields(kkt) -> dict:
@@ -360,12 +367,23 @@ def _oracle_fields(kkt) -> dict:
 def _resolved_problem_config(cfg: ExperimentConfig) -> dict:
     """Problem config, read from its file if it references one, with the
     experiment seed as the default generator seed. Relative paths in it
-    resolve against the config file's directory."""
+    resolve against the directory of the file that names them."""
     pc = read_problem_file(cfg.problem, cfg.base_dir)
     params = pc.get("params", {}) if isinstance(pc, dict) else None
     if isinstance(params, dict) and "generator" in pc and "seed" not in params:
         pc = {**pc, "params": {**params, "seed": cfg.seed}}
     return pc
+
+
+def _build_problem(cfg: ExperimentConfig):
+    """The problem of a solve or sweep. A ``fault.k`` outside the run's
+    iterates 0..iters is a usage error, found before the build."""
+    if cfg.fault is not None:
+        try:
+            _check_iterate(cfg.fault["k"], cfg.iters)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
+    return problem_from_config(_resolved_problem_config(cfg))
 
 
 def _check_runnable(params: SolverParams, cfg: ExperimentConfig) -> None:
@@ -394,13 +412,11 @@ def _params_block(params: SolverParams) -> dict:
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    problem = problem_from_config(_resolved_problem_config(cfg))
+    problem = _build_problem(cfg)
     params = _resolve_params(cfg, problem.L.norm_bound)
     _check_runnable(params, cfg)  # Invalid parameters fail before any oracle run
-    kkt = _get_kkt(problem, cfg)
-    cell = _certified_cells(problem, {0: params}, cfg, kkt, keep_tables=True)[0]
+    kkt, prefix = _get_kkt(problem, cfg, [params])
+    cell = _certified_cells(problem, {0: params}, cfg, kkt, prefix, keep_tables=True)[0]
     if isinstance(cell, Exception):
         raise cell
     summary = {
@@ -414,6 +430,8 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         "final_fixed_point_residual": cell.final_residual,
         "certificates": cell.summary.result(),
     }
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out_dir / "trajectory.csv", cell.tables)
     write_json(out_dir / "summary.json", summary)
     cert = summary["certificates"]
@@ -436,10 +454,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     if cfg.tau is not None or cfg.sigma is not None:
         raise UsageError("a sweep takes its step sizes from grid.safety; "
                          "give no tau or sigma")
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    problem = problem_from_config(_resolved_problem_config(cfg))
-    kkt = _get_kkt(problem, cfg)
+    problem = _build_problem(cfg)
     norm = problem.L.norm_bound
     ratio = float(cfg.grid.get("ratio", cfg.ratio))
     grid = [(theta, safety) for theta in cfg.grid["theta"]
@@ -453,7 +468,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             params[i] = p
         except ValueError as e:  # UsageError is a ValueError
             outcomes[i] = e
-    outcomes.update(_certified_cells(problem, params, cfg, kkt))
+    kkt, prefix = _get_kkt(problem, cfg, params.values())
+    outcomes.update(_certified_cells(problem, params, cfg, kkt, prefix))
 
     rows = []
     worst = 0
@@ -484,6 +500,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             if row["exit_code"] == 1:
                 worst = 1
         rows.append(row)
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep_summary.csv", "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
@@ -510,7 +528,7 @@ class _Cell:
 
 
 def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
-                     keep_tables: bool = False) -> dict:
+                     prefix: list, keep_tables: bool = False) -> dict:
     """Run and certify the cells ``params`` (index -> SolverParams) as one batch.
 
     The batch runs in segments that end at multiples of
@@ -518,13 +536,17 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
     384 KiB, between 8 and 256. Each segment goes to each cell's
     certifier and is dropped, so memory holds one segment per cell, never
     a full history; with ``keep_tables`` each cell also keeps its segment
-    tables. A cell ends at its first failure: a non-finite iterate, a
-    certificate error, or, once its run is done, a fault outside the run.
-    A cell whose run stops leaves the batch as well. ``cfg.iters`` is at
-    least 2 (checked at load), so every segment certifies at least one
-    window. An error that a step raises itself (see :func:`run`) ends the
-    whole batch and propagates. Returns index -> the finished
-    :class:`_Cell` or its failure.
+    tables. ``prefix`` holds the long-run oracle's leading pieces (see
+    :func:`_get_kkt`), one per segment: a cell at the oracle's parameters
+    takes each piece in place of its segment's run, with ``cfg.stop_tol``
+    applied to it step by step as :func:`run` would, and the pieces are
+    dropped once used or once no such cell is left. A cell ends at its
+    first failure: a non-finite iterate, a certificate error, or, once its
+    run is done, a fault outside the run. A cell whose run stops leaves
+    the batch as well. ``cfg.iters`` is at least 2 (checked at load), so
+    every segment certifies at least one window. An error that a step
+    raises itself (see :func:`run`) ends the whole batch and propagates.
+    Returns index -> the finished :class:`_Cell` or its failure.
     """
     z0 = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
     live = {i: _Cell(p, z0, [] if keep_tables else None) for i, p in params.items()}
@@ -534,11 +556,23 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
     start = 0  # the first iterate each segment brings
     while live:
         end = min(start + segment, cfg.iters + 1)
-        batch = run(problem, [c.params for c in live.values()],
-                    [c.z for c in live.values()], max_iters=end - max(start, 1),
-                    stop_tol=cfg.stop_tol, override_invalid=cfg.override_invalid)
-        for (i, cell), seg, err in zip(list(live.items()), batch.trajectories,
-                                        batch.errors):
+        steps = end - max(start, 1)
+        piece = prefix.pop(0) if prefix else None
+        # index -> (the cell's segment, or None, and its run's error, or None)
+        segs = {i: (_replayed(piece, steps, cfg.stop_tol), None)
+                for i, cell in live.items()
+                if piece is not None and cell.params == piece.params}
+        if not segs:
+            prefix.clear()
+        ran = [i for i in live if i not in segs]
+        if ran:
+            batch = run(problem, [live[i].params for i in ran], [live[i].z for i in ran],
+                        max_iters=steps, stop_tol=cfg.stop_tol,
+                        override_invalid=cfg.override_invalid)
+            segs.update(zip(ran, zip(batch.trajectories, batch.errors)))
+            del batch
+        for i, cell in list(live.items()):
+            seg, err = segs.pop(i)
             first = cell.n_iters  # iterate index of seg.X[0], fed already unless 0
             try:
                 if err is not None:  # named by its run-wide iteration
@@ -567,9 +601,26 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
             cell.final_residual = fixed_point_residual(
                 seg.X[-1] - seg.X[-2], seg.Y[-1] - seg.Y[-2],
                 cell.params.tau, cell.params.sigma)
-        del batch, seg  # free this segment before the next one is run
+        del piece, seg  # free this segment before the next one is run
         start = end
+    prefix.clear()
     return outcomes
+
+
+def _replayed(piece: Trajectory, steps: int, stop_tol: float | None) -> Trajectory:
+    """The first ``steps`` steps of a kept oracle piece, as :func:`run` with
+    ``stop_tol`` returns them: cut at the first step whose fixed-point
+    residual is at most ``stop_tol``. The oracle's own stop rule does not
+    apply: a kept piece never stopped."""
+    tau, sigma = piece.params.tau, piece.params.sigma
+    X, Y = piece.X, piece.Y
+    stopped = None
+    if stop_tol is not None:
+        stopped = next((k for k in range(1, steps + 1)
+                        if fixed_point_residual(X[k] - X[k - 1], Y[k] - Y[k - 1],
+                                                tau, sigma) <= stop_tol), None)
+    n = steps if stopped is None else stopped
+    return Trajectory(piece.params, X[: n + 1], Y[: n + 1], n, stopped)
 
 
 def _csv_cell(v):

@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from . import prox as _prox
-from .certificates import KKTPoint, kkt_residual, make_kkt
+from .certificates import (_WORKING_ROWS, KKTPoint, _segment_iterates,
+                           kkt_residual, make_kkt)
 from .hilbert import (ForwardDifferenceOperator, LinearOperator,
                       MatrixOperator, PPoint, as_vector, load_matrix)
 from .prox import ProxFn, rowwise
@@ -40,9 +41,10 @@ __all__ = [
 ]
 
 
-# Iterations per block of the long-run oracle, and the bytes of iterates
-# one block may store: together they bound its stored history. 8 MiB keeps
-# 512-iteration blocks up to n + m = 2048.
+# Iterations per block of the long-run oracle (the polish hook is tried
+# after each), and the bytes of iterates one block may span, which also
+# bound the pieces it keeps: 8 MiB keeps 512-iteration blocks up to
+# n + m = 2048.
 _ORACLE_BLOCK = 512
 _ORACLE_BLOCK_BYTES = 8 << 20
 # The largest fixed-point residual a saddle point stored with a problem may have.
@@ -339,14 +341,20 @@ def _condat_tv1d(s: list, lam: float) -> list:
 
 
 def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
-                    stop_tol: float = 1e-13, accept_tol: float = 1e-6) -> KKTPoint:
+                    stop_tol: float = 1e-13, accept_tol: float = 1e-6,
+                    prefix: list | None = None) -> KKTPoint:
     """Approximate saddle point from a solver run (oracle construction).
 
     Run far past the horizon of the experiment the point will serve (at
     least 10x). The run goes in blocks (:func:`_oracle_block` iterations),
-    each continuing from the last one's final point, so memory stays bounded;
-    the iteration is memoryless and the stop rule is checked on every step,
-    so the point is the one a single run of ``iters`` steps ends at.
+    each continuing from the last one's final point; the iteration is
+    memoryless and the stop rule is checked on every step, so the point is
+    the one a single run of ``iters`` steps ends at. A block runs as pieces
+    that end where a certified run's segments end (every
+    ``_segment_iterates(n + m)`` iterates, see
+    :func:`cpcert.certificates.certify_trajectory`) or where the block
+    ends, and each piece is dropped once its final point is copied, so
+    memory holds about one segment of iterates.
 
     If the problem has a ``polish`` hook, it is tried on the final point of
     every block that did not stop. A candidate is run ``_POLISH_ITERS``
@@ -357,25 +365,48 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     ``"long_run"``. The returned point carries its measured fixed-point
     residual and the solver steps taken; a residual above ``accept_tol``
     rejects the oracle outright with :class:`OracleRejectedError`.
+
+    With a ``prefix`` list, the first block's leading pieces that ran a
+    whole segment without stopping are appended to it (as
+    :class:`~cpcert.solver.Trajectory`, in order from iterate 0) while the
+    kept pieces plus one segment's certifier working set (``_WORKING_ROWS``
+    rows per iterate) fit in the bytes of one block, the most the oracle
+    held at once when it stored whole blocks. A run at ``params`` from the
+    origin may use them, bitwise, in place of its first segments' runs.
     """
     status = validate_params(params)
     if status.kind is not Validity.STRICTLY_VALID:
         raise ValueError(f"long-run oracle needs StrictlyValid parameters, got {status}")
     z = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
     block = _oracle_block(problem)
+    width = problem.L.rows + problem.L.cols
+    segment = _segment_iterates(width)
+    room = 0 if prefix is None else 8 * width * (block + 1 - _WORKING_ROWS * segment)
     done = 0
     kind = "long_run"
     while True:
-        try:
-            traj = run(problem, params, z, min(block, iters - done),
-                       stop_tol=stop_tol)
-        except NonFiniteIterateError as e:  # named by its run-wide iteration
-            raise NonFiniteIterateError(done + e.iteration) from None
-        # copy the final point and drop the block before the next one runs
-        z = PPoint(traj.X[-1].copy(), traj.Y[-1].copy())
-        done += traj.n_iters
-        stopped = traj.stopped_at is not None
-        del traj
+        block_end = min(done + block, iters)
+        stopped = False
+        while done < block_end and not stopped:
+            # the next piece ends at a segment's last iterate or the block's end
+            end = min(((done + 1) // segment + 1) * segment - 1, block_end)
+            try:
+                traj = run(problem, params, z, end - done, stop_tol=stop_tol)
+            except NonFiniteIterateError as e:  # named by its run-wide iteration
+                raise NonFiniteIterateError(done + e.iteration) from None
+            # copy the final point and drop the piece before the next one runs
+            z = PPoint(traj.X[-1].copy(), traj.Y[-1].copy())
+            done += traj.n_iters
+            stopped = traj.stopped_at is not None
+            # keep whole unstopped segments, in order, while they fit
+            size = traj.X.nbytes + traj.Y.nbytes
+            if stopped or (done + 1) % segment or size > room:
+                room = 0
+            else:
+                prefix.append(traj)
+                room -= size
+            del traj
+        room = 0  # only the first block's pieces are kept
         if not stopped and problem.polish is not None:
             polished = _polished(problem, params, z, stop_tol)
             if polished is not None:
@@ -413,7 +444,7 @@ def _polished(problem: ProblemSpec, params, z: PPoint,
 
 def _oracle_block(problem: ProblemSpec) -> int:
     """Iterations per oracle block: ``_ORACLE_BLOCK``, or fewer so that a
-    block stores about ``_ORACLE_BLOCK_BYTES`` of iterates (at least one)."""
+    block spans about ``_ORACLE_BLOCK_BYTES`` of iterates (at least one)."""
     per_iterate = 8 * (problem.L.rows + problem.L.cols)
     return min(_ORACLE_BLOCK, max(1, _ORACLE_BLOCK_BYTES // per_iterate))
 
@@ -544,19 +575,24 @@ GENERATORS = {
 
 
 def read_problem_file(cfg, base_dir="."):
-    """The problem definition in the JSON file that ``cfg`` references as
-    {"file": path}, or ``cfg`` itself when it references none.
+    """The problem definition that ``cfg`` references as {"file": path},
+    following a file that references another in turn, or ``cfg`` itself
+    when it references none.
 
-    A relative path, of that file or of a generator's "matrix", resolves
+    A relative path, of such a file or of a generator's "matrix", resolves
     against the directory of the JSON file it appears in: ``base_dir`` for
-    ``cfg`` itself.
+    ``cfg`` itself. A reference cycle is a ValueError.
     """
-    if isinstance(cfg, dict) and "file" in cfg and "generator" not in cfg:
+    seen = set()
+    while isinstance(cfg, dict) and "file" in cfg and "generator" not in cfg:
         check_keys(cfg, ("file",), "problem")
         path = cfg["file"]
         if not isinstance(path, str):
             raise ValueError(f"problem.file must be a string, got {path!r}")
         path = Path(base_dir, path)
+        if path.resolve() in seen:
+            raise ValueError(f"problem file {path} is in a reference cycle")
+        seen.add(path.resolve())
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
         base_dir = path.parent

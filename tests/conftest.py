@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,16 @@ def tv_problem():
     problem = c.make_tv1d(c.default_tv_signal(50, seed=0), lam=0.5)
     assert problem.kkt.kind == "direct"
     return problem, problem.kkt
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` under tracemalloc: the peak bytes it traced, and the result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def grid_params(problem, theta, safety):

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from cpcert.certificates import (CertifyCarry, RunSummary, certify_trajectory,
 from cpcert.harness import corrupt_trajectory
 from cpcert.solver import SolverParams, running_averages, suggest_steps
 
+from conftest import traced_peak
 from oracles import (descent_residual, duality_gap, eta_from_proof_constants,
                      lower_bound_residual, lyapunov, p_quadratic_form,
                      per_row_certificate_columns)
@@ -407,9 +407,10 @@ def test_block_split_keeps_first_failing_k(monkeypatch, length):
 
 
 def test_certify_memory_is_bounded_per_row():
-    # one call holds a fixed number of history-sized temporaries, about 7
-    # rows of n + m floats per row passed (6.5 to 7.9 measured); the harness
-    # passes at most about 384 KiB of iterates at once
+    # one call holds a fixed number of history-sized temporaries, each
+    # dropped once its row sums are taken: 2.5 to 3.4 rows of n + m floats
+    # per row passed (6.5 to 7.9 while every temporary lived to the end);
+    # the harness passes at most about 384 KiB of iterates at once
     tv = c.make_tv1d(c.default_tv_signal(200, seed=2), lam=0.5)
     quad = c.random_quadratic(60, 40, seed=3)
     for (problem, theta), iters in itertools.product(((tv, 0.5), (quad, 0.75)),
@@ -420,14 +421,10 @@ def test_certify_memory_is_bounded_per_row():
         traj = origin_run(problem, params, iters)
         kkt = problem.kkt or make_kkt(problem, traj.final, check_tol=None)
         row_bytes = traj.X.itemsize * (traj.X.shape[1] + traj.Y.shape[1])
-        tracemalloc.start()
-        try:
-            certify_trajectory(traj, kkt, problem)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(certify_trajectory, traj, kkt, problem)
         rows = traj.n_iters + 1
-        assert peak <= 10 * rows * row_bytes, (problem.name, peak / (rows * row_bytes))
+        assert peak <= certificates._WORKING_ROWS * rows * row_bytes, (
+            problem.name, peak / (rows * row_bytes))
 
 
 # --- certifying a run segment by segment ------------------------------------
@@ -528,8 +525,11 @@ def test_dense_segments_bitwise_for_any_block_rows(monkeypatch, rows):
 
 
 def test_certify_segment_memory_is_blocks_not_copies():
-    # one 32-iterate segment of a 900x600 lasso: X and Y are 0.4 MB, its
-    # image 0.2 MB, and about seven history-sized temporaries come on top
+    # one 32-iterate segment of a 900x600 lasso: X and Y are 0.4 MB and its
+    # image 0.2 MB; with the carried iterates and the temporaries, each
+    # dropped once its row sums are taken, the call peaks at 1.33 MB (3.8 MB
+    # while every temporary lived to the end): 3.5 rows of n + m floats per
+    # iterate passed, within the _WORKING_ROWS the long-run oracle budgets
     lasso = c.random_lasso(900, 600, 0.2, seed=0)
     norm = lasso.L.norm_bound
     params = SolverParams(*suggest_steps(1.0, norm, 0.9), theta=1.0, operator_norm=norm)
@@ -538,14 +538,10 @@ def test_certify_segment_memory_is_blocks_not_copies():
     kkt = make_kkt(lasso, second.final, check_tol=None)
     carry = CertifyCarry()
     certify_trajectory(first, kkt, lasso, carry=carry)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        certify_trajectory(second, kkt, lasso, carry=carry)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5e6, peak / 1e6  # 3.8 MB measured
+    peak, _ = traced_peak(lambda: certify_trajectory(second, kkt, lasso, carry=carry))
+    assert peak <= 1.5e6, peak / 1e6  # 1.33 MB measured
+    row_bytes = 8 * (lasso.L.cols + lasso.L.rows)
+    assert peak <= certificates._WORKING_ROWS * 32 * row_bytes, peak / (32 * row_bytes)
 
 
 def lx_form_gaps(traj, kkt, problem):

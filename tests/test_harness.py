@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +14,8 @@ from cpcert.harness import (CSV_COLUMNS, ExperimentConfig, UsageError,
                             corrupt_trajectory, emit_plotdata, fit_rate, main,
                             read_trajectory_csv, recompute_flags_from_csv)
 from cpcert.solver import running_averages
+
+from conftest import traced_peak
 
 
 def write_config(path, **overrides):
@@ -552,13 +553,9 @@ def test_sweep_memory_is_one_segment_per_cell(tmp_path):
                                     "params": {"n": 50, "seed": 0, "lam": 0.5}},
                            iters=iters, oracle_iters=20000,
                            grid={"theta": [0.5, 1.0], "safety": [0.9]})
-        tracemalloc.start()
-        try:
-            assert main(["sweep", "--config", str(cfg), "--out",
-                         str(tmp_path / f"out{iters}")]) == 0
-            peaks[iters] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[iters], code = traced_peak(main, ["sweep", "--config", str(cfg), "--out",
+                                                str(tmp_path / f"out{iters}")])
+        assert code == 0
     assert peaks[4000] <= 1.2 * peaks[2000], peaks
 
 
@@ -621,29 +618,24 @@ def test_solve_memory_is_one_segment(tmp_path):
         cfg = write_config(tmp_path / f"cfg{iters}.json", iters=iters,
                            problem={"generator": "quadratic",
                                     "params": {"rows": 120, "cols": 80, "seed": 0}})
-        tracemalloc.start()
-        try:
-            assert main(["solve", "--config", str(cfg), "--out",
-                         str(tmp_path / f"out{iters}")]) == 0
-            peaks[iters] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[iters], code = traced_peak(main, ["solve", "--config", str(cfg), "--out",
+                                                str(tmp_path / f"out{iters}")])
+        assert code == 0
     assert peaks[4000] <= 1.2 * peaks[2000], peaks
 
 
 def test_wide_solve_memory_is_byte_sized_segments(tmp_path):
     # n = 20000: 256-iterate segments held 82 MB of iterates and peaked at
-    # 144 MB; segments sized from 384 KiB of iterates (8 here) peak at 30 MB
+    # 144 MB; segments sized from 384 KiB of iterates (8 here) peaked at
+    # 30.2 MB, and at 15.6 MB once the certifier drops each temporary after
+    # its row sums
     cfg = write_config(tmp_path / "cfg.json", iters=300,
                        problem={"generator": "tv1d",
                                 "params": {"n": 20000, "seed": 0, "lam": 0.5}})
-    tracemalloc.start()
-    try:
-        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 50e6, peak / 1e6
+    peak, code = traced_peak(main, ["solve", "--config", str(cfg), "--out",
+                                    str(tmp_path / "out")])
+    assert code == 0
+    assert peak <= 25e6, peak / 1e6
 
 
 @pytest.mark.parametrize("command", ["sweep", "solve"])
@@ -872,3 +864,166 @@ def test_observational_run_past_the_p_positivity_corner(tmp_path):
     cols = read_trajectory_csv(out / "trajectory.csv")
     assert np.isnan(cols["eta_plus"]).all() and np.isnan(cols["eta_minus"]).all()
     assert np.isfinite(cols["lyapunov"]).all()
+
+
+# --- problem errors, file references and fault ranges, before any output ------
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("params", [
+    {"rows": 6, "cols": 4, "seed": 1, "shape": 3},
+    {"rows": 6.5, "cols": 4, "seed": 1},
+], ids=["unknown-key", "fractional-rows"])
+def test_problem_error_leaves_no_output_directory(tmp_path, capsys, command, params):
+    # the output directory used to be made before the problem was built
+    cfg = write_config(tmp_path / "cfg.json",
+                       problem={"generator": "quadratic", "params": params},
+                       grid={"theta": [1.0], "safety": [0.9]})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nested_problem_file_resolves_against_its_own_file(tmp_path, monkeypatch):
+    # a/p1.json names p2.json, which used to open against the working
+    # directory: the solve failed from tmp_path and passed from inside a/
+    sub = tmp_path / "a"
+    sub.mkdir()
+    (sub / "p1.json").write_text(json.dumps({"file": "p2.json"}))
+    (sub / "p2.json").write_text(json.dumps(
+        {"generator": "quadratic", "params": {"rows": 6, "cols": 4, "seed": 2}}))
+    write_config(sub / "cfg.json", problem={"file": "p1.json"}, iters=50)
+    outputs = {}
+    for cwd, cfg in ((tmp_path, os.path.join("a", "cfg.json")), (sub, "cfg.json")):
+        monkeypatch.chdir(cwd)
+        out = tmp_path / f"out-{cwd.name}"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        outputs[cwd] = [(out / name).read_bytes()
+                        for name in ("trajectory.csv", "summary.json")]
+    assert outputs[tmp_path] == outputs[sub]
+
+
+def test_problem_file_reference_cycle_exits_2(tmp_path, capsys):
+    (tmp_path / "p.json").write_text(json.dumps({"file": "q.json"}))
+    (tmp_path / "q.json").write_text(json.dumps({"file": "p.json"}))
+    cfg = write_config(tmp_path / "cfg.json", problem={"file": "p.json"})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "reference cycle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [61, -1])
+def test_sweep_fault_outside_the_run_is_a_usage_error(tmp_path, capsys, k):
+    # the sweep used to write config-error rows and exit 0
+    cfg = write_config(tmp_path / "cfg.json", iters=60, fault={"k": k, "delta": 1.0},
+                       grid={"theta": [1.0], "safety": [0.9]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"iterate {k} out of range 0..60" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fault_range_follows_the_iters_option(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", iters=200, fault={"k": 150, "delta": 1.0})
+    argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert main([*argv, "--iters", "100"]) == 2
+    assert "iterate 150 out of range 0..100" in capsys.readouterr().err
+    assert main(argv) == 1  # in range: the fault is caught
+
+
+# --- a run at the long-run oracle's parameters replays its kept pieces --------
+
+# The oracle keeps the first four pieces of its run here, iterates 0..243:
+# 61-iterate segments, within the budget of one 512-iteration block.
+LASSO_480x320 = {"generator": "lasso",
+                 "params": {"rows": 480, "cols": 320, "lam": 0.2, "seed": 1}}
+
+
+def counted(monkeypatch, tmp_path, name, command="solve", reuse=True, **overrides):
+    """Run ``command`` on the 480x320 lasso; the exit code, the output
+    directory and the (cells, steps) of each ``harness.run`` call. With
+    ``reuse`` False the oracle is given no list, so it keeps no pieces."""
+    import cpcert.harness as harness
+
+    calls = []
+    run, oracle = harness.run, harness.kkt_by_long_run
+
+    def counting_run(problem, params, z0, max_iters, **kwargs):
+        calls.append((len(params), max_iters))
+        return run(problem, params, z0, max_iters, **kwargs)
+
+    def withholding_oracle(*args, prefix=None, **kwargs):
+        return oracle(*args, **kwargs)
+
+    cfg = write_config(tmp_path / f"{name}.json", problem=LASSO_480x320, **overrides)
+    out = tmp_path / name
+    with monkeypatch.context() as m:
+        m.setattr(harness, "run", counting_run)
+        if not reuse:
+            m.setattr(harness, "kkt_by_long_run", withholding_oracle)
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+    return code, out, calls
+
+
+def same_outputs(a, b, names):
+    return all((a / n).read_bytes() == (b / n).read_bytes() for n in names)
+
+
+def test_solve_at_the_oracle_parameters_runs_only_the_steps_not_kept(tmp_path,
+                                                                   monkeypatch):
+    problem = c.problem_from_config(LASSO_480x320)
+    norm = problem.L.norm_bound
+    params = c.SolverParams(*c.suggest_steps(1.0, norm, 0.9, 1.0), 1.0, norm)
+    kept = []
+    c.kkt_by_long_run(problem, params, 20000, prefix=kept)
+    kept_steps = sum(piece.n_iters for piece in kept)
+    assert kept_steps == 243
+    code, out, calls = counted(monkeypatch, tmp_path, "reuse", iters=400)
+    assert code == 0
+    assert sum(steps for _, steps in calls) == 400 - kept_steps
+    code, plain, calls = counted(monkeypatch, tmp_path, "plain", reuse=False, iters=400)
+    assert code == 0
+    assert sum(steps for _, steps in calls) == 400
+    assert same_outputs(out, plain, ("trajectory.csv", "summary.json"))
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["kkt_oracle_iterations"] == 530
+    assert summary["certificates"]["all_pass"] is True
+
+
+def test_sweep_with_the_oracle_cell_is_unchanged_by_reuse(tmp_path, monkeypatch):
+    grid = {"theta": [0.5, 1.0], "safety": [0.9, 0.99]}
+    code, out, calls = counted(monkeypatch, tmp_path, "reuse", "sweep", iters=300,
+                               grid=grid)
+    assert code == 0
+    # the oracle's cell (theta 1, safety 0.9) sits out the first four segments
+    assert [cells for cells, _ in calls] == [3] * 4 + [4] * 1
+    code, plain, calls = counted(monkeypatch, tmp_path, "plain", "sweep", reuse=False,
+                                 iters=300, grid=grid)
+    assert code == 0
+    assert [cells for cells, _ in calls] == [4] * 5
+    assert same_outputs(out, plain, ("sweep_summary.csv", "sweep_summary.json"))
+
+
+def test_fault_inside_the_kept_prefix_is_caught_at_the_same_k(tmp_path, monkeypatch):
+    fault = {"k": 100, "delta": 1.0}
+    code, out, calls = counted(monkeypatch, tmp_path, "reuse", iters=400, fault=fault)
+    assert code == 1
+    assert sum(steps for _, steps in calls) == 400 - 243
+    code, plain, _ = counted(monkeypatch, tmp_path, "plain", reuse=False, iters=400,
+                             fault=fault)
+    assert code == 1
+    assert same_outputs(out, plain, ("trajectory.csv", "summary.json"))
+    first = json.loads((out / "summary.json").read_text())["certificates"]["first_failing_k"]
+    assert first in (98, 99, 100)
+
+
+def test_stop_tol_inside_the_kept_prefix_stops_at_the_same_k(tmp_path, monkeypatch):
+    # the fixed-point residual falls through 0.2 between k = 150 and 200
+    code, out, calls = counted(monkeypatch, tmp_path, "reuse", iters=400, stop_tol=0.2)
+    assert code == 0
+    assert calls == []  # the cell stopped inside the replayed pieces
+    code, plain, calls = counted(monkeypatch, tmp_path, "plain", reuse=False, iters=400,
+                                 stop_tol=0.2)
+    assert code == 0 and calls
+    assert same_outputs(out, plain, ("trajectory.csv", "summary.json"))
+    stopped = json.loads((out / "summary.json").read_text())["stopped_at"]
+    assert 150 < stopped < 200

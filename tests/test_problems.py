@@ -1,17 +1,17 @@
 import dataclasses
 import math
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import cpcert as c
-from cpcert import problems
+from cpcert import certificates, problems
 from cpcert.certificates import kkt_residual
 from cpcert.problems import problem_from_config
 from cpcert.solver import SolverParams, suggest_steps
 
+from conftest import traced_peak
 from oracles import duality_gap, tv1d_exhaustive
 
 
@@ -192,13 +192,9 @@ def test_byte_capped_blocks_stop_inside_a_block(monkeypatch):
 
 
 def oracle_peak_bytes(problem, iters):
-    tracemalloc.start()
-    try:
-        c.kkt_by_long_run(problem, strict_params(problem, theta=1.0), iters,
-                          stop_tol=None, accept_tol=math.inf)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: c.kkt_by_long_run(
+        problem, strict_params(problem, theta=1.0), iters,
+        stop_tol=None, accept_tol=math.inf))[0]
 
 
 def test_long_run_holds_one_block_at_a_time():
@@ -209,6 +205,66 @@ def test_long_run_holds_one_block_at_a_time():
     block = (rows + 1) * (lasso.L.rows + lasso.L.cols) * 8
     peak = oracle_peak_bytes(lasso, 3 * rows)
     assert peak <= 1.3 * block, peak / block
+
+
+def test_long_run_without_a_list_holds_one_segment():
+    # each block runs as pieces that end where a certified run's segments
+    # end, 245 iterates here against 512 per block, and each piece is
+    # dropped once its final point is copied (1.04 pieces measured)
+    lasso = c.random_lasso(120, 80, 0.2, seed=1)
+    width = lasso.L.rows + lasso.L.cols
+    segment = certificates._segment_iterates(width)
+    assert 2 * segment < problems._oracle_block(lasso)
+    peak = oracle_peak_bytes(lasso, 3 * problems._oracle_block(lasso))
+    piece = (segment + 1) * width * 8
+    assert peak <= 1.3 * piece, peak / piece
+
+
+def test_long_run_keeps_the_first_blocks_leading_pieces():
+    lasso = c.random_lasso(480, 320, 0.2, seed=1)
+    params = strict_params(lasso)
+    width = lasso.L.rows + lasso.L.cols
+    segment = certificates._segment_iterates(width)
+    kept = []
+    kkt = c.kkt_by_long_run(lasso, params, 20000, prefix=kept)
+    alone = c.kkt_by_long_run(lasso, params, 20000)
+    assert np.array_equal(kkt.star.x, alone.star.x)
+    assert np.array_equal(kkt.star.y, alone.star.y)
+    assert kkt.iterations == alone.iterations == 530
+    # pieces from the origin, each ending at a segment's last iterate
+    assert [p.n_iters for p in kept] == [segment - 1] + [segment] * 3
+    assert all(p.stopped_at is None and p.params == params for p in kept)
+    held = sum(p.X.nbytes + p.Y.nbytes for p in kept)
+    block = problems._oracle_block(lasso) + 1
+    assert held + certificates._WORKING_ROWS * segment * width * 8 <= block * width * 8
+    # bitwise the iterates of one run from the origin
+    z0 = c.PPoint(np.zeros(lasso.L.cols), np.zeros(lasso.L.rows))
+    whole = c.run(lasso, params, z0, max_iters=sum(p.n_iters for p in kept), stop_tol=None)
+    X = np.concatenate([kept[0].X] + [p.X[1:] for p in kept[1:]])
+    Y = np.concatenate([kept[0].Y] + [p.Y[1:] for p in kept[1:]])
+    assert np.array_equal(X, whole.X) and np.array_equal(Y, whole.Y)
+
+
+def test_long_run_keeps_no_piece_that_stopped():
+    # the oracle's stop rule fires between k = 150 and 200, in its third or
+    # fourth piece: only the pieces before it are kept
+    lasso = c.random_lasso(480, 320, 0.2, seed=1)
+    params = strict_params(lasso)
+    kept = []
+    kkt = c.kkt_by_long_run(lasso, params, 20000, stop_tol=0.2, accept_tol=math.inf,
+                            prefix=kept)
+    assert 150 < kkt.iterations < 200
+    assert kept and all(p.stopped_at is None for p in kept)
+    assert sum(p.n_iters for p in kept) < kkt.iterations
+
+
+def test_long_run_keeps_no_piece_cut_short_by_its_horizon():
+    # 100 oracle iterations end inside the second 61-iterate segment
+    lasso = c.random_lasso(480, 320, 0.2, seed=1)
+    kept = []
+    c.kkt_by_long_run(lasso, strict_params(lasso), 100, stop_tol=None,
+                      accept_tol=math.inf, prefix=kept)
+    assert [p.n_iters for p in kept] == [60]
 
 
 def test_long_run_blocks_are_sized_by_bytes():
