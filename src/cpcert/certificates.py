@@ -62,6 +62,24 @@ def _segment_iterates(width: int) -> int:
     return min(max(_SEGMENT_BYTES // (8 * width), _MIN_SEGMENT), _MAX_SEGMENT)
 
 
+def segment_end(done: int, width: int) -> int:
+    """The step count at which a run of iterates of ``width`` = n + m
+    entries that has taken ``done`` steps ends its next segment.
+
+    Segments end at multiples of ``_segment_iterates(width)`` iterates, so
+    a run certified in segments (see :class:`CertifyCarry`) runs from one
+    such step count to the next.
+    """
+    s = _segment_iterates(width)
+    return ((done + 1) // s + 1) * s - 1
+
+
+def spare_rows(rows: int, width: int) -> int:
+    """Of ``rows`` rows of ``width`` = n + m floats, those left beside one
+    segment's certifier working set (``_WORKING_ROWS`` rows per iterate)."""
+    return rows - _WORKING_ROWS * _segment_iterates(width)
+
+
 # Where a saddle point came from: a closed form, a direct algorithm, a
 # short run whose point was polished on its active set, or a long run.
 ORACLE_KINDS = ("closed_form", "direct", "polished", "long_run")

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .certificates import (CertifyCarry, RunSummary, _flag_arrays,
-                           _segment_iterates, certify_trajectory)
+                           certify_trajectory, segment_end)
 from .problems import (OracleRejectedError, check_keys, is_finite_list,
                        is_finite_number, is_int, kkt_by_long_run,
                        problem_from_config, read_problem_file)
@@ -83,7 +83,7 @@ _FIELD_TYPES = {
 }
 # The keys of the config's sub-objects; ``problem``'s are checked by
 # :func:`cpcert.problems.problem_from_config`.
-_SUBKEYS = {"grid": {"theta", "safety", "ratio"}, "fault": {"k", "delta"}}
+_SUBKEYS = {"grid": {"theta", "safety"}, "fault": {"k", "delta"}}
 
 
 @dataclass
@@ -154,7 +154,6 @@ class ExperimentConfig:
         for key in ("theta", "safety"):
             need(f"grid.{key}", grid.get(key, []), is_finite_list,
                  "a list of finite numbers")
-        need("grid.ratio", grid.get("ratio", 1.0), is_finite_number, "a finite number")
         if raw.get("fault") is not None:
             need("fault.k", raw["fault"].get("k"), is_int, "an integer")
             need("fault.delta", raw["fault"].get("delta"), is_finite_number, "a finite number")
@@ -456,10 +455,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                          "give no tau or sigma")
     problem = _build_problem(cfg)
     norm = problem.L.norm_bound
-    ratio = float(cfg.grid.get("ratio", cfg.ratio))
+    ratio = float(cfg.ratio)
     grid = [(theta, safety) for theta in cfg.grid["theta"]
             for safety in cfg.grid["safety"]]
-    outcomes = {}  # grid index -> a finished _Cell or the cell's exception
+    unformed = {}  # grid index -> why the cell's parameters could not be formed
     params = {}
     for i, (theta, safety) in enumerate(grid):
         try:
@@ -467,25 +466,24 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             _check_runnable(p, cfg)
             params[i] = p
         except ValueError as e:  # UsageError is a ValueError
-            outcomes[i] = e
+            unformed[i] = e
     kkt, prefix = _get_kkt(problem, cfg, params.values())
-    outcomes.update(_certified_cells(problem, params, cfg, kkt, prefix))
+    outcomes = _certified_cells(problem, params, cfg, kkt, prefix)
 
     rows = []
     worst = 0
     for i, (theta, safety) in enumerate(grid):
         row = {"theta": theta, "safety": safety, "ratio": ratio, "error": None}
-        outcome = outcomes[i]
-        if isinstance(outcome, ValueError):
+        if i in unformed:
             row.update({k: None for k in SWEEP_COLUMNS if k not in row})
             row["status"] = "config-error"
             row["exit_code"] = 2
-            row["error"] = str(outcome)
-            print(f"sweep cell theta={theta} safety={safety}: {outcome}", file=sys.stderr)
-        elif isinstance(outcome, Exception):
-            raise outcome
+            row["error"] = str(unformed[i])
+            print(f"sweep cell theta={theta} safety={safety}: {unformed[i]}", file=sys.stderr)
+        elif isinstance(outcomes[i], Exception):  # the first run failure sets the exit
+            raise outcomes[i]
         else:
-            p, summ = params[i], outcome.summary.result()
+            p, summ = params[i], outcomes[i].summary.result()
             row.update({
                 "tau": p.tau, "sigma": p.sigma, "product": p.product,
                 "status": summ["status"],
@@ -531,12 +529,11 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
                      prefix: list, keep_tables: bool = False) -> dict:
     """Run and certify the cells ``params`` (index -> SolverParams) as one batch.
 
-    The batch runs in segments that end at multiples of
-    ``certificates._segment_iterates(n + m)`` iterates: as many as fit in
-    384 KiB, between 8 and 256. Each segment goes to each cell's
-    certifier and is dropped, so memory holds one segment per cell, never
-    a full history; with ``keep_tables`` each cell also keeps its segment
-    tables. ``prefix`` holds the long-run oracle's leading pieces (see
+    The batch runs in segments that end at the step counts of
+    :func:`cpcert.certificates.segment_end`, or at ``cfg.iters``. Each
+    segment goes to each cell's certifier and is dropped, so memory holds
+    one segment per cell, never a full history; with ``keep_tables`` each
+    cell also keeps its segment tables. ``prefix`` holds the long-run oracle's leading pieces (see
     :func:`_get_kkt`), one per segment: a cell at the oracle's parameters
     takes each piece in place of its segment's run, with ``cfg.stop_tol``
     applied to it step by step as :func:`run` would, and the pieces are
@@ -552,11 +549,10 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
     live = {i: _Cell(p, z0, [] if keep_tables else None) for i, p in params.items()}
     outcomes = {}
     fault_k = None if cfg.fault is None else int(cfg.fault["k"])
-    segment = _segment_iterates(problem.L.cols + problem.L.rows)
-    start = 0  # the first iterate each segment brings
+    width = problem.L.cols + problem.L.rows
+    done = 0  # the steps each live cell has taken
     while live:
-        end = min(start + segment, cfg.iters + 1)
-        steps = end - max(start, 1)
+        steps = min(segment_end(done, width), cfg.iters) - done
         piece = prefix.pop(0) if prefix else None
         # index -> (the cell's segment, or None, and its run's error, or None)
         segs = {i: (_replayed(piece, steps, cfg.stop_tol), None)
@@ -602,7 +598,7 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
                 seg.X[-1] - seg.X[-2], seg.Y[-1] - seg.Y[-2],
                 cell.params.tau, cell.params.sigma)
         del piece, seg  # free this segment before the next one is run
-        start = end
+        done += steps
     prefix.clear()
     return outcomes
 

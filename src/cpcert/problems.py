@@ -19,8 +19,8 @@ from typing import Callable
 import numpy as np
 
 from . import prox as _prox
-from .certificates import (_WORKING_ROWS, KKTPoint, _segment_iterates,
-                           kkt_residual, make_kkt)
+from .certificates import (KKTPoint, kkt_residual, make_kkt, segment_end,
+                           spare_rows)
 from .hilbert import (ForwardDifferenceOperator, LinearOperator,
                       MatrixOperator, PPoint, as_vector, load_matrix)
 from .prox import ProxFn, rowwise
@@ -346,33 +346,34 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     """Approximate saddle point from a solver run (oracle construction).
 
     Run far past the horizon of the experiment the point will serve (at
-    least 10x). The run goes in blocks (:func:`_oracle_block` iterations),
-    each continuing from the last one's final point; the iteration is
-    memoryless and the stop rule is checked on every step, so the point is
-    the one a single run of ``iters`` steps ends at. A block runs as pieces
-    that end where a certified run's segments end (every
-    ``_segment_iterates(n + m)`` iterates, see
-    :func:`cpcert.certificates.certify_trajectory`) or where the block
-    ends, and each piece is dropped once its final point is copied, so
-    memory holds about one segment of iterates.
+    least 10x). The run goes in pieces, each continuing from the last
+    one's final point; the iteration is memoryless and the stop rule is
+    checked on every step, so the point is the one a single run of
+    ``iters`` steps ends at. Each piece ends at the first of: the end of a
+    certified run's segment (:func:`cpcert.certificates.segment_end`), the
+    end of a block (:func:`_oracle_block` iterations) and the horizon.
+    Each piece is dropped once its final point is copied, so memory holds
+    about one segment of iterates.
 
     If the problem has a ``polish`` hook, it is tried on the final point of
-    every block that did not stop. A candidate is run ``_POLISH_ITERS``
-    more steps and kept, ending the run, if its fixed-point residual is
-    then at most ``_POLISH_TOL``; such a point has kind ``"polished"``.
-    A candidate that fails is dropped and the blocks go on as if it had
-    never been tried, so the point otherwise is the long run's, of kind
-    ``"long_run"``. The returned point carries its measured fixed-point
-    residual and the solver steps taken; a residual above ``accept_tol``
-    rejects the oracle outright with :class:`OracleRejectedError`.
+    every piece that did not stop and ends a block or the horizon. A
+    candidate is run ``_POLISH_ITERS`` more steps and kept, ending the
+    run, if its fixed-point residual is then at most ``_POLISH_TOL``; such
+    a point has kind ``"polished"``. A candidate that fails is dropped and
+    the run goes on as if it had never been tried, so the point otherwise
+    is the long run's, of kind ``"long_run"``. The returned point carries
+    its measured fixed-point residual and the solver steps taken; a
+    residual above ``accept_tol`` rejects the oracle outright with
+    :class:`OracleRejectedError`.
 
-    With a ``prefix`` list, the first block's leading pieces that ran a
-    whole segment without stopping are appended to it (as
-    :class:`~cpcert.solver.Trajectory`, in order from iterate 0) while the
-    kept pieces plus one segment's certifier working set (``_WORKING_ROWS``
-    rows per iterate) fit in the bytes of one block, the most the oracle
-    held at once when it stored whole blocks. A run at ``params`` from the
-    origin may use them, bitwise, in place of its first segments' runs.
+    With a ``prefix`` list, the leading pieces that ran their whole
+    segment without stopping and ended inside the first block are
+    appended to it (as :class:`~cpcert.solver.Trajectory`, in order from
+    iterate 0) while they fit in the rows of one block left beside one
+    segment's certifier working set
+    (:func:`cpcert.certificates.spare_rows`), the most the oracle held at
+    once when it stored whole blocks. A run at ``params`` from the origin
+    may use them, bitwise, in place of its first segments' runs.
     """
     status = validate_params(params)
     if status.kind is not Validity.STRICTLY_VALID:
@@ -380,41 +381,37 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     z = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
     block = _oracle_block(problem)
     width = problem.L.rows + problem.L.cols
-    segment = _segment_iterates(width)
-    room = 0 if prefix is None else 8 * width * (block + 1 - _WORKING_ROWS * segment)
+    room = 0 if prefix is None else spare_rows(block + 1, width)  # rows left to keep
     done = 0
     kind = "long_run"
-    while True:
-        block_end = min(done + block, iters)
-        stopped = False
-        while done < block_end and not stopped:
-            # the next piece ends at a segment's last iterate or the block's end
-            end = min(((done + 1) // segment + 1) * segment - 1, block_end)
-            try:
-                traj = run(problem, params, z, end - done, stop_tol=stop_tol)
-            except NonFiniteIterateError as e:  # named by its run-wide iteration
-                raise NonFiniteIterateError(done + e.iteration) from None
-            # copy the final point and drop the piece before the next one runs
-            z = PPoint(traj.X[-1].copy(), traj.Y[-1].copy())
-            done += traj.n_iters
-            stopped = traj.stopped_at is not None
-            # keep whole unstopped segments, in order, while they fit
-            size = traj.X.nbytes + traj.Y.nbytes
-            if stopped or (done + 1) % segment or size > room:
-                room = 0
-            else:
-                prefix.append(traj)
-                room -= size
-            del traj
-        room = 0  # only the first block's pieces are kept
-        if not stopped and problem.polish is not None:
+    while done < iters:
+        whole = segment_end(done, width)
+        end = min(whole, (done // block + 1) * block, iters)
+        try:
+            traj = run(problem, params, z, end - done, stop_tol=stop_tol)
+        except NonFiniteIterateError as e:  # named by its run-wide iteration
+            raise NonFiniteIterateError(done + e.iteration) from None
+        # copy the final point and drop the piece before the next one runs
+        z = PPoint(traj.X[-1].copy(), traj.Y[-1].copy())
+        done += traj.n_iters
+        stopped = traj.stopped_at is not None
+        # keep whole unstopped segments, in order, while they fit; pieces from
+        # the origin to step ``done`` hold more than ``done`` rows, and the
+        # budget is at most ``block + 1``, so all fall in the first block
+        if stopped or done != whole or traj.X.shape[0] > room:
+            room = 0
+        else:
+            prefix.append(traj)
+            room -= traj.X.shape[0]
+        del traj
+        if stopped:
+            break
+        if problem.polish is not None and (done % block == 0 or done == iters):
             polished = _polished(problem, params, z, stop_tol)
             if polished is not None:
                 (z, steps), kind = polished, "polished"
                 done += steps
                 break
-        if stopped or done >= iters:
-            break
     res = kkt_residual(problem, z)
     if res > accept_tol:
         raise OracleRejectedError(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -391,7 +392,7 @@ def test_run_failures_exit_3(tmp_path, capsys):
 @pytest.mark.parametrize("overrides", [
     {"iters": "50"},
     {"grid": {"theta": 0.5, "safety": [0.9]}},
-    {"grid": {"theta": [0.5], "safety": [0.9], "ratio": [1.0]}},
+    {"ratio": [1.0], "grid": {"theta": [0.5], "safety": [0.9]}},
     {"fault": {"k": [20], "delta": 1.0}},
     {"fault": {"k": 20, "delta": None}},
     {"problem": [1]},
@@ -698,13 +699,13 @@ def test_solve_rejects_nonfinite_config_numbers(tmp_path, capsys, overrides):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", [
-    {"theta": [0.5, math.nan], "safety": [0.9]},
-    {"theta": [0.5], "safety": [math.inf]},
-    {"theta": [0.5], "safety": [0.9], "ratio": math.inf},
-])
-def test_sweep_rejects_nonfinite_grid_numbers(tmp_path, capsys, grid):
-    cfg = write_config(tmp_path / "cfg.json", grid=grid)
+@pytest.mark.parametrize("overrides", [
+    {"grid": {"theta": [0.5, math.nan], "safety": [0.9]}},
+    {"grid": {"theta": [0.5], "safety": [math.inf]}},
+    {"grid": {"theta": [0.5], "safety": [0.9]}, "ratio": math.inf},
+], ids=["grid0", "grid1", "grid2"])
+def test_sweep_rejects_nonfinite_grid_numbers(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "finite" in capsys.readouterr().err
 
@@ -821,8 +822,10 @@ def test_iters_below_two_exits_2(tmp_path, capsys, command, iters, source):
     ({"problem": {"generator": "tv1d",
                   "params": {"n": 20, "lam": 0.5, "noize": 0.5}}}, "noize"),
     ({"grid": {"theta": [1.0], "safety": [0.9], "ratios": 2.0}}, "ratios"),
+    ({"grid": {"theta": [1.0], "safety": [0.9], "ratio": 2.0}}, "ratio"),
     ({"fault": {"k": 20, "delta": 1.0, "kk": 30}}, "kk"),
-], ids=["problem", "problem-file", "quadratic", "lasso", "tv1d", "grid", "fault"])
+], ids=["problem", "problem-file", "quadratic", "lasso", "tv1d", "grid", "grid-ratio",
+        "fault"])
 def test_unknown_key_below_top_level_exits_2(tmp_path, capsys, overrides, key):
     (tmp_path / "p.json").write_text(json.dumps(
         {"generator": "quadratic", "params": {"rows": 4, "cols": 3}}))
@@ -920,6 +923,55 @@ def test_sweep_fault_outside_the_run_is_a_usage_error(tmp_path, capsys, k):
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"iterate {k} out of range 0..60" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_run_failure_exits_as_solve_does(tmp_path, capsys):
+    # the run stops at 55, before the fault at 390: the sweep wrote a
+    # config-error row for its one cell and exited 0
+    quad = {"generator": "quadratic", "params": {"rows": 6, "cols": 4, "seed": 2}}
+    cfg = write_config(tmp_path / "cfg.json", problem=quad, iters=400,
+                       stop_tol=1e-6, fault={"k": 390, "delta": 1.0},
+                       grid={"theta": [1.0], "safety": [0.9]})
+    for command in ("solve", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "iterate 390 out of range 0..55" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_sweep_value_map_of_wrong_shape_exits_2(tmp_path, capsys, monkeypatch):
+    import cpcert.harness as harness
+
+    build = harness.problem_from_config
+
+    def wrong_shape(pc):
+        problem = build(pc)
+        return dataclasses.replace(problem, f=c.ProxFn(lambda x: np.zeros(2), problem.f.prox))
+
+    monkeypatch.setattr(harness, "problem_from_config", wrong_shape)
+    cfg = write_config(tmp_path / "cfg.json", grid={"theta": [1.0], "safety": [0.9]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "value maps must be row-wise" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_ratio_option_sets_every_cell(tmp_path, capsys):
+    # a grid.ratio of 2 used to override --ratio 3 in every cell, while the
+    # summary's config recorded 3; the sweep's ratio is the top-level one
+    grid = {"theta": [0.5, 1.0], "safety": [0.9]}
+    out = tmp_path / "out"
+    argv = ["--out", str(out), "--ratio", "3"]
+    cfg = write_config(tmp_path / "grid.json", iters=60, grid={**grid, "ratio": 2.0})
+    assert main(["sweep", "--config", str(cfg), *argv]) == 2
+    assert "unknown keys in grid: ['ratio']" in capsys.readouterr().err
+    cfg = write_config(tmp_path / "cfg.json", iters=60, ratio=2.0, grid=grid)
+    assert main(["sweep", "--config", str(cfg), *argv]) == 0
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert summary["config"]["ratio"] == 3.0
+    for cell in summary["cells"]:
+        assert cell["ratio"] == 3.0
+        assert cell["tau"] / cell["sigma"] == pytest.approx(3.0)
 
 
 def test_fault_range_follows_the_iters_option(tmp_path, capsys):

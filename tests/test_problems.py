@@ -245,6 +245,30 @@ def test_long_run_keeps_the_first_blocks_leading_pieces():
     assert np.array_equal(X, whole.X) and np.array_equal(Y, whole.Y)
 
 
+def test_long_run_keeps_pieces_when_a_block_ends_on_a_segment_end(monkeypatch):
+    # 487-iteration blocks: block + 1 is eight 61-iterate segments, so no
+    # block end cuts a piece of the first block short
+    lasso = c.random_lasso(480, 320, 0.2, seed=1)
+    params = strict_params(lasso)
+    segment = certificates._segment_iterates(lasso.L.rows + lasso.L.cols)
+    cap_oracle_block(monkeypatch, lasso, 8 * segment - 1)
+    kept = []
+    kkt = c.kkt_by_long_run(lasso, params, 20000, prefix=kept)
+    alone = c.kkt_by_long_run(lasso, params, 20000)
+    assert np.array_equal(kkt.star.x, alone.star.x)
+    assert np.array_equal(kkt.star.y, alone.star.y)
+    assert kkt.iterations == alone.iterations
+    # whole segments from the origin, ending inside the first block
+    assert [p.n_iters for p in kept] == [segment - 1] + [segment] * (len(kept) - 1)
+    steps = sum(p.n_iters for p in kept)
+    assert kept and steps <= problems._oracle_block(lasso)
+    z0 = c.PPoint(np.zeros(lasso.L.cols), np.zeros(lasso.L.rows))
+    whole = c.run(lasso, params, z0, max_iters=steps, stop_tol=None)
+    X = np.concatenate([kept[0].X] + [p.X[1:] for p in kept[1:]])
+    Y = np.concatenate([kept[0].Y] + [p.Y[1:] for p in kept[1:]])
+    assert np.array_equal(X, whole.X) and np.array_equal(Y, whole.Y)
+
+
 def test_long_run_keeps_no_piece_that_stopped():
     # the oracle's stop rule fires between k = 150 and 200, in its third or
     # fourth piece: only the pieces before it are kept
