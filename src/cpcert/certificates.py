@@ -11,15 +11,19 @@ prove convergence of the relaxed primal-dual iteration:
 * the lower bound V(k) >= 0.5 ||z_{k+1} - z*||_P^2 >= 0;
 * the ergodic chain D(avg) <= (1/k) sum D <= V(0)/k.
 
-Each check reports a residual (<= 0 expected) and a pass flag at a declared
-tolerance, relative to 1 + the dominant magnitude. Runs executed with
-Invalid parameters are reported observationally, with no pass/fail claims.
+Each check reports a residual (<= 0 expected) and a pass flag: it passes
+when it exceeds its bound by at most the allowance tol (1 + |value|), for a
+declared tolerance and the dominant magnitude (:func:`_allowance`). A run
+is certified segment by segment, and its :class:`CertifyCarry` folds the
+segment tables into the run's one verdict (:meth:`CertifyCarry.result`).
+Runs executed with Invalid parameters are reported observationally, with
+no pass/fail claims.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +35,6 @@ __all__ = [
     "KKTPoint",
     "CertificateTable",
     "CertifyCarry",
-    "RunSummary",
     "make_kkt",
     "kkt_residual",
     "eta_coefficients",
@@ -164,10 +167,15 @@ _CHECKS = ("descent", "lower_bound", "v_monotone", "jensen", "sum_bound",
            "ergodic_rate")
 
 
+def _allowance(value, tol):
+    """What a check at ``value`` may exceed its bound by: tol (1 + |value|)."""
+    return tol * (1.0 + np.abs(value))
+
+
 def _flag_arrays(ks, lyap, ergodic_gap, descent, lower, sum_gap, v0, tol):
     """Boolean pass arrays from the residual columns; pure in (values, tol)."""
     n = len(ks)
-    scale = tol * (1.0 + np.abs(lyap))
+    scale = _allowance(lyap, tol)
     flags = {
         "descent": descent <= scale,
         "lower_bound": lower <= scale,
@@ -181,10 +189,10 @@ def _flag_arrays(ks, lyap, ergodic_gap, descent, lower, sum_gap, v0, tol):
     pos = ks >= 1
     kpos = ks[pos].astype(float)
     mean_gap = sum_gap[pos] / kpos
-    jensen[pos] = ergodic_gap[pos] <= mean_gap + tol * (1.0 + np.abs(mean_gap))
-    sum_ok[pos] = sum_gap[pos] <= v0 + tol * (1.0 + abs(v0))
+    jensen[pos] = ergodic_gap[pos] <= mean_gap + _allowance(mean_gap, tol)
+    sum_ok[pos] = sum_gap[pos] <= v0 + _allowance(v0, tol)
     rate_rhs = v0 / kpos
-    rate[pos] = ergodic_gap[pos] <= rate_rhs + tol * (1.0 + np.abs(rate_rhs))
+    rate[pos] = ergodic_gap[pos] <= rate_rhs + _allowance(rate_rhs, tol)
     flags["jensen"] = jensen
     flags["sum_bound"] = sum_ok
     flags["ergodic_rate"] = rate
@@ -223,41 +231,58 @@ class CertificateTable:
                             self.descent_residual, self.lower_bound_residual,
                             self.sum_gap, self.v0, self.tol)
 
-    def summarize(self) -> dict:
-        """Aggregate pass/fail summary (observational when not asserted)."""
-        summary = RunSummary()
-        summary.add(self)
-        return summary.result()
+
+def _json_float(v) -> float | None:
+    v = float(v)
+    return v if math.isfinite(v) else None
 
 
-class RunSummary:
-    """The summary of one run's table, folded from the tables of its segments.
+@dataclass
+class CertifyCarry:
+    """One run's certifier state, which :func:`certify_trajectory` carries
+    from one segment of the run to the next and folds each segment's table into.
 
-    Add the tables of a run's consecutive segments in order; :meth:`result`
-    is then what :meth:`CertificateTable.summarize` gives for the table of
-    the whole run. A segment's last row has no successor in its own table,
-    so its V-monotonicity check is made when the next segment arrives.
-    Only the last table and running counts are held.
+    Pass a fresh ``CertifyCarry()`` with a run's first segment and the same
+    object with each later one; :meth:`result` then gives the summary of
+    the whole run. To certify a segment, the carry holds the number of
+    iterates fed so far (the table row offset follows from it), the prefix
+    sums of X and Y behind the running averages, the running sum of the
+    gap column, the images L x* and L* y*, and the last two iterates fed,
+    with their images: the overlap that the next segment's first windows
+    need. The last table holds the run constants, computed once with the
+    first segment: V(0), the parameter status, whether the checks are
+    asserted, and the increment weights. The summary is folded as the
+    tables arrive: their row count, the largest residuals, the failures of
+    each check and the first failing k. A segment's last row has no
+    successor in its own table, so its V-monotonicity check is made when
+    the next segment arrives. A call that raises leaves the carry as it was.
     """
 
-    def __init__(self):
-        self._last = None
-        self._rows = 0
-        self._max = {}
-        self._fails = dict.fromkeys(_CHECKS, 0)
-        self._first_k = None
+    iterates: int = 0
+    sum_x: np.ndarray | None = None
+    sum_y: np.ndarray | None = None
+    gap_sum: float | None = None
+    lx_star: np.ndarray | None = None
+    lty_star: np.ndarray | None = None
+    overlap: tuple = ()
+    last: CertificateTable | None = None
+    rows: int = 0
+    max_residual: dict = field(default_factory=dict)
+    fail_counts: dict = field(default_factory=lambda: dict.fromkeys(_CHECKS, 0))
+    first_failing_k: int | None = None
 
-    def add(self, table: CertificateTable) -> None:
-        prev, self._last = self._last, table
-        self._rows += len(table.ks)
+    def _fold(self, table: CertificateTable) -> None:
+        """Fold the next segment's table into the run's summary."""
+        prev, self.last = self.last, table
+        self.rows += len(table.ks)
         for name in ("descent_residual", "lower_bound_residual"):
             m = np.max(getattr(table, name))
-            self._max[name] = m if prev is None else np.maximum(self._max[name], m)
+            self.max_residual[name] = np.maximum(self.max_residual.get(name, m), m)
         if not table.asserted:
             return
         if prev is not None:
             v = prev.lyapunov[-1]
-            if not table.lyapunov[0] <= v + prev.tol * (1.0 + np.abs(v)):
+            if not table.lyapunov[0] <= v + _allowance(v, prev.tol):
                 self._fail("v_monotone", 1, int(prev.ks[-1]))
         flags = table.flags()
         bad = ~np.logical_and.reduce([flags[c] for c in _CHECKS])
@@ -267,66 +292,37 @@ class RunSummary:
                            int(table.ks[np.argmax(bad)]))
 
     def _fail(self, check: str, count: int, k: int) -> None:
-        self._fails[check] += count
-        if count and self._first_k is None:
-            self._first_k = k
+        self.fail_counts[check] += count
+        if count and self.first_failing_k is None:
+            self.first_failing_k = k
 
     def result(self) -> dict:
-        t = self._last
+        """The pass/fail summary of the run's tables so far (observational
+        when the checks are not asserted)."""
+        t = self.last
         out = {
-            "rows": self._rows,
+            "rows": self.rows,
             "status": t.status.kind.value,
             "asserted": t.asserted,
             "tol": t.tol,
             "v0": _json_float(t.v0),
             "eta_plus": _json_float(t.eta_plus),
             "eta_minus": _json_float(t.eta_minus),
-            "max_descent_residual": _json_float(self._max["descent_residual"]),
-            "max_lower_bound_residual": _json_float(self._max["lower_bound_residual"]),
+            "max_descent_residual": _json_float(self.max_residual["descent_residual"]),
+            "max_lower_bound_residual": _json_float(self.max_residual["lower_bound_residual"]),
             "final_gap": _json_float(t.gap[-1]),
             "final_ergodic_gap": _json_float(t.ergodic_gap[-1]),
             "final_dist_to_star": _json_float(t.dist_to_star[-1]),
             "final_sum_gap": _json_float(t.sum_gap[-1]),
         }
-        if not t.asserted:
-            out["mode"] = "observational"
-            out["all_pass"] = None
-            out["first_failing_k"] = None
-            out["fail_counts"] = None
-            return out
-        out["mode"] = "asserted"
-        out["all_pass"] = self._first_k is None
-        out["first_failing_k"] = self._first_k
-        out["fail_counts"] = dict(self._fails)
+        if t.asserted:
+            out.update(mode="asserted", all_pass=self.first_failing_k is None,
+                       first_failing_k=self.first_failing_k,
+                       fail_counts=dict(self.fail_counts))
+        else:
+            out.update(mode="observational", all_pass=None, first_failing_k=None,
+                       fail_counts=None)
         return out
-
-
-def _json_float(v) -> float | None:
-    v = float(v)
-    return v if math.isfinite(v) else None
-
-
-@dataclass
-class CertifyCarry:
-    """What :func:`certify_trajectory` carries from one segment of a run to the next.
-
-    Pass a fresh ``CertifyCarry()`` with a run's first segment and the same
-    object with each later one. It holds the number of iterates fed so far
-    (the table row offset follows from it), the prefix sums of X and Y
-    behind the running averages, the running sum of the gap column, V(0),
-    the images L x* and L* y*, computed once per run, and the last two
-    iterates fed, with their images: the overlap that the next segment's
-    first windows need. A call that raises leaves the carry as it was.
-    """
-
-    iterates: int = 0
-    v0: float = math.nan
-    sum_x: np.ndarray | None = None
-    sum_y: np.ndarray | None = None
-    gap_sum: float | None = None
-    lx_star: np.ndarray | None = None
-    lty_star: np.ndarray | None = None
-    overlap: tuple = ()
 
 
 def certify_trajectory(traj: Trajectory, kkt: KKTPoint, problem,
@@ -347,8 +343,9 @@ def certify_trajectory(traj: Trajectory, kkt: KKTPoint, problem,
     complete. The first segment starts at iterate 0; each later one is the
     run continued from the last iterate fed, so its first iterate repeats
     that one and is skipped. The segment is certified together with the
-    two iterates carried over from the one before; its rows may then be
-    dropped, as the carry holds all that later rows need.
+    two iterates carried over from the one before, and its table is folded
+    into the carry's summary of the run (:meth:`CertifyCarry.result`); its
+    rows may then be dropped, as the carry holds all that later rows need.
 
     Segment alignment: LX = L.apply_stack(X) is computed once per call, over
     the iterates it brings, and a dense ``apply_stack`` (a matrix-matrix
@@ -410,7 +407,7 @@ def _gaps(kkt, x_terms, y_terms) -> np.ndarray:
 
 def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
     """Certify the rows that the iterates ``X_new``, ``Y_new`` complete;
-    then advance ``carry`` past them.
+    then advance ``carry`` past them and fold their table into it.
 
     Each full-width array is dropped as soon as its row sums are taken, so
     at most five (rows, n) or (rows, m) arrays are alive at once besides
@@ -420,23 +417,25 @@ def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
     r0, r1 = max(fed - 2, 0), fed + X_new.shape[0] - 2  # table rows [r0, r1)
     if r1 <= r0:
         raise ValueError("need at least 2 iterations to certify")
-    status = validate_params(params)
-    asserted = status.kind is not Validity.INVALID
     L = problem.L
     tau, sigma, theta = params.tau, params.sigma, params.theta
     m_bound = params.operator_norm
     c = 0.5 * (1.0 - theta)
-    try:
-        eta_p, eta_m = eta_coefficients(params)
-    except ValueError:
-        if asserted:
-            raise
-        eta_p = eta_m = math.nan
-
     x_star, y_star = kkt.star.x, kkt.star.y
-    if carry.lx_star is None:
+    prev = carry.last
+    if prev is None:  # the run constants, computed once per run
+        status = validate_params(params)
+        asserted = status.kind is not Validity.INVALID
+        try:
+            eta_p, eta_m = eta_coefficients(params)
+        except ValueError:
+            if asserted:
+                raise
+            eta_p = eta_m = math.nan
         lx_star, lty_star = L.apply(x_star), L.apply_adjoint(y_star)
     else:
+        status, asserted = prev.status, prev.asserted
+        eta_p, eta_m = prev.eta_plus, prev.eta_minus
         lx_star, lty_star = carry.lx_star, carry.lty_star
     # iterates r0..r1+1: the carried overlap, then the new ones
     LX = L.apply_stack(X_new)  # X_new[0] is iterate ``fed``
@@ -517,15 +516,8 @@ def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
     # sum_gap[k] = gap[0] + ... + gap[k-1], continuing the carried sum
     gap_sums = continued_cumsum(gap, carry.gap_sum)
     first = 0.0 if carry.gap_sum is None else carry.gap_sum
-    v0 = float(lyap[0]) if r0 == 0 else carry.v0
-
-    carry.iterates = fed + X_new.shape[0]
-    carry.v0 = v0
-    carry.sum_x, carry.sum_y = sum_x, sum_y
-    carry.gap_sum = gap_sums[-1]
-    carry.lx_star, carry.lty_star = lx_star, lty_star
-    carry.overlap = overlap
-    return CertificateTable(
+    v0 = float(lyap[0]) if prev is None else prev.v0
+    table = CertificateTable(
         ks=np.arange(r0, r1),
         lyapunov=lyap,
         gap=gap,
@@ -541,3 +533,10 @@ def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
         status=status,
         asserted=asserted,
     )
+    carry.iterates = fed + X_new.shape[0]
+    carry.sum_x, carry.sum_y = sum_x, sum_y
+    carry.gap_sum = gap_sums[-1]
+    carry.lx_star, carry.lty_star = lx_star, lty_star
+    carry.overlap = overlap
+    carry._fold(table)
+    return table

@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import (CertifyCarry, RunSummary, _flag_arrays,
-                           certify_trajectory, segment_end)
+from .certificates import (CertifyCarry, _flag_arrays, certify_trajectory,
+                           segment_end)
 from .problems import (OracleRejectedError, check_keys, is_finite_list,
                        is_finite_number, is_int, kkt_by_long_run,
                        problem_from_config, read_problem_file)
@@ -427,7 +427,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         "stopped_at": cell.stopped_at,
         **_oracle_fields(kkt),
         "final_fixed_point_residual": cell.final_residual,
-        "certificates": cell.summary.result(),
+        "certificates": cell.carry.result(),
     }
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -483,7 +483,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         elif isinstance(outcomes[i], Exception):  # the first run failure sets the exit
             raise outcomes[i]
         else:
-            p, summ = params[i], outcomes[i].summary.result()
+            p, summ = params[i], outcomes[i].carry.result()
             row.update({
                 "tau": p.tau, "sigma": p.sigma, "product": p.product,
                 "status": summ["status"],
@@ -513,13 +513,12 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 @dataclass
 class _Cell:
     """A cell in flight: its point and certifier state; once finished, its
-    whole run's counts, summary and (if kept) tables."""
+    whole run's counts, summary (``carry.result()``) and (if kept) tables."""
 
     params: SolverParams
     z: PPoint
     tables: list | None
     carry: CertifyCarry = field(default_factory=CertifyCarry)
-    summary: RunSummary = field(default_factory=RunSummary)
     n_iters: int = 0
     stopped_at: int | None = None
     final_residual: float = math.nan
@@ -579,7 +578,6 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
                     seg = corrupt_trajectory(seg, fault_k - first, float(cfg.fault["delta"]))
                 table = certify_trajectory(seg, kkt, problem, tol=cfg.tolerance,
                                            carry=cell.carry)
-                cell.summary.add(table)
                 if cell.tables is not None:
                     cell.tables.append(table)
                 if seg.stopped_at is None and cell.n_iters < cfg.iters:

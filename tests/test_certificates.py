@@ -7,8 +7,9 @@ import pytest
 
 import cpcert as c
 from cpcert import certificates
-from cpcert.certificates import (CertifyCarry, RunSummary, certify_trajectory,
-                                 eta_coefficients, kkt_residual, make_kkt)
+from cpcert.certificates import (CertificateTable, CertifyCarry, _flag_arrays,
+                                 certify_trajectory, eta_coefficients, kkt_residual,
+                                 make_kkt)
 from cpcert.harness import corrupt_trajectory
 from cpcert.solver import SolverParams, running_averages, suggest_steps
 
@@ -56,12 +57,20 @@ def segment_bounds(length, iterates):
         start, end = end, end + length
 
 
-def certify_in_segments(monkeypatch, traj, kkt, problem, length):
+def summary_of(traj, kkt, problem):
+    """The summary of ``traj`` certified as one segment."""
+    carry = CertifyCarry()
+    certify_trajectory(traj, kkt, problem, carry=carry)
+    return carry.result()
+
+
+def certify_in_segments(monkeypatch, traj, kkt, problem, length, carry=None):
     """The tables of ``traj`` fed in carried segments of ``length`` iterates,
     each later one repeating the last iterate fed, and the history's image
-    as the segments compute it."""
+    as the segments compute it. Pass ``carry`` to read the run's summary."""
     monkeypatch.setattr(certificates, "_segment_iterates", lambda width: length)
-    carry, tables, images = CertifyCarry(), [], []
+    carry = CertifyCarry() if carry is None else carry
+    tables, images = [], []
     for start, end in segment_bounds(length, traj.n_iters + 1):
         lo = max(start - 1, 0)
         seg = c.Trajectory(traj.params, traj.X[lo:end], traj.Y[lo:end], end - lo - 1, None)
@@ -320,9 +329,10 @@ def test_observational_mode_for_invalid_params():
     bad = SolverParams(1.1, 1.1, 1.0, 1.0)  # product 1.21 > 1
     z0 = c.PPoint([0.0], [0.0])
     traj = c.run(problem, bad, z0, max_iters=200, override_invalid=True, stop_tol=None)
-    table = certify_trajectory(traj, problem.kkt, problem)
+    carry = CertifyCarry()
+    table = certify_trajectory(traj, problem.kkt, problem, carry=carry)
     assert not table.asserted
-    summary = table.summarize()
+    summary = carry.result()
     assert summary["mode"] == "observational"
     assert summary["all_pass"] is None
     # no per-check pass claims either
@@ -396,13 +406,11 @@ def test_block_split_keeps_first_failing_k(monkeypatch, length):
     clean = origin_run(problem, params, length + 40)
     for k in (length - 1, length, length + 1):
         traj = corrupt_trajectory(clean, k, 1.0)
-        whole = certify_trajectory(traj, problem.kkt, problem).summarize()
+        whole = summary_of(traj, problem.kkt, problem)
         assert whole["first_failing_k"] is not None
-        summary = RunSummary()
-        for table in certify_in_segments(monkeypatch, traj, problem.kkt, problem,
-                                         length)[0]:
-            summary.add(table)
-        assert summary.result() == whole
+        carry = CertifyCarry()
+        certify_in_segments(monkeypatch, traj, problem.kkt, problem, length, carry)
+        assert carry.result() == whole
         assert_segments_match_reference(monkeypatch, traj, problem.kkt, problem)
 
 
@@ -462,15 +470,14 @@ def test_segments_certify_bitwise_as_whole_history(theta, tv_problem):
         clean = origin_run(problem, params, 700)
         segments = list(run_segments(problem, params, 700))
         for fault_k in (None, 255, 256, 257):
-            carry, summary, tables = CertifyCarry(), RunSummary(), []
+            carry, tables = CertifyCarry(), []
             for start, seg in segments:
                 if fault_k is not None and start <= fault_k <= start + seg.n_iters:
                     seg = corrupt_trajectory(seg, fault_k - max(start - 1, 0), 1.0)
-                table = certify_trajectory(seg, kkt, problem, carry=carry)
-                summary.add(table)
-                tables.append(table)
+                tables.append(certify_trajectory(seg, kkt, problem, carry=carry))
             whole = clean if fault_k is None else corrupt_trajectory(clean, fault_k, 1.0)
-            want = certify_trajectory(whole, kkt, problem)
+            want_carry = CertifyCarry()
+            want = certify_trajectory(whole, kkt, problem, carry=want_carry)
             assert len(tables) == 3
             for table in tables:
                 assert table.v0 == want.v0
@@ -478,8 +485,8 @@ def test_segments_certify_bitwise_as_whole_history(theta, tv_problem):
                 got = np.concatenate([getattr(t, name) for t in tables])
                 assert np.array_equal(got, getattr(want, name), equal_nan=True), \
                     (problem.name, fault_k, name)
-            assert summary.result() == want.summarize(), (problem.name, fault_k)
-            assert (want.summarize()["first_failing_k"] is None) == (fault_k is None)
+            assert carry.result() == want_carry.result(), (problem.name, fault_k)
+            assert (want_carry.result()["first_failing_k"] is None) == (fault_k is None)
 
 
 def test_block_rows_follow_iterate_bytes():
@@ -589,14 +596,33 @@ def test_segment_boundary_checks_v_monotone():
     params = SolverParams(*suggest_steps(0.5, problem.L.norm_bound, 0.9), theta=0.5,
                           operator_norm=problem.L.norm_bound)
     (_, first), (_, second) = run_segments(problem, params, 400)
-    carry, summary = CertifyCarry(), RunSummary()
+    carry = CertifyCarry()
     a = certify_trajectory(first, problem.kkt, problem, carry=carry)
-    b = certify_trajectory(second, problem.kkt, problem, carry=carry)
-    summary.add(a)
-    summary.add(dataclasses.replace(b, lyapunov=b.lyapunov + 10 * (1.0 + abs(a.v0))))
-    result = summary.result()
+    # lower the carried last V, the one the next segment's first V is checked against
+    carry.last = dataclasses.replace(a, lyapunov=a.lyapunov - 10 * (1.0 + abs(a.v0)))
+    certify_trajectory(second, problem.kkt, problem, carry=carry)
+    result = carry.result()
     assert result["fail_counts"]["v_monotone"] == 1
     assert result["first_failing_k"] == a.ks[-1] == 253
+
+
+def test_run_constants_are_computed_once_per_run(monkeypatch):
+    # the status and the increment weights come with the first segment
+    problem = c.random_quadratic(12, 10, seed=7)
+    params = SolverParams(*suggest_steps(0.5, problem.L.norm_bound, 0.9), theta=0.5,
+                          operator_norm=problem.L.norm_bound)
+    segments = list(run_segments(problem, params, 700))
+    calls = []
+    for name in ("validate_params", "eta_coefficients"):
+        fn = getattr(certificates, name)
+        monkeypatch.setattr(certificates, name,
+                            lambda p, fn=fn, name=name: calls.append(name) or fn(p))
+    carry = CertifyCarry()
+    tables = [certify_trajectory(seg, problem.kkt, problem, carry=carry)
+              for _, seg in segments]
+    assert len(tables) == 3
+    assert calls == ["validate_params", "eta_coefficients"]
+    assert all(t.eta_plus == eta_coefficients(params)[0] for t in tables)
 
 
 def test_continued_segment_must_be_block_aligned():
@@ -615,3 +641,75 @@ def test_certify_rejects_nonfinite_or_negative_tol(tol):
     bad = corrupt_trajectory(traj, 20, 1e3)
     with pytest.raises(ValueError, match="tolerance"):
         certify_trajectory(bad, problem.kkt, problem, tol=tol)
+
+
+# --- the power of each check on its own columns ------------------------------
+
+FAIL_K = 5
+
+
+def passing_columns(rows=12):
+    """Table columns on which every check passes with room to spare: V falls
+    as 10 / (1 + k), and the gaps as 1 / (1 + k)^2, summing far below V(0)."""
+    ks = np.arange(rows)
+    gap = 1.0 / (1.0 + ks) ** 2
+    sum_gap = np.concatenate([[0.0], np.cumsum(gap)[:-1]])
+    erg = np.full(rows, math.nan)
+    erg[1:] = 0.5 * sum_gap[1:] / ks[1:]
+    return {"ks": ks, "lyapunov": 10.0 / (1.0 + ks), "gap": gap, "ergodic_gap": erg,
+            "descent_residual": np.full(rows, -1.0),
+            "lower_bound_residual": np.full(rows, -1.0),
+            "dist_to_star": np.ones(rows), "sum_gap": sum_gap}
+
+
+def break_check(cols, check, tol):
+    """Make ``check`` fail at row FAIL_K and nowhere else, and no other check fail."""
+    k, v0 = FAIL_K, cols["lyapunov"][0]
+    if check == "descent":
+        cols["descent_residual"][k] = 1.0
+    elif check == "lower_bound":
+        cols["lower_bound_residual"][k] = 1.0
+    elif check == "v_monotone":
+        cols["lyapunov"][k + 1] = cols["lyapunov"][k] + 1.0
+    elif check == "jensen":  # D(avg_k) between the mean gap and V(0)/k
+        cols["ergodic_gap"][k] = 0.5 * (cols["sum_gap"][k] / k + v0 / k)
+    elif check == "sum_bound":
+        cols["sum_gap"][k] = v0 + 1.0
+    else:  # jensen and sum_bound imply ergodic_rate up to their allowances,
+        # so it fails alone only inside them
+        cols["sum_gap"][k] = v0 + 0.9 * tol * (1.0 + v0)
+        mean = cols["sum_gap"][k] / k
+        cols["ergodic_gap"][k] = mean + 0.9 * tol * (1.0 + mean)
+
+
+@pytest.mark.parametrize("check", certificates._CHECKS)
+def test_each_check_fails_first_and_alone_on_its_columns(check):
+    tol = 1e-3
+    cols = passing_columns()
+    v0 = cols["lyapunov"][0]
+
+    def failing_rows():
+        flags = _flag_arrays(cols["ks"], cols["lyapunov"], cols["ergodic_gap"],
+                             cols["descent_residual"], cols["lower_bound_residual"],
+                             cols["sum_gap"], v0, tol)
+        return {name: np.flatnonzero(~f).tolist() for name, f in flags.items()}
+
+    assert failing_rows() == dict.fromkeys(certificates._CHECKS, [])
+    break_check(cols, check, tol)
+    assert failing_rows() == {name: [FAIL_K] if name == check else []
+                              for name in certificates._CHECKS}
+    status = c.validate_params(SolverParams(0.5, 0.5, 0.5, 1.0))
+    whole = CertificateTable(**cols, v0=v0, eta_plus=0.1, eta_minus=0.1, tol=tol,
+                             status=status, asserted=True)
+    # the run in one segment, and in two that meet after the failing row,
+    # which makes a v_monotone failure a check across the seam
+    for cuts in ([], [FAIL_K + 1]):
+        carry = CertifyCarry()
+        for lo, hi in zip([0, *cuts], [*cuts, None]):
+            carry._fold(dataclasses.replace(
+                whole, **{name: col[lo:hi] for name, col in cols.items()}))
+        result = carry.result()
+        assert result["fail_counts"] == {name: int(name == check)
+                                         for name in certificates._CHECKS}, cuts
+        assert result["first_failing_k"] == FAIL_K
+        assert result["all_pass"] is False

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -130,16 +131,42 @@ def test_solve_usage_errors(tmp_path, capsys):
     assert capsys.readouterr().err  # diagnostics on stderr
 
 
+def flags_round_trip(out):
+    """The certificate summary of a solve in ``out``, after checking that
+    the flags recomputed from its trajectory.csv give its fail counts and
+    first failing k."""
+    cert = json.loads((out / "summary.json").read_text())["certificates"]
+    flags = recompute_flags_from_csv(out / "trajectory.csv", cert["tol"])
+    fail_counts = {name: int(arr.size - np.count_nonzero(arr))
+                   for name, arr in flags.items()}
+    assert fail_counts == cert["fail_counts"]
+    bad = np.flatnonzero(~np.logical_and.reduce(list(flags.values())))
+    ks = read_trajectory_csv(out / "trajectory.csv")["k"]
+    assert cert["first_failing_k"] == (int(ks[bad[0]]) if bad.size else None)
+    return cert
+
+
 def test_round_trip_flags_from_csv(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", theta=0.5, iters=150)
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    tol = summary["certificates"]["tol"]
-    flags = recompute_flags_from_csv(out / "trajectory.csv", tol)
-    fail_counts = {name: int(arr.size - np.count_nonzero(arr))
-                   for name, arr in flags.items()}
-    assert fail_counts == summary["certificates"]["fail_counts"]
+    flags_round_trip(out)
+
+
+@pytest.mark.parametrize("fault_k", [254, 255, 256, 257])
+def test_round_trip_flags_from_csv_on_a_faulted_run(tmp_path, fault_k):
+    # the 12x10 quadratic runs in segments of 256 iterates, whose first
+    # table ends at row 253: a fault at 254 fails the V check across the
+    # seam, and later ones fail rows that the carried iterates complete
+    cfg = write_config(tmp_path / "cfg.json", theta=0.5, iters=400,
+                       problem={"generator": "quadratic",
+                                "params": {"rows": 12, "cols": 10, "seed": 7}},
+                       fault={"k": fault_k, "delta": 1.0})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    cert = flags_round_trip(out)
+    assert cert["first_failing_k"] == fault_k - 1
+    assert cert["fail_counts"]["v_monotone"] >= 1
 
 
 def test_sweep_grid_and_exit_codes(tmp_path):
@@ -637,6 +664,28 @@ def test_wide_solve_memory_is_byte_sized_segments(tmp_path):
                                     str(tmp_path / "out")])
     assert code == 0
     assert peak <= 25e6, peak / 1e6
+
+
+def test_harness_keeps_the_names_the_bench_reads():
+    # bench/child.py wraps these cpcert.harness names by attribute, and its
+    # after_certify hook reads these fields of each certify table; the
+    # bench's gate recomputes the flags from a CSV with recompute_flags_from_csv
+    import cpcert.harness as h
+    for name in ("run", "certify_trajectory", "kkt_by_long_run", "problem_from_config",
+                 "write_trajectory_csv", "write_json", "read_trajectory_csv",
+                 "emit_plotdata", "recompute_flags_from_csv", "main"):
+        assert callable(getattr(h, name, None)), name
+    assert list(inspect.signature(h.recompute_flags_from_csv).parameters) == ["path", "tol"]
+    problem = c.random_quadratic(6, 4, seed=1)
+    params = c.SolverParams(*c.suggest_steps(1.0, problem.L.norm_bound, 0.9), theta=1.0,
+                            operator_norm=problem.L.norm_bound)
+    traj = h.run(problem, params, c.PPoint(np.zeros(4), np.zeros(6)), max_iters=20,
+                 stop_tol=None)
+    table = h.certify_trajectory(traj, problem.kkt, problem)
+    for name in ("ks", "lyapunov", "ergodic_gap", "descent_residual",
+                 "lower_bound_residual", "sum_gap"):
+        assert getattr(table, name).shape == (19,), name
+    assert isinstance(table.v0, float) and isinstance(table.tol, float)
 
 
 @pytest.mark.parametrize("command", ["sweep", "solve"])

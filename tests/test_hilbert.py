@@ -3,7 +3,7 @@ import pytest
 
 from cpcert.hilbert import (ForwardDifferenceOperator, MatrixOperator, PPoint,
                             as_vector, estimate_norm, load_matrix)
-from cpcert.solver import SolverParams, suggest_steps
+from cpcert.solver import SolverParams, Validity, suggest_steps, validate_params
 
 from oracles import dot, jacobi_spectral_norm, p_inner, p_quadratic_form
 
@@ -122,6 +122,23 @@ def test_estimate_norm_warns_without_converging():
 def test_estimate_norm_rejects_bad_tol():
     with pytest.raises(ValueError):
         estimate_norm(MatrixOperator(np.eye(2), norm_bound=1.0), tol=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="MatrixOperator's bound is a power-iteration "
+                   "estimate, which lies below ||A||_2 on a clustered spectrum")
+def test_steps_asserted_on_a_clustered_spectrum_are_valid_for_the_true_norm():
+    # 40x40 U diag(s) V^T with sigma_1 - sigma_2 = 1e-6: the bound lies
+    # 9.8e-7 (relative) below ||A||_2
+    rng = np.random.default_rng(3)
+    u, v = (np.linalg.qr(rng.standard_normal((40, 40)))[0] for _ in range(2))
+    s = np.linspace(0.1, 1.0 - 1e-6, 40)
+    s[0] = 1.0
+    a = u @ np.diag(s) @ v.T
+    bound, norm = MatrixOperator(a).norm_bound, np.linalg.norm(a, 2)
+    tau, sigma = suggest_steps(1.0, bound, safety=1.0)
+    assert validate_params(SolverParams(tau, sigma, 1.0, bound)).kind is Validity.ERGODIC_ONLY
+    assert validate_params(SolverParams(tau, sigma, 1.0, norm)).kind is not Validity.INVALID
+    assert bound >= norm
 
 
 def test_certified_bound_inflates_estimate():

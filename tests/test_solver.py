@@ -100,6 +100,14 @@ def test_boundary_classification_tolerance():
     assert abs(st.product - st.bound_rhs) <= EQUALITY_RTOL * st.bound_rhs
 
 
+@pytest.mark.xfail(strict=True, reason="validate_params classifies a product up to "
+                   "EQUALITY_RTOL above the bound as ErgodicOnly")
+def test_product_one_ulp_above_the_bound_is_invalid():
+    st = validate_params(SolverParams(1.0, np.nextafter(1.0, 2.0), 1.0, 1.0))
+    assert st.product > st.bound_rhs == 1.0
+    assert st.kind is Validity.INVALID
+
+
 def test_suggest_steps_examples():
     tau, sigma = suggest_steps(1.0, 1.0, safety=0.99, ratio=1.0)
     assert tau == pytest.approx(np.sqrt(0.99))
