@@ -51,7 +51,7 @@ _SEGMENT_BYTES = 384 * 1024
 # iterates stays cheap, and the most, so that a segment's table stays small.
 _MIN_SEGMENT, _MAX_SEGMENT = 8, 256
 # An upper bound on the working memory of one certify call, in rows of
-# n + m floats per iterate passed: about 3.5 measured, besides the iterates
+# n + m floats per iterate passed: about 3.3 measured, besides the iterates
 # themselves (see :func:`_certify`).
 _WORKING_ROWS = 4
 
@@ -335,7 +335,7 @@ def certify_trajectory(traj: Trajectory, kkt: KKTPoint, problem,
     distances and ergodic gaps are row-wise reductions over stacks of
     differences. Working memory is therefore a fixed number of
     history-sized temporaries, each dropped once its row sums are taken:
-    about 3.5 rows of n + m floats per row passed (at most
+    about 3.3 rows of n + m floats per row passed (at most
     ``_WORKING_ROWS``), so a long run is fed in segments.
 
     With a ``carry``, ``traj`` is one segment of a longer run, and the
@@ -478,7 +478,8 @@ def _certify(params, X_new, Y_new, kkt, problem, tol, carry):
 
     # P-form of z_k - z* and of consecutive increments, and their cross term
     inc_lx = np.diff(LX, axis=0)
-    ldxs = LX - lx_star
+    ldxs = LX  # the overlap and the increments are taken: LX is free to overwrite
+    ldxs -= lx_star
     del LX
     p_star = sq_dx / tau + sq_dy / sigma - (1.0 + theta) * (ldxs * dys).sum(axis=1)
     p_inc = (sq_inc_x / tau + sq_inc_y / sigma

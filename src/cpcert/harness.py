@@ -36,7 +36,8 @@ from .problems import (OracleRejectedError, check_keys, is_finite_list,
                        is_finite_number, is_int, kkt_by_long_run,
                        problem_from_config, read_problem_file)
 from .solver import (NonFiniteIterateError, SolverParams, Trajectory, Validity,
-                     fixed_point_residual, run, suggest_steps, validate_params)
+                     find_cycle, fixed_point_residual, run, suggest_steps,
+                     tile_cycle, validate_params)
 from .hilbert import PPoint
 
 __all__ = [
@@ -512,13 +513,16 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 @dataclass
 class _Cell:
-    """A cell in flight: its point and certifier state; once finished, its
-    whole run's counts, summary (``carry.result()``) and (if kept) tables."""
+    """A cell in flight: its point, certifier state and, once its run
+    repeats a state, the exact cycle it replays (:func:`find_cycle`); once
+    finished, its whole run's counts, summary (``carry.result()``) and (if
+    kept) tables."""
 
     params: SolverParams
     z: PPoint
     tables: list | None
     carry: CertifyCarry = field(default_factory=CertifyCarry)
+    cycle: Trajectory | None = None
     n_iters: int = 0
     stopped_at: int | None = None
     final_residual: float = math.nan
@@ -532,16 +536,29 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
     :func:`cpcert.certificates.segment_end`, or at ``cfg.iters``. Each
     segment goes to each cell's certifier and is dropped, so memory holds
     one segment per cell, never a full history; with ``keep_tables`` each
-    cell also keeps its segment tables. ``prefix`` holds the long-run oracle's leading pieces (see
-    :func:`_get_kkt`), one per segment: a cell at the oracle's parameters
-    takes each piece in place of its segment's run, with ``cfg.stop_tol``
-    applied to it step by step as :func:`run` would, and the pieces are
-    dropped once used or once no such cell is left. A cell ends at its
-    first failure: a non-finite iterate, a certificate error, or, once its
-    run is done, a fault outside the run. A cell whose run stops leaves
-    the batch as well. ``cfg.iters`` is at least 2 (checked at load), so
-    every segment certifies at least one window. An error that a step
-    raises itself (see :func:`run`) ends the whole batch and propagates.
+    cell also keeps its segment tables. A cell's segment has one of three
+    sources, each bitwise the segment :func:`run` would compute:
+
+    * a replayed cycle: once a segment of the cell's repeats its last
+      iterate bitwise (:func:`find_cycle`, searched before a ``fault``
+      corrupts the certifier's copy), the cell keeps one period of
+      iterates, leaves the ``run`` batch, and takes every later segment by
+      tiling that period (:func:`tile_cycle`);
+    * a kept oracle piece: ``prefix`` holds the long-run oracle's leading
+      pieces (see :func:`_get_kkt`), one per segment, and a cell at the
+      oracle's parameters takes each piece in place of its segment's run,
+      with ``cfg.stop_tol`` applied to it step by step as :func:`run`
+      would; the pieces are dropped once used or once no cell takes them;
+    * otherwise the cell's row of the batch's :func:`run` call.
+
+    No stop rule fires inside a cycle: each of its steps was taken, and
+    checked, by the run or piece in which the cycle was found. A cell ends
+    at its first failure: a non-finite iterate, a certificate error, or,
+    once its run is done, a fault outside the run. A cell whose run stops
+    leaves the batch as well. ``cfg.iters`` is at least 2 (checked at
+    load), so every segment certifies at least one window. An error that a
+    step raises itself (see :func:`run`) ends the whole batch and
+    propagates.
     Returns index -> the finished :class:`_Cell` or its failure.
     """
     z0 = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
@@ -555,10 +572,14 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
         piece = prefix.pop(0) if prefix else None
         # index -> (the cell's segment, or None, and its run's error, or None)
         segs = {i: (_replayed(piece, steps, cfg.stop_tol), None)
-                for i, cell in live.items()
-                if piece is not None and cell.params == piece.params}
-        if not segs:
+                for i, cell in live.items() if cell.cycle is None
+                and piece is not None and cell.params == piece.params}
+        if not segs:  # no cell takes the pieces any more
             prefix.clear()
+        for i, cell in live.items():
+            if cell.cycle is not None:
+                seg, cell.cycle = tile_cycle(cell.cycle, steps)
+                segs[i] = (seg, None)
         ran = [i for i in live if i not in segs]
         if ran:
             batch = run(problem, [live[i].params for i in ran], [live[i].z for i in ran],
@@ -574,13 +595,16 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
                     raise NonFiniteIterateError(first + err.iteration)
                 cell.n_iters += seg.n_iters
                 cell.z = PPoint(seg.X[-1].copy(), seg.Y[-1].copy())
+                runs_on = seg.stopped_at is None and cell.n_iters < cfg.iters
+                if runs_on and cell.cycle is None:
+                    cell.cycle = find_cycle(seg)
                 if fault_k is not None and first <= fault_k <= cell.n_iters:
                     seg = corrupt_trajectory(seg, fault_k - first, float(cfg.fault["delta"]))
                 table = certify_trajectory(seg, kkt, problem, tol=cfg.tolerance,
                                            carry=cell.carry)
                 if cell.tables is not None:
                     cell.tables.append(table)
-                if seg.stopped_at is None and cell.n_iters < cfg.iters:
+                if runs_on:
                     continue  # the cell runs on
                 if fault_k is not None:
                     _check_iterate(fault_k, cell.n_iters)

@@ -105,6 +105,8 @@ class LinearOperator:
 
         For a history of one run: in a subclass's own form, the rounding of
         a row may depend on the rows around it (see :class:`MatrixOperator`).
+        The result is a new array, which the caller may overwrite (the
+        certifier does).
         """
         return self.apply(xs)
 

@@ -127,7 +127,14 @@ def make_lasso(A: LinearOperator, b, lam: float) -> ProblemSpec:
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     g = _prox.quadratic_distance(b)
-    gstar = _prox.conjugate(g, evaluate=lambda y: rowwise(np.sum(y * (0.5 * y + b), axis=-1)))
+
+    def gstar_value(y):  # sum of y * (0.5 y + b), with one temporary the size of y
+        t = 0.5 * y
+        t += b
+        t *= y
+        return rowwise(np.sum(t, axis=-1))
+
+    gstar = _prox.conjugate(g, evaluate=gstar_value)
     return ProblemSpec(
         name="lasso",
         f=_prox.l1(lam),

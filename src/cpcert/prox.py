@@ -43,7 +43,10 @@ class ProxFn:
     shape (n,), an array of shape (k,) for a stack of shape (k, n).
     ``prox`` must be pure and its output must always have finite value; it
     is called with a vector and a float step, or with a stack of rows and
-    a column of steps.
+    a column of steps. Pure means the same bits out for the same bits in:
+    once a run repeats a state, its later steps are replayed from the
+    cycle, not recomputed (see :func:`cpcert.solver.find_cycle`), so the
+    prox is not called again for them.
     """
 
     evaluate: Callable[[np.ndarray], float | np.ndarray]

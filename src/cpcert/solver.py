@@ -28,6 +28,8 @@ __all__ = [
     "SolverParams",
     "ParamStatus",
     "Trajectory",
+    "find_cycle",
+    "tile_cycle",
     "RunBatch",
     "bound_rhs",
     "running_averages",
@@ -265,6 +267,51 @@ class Trajectory:
         return PPoint(self.X[-1], self.Y[-1])
 
 
+# A step's bits are a function of the bits of (x_k, y_k) alone, as long as
+# ``ProxFn.prox`` is pure and the operator applies are deterministic (the
+# batch path of :func:`run` already requires this of each row). So once a
+# run repeats a state bitwise, its later iterates repeat the period in
+# between; the two functions below find such a cycle and replay it.
+
+def find_cycle(traj: Trajectory) -> Trajectory | None:
+    """The exact cycle that ``traj`` has entered, or None.
+
+    Searches ``traj``'s iterates, its first included, for the most recent
+    earlier iterate j whose bits equal those of the last iterate n: the
+    rows are compared as int64, so -0.0 and 0.0 differ. On a hit, returns
+    a copy of iterates j..n, whose first and last rows are bitwise equal:
+    one period of p = n - j steps (``n_iters``), which
+    :func:`tile_cycle` repeats. Only the last iterate is looked up, so a
+    segment whose only match is its last iterate finds nothing.
+    """
+    X, Y = traj.X.view(np.int64), traj.Y.view(np.int64)
+    same = (X[:-1] == X[-1]).all(axis=1) & (Y[:-1] == Y[-1]).all(axis=1)
+    hits = np.flatnonzero(same)
+    if not hits.size:
+        return None
+    j = int(hits[-1])
+    return Trajectory(traj.params, traj.X[j:].copy(), traj.Y[j:].copy(),
+                      traj.n_iters - j, None)
+
+
+def tile_cycle(cycle: Trajectory, steps: int) -> tuple[Trajectory, Trajectory]:
+    """The next ``steps`` steps of a run that has entered the exact cycle
+    ``cycle`` (see :func:`find_cycle`), without running them.
+
+    Returns the segment, iterates 0..steps counted from the cycle's last
+    iterate, bitwise those :func:`run` would compute from it, and the
+    cycle that then ends the run, for the segment after it. Every step of
+    the segment is a step of the cycle, which the run that found it has
+    taken and checked: it never stops early or fails.
+    """
+    p = cycle.n_iters
+
+    def take(at: np.ndarray) -> Trajectory:  # iterate i of the cycle is row i mod p
+        return Trajectory(cycle.params, cycle.X[at], cycle.Y[at], at.size - 1, None)
+
+    return take(np.arange(steps + 1) % p), take(np.arange(steps, steps + p + 1) % p)
+
+
 @dataclass(frozen=True)
 class RunBatch:
     """Iterate logs of cells that :func:`run` advanced together.
@@ -287,7 +334,11 @@ def run(problem, params, z0, max_iters: int,
     Parameters
     ----------
     problem : object
-        Provides ``f``, ``gstar`` (ProxFn) and ``L`` (LinearOperator).
+        Provides ``f``, ``gstar`` (ProxFn) and ``L`` (LinearOperator). Each
+        ``prox`` must be pure and each operator apply deterministic: a step's
+        bits must be a function of the bits of (x_k, y_k), because once a run
+        repeats a state, the harness replays its cycle instead of
+        recomputing it (see :func:`find_cycle`).
     params : SolverParams or sequence of SolverParams
         Must not classify Invalid unless ``override_invalid`` is set. A
         sequence runs a batch of cells, one per entry, advanced together as

@@ -627,12 +627,32 @@ def sabotage_f_prox(monkeypatch, at_call, bad):
     monkeypatch.setattr(harness, "problem_from_config", sabotaged)
 
 
+# The theta = 1 run of QUAD_12x10 reaches a fixed point at iterate 220, after
+# which it is replayed and calls no prox; this one repeats no state in 3000
+# steps, so its prox is called once per step (256-iterate segments).
+QUAD_40x30 = {"generator": "quadratic", "params": {"rows": 40, "cols": 30, "seed": 7}}
+
+
+def assert_no_repeat(pc, iters):
+    """The solve default run (theta 1, safety 0.9) of the problem ``pc``
+    repeats no state bitwise within ``iters`` steps."""
+    problem = c.problem_from_config(pc)
+    norm = problem.L.norm_bound
+    params = c.SolverParams(*c.suggest_steps(1.0, norm, 0.9), 1.0, norm)
+    traj = c.run(problem, params, c.PPoint(np.zeros(problem.L.cols),
+                                           np.zeros(problem.L.rows)),
+                 iters, stop_tol=None)
+    states = np.hstack((traj.X, traj.Y)).view(np.int64)
+    assert np.unique(states, axis=0).shape[0] == iters + 1
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_run_failure_names_its_run_wide_iteration(tmp_path, capsys, monkeypatch,
                                                   command):
     # the prox fails at iteration 300, in the second 256-iterate segment
+    assert_no_repeat(QUAD_40x30, 300)
     sabotage_f_prox(monkeypatch, 300, lambda x: np.full_like(x, np.nan))
-    cfg = write_config(tmp_path / "cfg.json", problem=QUAD_12x10, iters=600,
+    cfg = write_config(tmp_path / "cfg.json", problem=QUAD_40x30, iters=600,
                        grid={"theta": [1.0], "safety": [0.9]})
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "non-finite iterate produced at iteration 300\n" in capsys.readouterr().err
@@ -822,10 +842,11 @@ def test_oracle_iters_below_one_exits_2(tmp_path, capsys, value):
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_step_error_is_not_a_nonfinite_iterate(tmp_path, capsys, monkeypatch, command):
-    # a prox returning 11 entries for 10 is a program error (exit 2), which
+    # a prox returning 31 entries for 30 is a program error (exit 2), which
     # was reported as a non-finite iterate (exit 3)
+    assert_no_repeat(QUAD_40x30, 300)
     sabotage_f_prox(monkeypatch, 300, lambda x: np.append(x, 0.0))
-    cfg = write_config(tmp_path / "cfg.json", problem=QUAD_12x10, iters=600,
+    cfg = write_config(tmp_path / "cfg.json", problem=QUAD_40x30, iters=600,
                        grid={"theta": [1.0], "safety": [0.9]})
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -836,8 +857,9 @@ def test_step_error_is_not_a_nonfinite_iterate(tmp_path, capsys, monkeypatch, co
 def test_cell_ends_at_its_first_failure(tmp_path, capsys, monkeypatch, command):
     # the fault breaks the certificate in the second segment; the NaN prox
     # at iteration 600 would fail the run later, but the cell ended at 299
+    assert_no_repeat(QUAD_40x30, 600)
     sabotage_f_prox(monkeypatch, 600, lambda x: np.full_like(x, np.nan))
-    cfg = write_config(tmp_path / "cfg.json", problem=QUAD_12x10, iters=600,
+    cfg = write_config(tmp_path / "cfg.json", problem=QUAD_40x30, iters=600,
                        fault={"k": 300, "delta": 1e308},
                        grid={"theta": [1.0], "safety": [0.9]})
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -1039,10 +1061,13 @@ LASSO_480x320 = {"generator": "lasso",
                  "params": {"rows": 480, "cols": 320, "lam": 0.2, "seed": 1}}
 
 
-def counted(monkeypatch, tmp_path, name, command="solve", reuse=True, **overrides):
-    """Run ``command`` on the 480x320 lasso; the exit code, the output
-    directory and the (cells, steps) of each ``harness.run`` call. With
-    ``reuse`` False the oracle is given no list, so it keeps no pieces."""
+def counted(monkeypatch, tmp_path, name, command="solve", reuse=True, replay=True,
+            problem=LASSO_480x320, **overrides):
+    """Run ``command`` on ``problem``, the 480x320 lasso by default; the exit
+    code, the output directory and the (cells, steps) of each ``harness.run``
+    call. With ``reuse`` False the oracle is given no list, so it keeps no
+    pieces; with ``replay`` False the cycle search finds nothing, so every
+    step is run."""
     import cpcert.harness as harness
 
     calls = []
@@ -1055,12 +1080,14 @@ def counted(monkeypatch, tmp_path, name, command="solve", reuse=True, **override
     def withholding_oracle(*args, prefix=None, **kwargs):
         return oracle(*args, **kwargs)
 
-    cfg = write_config(tmp_path / f"{name}.json", problem=LASSO_480x320, **overrides)
+    cfg = write_config(tmp_path / f"{name}.json", problem=problem, **overrides)
     out = tmp_path / name
     with monkeypatch.context() as m:
         m.setattr(harness, "run", counting_run)
         if not reuse:
             m.setattr(harness, "kkt_by_long_run", withholding_oracle)
+        if not replay:
+            m.setattr(harness, "find_cycle", lambda seg: None)
         code = main([command, "--config", str(cfg), "--out", str(out)])
     return code, out, calls
 
@@ -1128,3 +1155,83 @@ def test_stop_tol_inside_the_kept_prefix_stops_at_the_same_k(tmp_path, monkeypat
     assert same_outputs(out, plain, ("trajectory.csv", "summary.json"))
     stopped = json.loads((out / "summary.json").read_text())["stopped_at"]
     assert 150 < stopped < 200
+
+
+# --- a run that repeats a state replays its cycle ----------------------------
+
+# quad_long's problem: at theta 0.5 its run enters a period-6 cycle at
+# k = 1546, found at the end of the segment of steps 1536..1791
+QUAD_12x10_SEED0 = {"generator": "quadratic", "params": {"rows": 12, "cols": 10, "seed": 0}}
+SOLVE_FILES = ("trajectory.csv", "summary.json")
+
+
+def test_solve_at_a_fixed_point_runs_one_segment(tmp_path, monkeypatch):
+    # the theta = 1 run reaches a fixed point at iterate 220, inside the
+    # first segment (steps 0..255)
+    code, out, calls = counted(monkeypatch, tmp_path, "replay", problem=QUAD_12x10,
+                               iters=2000)
+    assert code == 0
+    assert calls == [(1, 255)]
+    code, plain, calls = counted(monkeypatch, tmp_path, "plain", replay=False,
+                                 problem=QUAD_12x10, iters=2000)
+    assert code == 0
+    assert sum(steps for _, steps in calls) == 2000
+    assert same_outputs(out, plain, SOLVE_FILES)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["certificates"]["all_pass"] is True
+    assert summary["final_fixed_point_residual"] == 0.0
+
+
+def test_solve_in_a_period_6_cycle_runs_only_until_it_is_found(tmp_path, monkeypatch):
+    code, out, calls = counted(monkeypatch, tmp_path, "replay", problem=QUAD_12x10_SEED0,
+                               theta=0.5, iters=20000)
+    assert code == 0
+    assert len(calls) == 7 and sum(steps for _, steps in calls) == 1791
+    code, plain, calls = counted(monkeypatch, tmp_path, "plain", replay=False,
+                                 problem=QUAD_12x10_SEED0, theta=0.5, iters=20000)
+    assert code == 0
+    assert sum(steps for _, steps in calls) == 20000
+    assert same_outputs(out, plain, SOLVE_FILES)
+    assert json.loads((out / "summary.json").read_text())["certificates"]["all_pass"] is True
+
+
+def test_sweep_cells_leave_the_batch_as_they_repeat(tmp_path, monkeypatch):
+    tv = {"generator": "tv1d", "params": {"n": 50, "lam": 0.5, "seed": 0}}
+    grid = {"theta": [0.1, 0.5, 1.0], "safety": [0.5, 0.9]}
+    code, out, calls = counted(monkeypatch, tmp_path, "replay", "sweep", problem=tv,
+                               iters=2000, grid=grid)
+    assert code == 0
+    assert [cells for cells, _ in calls] == [6, 6, 6, 6, 5, 2, 1]
+    code, plain, calls = counted(monkeypatch, tmp_path, "plain", "sweep", replay=False,
+                                 problem=tv, iters=2000, grid=grid)
+    assert code == 0
+    assert [cells for cells, _ in calls] == [6] * 8
+    assert same_outputs(out, plain, ("sweep_summary.csv", "sweep_summary.json"))
+
+
+def test_stop_tol_never_fires_inside_a_replayed_cycle(tmp_path, monkeypatch):
+    # every step's fixed-point residual stays above 3e-17 (the cycle's
+    # smallest is 4.7e-17), so neither run stops
+    overrides = dict(problem=QUAD_12x10_SEED0, theta=0.5, iters=3000, stop_tol=3e-17)
+    code, out, calls = counted(monkeypatch, tmp_path, "replay", **overrides)
+    assert code == 0
+    assert sum(steps for _, steps in calls) == 1791
+    code, plain, _ = counted(monkeypatch, tmp_path, "plain", replay=False, **overrides)
+    assert code == 0
+    assert same_outputs(out, plain, SOLVE_FILES)
+    replayed, ran = (json.loads((d / "summary.json").read_text()) for d in (out, plain))
+    assert replayed["stopped_at"] is None
+    assert replayed["final_fixed_point_residual"] == ran["final_fixed_point_residual"] > 0
+
+
+def test_fault_inside_a_replayed_segment_is_caught_at_the_same_k(tmp_path, monkeypatch):
+    overrides = dict(problem=QUAD_12x10_SEED0, theta=0.5, iters=3000,
+                     fault={"k": 2500, "delta": 1e-3})
+    code, out, calls = counted(monkeypatch, tmp_path, "replay", **overrides)
+    assert code == 1
+    assert sum(steps for _, steps in calls) == 1791
+    code, plain, _ = counted(monkeypatch, tmp_path, "plain", replay=False, **overrides)
+    assert code == 1
+    assert same_outputs(out, plain, SOLVE_FILES)
+    first = json.loads((out / "summary.json").read_text())["certificates"]["first_failing_k"]
+    assert first in (2498, 2499, 2500)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import cpcert as c
-from cpcert.solver import (EQUALITY_RTOL, RunBatch, SolverParams, Validity,
-                           bound_rhs, fixed_point_residual, run,
-                           running_averages, step, suggest_steps,
-                           validate_params)
+from cpcert.solver import (EQUALITY_RTOL, RunBatch, SolverParams, Trajectory,
+                           Validity, bound_rhs, find_cycle, fixed_point_residual,
+                           run, running_averages, step, suggest_steps,
+                           tile_cycle, validate_params)
 
 from oracles import checked_iterates, denominator_identity_residual
 
@@ -453,3 +453,82 @@ def test_batched_run_continues_in_segments():
     for w, a, b in zip(whole.trajectories, first.trajectories, rest.trajectories):
         assert np.array_equal(w.X, np.concatenate((a.X, b.X[1:])))
         assert np.array_equal(w.Y, np.concatenate((a.Y, b.Y[1:])))
+
+
+# --- exact cycles: found by their bits, replayed by tiling --------------------
+
+UNIT = SolverParams(0.5, 0.5, 1.0, 1.0)
+
+
+def hand_built(xs, ys=None):
+    """A trajectory of the given x rows, with y rows (default all 0.0)."""
+    X = np.array(xs, dtype=float).reshape(len(xs), -1)
+    Y = np.zeros((len(xs), 1)) if ys is None else np.array(ys, dtype=float).reshape(len(ys), -1)
+    return Trajectory(UNIT, X, Y, len(xs) - 1, None)
+
+
+def test_find_cycle_tells_signed_zeros_apart():
+    # iterate 1 equals the last iterate as floats, but its y has -0.0
+    traj = hand_built([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [3.0, 4.0]],
+                      [[0.0], [-0.0], [1.0], [0.0]])
+    assert traj.X[1].tolist() == traj.X[3].tolist() and traj.Y[1] == traj.Y[3]
+    assert find_cycle(traj) is None
+    traj = hand_built([[0.0], [1.0], [-0.0]])
+    assert find_cycle(traj) is None
+
+
+def test_find_cycle_takes_the_most_recent_match():
+    # iterates 0, 2 and 4 all equal the last one: the period is 2, not 6
+    traj = hand_built([[7.0], [1.0], [7.0], [2.0], [7.0], [3.0], [7.0]])
+    cycle = find_cycle(traj)
+    assert cycle.n_iters == 2
+    assert cycle.X.tolist() == [[7.0], [3.0], [7.0]]
+    assert cycle.params == UNIT and cycle.stopped_at is None
+    assert not np.shares_memory(cycle.X, traj.X)  # a copy: the segment may go
+
+
+def test_find_cycle_ignores_the_last_iterate_itself():
+    assert find_cycle(hand_built([[1.0], [2.0], [3.0]])) is None
+    assert find_cycle(hand_built([[1.0]])) is None
+
+
+def test_find_cycle_counts_the_carried_first_iterate():
+    # a segment's first iterate is the one carried from the segment before
+    cycle = find_cycle(hand_built([[4.0], [5.0], [6.0], [4.0]], [[1.0], [2.0], [3.0], [1.0]]))
+    assert cycle.n_iters == 3
+    assert cycle.X[:, 0].tolist() == [4.0, 5.0, 6.0, 4.0]
+    assert cycle.Y[:, 0].tolist() == [1.0, 2.0, 3.0, 1.0]
+
+
+def test_find_cycle_needs_x_and_y_to_repeat():
+    assert find_cycle(hand_built([[1.0], [2.0], [1.0]], [[0.0], [0.0], [5.0]])) is None
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 7])
+def test_tile_cycle_continues_the_cycle(steps):
+    cycle = find_cycle(hand_built([[9.0], [4.0], [5.0], [6.0], [4.0]]))
+    seg, after = tile_cycle(cycle, steps)
+    expected = [4.0, 5.0, 6.0] * 4
+    assert seg.X[:, 0].tolist() == expected[: steps + 1]
+    assert seg.n_iters == steps and seg.stopped_at is None
+    # the next segment goes on where this one ends
+    assert after.n_iters == 3
+    assert after.X[:, 0].tolist() == expected[steps: steps + 4]
+    more, _ = tile_cycle(after, 5)
+    assert more.X[:, 0].tolist() == (expected * 2)[steps: steps + 6]
+
+
+def test_tiled_cycle_is_the_run_bitwise():
+    # a converged run repeats a state; tiling its cycle gives the bits that
+    # running on from the cycle's last iterate gives. This run enters a
+    # period-6 cycle at k = 1546.
+    problem = c.random_quadratic(12, 10, seed=0)
+    norm = problem.L.norm_bound
+    params = SolverParams(*suggest_steps(0.5, norm, 0.9), 0.5, norm)
+    z0 = c.PPoint(np.zeros(10), np.zeros(12))
+    head = run(problem, params, z0, 1600, stop_tol=None)
+    cycle = find_cycle(head)
+    assert cycle.n_iters == 6
+    seg, _ = tile_cycle(cycle, 100)
+    tail = run(problem, params, head.final, 100, stop_tol=None)
+    assert seg.X.tobytes() == tail.X.tobytes() and seg.Y.tobytes() == tail.Y.tobytes()
