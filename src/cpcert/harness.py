@@ -594,7 +594,7 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
                 if err is not None:  # named by its run-wide iteration
                     raise NonFiniteIterateError(first + err.iteration)
                 cell.n_iters += seg.n_iters
-                cell.z = PPoint(seg.X[-1].copy(), seg.Y[-1].copy())
+                cell.z = seg.final
                 runs_on = seg.stopped_at is None and cell.n_iters < cfg.iters
                 if runs_on and cell.cycle is None:
                     cell.cycle = find_cycle(seg)
@@ -630,13 +630,13 @@ def _replayed(piece: Trajectory, steps: int, stop_tol: float | None) -> Trajecto
     ``stop_tol`` returns them: cut at the first step whose fixed-point
     residual is at most ``stop_tol``. The oracle's own stop rule does not
     apply: a kept piece never stopped."""
-    tau, sigma = piece.params.tau, piece.params.sigma
-    X, Y = piece.X, piece.Y
+    X, Y = piece.X[: steps + 1], piece.Y[: steps + 1]
     stopped = None
     if stop_tol is not None:
-        stopped = next((k for k in range(1, steps + 1)
-                        if fixed_point_residual(X[k] - X[k - 1], Y[k] - Y[k - 1],
-                                                tau, sigma) <= stop_tol), None)
+        res = fixed_point_residual(np.diff(X, axis=0), np.diff(Y, axis=0),
+                                   piece.params.tau, piece.params.sigma)
+        below = np.flatnonzero(res <= stop_tol)
+        stopped = int(below[0]) + 1 if below.size else None
     n = steps if stopped is None else stopped
     return Trajectory(piece.params, X[: n + 1], Y[: n + 1], n, stopped)
 

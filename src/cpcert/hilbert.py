@@ -76,8 +76,10 @@ class LinearOperator:
 
     Subclasses implement :meth:`apply` and :meth:`apply_adjoint`. Both act
     on the last axis: a vector gives a vector, and a stack of cells' vectors
-    (k, n) gives each row the bits of its own single-vector apply. They
-    check the input dimension but do not scan entries for finiteness.
+    (k, n) gives each row the bits of its own single-vector apply, so no
+    product may mix rows (:class:`MatrixOperator` says how a dense one
+    keeps them apart). They check the input dimension but do not scan
+    entries for finiteness.
     :meth:`apply_stack`, the image of a run's history, is :meth:`apply` on
     the stack unless a subclass has a faster form (see
     :class:`MatrixOperator`). ``norm_bound`` is a bound on the operator
@@ -129,10 +131,12 @@ class MatrixOperator(LinearOperator):
     with no warning raised (40x40 matrices, sigma_1 - sigma_2 from 1e-9
     to 1e-2).
 
-    :meth:`apply` and :meth:`apply_adjoint` make one matrix-vector product
-    per row of a stack: a matrix-matrix product rounds each row
-    differently from the vector product, and depends on the other rows.
-    :meth:`apply_stack` is one matrix-matrix product over a history.
+    :meth:`apply` and :meth:`apply_adjoint` multiply the matrix into a
+    stack of column vectors (k, n, 1): a stacked matmul makes one
+    matrix-vector product (BLAS gemv) per row, so each row gets the bits
+    of ``matrix @ row``. One matrix-matrix product (gemm) over the rows
+    would round each row differently, and by the rows around it.
+    :meth:`apply_stack` is that gemm over a history.
     """
 
     def __init__(self, matrix, norm_bound: float | None = None):
@@ -155,23 +159,15 @@ class MatrixOperator(LinearOperator):
     def apply(self, x):
         x = as_operand(x)
         self._check_domain(x)
-        return self._a @ x if x.ndim == 1 else _gemv_rows(self._a, x)
+        return (self._a @ x[..., None])[..., 0]
 
     def apply_adjoint(self, y):
         y = as_operand(y)
         self._check_range(y)
-        return self._a.T @ y if y.ndim == 1 else _gemv_rows(self._a.T, y)
+        return (self._a.T @ y[..., None])[..., 0]
 
     def apply_stack(self, xs):
         return xs @ self._a.T
-
-
-def _gemv_rows(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """``a @ row`` for each row of ``xs``, one matrix-vector product each."""
-    out = np.empty((xs.shape[0], a.shape[0]))
-    for i, row in enumerate(xs):
-        out[i] = a @ row
-    return out
 
 
 class ForwardDifferenceOperator(LinearOperator):

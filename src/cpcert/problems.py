@@ -378,9 +378,11 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     appended to it (as :class:`~cpcert.solver.Trajectory`, in order from
     iterate 0) while they fit in the rows of one block left beside one
     segment's certifier working set
-    (:func:`cpcert.certificates.spare_rows`), the most the oracle held at
-    once when it stored whole blocks. A run at ``params`` from the origin
-    may use them, bitwise, in place of its first segments' runs.
+    (:func:`cpcert.certificates.spare_rows`). A run at ``params`` from the
+    origin may use them, bitwise, in place of its first segments' runs; it
+    holds them beside the working set of the segment it certifies, so the
+    budget bounds the iterate rows that run holds at once by one block's,
+    about ``_ORACLE_BLOCK_BYTES``.
     """
     status = validate_params(params)
     if status.kind is not Validity.STRICTLY_VALID:
@@ -390,7 +392,7 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     width = problem.L.rows + problem.L.cols
     room = 0 if prefix is None else spare_rows(block + 1, width)  # rows left to keep
     done = 0
-    kind = "long_run"
+    kkt = None
     while done < iters:
         whole = segment_end(done, width)
         end = min(whole, (done // block + 1) * block, iters)
@@ -398,8 +400,7 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
             traj = run(problem, params, z, end - done, stop_tol=stop_tol)
         except NonFiniteIterateError as e:  # named by its run-wide iteration
             raise NonFiniteIterateError(done + e.iteration) from None
-        # copy the final point and drop the piece before the next one runs
-        z = PPoint(traj.X[-1].copy(), traj.Y[-1].copy())
+        z = traj.final  # a copy: the piece is dropped before the next one runs
         done += traj.n_iters
         stopped = traj.stopped_at is not None
         # keep whole unstopped segments, in order, while they fit; pieces from
@@ -414,25 +415,25 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
         if stopped:
             break
         if problem.polish is not None and (done % block == 0 or done == iters):
-            polished = _polished(problem, params, z, stop_tol)
-            if polished is not None:
-                (z, steps), kind = polished, "polished"
-                done += steps
+            kkt = _polished(problem, params, z, stop_tol, done)
+            if kkt is not None:
                 break
-    res = kkt_residual(problem, z)
-    if res > accept_tol:
+    if kkt is None:
+        kkt = make_kkt(problem, z, check_tol=None, kind="long_run", iterations=done)
+    if kkt.residual > accept_tol:
         raise OracleRejectedError(
-            f"long-run oracle rejected: residual {res:.3e} > {accept_tol:g} "
-            f"after {done} iterations"
+            f"long-run oracle rejected: residual {kkt.residual:.3e} > {accept_tol:g} "
+            f"after {kkt.iterations} iterations"
         )
-    return make_kkt(problem, z, check_tol=None, kind=kind, iterations=done)
+    return kkt
 
 
-def _polished(problem: ProblemSpec, params, z: PPoint,
-              stop_tol: float) -> tuple[PPoint, int] | None:
-    """The polish hook's candidate from z after ``_POLISH_ITERS`` more
-    steps, and the steps taken, if its fixed-point residual is then at most
-    ``_POLISH_TOL``; otherwise None."""
+def _polished(problem: ProblemSpec, params, z: PPoint, stop_tol: float,
+              done: int) -> KKTPoint | None:
+    """The polish hook's candidate from z, the final point after ``done``
+    steps, run ``_POLISH_ITERS`` more steps: a ``"polished"`` KKTPoint
+    counting all the steps taken, if its fixed-point residual is then at
+    most ``_POLISH_TOL``; otherwise None."""
     candidate = problem.polish(z)
     if candidate is None:
         return None
@@ -440,10 +441,9 @@ def _polished(problem: ProblemSpec, params, z: PPoint,
         traj = run(problem, params, candidate, _POLISH_ITERS, stop_tol=stop_tol)
     except NonFiniteIterateError:
         return None
-    point = PPoint(traj.X[-1].copy(), traj.Y[-1].copy())
-    if kkt_residual(problem, point) > _POLISH_TOL:
-        return None
-    return point, traj.n_iters
+    kkt = make_kkt(problem, traj.final, check_tol=None, kind="polished",
+                   iterations=done + traj.n_iters)
+    return kkt if kkt.residual <= _POLISH_TOL else None
 
 
 def _oracle_block(problem: ProblemSpec) -> int:

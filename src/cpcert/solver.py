@@ -205,10 +205,26 @@ def step(z: PPoint, problem, params: SolverParams) -> PPoint:
     return PPoint(x_new, y_new)
 
 
-def fixed_point_residual(dx, dy, tau: float, sigma: float) -> float:
-    """max(||dx||/tau, ||dy||/sigma) for a step's increments dx, dy; each
-    norm is sqrt(v.dot(v)), np.linalg.norm's arithmetic on a vector."""
-    return max(math.sqrt(dx.dot(dx)) / tau, math.sqrt(dy.dot(dy)) / sigma)
+def fixed_point_residual(dx, dy, tau, sigma):
+    """max(||dx||/tau, ||dy||/sigma) for each row of a step's increments.
+
+    ``dx`` and ``dy`` are one step's vectors, giving a float, or stacks of
+    steps (k, n) and (k, m), giving k values; ``tau`` and ``sigma`` are
+    floats or step columns of shape (k, 1), as :func:`_advance` takes
+    them. Each norm is sqrt(v.dot(v)), np.linalg.norm's arithmetic on a
+    vector, with the bits of that row alone: a stacked matmul of each row
+    into itself makes one BLAS dot per row (a summed square, such as
+    ``(v * v).sum(-1)`` or einsum, rounds differently). One step takes
+    the dots directly, which skips most of the array overhead that a
+    lone cell's stop test would pay on every step.
+    """
+    if dx.ndim == 1:
+        return max(math.sqrt(dx.dot(dx)) / tau, math.sqrt(dy.dot(dy)) / sigma)
+
+    def norms(d):  # one per row, shape (k, 1) like the step columns
+        return np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0]
+
+    return np.maximum(norms(dx) / tau, norms(dy) / sigma)[:, 0]
 
 
 def continued_cumsum(A: np.ndarray, prefix=None) -> np.ndarray:
@@ -257,14 +273,10 @@ class Trajectory:
         self.X.flags.writeable = False
         self.Y.flags.writeable = False
 
-    def point(self, k: int) -> PPoint:
-        if not 0 <= k <= self.n_iters:
-            raise IndexError(f"iterate {k} not stored (have 0..{self.n_iters})")
-        return PPoint(self.X[k], self.Y[k])
-
     @property
     def final(self) -> PPoint:
-        return PPoint(self.X[-1], self.Y[-1])
+        """A copy of the last iterate, which outlives the stored history."""
+        return PPoint(self.X[-1].copy(), self.Y[-1].copy())
 
 
 # A step's bits are a function of the bits of (x_k, y_k) alone, as long as
@@ -379,7 +391,7 @@ def run(problem, params, z0, max_iters: int,
     batch = not isinstance(params, SolverParams)
     cells = tuple(params) if batch else (params,)
     starts = tuple(z0) if batch else (z0,)
-    stacked = len(cells) > 1  # a stack of one would only add per-row loops
+    stacked = len(cells) > 1  # a lone cell steps on plain vectors, the cheaper form
     if not cells or len(starts) != len(cells):
         raise ValueError(f"a batch needs one start point per cell, got "
                          f"{len(starts)} for {len(cells)} cells")
@@ -423,24 +435,19 @@ def run(problem, params, z0, max_iters: int,
     for k in range(1, max_iters + 1):
         x_new, y_new, finite = _advance(x, y, problem, tau, sigma, theta)
         X[at, k], Y[at, k] = x_new, y_new
-        leave = []  # stack rows whose cell fails or stops at k
-        if not (finite.all() if stacked else finite):
-            leave = np.flatnonzero(~np.atleast_1d(finite)).tolist()
-            for i in leave:
-                errors[live[i]] = NonFiniteIterateError(k)
+        leave = ~finite  # the cells that fail or stop at k
         if stop_tol is not None:
-            dx, dy = rows(x_new - x), rows(y_new - y)
-            for i, cell in enumerate(live.tolist()):
-                if i in leave:
-                    continue
-                p = cells[cell]
-                if fixed_point_residual(dx[i], dy[i], p.tau, p.sigma) <= stop_tol:
-                    stopped[cell] = ends[cell] = k
-                    leave.append(i)
+            leave |= fixed_point_residual(x_new - x, y_new - y, tau, sigma) <= stop_tol
         x, y = x_new, y_new
-        if leave:
-            keep = np.ones(live.size, dtype=bool)
-            keep[leave] = False
+        if leave.any() if stacked else leave:
+            finite, leave = rows(finite), rows(leave)
+            for i in np.flatnonzero(leave).tolist():
+                cell = live[i]
+                if finite[i]:
+                    stopped[cell] = ends[cell] = k
+                else:
+                    errors[cell] = NonFiniteIterateError(k)
+            keep = ~leave
             live = at = live[keep]
             if not live.size:
                 break

@@ -26,6 +26,11 @@ def ergodic_point(traj, k):
                     running_averages(traj.Y[1 : k + 1])[0][-1])
 
 
+def iterate(traj, k):
+    """Iterate k of a run as a point."""
+    return c.PPoint(traj.X[k], traj.Y[k])
+
+
 def one_d_problem():
     L = c.MatrixOperator([[1.0]], norm_bound=1.0)
     return c.make_quadratic(L, [1.0], [0.0])
@@ -146,7 +151,7 @@ def test_lyapunov_zero_at_saddle():
 
 def test_lyapunov_theta_one_drops_gap_and_cross_terms():
     problem, params, traj = medium_run(theta=1.0, iters=30)
-    zk, zk1 = traj.point(3), traj.point(4)
+    zk, zk1 = iterate(traj, 3), iterate(traj, 4)
     want = (0.5 * p_quadratic_form(zk - problem.kkt.star, problem.L, params)
             - 0.25 * p_quadratic_form(zk1 - zk, problem.L, params))
     got = lyapunov(zk, zk1, problem.kkt, problem, params)
@@ -156,7 +161,7 @@ def test_lyapunov_theta_one_drops_gap_and_cross_terms():
 def test_lyapunov_dominates_next_distance_along_run():
     problem, params, traj = medium_run(theta=0.25, iters=300)
     for k in range(0, 300, 17):
-        zk, zk1 = traj.point(k), traj.point(k + 1) if k + 1 <= 300 else None
+        zk, zk1 = iterate(traj, k), iterate(traj, k + 1) if k + 1 <= 300 else None
         if zk1 is None:
             break
         v = lyapunov(zk, zk1, problem.kkt, problem, params)
@@ -232,7 +237,7 @@ def test_descent_residual_along_quadratic_run():
     problem, params, traj = medium_run(theta=0.5, iters=2000, dims=(10, 8))
     kkt = problem.kkt
     for k in range(0, 1999, 97):
-        zk, zk1, zk2 = traj.point(k), traj.point(k + 1), traj.point(k + 2)
+        zk, zk1, zk2 = iterate(traj, k), iterate(traj, k + 1), iterate(traj, k + 2)
         v = lyapunov(zk, zk1, kkt, problem, params)
         r = descent_residual(zk, zk1, zk2, kkt, problem, params)
         assert r <= 1e-10 * (1.0 + abs(v))
@@ -267,8 +272,8 @@ def test_table_matches_scalar_functions():
     kkt = problem.kkt
     table = certify_trajectory(traj, kkt, problem)
     for k in (0, 1, 17, 60, 118):
-        zk, zk1 = traj.point(k), traj.point(k + 1)
-        zk2 = traj.point(k + 2)
+        zk, zk1 = iterate(traj, k), iterate(traj, k + 1)
+        zk2 = iterate(traj, k + 2)
         assert table.lyapunov[k] == pytest.approx(
             lyapunov(zk, zk1, kkt, problem, params), rel=1e-9, abs=1e-12)
         assert table.gap[k] == pytest.approx(

@@ -267,10 +267,11 @@ def test_trajectory_has_one_storage_mode():
     params = SolverParams(0.5, 0.5, 1.0, 1.0)
     traj = run(problem, params, c.PPoint([0.0], [0.0]), max_iters=5, stop_tol=None)
     assert traj.X.shape == (6, 1)
-    assert traj.point(5).x[0] == traj.final.x[0]
-    for k in (-1, 6):
-        with pytest.raises(IndexError):
-            traj.point(k)  # a negative k must not wrap around
+    assert traj.X[5][0] == traj.final.x[0]
+    assert not np.shares_memory(traj.final.x, traj.X)  # a copy of the last row
+    assert not np.shares_memory(traj.final.y, traj.Y)
+    with pytest.raises(IndexError):
+        traj.X[6]
 
 
 def test_trajectory_immutable():
@@ -347,7 +348,7 @@ def test_run_matches_checked_reference_bitwise(theta):
         want_x, want_y = checked_iterates(problem, params, z0, 300)
         assert np.array_equal(traj.X, want_x), problem.name
         assert np.array_equal(traj.Y, want_y), problem.name
-        z = traj.point(150)
+        z = c.PPoint(traj.X[150], traj.Y[150])
         stepped = step(z, problem, params)
         assert np.array_equal(stepped.x, traj.X[151])
         assert np.array_equal(stepped.y, traj.Y[151])
