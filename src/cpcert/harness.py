@@ -32,9 +32,9 @@ import numpy as np
 
 from .certificates import (CertifyCarry, _flag_arrays, certify_trajectory,
                            segment_end)
-from .problems import (OracleRejectedError, check_keys, is_finite_list,
-                       is_finite_number, is_int, kkt_by_long_run,
-                       problem_from_config, read_problem_file)
+from .problems import (INTEGER, NUMBER, OBJECT, STRING, OracleRejectedError,
+                       check_fields, is_finite_list, is_finite_number, is_int,
+                       kkt_by_long_run, problem_from_config, read_problem_file)
 from .solver import (NonFiniteIterateError, SolverParams, Trajectory, Validity,
                      find_cycle, fixed_point_residual, run, suggest_steps,
                      tile_cycle, validate_params)
@@ -65,26 +65,39 @@ class UsageError(ValueError):
     """Bad configuration or command-line input (exit code 2)."""
 
 
-def _is_object(v) -> bool:
-    return isinstance(v, dict)
+def _or_null(kind):
+    ok, what = kind
+    return (lambda v: v is None or ok(v), what)
 
 
-# JSON type of each config field; None is also accepted where the default is None.
-# Certification needs three iterates, so a run takes at least 2 iterations.
-_FIELD_TYPES = {
-    **dict.fromkeys(("theta", "tau", "sigma", "safety", "ratio", "tolerance",
-                     "stop_tol"), (is_finite_number, "a finite number")),
+# The config's fields and their kinds (see cpcert.problems.check_fields),
+# accepting null where the default is null. Certification needs three
+# iterates, so a run takes at least 2 iterations.
+_FIELDS = {
+    "problem": OBJECT,
+    **dict.fromkeys(("theta", "safety", "ratio"), NUMBER),
+    **dict.fromkeys(("tau", "sigma", "stop_tol"), _or_null(NUMBER)),
     "iters": (lambda v: is_int(v) and v >= 2, "an integer >= 2"),
-    "seed": (is_int, "an integer"),
-    "oracle_iters": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    "seed": INTEGER,
+    "tolerance": (lambda v: is_finite_number(v) and v >= 0, "a finite number >= 0"),
     "override_invalid": (lambda v: isinstance(v, bool), "true or false"),
-    "fault": (_is_object, "an object"),
-    "grid": (_is_object, "an object"),
-    "out": (lambda v: isinstance(v, str), "a string"),
+    "oracle_iters": _or_null((lambda v: is_int(v) and v >= 1, "an integer >= 1")),
+    "fault": _or_null(OBJECT),
+    "grid": _or_null(OBJECT),
+    "out": STRING,
 }
-# The keys of the config's sub-objects; ``problem``'s are checked by
-# :func:`cpcert.problems.problem_from_config`.
-_SUBKEYS = {"grid": {"theta", "safety"}, "fault": {"k", "delta"}}
+# The fields of the config's sub-objects, each required when the object is
+# given; ``problem``'s are checked when the problem is built
+# (cpcert.problems.problem_from_config).
+_OBJECT_FIELDS = {
+    "grid": dict.fromkeys(("theta", "safety"), (lambda v: is_finite_list(v) and v != [],
+                                                "a non-empty list of finite numbers")),
+    "fault": {"k": INTEGER, "delta": NUMBER},
+}
+# The typed command-line options of solve, sweep and validate, each setting
+# the config field of its name.
+_OPTIONS = {**dict.fromkeys(("theta", "tau", "sigma", "safety", "ratio"), float),
+            "iters": int, "seed": int, "out": str}
 
 
 @dataclass
@@ -125,49 +138,22 @@ class ExperimentConfig:
             raise UsageError(f"config file not found: {path}") from None
         except json.JSONDecodeError as e:
             raise UsageError(f"config file {path} is not valid JSON: {e}") from None
-        if not isinstance(raw, dict) or "problem" not in raw:
-            raise UsageError(f"config file {path} must be an object with a 'problem' key")
-        check_keys(raw, {f.name for f in fields(cls) if f.init}, "the config", UsageError)
-        cls._check_types(raw)
+        check_fields(raw, _FIELDS, "the config", "config field '{}'", ("problem",),
+                     UsageError)
+        for name, table in _OBJECT_FIELDS.items():
+            if raw.get(name) is not None:
+                check_fields(raw[name], table, name, f"config field '{name}.{{}}'",
+                             tuple(table), UsageError)
         cfg = cls(**raw)
         cfg.base_dir = str(Path(path).parent)
         return cfg
 
-    @classmethod
-    def _check_types(cls, raw: dict) -> None:
-        """Reject a field of the wrong JSON type with a UsageError.
-
-        Generator parameters are checked by
-        :func:`cpcert.problems.problem_from_config`.
-        """
-        def need(name, v, ok, what):
-            if not ok(v):
-                raise UsageError(f"config field {name!r} must be {what}, got {v!r}")
-
-        for name, (ok, what) in _FIELD_TYPES.items():
-            if name in raw and not (raw[name] is None and getattr(cls, name) is None):
-                need(name, raw[name], ok, what)
-        need("problem", raw["problem"], _is_object, "an object")
-        need("problem.params", raw["problem"].get("params", {}), _is_object, "an object")
-        for name, keys in _SUBKEYS.items():
-            check_keys(raw.get(name) or {}, keys, name, UsageError)
-        grid = raw.get("grid") or {}
-        for key in ("theta", "safety"):
-            need(f"grid.{key}", grid.get(key, []), is_finite_list,
-                 "a list of finite numbers")
-        if raw.get("fault") is not None:
-            need("fault.k", raw["fault"].get("k"), is_int, "an integer")
-            need("fault.delta", raw["fault"].get("delta"), is_finite_number, "a finite number")
-
     def apply_overrides(self, args) -> None:
         """Set the fields given as options, checked as their config values are."""
-        for name in ("theta", "tau", "sigma", "safety", "ratio", "iters", "seed", "out"):
-            v = getattr(args, name, None)
-            if v is not None:
-                ok, what = _FIELD_TYPES[name]
-                if not ok(v):
-                    raise UsageError(f"--{name} must be {what}, got {v!r}")
-                setattr(self, name, v)
+        given = {name: v for name in _OPTIONS if (v := getattr(args, name, None)) is not None}
+        check_fields(given, _FIELDS, "the options", "--{}", error=UsageError)
+        for name, v in given.items():
+            setattr(self, name, v)
         if getattr(args, "override_invalid", False):
             self.override_invalid = True
 
@@ -369,10 +355,7 @@ def _resolved_problem_config(cfg: ExperimentConfig) -> dict:
     experiment seed as the default generator seed. Relative paths in it
     resolve against the directory of the file that names them."""
     pc = read_problem_file(cfg.problem, cfg.base_dir)
-    params = pc.get("params", {}) if isinstance(pc, dict) else None
-    if isinstance(params, dict) and "generator" in pc and "seed" not in params:
-        pc = {**pc, "params": {**params, "seed": cfg.seed}}
-    return pc
+    return {**pc, "params": {"seed": cfg.seed, **pc.get("params", {})}}
 
 
 def _build_problem(cfg: ExperimentConfig):
@@ -449,7 +432,7 @@ SWEEP_COLUMNS = ["theta", "safety", "ratio", "tau", "sigma", "product",
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    if not cfg.grid or "theta" not in cfg.grid or "safety" not in cfg.grid:
+    if not cfg.grid:
         raise UsageError("sweep config needs grid: {theta: [...], safety: [...]}")
     if cfg.tau is not None or cfg.sigma is not None:
         raise UsageError("a sweep takes its step sizes from grid.safety; "
@@ -736,14 +719,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--theta", type=float)
-        p.add_argument("--tau", type=float)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--safety", type=float)
-        p.add_argument("--ratio", type=float)
-        p.add_argument("--iters", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory")
+        for name, kind in _OPTIONS.items():
+            p.add_argument(f"--{name}", type=kind,
+                           help="output directory" if name == "out" else None)
         p.add_argument("--override-invalid", dest="override_invalid",
                        action="store_true", default=False)
 

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -507,81 +507,96 @@ def is_finite_list(v) -> bool:
     return isinstance(v, list) and all(map(is_finite_number, v))
 
 
-def check_keys(obj: dict, allowed, where: str, error=ValueError) -> None:
-    """Reject the keys of the JSON object ``obj`` outside ``allowed`` with
-    ``error`` (a ValueError subclass), naming them and ``where`` they are."""
-    unknown = set(obj) - set(allowed)
+# The kinds of JSON value that the tables of :func:`check_fields` take:
+# (ok, what), where ``ok(value)`` accepts a value that ``what`` describes.
+INTEGER = (is_int, "an integer")
+NUMBER = (is_finite_number, "a finite number")
+STRING = (lambda v: isinstance(v, str), "a string")
+OBJECT = (lambda v: isinstance(v, dict), "an object")
+VECTOR = (is_finite_list, "a list of finite numbers")
+
+
+def check_fields(obj, fields: dict, where: str, name: str, required=(),
+                 error=ValueError) -> None:
+    """Check the JSON object ``obj`` against ``fields``, the table of the
+    keys it may have, each mapped to its kind (see ``INTEGER``).
+
+    Raises ``error`` (a ValueError subclass) if ``obj`` is not an object,
+    has keys outside the table (naming them and ``where`` they are), or
+    has a value that its kind rejects, a missing key of ``required``
+    counting as None; the field is named ``name.format(key)``.
+    """
+    if not isinstance(obj, dict):
+        raise error(f"{where} must be an object, got {obj!r}")
+    unknown = set(obj) - set(fields)
     if unknown:
         raise error(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _param(params: dict, key: str, kind, default=None):
-    """``kind(params[key])`` for a JSON integer (kind int), finite number
-    (float) or string (str).
-
-    A missing key without a default, or a value of another JSON type, is a
-    ValueError naming the parameter.
-    """
-    v = params.get(key, default)
-    ok, what = {int: (is_int, "an integer"), float: (is_finite_number, "a finite number"),
-                str: (lambda v: isinstance(v, str), "a string")}[kind]
-    if not ok(v):
-        raise ValueError(f"generator parameter {key!r} must be {what}, got {v!r}")
-    return kind(v)
-
-
-def _vector_param(params: dict, key: str) -> np.ndarray:
-    """``params[key]`` as a vector: it must be a JSON list of finite numbers."""
-    v = params.get(key)
-    if not is_finite_list(v):
-        raise ValueError(f"generator parameter {key!r} must be a list of finite "
-                         f"numbers, got {v!r}")
-    return np.array(v, dtype=float)
+    for key, (ok, what) in fields.items():
+        if (key in obj or key in required) and not ok(obj.get(key)):
+            raise error(f"{name.format(key)} must be {what}, got {obj.get(key)!r}")
 
 
 def _build_quadratic(params: dict) -> ProblemSpec:
-    check_keys(params, ("rows", "cols", "seed", "matrix", "a", "b"), "quadratic params")
     if "matrix" in params:
-        L = MatrixOperator(load_matrix(_param(params, "matrix", str)))
-        return make_quadratic(L, _vector_param(params, "a"), _vector_param(params, "b"))
-    return random_quadratic(_param(params, "rows", int), _param(params, "cols", int),
-                            _param(params, "seed", int, 0))
+        L = MatrixOperator(load_matrix(params["matrix"]))
+        return make_quadratic(L, params["a"], params["b"])
+    return random_quadratic(params["rows"], params["cols"], params.get("seed", 0))
 
 
 def _build_lasso(params: dict) -> ProblemSpec:
-    check_keys(params, ("rows", "cols", "lam", "seed", "matrix", "b"), "lasso params")
-    lam = _param(params, "lam", float)
+    lam = float(params["lam"])
     if "matrix" in params:
-        A = MatrixOperator(load_matrix(_param(params, "matrix", str)))
-        return make_lasso(A, _vector_param(params, "b"), lam)
-    return random_lasso(_param(params, "rows", int), _param(params, "cols", int), lam,
-                        _param(params, "seed", int, 0))
+        return make_lasso(MatrixOperator(load_matrix(params["matrix"])), params["b"], lam)
+    return random_lasso(params["rows"], params["cols"], lam, params.get("seed", 0))
 
 
 def _build_tv1d(params: dict) -> ProblemSpec:
-    check_keys(params, ("n", "lam", "seed", "noise", "signal"), "tv1d params")
-    lam = _param(params, "lam", float)
+    lam = float(params["lam"])
     if "signal" in params:
-        p = make_tv1d(_vector_param(params, "signal"), lam)
+        p = make_tv1d(params["signal"], lam)
     else:
-        sig = default_tv_signal(_param(params, "n", int), _param(params, "seed", int, 0),
-                                _param(params, "noise", float, 0.05))
-        p = make_tv1d(sig, lam)
+        p = make_tv1d(default_tv_signal(params["n"], params.get("seed", 0),
+                                        float(params.get("noise", 0.05))), lam)
     p.metadata.update({k: params[k] for k in ("n", "seed") if k in params})
     return p
 
 
+class Generator(NamedTuple):
+    """A generator's builder and its two forms of parameters, each a
+    :func:`check_fields` table of the keys it requires: ``seeded`` builds
+    from a seed, ``data`` from given data and is the form used when its
+    first key is given. ``optional`` holds the seeded form's keys that may
+    be left out; every form takes ``seed``, which the harness fills in
+    from the config's."""
+
+    build: Callable[[dict], ProblemSpec]
+    seeded: dict
+    data: dict
+    optional: dict = {}
+
+
 GENERATORS = {
-    "quadratic": _build_quadratic,
-    "lasso": _build_lasso,
-    "tv1d": _build_tv1d,
+    "quadratic": Generator(_build_quadratic, {"rows": INTEGER, "cols": INTEGER},
+                           {"matrix": STRING, "a": VECTOR, "b": VECTOR}),
+    "lasso": Generator(_build_lasso, {"rows": INTEGER, "cols": INTEGER, "lam": NUMBER},
+                       {"matrix": STRING, "b": VECTOR, "lam": NUMBER}),
+    "tv1d": Generator(_build_tv1d, {"n": INTEGER, "lam": NUMBER},
+                      {"signal": VECTOR, "lam": NUMBER}, {"noise": NUMBER}),
+}
+# The two forms of a problem reference: a file, or a generator and its params.
+_FILE_REFERENCE = {"file": STRING}
+_GENERATOR_REFERENCE = {
+    "generator": (lambda v: isinstance(v, str) and v in GENERATORS,
+                  f"one of {sorted(GENERATORS)}"),
+    "params": OBJECT,
 }
 
 
 def read_problem_file(cfg, base_dir="."):
-    """The problem definition that ``cfg`` references as {"file": path},
-    following a file that references another in turn, or ``cfg`` itself
-    when it references none.
+    """The generator reference {"generator": name, "params": {...}} that
+    ``cfg`` is, or references as {"file": path}, following a file that
+    references another in turn; each reference is checked against the
+    table of its form (:func:`check_fields`).
 
     A relative path, of such a file or of a generator's "matrix", resolves
     against the directory of the JSON file it appears in: ``base_dir`` for
@@ -589,19 +604,17 @@ def read_problem_file(cfg, base_dir="."):
     """
     seen = set()
     while isinstance(cfg, dict) and "file" in cfg and "generator" not in cfg:
-        check_keys(cfg, ("file",), "problem")
-        path = cfg["file"]
-        if not isinstance(path, str):
-            raise ValueError(f"problem.file must be a string, got {path!r}")
-        path = Path(base_dir, path)
+        check_fields(cfg, _FILE_REFERENCE, "problem", "problem.{}")
+        path = Path(base_dir, cfg["file"])
         if path.resolve() in seen:
             raise ValueError(f"problem file {path} is in a reference cycle")
         seen.add(path.resolve())
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
         base_dir = path.parent
-    params = cfg.get("params") if isinstance(cfg, dict) else None
-    if isinstance(params, dict) and isinstance(params.get("matrix"), str):
+    check_fields(cfg, _GENERATOR_REFERENCE, "problem", "problem.{}", ("generator",))
+    params = cfg.get("params", {})
+    if isinstance(params.get("matrix"), str):
         cfg = {**cfg, "params": {**params, "matrix": str(Path(base_dir, params["matrix"]))}}
     return cfg
 
@@ -610,18 +623,15 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     """Build a problem from {"generator": name, "params": {...}}.
 
     A problem definition may also live in its own JSON file, referenced as
-    {"file": path} (see :func:`read_problem_file`).
+    {"file": path} (see :func:`read_problem_file`). The params must be in
+    one of the generator's two forms (:class:`Generator`): a key of the
+    other form is an unknown key.
     """
     cfg = read_problem_file(cfg)
-    try:
-        name = cfg["generator"]
-    except (KeyError, TypeError):
-        raise ValueError("problem config needs a 'generator' key") from None
-    builder = GENERATORS.get(name) if isinstance(name, str) else None
-    if builder is None:
-        raise ValueError(f"unknown generator {name!r}; available: {sorted(GENERATORS)}")
-    check_keys(cfg, ("generator", "params"), "problem")
+    generator = GENERATORS[cfg["generator"]]
     params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError(f"generator params must be an object, got {params!r}")
-    return builder(params)
+    seeded = next(iter(generator.data)) not in params
+    form = generator.seeded if seeded else generator.data
+    check_fields(params, {**form, **(generator.optional if seeded else {}), "seed": INTEGER},
+                 f"{cfg['generator']} params", "generator parameter '{}'", tuple(form))
+    return generator.build(params)

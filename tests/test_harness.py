@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 import cpcert as c
-from cpcert.harness import (CSV_COLUMNS, ExperimentConfig, UsageError,
-                            corrupt_trajectory, emit_plotdata, fit_rate, main,
-                            read_trajectory_csv, recompute_flags_from_csv)
+from cpcert.harness import (_FIELDS, _OBJECT_FIELDS, CSV_COLUMNS, ExperimentConfig,
+                            UsageError, corrupt_trajectory, emit_plotdata, fit_rate,
+                            main, read_trajectory_csv, recompute_flags_from_csv)
+from cpcert.problems import GENERATORS, INTEGER
 from cpcert.solver import running_averages
 
 from conftest import traced_peak
@@ -449,15 +451,95 @@ def test_generator_param_of_wrong_type_exits_2(tmp_path, capsys, problem):
     assert "generator" in capsys.readouterr().err
 
 
+def wrong_type(kind):
+    """A JSON value of a type that ``kind`` (a checker table entry) does not take."""
+    return 3 if kind[1] == "a string" else "x"
+
+
+# a valid value of each config sub-object, and of each generator form
+VALID_OBJECTS = {"grid": {"theta": [1.0], "safety": [0.9]}, "fault": {"k": 20, "delta": 1.0}}
+VALID_PARAMS = {
+    ("quadratic", "seeded"): {"rows": 4, "cols": 3},
+    ("quadratic", "data"): {"matrix": "m.txt", "a": [1.0, 2.0], "b": [1.0, 0.5]},
+    ("lasso", "seeded"): {"rows": 4, "cols": 3, "lam": 0.1},
+    ("lasso", "data"): {"matrix": "m.txt", "b": [1.0, 0.5], "lam": 0.1},
+    ("tv1d", "seeded"): {"n": 20, "lam": 0.5},
+    ("tv1d", "data"): {"signal": [1.0, 2.0, 3.0], "lam": 0.5},
+}
+
+
 @pytest.mark.parametrize("field, value", [
     ("theta", True), ("tau", "1"), ("stop_tol", [1e-9]), ("seed", 1.5),
     ("oracle_iters", "9"), ("override_invalid", 1), ("fault", [20, 1.0]),
     ("grid", [0.5]), ("out", 3),
-])
+] + [pytest.param(name, wrong_type(kind), id=name) for name, kind in _FIELDS.items()]
+  + [pytest.param(f"{obj}.{key}", wrong_type(kind), id=f"{obj}.{key}")
+     for obj, table in _OBJECT_FIELDS.items() for key, kind in table.items()])
 def test_config_type_checks(tmp_path, field, value):
-    path = write_config(tmp_path / "cfg.json", **{field: value})
+    obj, _, key = field.rpartition(".")
+    path = write_config(tmp_path / "cfg.json",
+                        **({obj: {**VALID_OBJECTS[obj], key: value}} if obj else {field: value}))
     with pytest.raises(UsageError, match=repr(field)):
         ExperimentConfig.from_file(path)
+
+
+@pytest.mark.parametrize("generator, form, key, value", [
+    (name, form, key, wrong_type(kind)) for name, spec in GENERATORS.items()
+    for form, table in (("seeded", {**spec.seeded, **spec.optional}), ("data", spec.data))
+    for key, kind in {**table, "seed": INTEGER}.items()])
+def test_generator_param_type_checks(tmp_path, generator, form, key, value):
+    (tmp_path / "m.txt").write_text("2 2\n1.0 0.5\n0.0 2.0\n")
+    params = {k: str(tmp_path / v) if k == "matrix" else v
+              for k, v in VALID_PARAMS[generator, form].items()}
+    c.problem_from_config({"generator": generator, "params": params})  # the base is valid
+    with pytest.raises(ValueError, match=repr(key)):
+        c.problem_from_config({"generator": generator, "params": {**params, key: value}})
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("sweep", {"grid": {"theta": [], "safety": [0.9]}},
+     "config field 'grid.theta' must be a non-empty list of finite numbers, got []"),
+    ("sweep", {"grid": {"theta": [1.0], "safety": []}},
+     "config field 'grid.safety' must be a non-empty list of finite numbers, got []"),
+    ("solve", {"tolerance": -1}, "config field 'tolerance' must be a finite number >= 0"),
+], ids=["grid-theta", "grid-safety", "tolerance"])
+def test_config_range_error_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                   command, overrides, message):
+    # an empty grid list ran the lasso oracle, wrote "cells": [] and exited 0;
+    # a negative tolerance exited 2 only once the oracle and a first segment had run
+    import cpcert.harness as harness
+
+    def never(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "kkt_by_long_run", never)
+    monkeypatch.setattr(harness, "run", never)
+    root = Path(__file__).resolve().parents[1]
+    cfg = {**json.loads((root / "configs" / "lasso.json").read_text()), **overrides}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", [
+    *sorted(Path(__file__).resolve().parents[1].glob("configs/*.json")),
+    *sorted(Path(__file__).resolve().parents[1].glob("bench/configs/*.json")),
+], ids=lambda p: f"{p.parent.parent.name}/{p.parent.name}/{p.name}")
+def test_every_shipped_config_validates(path, capsys):
+    # the bench workloads read these configs too, so no field check may reject them
+    assert main(["validate", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] in ("StrictlyValid", "ErgodicOnly")
+
+
+def test_readme_schema_names_the_config_fields():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    block = readme.split("### Config schema (JSON)")[1].split("```jsonc")[1].split("```")[0]
+    schema = json.loads(re.sub(r"//.*", "", block))
+    assert set(schema) == set(_FIELDS)
+    assert set(_FIELDS) == {f.name for f in dataclasses.fields(ExperimentConfig) if f.init}
 
 
 def test_config_accepts_null_where_default_is_null(tmp_path):
@@ -895,11 +977,27 @@ def test_iters_below_two_exits_2(tmp_path, capsys, command, iters, source):
     ({"grid": {"theta": [1.0], "safety": [0.9], "ratios": 2.0}}, "ratios"),
     ({"grid": {"theta": [1.0], "safety": [0.9], "ratio": 2.0}}, "ratio"),
     ({"fault": {"k": 20, "delta": 1.0, "kk": 30}}, "kk"),
+    # a key of a generator's other form: "n": 7 beside a 3-sample signal ran
+    # and summary.json recorded n = 7
+    ({"problem": {"generator": "tv1d",
+                  "params": {"signal": [1, 2, 3], "lam": 0.5, "n": 7}}}, "n"),
+    ({"problem": {"generator": "tv1d",
+                  "params": {"signal": [1, 2, 3], "lam": 0.5, "noise": 0.1}}}, "noise"),
+    ({"problem": {"generator": "quadratic",
+                  "params": {"rows": 2, "cols": 2, "a": [1.0, 2.0]}}}, "a"),
+    ({"problem": {"generator": "quadratic", "params": {"matrix": "m.txt", "a": [1.0, 2.0],
+                                                       "b": [1.0, 0.5], "rows": 2}}}, "rows"),
+    ({"problem": {"generator": "lasso",
+                  "params": {"rows": 6, "cols": 4, "lam": 0.1, "b": [1.0] * 6}}}, "b"),
+    ({"problem": {"generator": "lasso", "params": {"matrix": "m.txt", "b": [1.0, 0.5],
+                                                   "lam": 0.1, "cols": 2}}}, "cols"),
 ], ids=["problem", "problem-file", "quadratic", "lasso", "tv1d", "grid", "grid-ratio",
-        "fault"])
+        "fault", "tv1d-signal-n", "tv1d-signal-noise", "quadratic-rows-a",
+        "quadratic-matrix-rows", "lasso-rows-b", "lasso-matrix-cols"])
 def test_unknown_key_below_top_level_exits_2(tmp_path, capsys, overrides, key):
     (tmp_path / "p.json").write_text(json.dumps(
         {"generator": "quadratic", "params": {"rows": 4, "cols": 3}}))
+    (tmp_path / "m.txt").write_text("2 2\n1.0 0.5\n0.0 2.0\n")
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     command = "sweep" if "grid" in overrides else "solve"
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
