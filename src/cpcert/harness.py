@@ -20,7 +20,9 @@ summaries carry no timestamps.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import importlib
 import itertools
 import json
 import math
@@ -28,17 +30,54 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
+from .schema import (INTEGER, NONNEGATIVE, NUMBER, OBJECT, STRING, check_fields,
+                     is_finite_list, is_int)
 
-from .certificates import (CertifyCarry, _flag_arrays, certify_trajectory,
-                           segment_end)
-from .problems import (INTEGER, NUMBER, OBJECT, STRING, OracleRejectedError,
-                       check_fields, is_finite_list, is_finite_number, is_int,
-                       kkt_by_long_run, problem_from_config, read_problem_file)
-from .solver import (NonFiniteIterateError, SolverParams, Trajectory, Validity,
-                     find_cycle, fixed_point_residual, run, suggest_steps,
-                     tile_cycle, validate_params)
-from .hilbert import PPoint
+# The names this module takes from the numeric modules, bound on first use
+# (:func:`_numeric`), so that ``rate`` and ``plotdata``, which read the CSV
+# with the standard library, start without numpy. The solve/sweep pipeline
+# calls them through this module's globals, where tests replace them and
+# the benchmark wraps them by attribute.
+_NUMERIC = {
+    ".certificates": ("CertifyCarry", "_flag_arrays", "certify_trajectory",
+                      "segment_end"),
+    ".problems": ("OracleRejectedError", "kkt_by_long_run", "problem_from_config",
+                  "read_problem_file"),
+    ".solver": ("NonFiniteIterateError", "SolverParams", "Trajectory", "Validity",
+                "find_cycle", "fixed_point_residual", "suggest_steps", "tile_cycle",
+                "validate_params"),
+    ".hilbert": ("PPoint",),
+}
+
+
+def _numeric() -> None:
+    """Import numpy and the names of ``_NUMERIC`` into this module's
+    globals, keeping any that a caller has already set."""
+    g = globals()
+    if "np" in g:  # bound last, so every name is bound
+        return
+    for module, names in _NUMERIC.items():
+        mod = importlib.import_module(module, __package__)
+        for name in names:
+            g.setdefault(name, getattr(mod, name))
+    g["np"] = importlib.import_module("numpy")
+
+
+def __getattr__(name):
+    if name != "np" and not any(name in names for names in _NUMERIC.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _numeric()
+    return globals()[name]
+
+
+def run(problem, params, z0, max_iters, **kwargs):
+    """:func:`cpcert.solver.run`, imported when first called. The pipeline
+    calls it by this module's name, which tests replace and the benchmark
+    wraps (and reads before any command, so it is a function here, not a
+    name bound on first use)."""
+    from .solver import run as solver_run
+    return solver_run(problem, params, z0, max_iters, **kwargs)
+
 
 __all__ = [
     "ExperimentConfig",
@@ -70,16 +109,17 @@ def _or_null(kind):
     return (lambda v: v is None or ok(v), what)
 
 
-# The config's fields and their kinds (see cpcert.problems.check_fields),
+# The config's fields and their kinds (see cpcert.schema.check_fields),
 # accepting null where the default is null. Certification needs three
 # iterates, so a run takes at least 2 iterations.
 _FIELDS = {
     "problem": OBJECT,
     **dict.fromkeys(("theta", "safety", "ratio"), NUMBER),
-    **dict.fromkeys(("tau", "sigma", "stop_tol"), _or_null(NUMBER)),
+    **dict.fromkeys(("tau", "sigma"), _or_null(NUMBER)),
+    "stop_tol": _or_null(NONNEGATIVE),
     "iters": (lambda v: is_int(v) and v >= 2, "an integer >= 2"),
     "seed": INTEGER,
-    "tolerance": (lambda v: is_finite_number(v) and v >= 0, "a finite number >= 0"),
+    "tolerance": NONNEGATIVE,
     "override_invalid": (lambda v: isinstance(v, bool), "true or false"),
     "oracle_iters": _or_null((lambda v: is_int(v) and v >= 1, "an integer >= 1")),
     "fault": _or_null(OBJECT),
@@ -180,27 +220,35 @@ class RateFit:
 def fit_rate(values, window: tuple[int, int], ks=None) -> RateFit:
     """Fit log(value) ~ slope*log(k) + intercept over window = (k_min, k_max).
 
-    Nonpositive or non-finite values are excluded; fewer than 10 usable
-    points is a usage error.
+    ``ks`` defaults to 1, 2, ...; rows with k <= 0 (log k is undefined) or
+    a nonpositive or non-finite value are excluded, and fewer than 10
+    usable points is a usage error. The fit is the closed-form least
+    squares line through the centred logs, its sums taken with
+    :func:`math.fsum`.
     """
-    values = np.asarray(values, dtype=float)
-    ks = np.arange(1, len(values) + 1) if ks is None else np.asarray(ks)
     k_min, k_max = window
-    mask = (ks >= k_min) & (ks <= k_max) & np.isfinite(values) & (values > 0)
-    if int(mask.sum()) < 10:
-        raise UsageError(
-            f"rate fit needs >= 10 positive points in window {window}, "
-            f"found {int(mask.sum())}"
-        )
-    lk = np.log(ks[mask].astype(float))
-    lv = np.log(values[mask])
-    coeffs, *_ = np.linalg.lstsq(np.column_stack([lk, np.ones_like(lk)]), lv, rcond=None)
-    slope, intercept = float(coeffs[0]), float(coeffs[1])
-    pred = slope * lk + intercept
-    ss_res = float(np.sum((lv - pred) ** 2))
-    ss_tot = float(np.sum((lv - lv.mean()) ** 2))
+    ks = range(1, len(values) + 1) if ks is None else ks
+    kept = [(k, v) for k, v in zip(ks, values)
+            if k_min <= k <= k_max and k > 0 and math.isfinite(v) and v > 0]
+    n = len(kept)
+    if n < 10:
+        raise UsageError(f"rate fit needs >= 10 positive points in window {window}, "
+                         f"found {n}")
+    lk, lv = (list(map(math.log, c)) for c in zip(*kept))
+    mean_k, mean_v = math.fsum(lk) / n, math.fsum(lv) / n
+    dk = list(map(float.__sub__, lk, itertools.repeat(mean_k)))
+    dv = list(map(float.__sub__, lv, itertools.repeat(mean_v)))
+    sxx = math.fsum(map(float.__mul__, dk, dk))
+    if sxx == 0.0:
+        raise UsageError(f"rate fit needs two distinct k in window {window}")
+    slope = math.fsum(map(float.__mul__, dk, dv)) / sxx
+    intercept = mean_v - slope * mean_k
+    # 1 - (residual sum) / (total sum), exact to rounding where r2 is near 1
+    residuals = list(map(float.__sub__, dv, map(slope.__mul__, dk)))
+    ss_res = math.fsum(map(float.__mul__, residuals, residuals))
+    ss_tot = math.fsum(map(float.__mul__, dv, dv))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(slope, intercept, r2, (int(k_min), int(k_max)), int(mask.sum()))
+    return RateFit(slope, intercept, r2, (int(k_min), int(k_max)), n)
 
 
 # --- deterministic serialization -------------------------------------------
@@ -219,6 +267,7 @@ def _fmt_column(col) -> list[str]:
     first call pages in about 0.5 MB of sort kernels, which shows in a
     process's peak RSS.
     """
+    _numeric()
     col = np.asarray(col, dtype=np.float64)
     bits = col.view(np.int64).tolist()
     values = dict(zip(bits, col.tolist()))  # one value per distinct bit pattern
@@ -237,6 +286,7 @@ def write_trajectory_csv(path, tables) -> None:
     so joining with commas gives the bytes of ``csv.writer`` without its
     per-field quoting checks.
     """
+    _numeric()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for table in tables:
@@ -248,37 +298,85 @@ def write_trajectory_csv(path, tables) -> None:
             fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def _nonblank(lines):
-    """The lines, raising ValueError at a blank one, which loadtxt would skip."""
-    for line in lines:
-        if not line.strip():
-            raise ValueError("blank line")
-        yield line
+# Data lines of a trajectory CSV read per block. Settled certificate
+# columns repeat a few values, which a block parses once each; a small block
+# keeps the strings held at once, and so the reader's peak memory, small.
+_CSV_BLOCK = 128
 
 
-def read_trajectory_csv(path) -> dict[str, np.ndarray]:
-    """Read a trajectory CSV back into column arrays.
+def _number(text: str) -> float:
+    """The number a CSV field holds: ``float``'s syntax, surrounding
+    whitespace allowed, without the underscores and non-ASCII digits that
+    ``float`` also takes and numpy's text reader does not."""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"{text.strip()!r} is not a number")
+    return float(text)
 
-    A header other than ``CSV_COLUMNS``, no data rows, a blank line, or a
-    row that is not ``len(CSV_COLUMNS)`` numbers is a UsageError.
+
+def _csv_blocks(path):
+    """Stream the data rows of a trajectory CSV, checked, in blocks.
+
+    Yields, per block of up to ``_CSV_BLOCK`` lines, the pair (fields,
+    number): the block's field strings row by row, ``len(CSV_COLUMNS)`` to
+    a row, and a dict from each distinct one to its float, parsed once
+    (:func:`_number`). A header other than ``CSV_COLUMNS``, no data rows,
+    a blank line, a row that is not ``len(CSV_COLUMNS)`` fields, a field
+    that is not a number, or a ``k`` that is not a finite integer is a
+    UsageError naming its line. Lines may end in ``\\n``, ``\\r\\n`` or
+    ``\\r``, the last in none.
     """
+    width = len(CSV_COLUMNS)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if header != CSV_COLUMNS:
             raise UsageError(f"{path}: unexpected columns {header}")
-        first = fh.readline()
-        if not first:
+        line_no = 2  # of the block's first line
+        while lines := list(itertools.islice(fh, _CSV_BLOCK)):
+            commas = list(map(str.count, lines, itertools.repeat(",")))
+            if set(commas) != {width - 1}:
+                i = next(i for i, n in enumerate(commas) if n != width - 1)
+                what = ("blank line" if not lines[i].strip()
+                        else f"{commas[i] + 1} fields, expected {width}")
+                raise UsageError(f"{path}: line {line_no + i}: {what}")
+            # every line has width fields, so one split gives the block's
+            # fields row by row, each line's last with its line ending
+            text = ",".join(lines)
+            # where every character is ASCII and none is "_", float is _number
+            parse = float if text.isascii() and "_" not in text else _number
+            fields = text.split(",")
+            del text
+            distinct = set(fields)
+            try:
+                number = dict(zip(distinct, map(parse, distinct)))
+            except ValueError:  # name the first field that is not a number
+                for i, field_text in enumerate(fields):
+                    try:
+                        _number(field_text)
+                    except ValueError as e:
+                        raise UsageError(f"{path}: line {line_no + i // width}: "
+                                         f"{CSV_COLUMNS[i % width]} {e}") from None
+            ks = fields[0::width]
+            if not all(map(float.is_integer, map(number.__getitem__, ks))):
+                i = next(i for i, t in enumerate(ks) if not number[t].is_integer())
+                raise UsageError(f"{path}: line {line_no + i}: k {ks[i].strip()!r} "
+                                 "is not a finite integer")
+            yield fields, number
+            line_no += len(lines)
+        if line_no == 2:
             raise UsageError(f"{path}: no data rows")
-        # streamed line by line, so only the result array is held in full
-        try:
-            data = np.loadtxt(_nonblank(itertools.chain([first], fh)), delimiter=",",
-                              comments=None, ndmin=2)
-        except ValueError as e:
-            raise UsageError(f"{path}: {e}") from None
-    if data.shape[1] != len(CSV_COLUMNS):
-        raise UsageError(f"{path}: rows have {data.shape[1]} fields, "
-                         f"expected {len(CSV_COLUMNS)}")
-    return {name: data[:, i] for i, name in enumerate(CSV_COLUMNS)}
+
+
+def read_trajectory_csv(path) -> dict[str, np.ndarray]:
+    """Read a trajectory CSV back into float64 column arrays, checked as
+    :func:`_csv_blocks` checks it: the columns of one (rows, columns)
+    array, filled block by block, so that at most one block of the file is
+    held as Python strings and floats.
+    """
+    _numeric()
+    values = itertools.chain.from_iterable(
+        map(number.__getitem__, fields) for fields, number in _csv_blocks(path))
+    table = np.fromiter(values, dtype=np.float64).reshape(-1, len(CSV_COLUMNS))
+    return {name: table[:, j] for j, name in enumerate(CSV_COLUMNS)}
 
 
 def recompute_flags_from_csv(path, tol: float) -> dict[str, np.ndarray]:
@@ -395,6 +493,7 @@ def _params_block(params: SolverParams) -> dict:
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
+    _numeric()
     problem = _build_problem(cfg)
     params = _resolve_params(cfg, problem.L.norm_bound)
     _check_runnable(params, cfg)  # Invalid parameters fail before any oracle run
@@ -432,6 +531,7 @@ SWEEP_COLUMNS = ["theta", "safety", "ratio", "tau", "sigma", "product",
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
+    _numeric()
     if not cfg.grid:
         raise UsageError("sweep config needs grid: {theta: [...], safety: [...]}")
     if cfg.tau is not None or cfg.sigma is not None:
@@ -504,7 +604,7 @@ class _Cell:
     params: SolverParams
     z: PPoint
     tables: list | None
-    carry: CertifyCarry = field(default_factory=CertifyCarry)
+    carry: CertifyCarry = field(default_factory=lambda: CertifyCarry())
     cycle: Trajectory | None = None
     n_iters: int = 0
     stopped_at: int | None = None
@@ -635,6 +735,7 @@ def _csv_cell(v):
 
 
 def cmd_validate(cfg: ExperimentConfig) -> int:
+    _numeric()
     problem = problem_from_config(_resolved_problem_config(cfg))
     params = _resolve_params(cfg, problem.L.norm_bound)
     print(json.dumps(_params_block(params), indent=2, sort_keys=True))
@@ -642,10 +743,16 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_rate(csv_path, metric: str, window: tuple[int, int]) -> int:
-    cols = read_trajectory_csv(csv_path)
-    if metric not in cols:
+    """Print the :func:`fit_rate` of ``metric`` against k from a trajectory
+    CSV, read by :func:`_csv_blocks`; only these two columns are kept."""
+    if metric not in CSV_COLUMNS:
         raise UsageError(f"unknown metric {metric!r}; available: {CSV_COLUMNS[1:]}")
-    fit = fit_rate(cols[metric], window, ks=cols["k"].astype(int))
+    j, width = CSV_COLUMNS.index(metric), len(CSV_COLUMNS)
+    ks, values = [], []
+    for fields, number in _csv_blocks(csv_path):
+        ks += map(number.__getitem__, fields[0::width])
+        values += map(number.__getitem__, fields[j::width])
+    fit = fit_rate(values, window, ks=ks)
     print(json.dumps({
         "metric": metric,
         "slope": fit.slope,
@@ -662,32 +769,45 @@ def emit_plotdata(csv_path, out_dir) -> list[str]:
 
     <metric>.dat skips non-finite values; <metric>_loglog.dat additionally
     blanks nonpositive values so log axes stay valid. Output bytes are a
-    pure function of the input CSV: each value is written as its shortest
-    round-trip ``repr``, formatted once per distinct bit pattern
-    (:func:`_fmt_column`), so the CSV's own number text (``1.50``,
-    ``1E-5``) comes out canonical. Each file's text is joined whole and
-    written at once; one file's text is held at a time.
+    pure function of the input CSV: each value is written as the shortest
+    round-trip ``repr`` of its float, so the CSV's own number text
+    (``1.50``, ``1E-5``) comes out canonical. The CSV is streamed
+    (:func:`_csv_blocks`): each block's lines are appended to every data
+    file, with one ``repr`` and one blanking decision per distinct field of
+    a column in the block. A CSV rejected in its first block writes nothing; one
+    rejected later leaves no data file behind.
     """
-    cols = read_trajectory_csv(csv_path)
+    blocks = _csv_blocks(csv_path)
+    first = next(blocks)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n = len(cols["k"])
-    # each line is three parts: "k ", the value (empty where blanked), "\n"
-    parts = [None] * (3 * n)
-    parts[0::3] = [f"{k} " for k in cols["k"].astype(int).tolist()]
-    parts[2::3] = ["\n"] * n
-    written = []
-    metrics = [c for c in CSV_COLUMNS if c != "k"]
-    for metric in metrics:
-        vals = cols[metric]
-        strs = _fmt_column(vals)
-        finite = np.isfinite(vals)
-        for path, keep in ((out_dir / f"{metric}.dat", finite),
-                           (out_dir / f"{metric}_loglog.dat", finite & (vals > 0))):
-            parts[1::3] = [s if ok else "" for s, ok in zip(strs, keep.tolist())]
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("".join(parts))
-            written.append(str(path))
+    metrics, width = CSV_COLUMNS[1:], len(CSV_COLUMNS)
+    paths = [out_dir / f"{metric}{kind}.dat" for metric in metrics
+             for kind in ("", "_loglog")]
+    try:
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+                     for path in paths]
+            for fields, number in itertools.chain([first], blocks):
+                # each line is "k ", then the value's text and "\n", the text
+                # left out where the value is blanked
+                heads = [f"{int(number[t])} " for t in fields[0::width]]
+                parts = [""] * (2 * len(heads))
+                parts[0::2] = heads
+                for j, (fh, fh_log) in enumerate(zip(files[0::2], files[1::2]), start=1):
+                    col = fields[j::width]
+                    distinct = set(col)
+                    text = dict(zip(distinct, map("{!r}\n".format,
+                                                  map(number.__getitem__, distinct))))
+                    text.update((t, "\n") for t in distinct if not math.isfinite(number[t]))
+                    text_log = {**text, **{t: "\n" for t in distinct if not number[t] > 0}}
+                    for out, shown in ((fh, text), (fh_log, text_log)):
+                        parts[1::2] = map(shown.__getitem__, col)
+                        out.write("".join(parts))
+    except BaseException:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
     script = out_dir / "plots.gp"
     with open(script, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# gnuplot script generated from "
@@ -699,8 +819,7 @@ def emit_plotdata(csv_path, out_dir) -> list[str]:
             fh.write("set logscale xy\n")
             fh.write(f'plot "{metric}_loglog.dat" using 1:2 with lines '
                      f'title "{metric} (log-log)"\n')
-    written.append(str(script))
-    return written
+    return [str(path) for path in paths] + [str(script)]
 
 
 def cmd_plotdata(csv_path, out_dir) -> int:
@@ -767,12 +886,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as e:  # UsageError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OracleRejectedError, NonFiniteIterateError) as e:
+    except RuntimeError as e:  # the run failures are the numeric modules' RuntimeErrors
+        _numeric()
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except RuntimeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(e, (OracleRejectedError, NonFiniteIterateError)) else 1
 
 
 if __name__ == "__main__":

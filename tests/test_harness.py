@@ -21,6 +21,8 @@ from cpcert.solver import running_averages
 
 from conftest import traced_peak
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def write_config(path, **overrides):
     cfg = {
@@ -54,6 +56,8 @@ def test_fit_rate_excludes_nonpositive_and_requires_points():
         fit_rate(np.full(50, -1.0), (1, 50))
     with pytest.raises(UsageError):
         fit_rate(1.0 / ks, (1, 5), ks=ks)
+    with pytest.raises(UsageError, match="two distinct k"):  # no slope through one k
+        fit_rate(np.ones(20), (1, 5), ks=np.full(20, 3))
 
 
 def test_config_round_trip_and_unknown_keys(tmp_path):
@@ -325,13 +329,36 @@ def good_csv_lines(tmp_path_factory):
     return (tmp / "out" / "trajectory.csv").read_text().splitlines(keepends=True)
 
 
-@pytest.mark.parametrize("case", [
-    "good", "comment line", "ragged row", "non-numeric field", "blank line",
-    "header only", "empty file", "eleven columns",
-])
-def test_rate_rejects_malformed_csv(tmp_path, capsys, good_csv_lines, case):
+# Trajectory CSV variants, each mapped to whether rate, plotdata and the flag
+# recomputation accept it; np.loadtxt, which read the CSV before the streamed
+# reader, takes the accepted ones and rejects the rest.
+CSV_CASES = {
+    "good": True, "comment line": False, "ragged row": False,
+    "non-numeric field": False, "blank line": False, "header only": False,
+    "empty file": False, "eleven columns": False,
+    # float() takes both of these, np.loadtxt neither
+    "underscore in a number": False, "non-ASCII digit": False,
+    "nan k": False, "infinite k": False, "fractional k": False,
+    "padded fields": True, "CRLF line endings": True, "CR line endings": True,
+    "no final newline": True, "inf, Infinity and nan text": True,
+}
+# the fields of the fourth data row that a case replaces, by column index
+CSV_ROW_EDITS = {
+    "underscore in a number": {1: "1_0"}, "non-ASCII digit": {1: "\u0661"},
+    "nan k": {0: "nan"}, "infinite k": {0: "inf"}, "fractional k": {0: "3.5"},
+    "padded fields": {j: f" {j}\t" for j in range(1, 10)} | {0: " 3 "},
+    "inf, Infinity and nan text": {1: "inf", 4: "-Infinity", 8: "nan"},
+}
+
+
+def write_csv_case(path, good_csv_lines, case):
     header, body = good_csv_lines[0], list(good_csv_lines[1:])
-    if case == "comment line":
+    if case in CSV_ROW_EDITS:
+        fields = body[3].rstrip("\n").split(",")
+        for j, text in CSV_ROW_EDITS[case].items():
+            fields[j] = text
+        body[3] = ",".join(fields) + "\n"
+    elif case == "comment line":
         body.insert(3, "# a comment\n")
     elif case == "ragged row":
         body[3] = body[3].rsplit(",", 1)[0] + "\n"
@@ -345,12 +372,85 @@ def test_rate_rejects_malformed_csv(tmp_path, capsys, good_csv_lines, case):
         header, body = "", []
     elif case == "eleven columns":
         body = [line.rstrip("\n") + ",1.0\n" for line in body]
-    path = tmp_path / "trajectory.csv"
-    path.write_text(header + "".join(body))
+    text = header + "".join(body)
+    if case == "CRLF line endings":
+        text = text.replace("\n", "\r\n")
+    elif case == "CR line endings":
+        text = text.replace("\n", "\r")
+    elif case == "no final newline":
+        text = text.rstrip("\n")
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("case", list(CSV_CASES))
+def test_rate_rejects_malformed_csv(tmp_path, capsys, good_csv_lines, case):
+    path = write_csv_case(tmp_path / "trajectory.csv", good_csv_lines, case)
     code = main(["rate", str(path), "--metric", "ergodic_gap"])
     err = capsys.readouterr().err
-    assert code == (0 if case == "good" else 2), err
+    assert code == (0 if CSV_CASES[case] else 2), err
     assert "rate fit" not in err  # rejected as a file, not for too few points
+
+
+@pytest.mark.parametrize("case", list(CSV_CASES))
+@pytest.mark.parametrize("reader", ["plotdata", "recompute_flags_from_csv"])
+def test_csv_readers_accept_what_rate_accepts(tmp_path, capsys, good_csv_lines, reader,
+                                              case):
+    # a nan k was written as -9223372036854775808 by plotdata, after a numpy
+    # cast warning; every reader now rejects a k that is not a finite integer
+    path = write_csv_case(tmp_path / "trajectory.csv", good_csv_lines, case)
+    if reader == "plotdata":
+        plots = tmp_path / "plots"
+        code = main(["plotdata", str(path), "--out", str(plots)])
+        assert code == (0 if CSV_CASES[case] else 2), capsys.readouterr().err
+        assert plots.exists() == CSV_CASES[case]
+    elif CSV_CASES[case]:
+        flags = recompute_flags_from_csv(path, 1e-9)
+        assert all(len(f) == len(good_csv_lines) - 1 for f in flags.values())
+    else:
+        with pytest.raises(UsageError):
+            recompute_flags_from_csv(path, 1e-9)
+
+
+def test_plotdata_rejected_past_its_first_block_leaves_no_data_file(tmp_path, capsys,
+                                                                   monkeypatch,
+                                                                   good_csv_lines):
+    import cpcert.harness as harness
+
+    monkeypatch.setattr(harness, "_CSV_BLOCK", 3)  # the bad line 5 is in the second block
+    path = write_csv_case(tmp_path / "trajectory.csv", good_csv_lines, "nan k")
+    plots = tmp_path / "plots"
+    assert main(["plotdata", str(path), "--out", str(plots)]) == 2
+    assert "line 5: k 'nan' is not a finite integer" in capsys.readouterr().err
+    assert list(plots.iterdir()) == []
+
+
+def test_rate_window_from_zero_fits_as_from_one(tmp_path, capsys, good_csv_lines):
+    # row k = 0 entered the log-log fit: LAPACK rejected log(0) and rate exited 2
+    path = tmp_path / "trajectory.csv"
+    path.write_text("".join(good_csv_lines))
+    fits = []
+    for k_min in ("0", "1"):
+        assert main(["rate", str(path), "--metric", "gap", "--window", k_min, "100"]) == 0
+        fits.append(json.loads(capsys.readouterr().out))
+    assert fits[0].pop("window") == [0, 100] and fits[1].pop("window") == [1, 100]
+    assert fits[0] == fits[1]
+
+
+def test_fit_rate_matches_lstsq():
+    rng = np.random.default_rng(5)
+    ks = np.arange(1, 3000)
+    values = 7.0 * ks ** -1.3 * np.exp(0.01 * rng.standard_normal(ks.size))
+    fit = fit_rate(values, (20, 2500), ks=ks)
+    mask = (ks >= 20) & (ks <= 2500)
+    lk, lv = np.log(ks[mask]), np.log(values[mask])
+    (slope, intercept), *_ = np.linalg.lstsq(np.column_stack([lk, np.ones_like(lk)]),
+                                             lv, rcond=None)
+    r2 = 1.0 - np.sum((lv - slope * lk - intercept) ** 2) / np.sum((lv - lv.mean()) ** 2)
+    assert fit.points == mask.sum()
+    assert fit.slope == pytest.approx(slope, rel=1e-12)
+    assert fit.intercept == pytest.approx(intercept, rel=1e-12)
+    assert fit.r_squared == pytest.approx(r2, rel=1e-12)
 
 
 def test_plotdata_outputs(tmp_path):
@@ -502,11 +602,13 @@ def test_generator_param_type_checks(tmp_path, generator, form, key, value):
     ("sweep", {"grid": {"theta": [1.0], "safety": []}},
      "config field 'grid.safety' must be a non-empty list of finite numbers, got []"),
     ("solve", {"tolerance": -1}, "config field 'tolerance' must be a finite number >= 0"),
-], ids=["grid-theta", "grid-safety", "tolerance"])
+    ("solve", {"stop_tol": -1.0}, "config field 'stop_tol' must be a finite number >= 0"),
+], ids=["grid-theta", "grid-safety", "tolerance", "stop_tol"])
 def test_config_range_error_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
                                                    command, overrides, message):
     # an empty grid list ran the lasso oracle, wrote "cells": [] and exited 0;
-    # a negative tolerance exited 2 only once the oracle and a first segment had run
+    # a negative tolerance exited 2 only once the oracle and a first segment had run;
+    # a negative stop_tol never stopped a run and was recorded in summary.json
     import cpcert.harness as harness
 
     def never(*args, **kwargs):
@@ -559,17 +661,40 @@ def test_sweep_honours_fault(tmp_path):
     assert cell["exit_code"] == 1
 
 
-def test_module_entry_point_has_no_runpy_warning(tmp_path):
-    root = Path(__file__).resolve().parents[1]
+def src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_module_entry_point_has_no_runpy_warning(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "cpcert.harness",
-         "validate", "--config", str(root / "configs" / "quadratic.json")],
-        cwd=tmp_path, env=env, capture_output=True, text=True)
+         "validate", "--config", str(ROOT / "configs" / "quadratic.json")],
+        cwd=tmp_path, env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_rate_and_plotdata_import_no_numpy(tmp_path, good_csv_lines):
+    # numpy's import was most of their start-up; the CSV is read with the
+    # standard library. bench/child.py reads h.run before every command.
+    csv_path = tmp_path / "trajectory.csv"
+    csv_path.write_text("".join(good_csv_lines))
+    script = f"""
+import sys
+import cpcert.harness as h
+h.run
+assert h.main(["rate", {str(csv_path)!r}, "--window", "1", "100"]) == 0
+assert h.main(["plotdata", {str(csv_path)!r}, "--out", {str(tmp_path / "plots")!r}]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=src_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_solve_rejects_invalid_params_before_oracle(tmp_path, capsys):

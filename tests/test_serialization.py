@@ -3,10 +3,12 @@
 The writers format each distinct float64 bit pattern of a column once
 (``harness._fmt_column``). These tests pin that to one ``repr`` per value:
 the formatter on edge-case and random bit patterns, and the written files
-against the per-value reference writers in ``tests/oracles.py``.
+against the per-value reference writers in ``tests/oracles.py``, and the
+arrays the streamed CSV reader fills against ``np.loadtxt``'s.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,10 @@ import pytest
 from cpcert import harness
 from cpcert.harness import _fmt_column, main
 
+from conftest import traced_peak
 from oracles import emit_plotdata_per_value, write_trajectory_csv_per_value
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def per_value(col):
@@ -147,3 +152,39 @@ def test_plotdata_on_malformed_csv_exits_2_and_writes_nothing(tmp_path, capsys, 
     assert main(["plotdata", str(csv_path), "--out", str(plots)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not plots.exists()
+
+
+# --- the streamed reader against np.loadtxt ----------------------------------
+
+
+@pytest.mark.parametrize("config", ["configs/quadratic.json", "configs/lasso.json",
+                                    "bench/configs/quad_long.json"])
+def test_reader_arrays_equal_loadtxt_bitwise(tmp_path, config):
+    # np.loadtxt read the CSV back before the standard-library reader
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(ROOT / config), "--out", str(out)]) == 0
+    csv_path = out / "trajectory.csv"
+    ref = np.loadtxt(csv_path, delimiter=",", skiprows=1, comments=None, ndmin=2)
+    cols = harness.read_trajectory_csv(csv_path)
+    assert list(cols) == harness.CSV_COLUMNS
+    for j, name in enumerate(harness.CSV_COLUMNS):
+        assert cols[name].dtype == np.float64, name
+        assert np.array_equal(cols[name].view(np.int64), ref[:, j].view(np.int64)), name
+
+
+def test_reader_holds_one_block_beside_its_table(tmp_path):
+    # the float64 table grows by 80 bytes a row; every row's field strings
+    # and floats, held at once, would add about a kilobyte a row
+    rng = np.random.default_rng(0)
+    peaks = {}
+    for rows in (8 * harness._CSV_BLOCK, 16 * harness._CSV_BLOCK):
+        csv_path = tmp_path / f"rows{rows}.csv"
+        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(harness.CSV_COLUMNS) + "\n")
+            for k, row in enumerate(rng.standard_normal((rows, 9)).tolist()):
+                fh.write(",".join([str(k), *map(repr, row)]) + "\n")
+        harness.read_trajectory_csv(csv_path)  # imports and caches outside the trace
+        peaks[rows], cols = traced_peak(harness.read_trajectory_csv, csv_path)
+        assert len(cols["k"]) == rows
+    small, big = sorted(peaks)
+    assert peaks[big] - peaks[small] <= 1.5 * 80 * (big - small), peaks
