@@ -12,7 +12,9 @@ Exit codes: 0 all asserted certificates pass, 1 a certificate failed,
 2 usage/config error (or a ValueError from a solver step, such as a prox
 of the wrong shape), 3 the run could not be certified: the long-run
 oracle rejected its saddle point, or the solver produced a non-finite
-iterate. CSV and JSON outputs are byte-deterministic for a
+iterate. ``solve`` and ``sweep`` end at the first failure they meet, with
+its exit code, and write nothing: a sweep's run failures end the whole
+sweep, not only their cell. CSV and JSON outputs are byte-deterministic for a
 fixed config: floats are serialized with shortest round-trip precision and
 summaries carry no timestamps.
 """
@@ -30,8 +32,8 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .schema import (INTEGER, NONNEGATIVE, NUMBER, OBJECT, STRING, check_fields,
-                     is_finite_list, is_int)
+from .schema import (INTEGER, NONNEGATIVE, NUMBER, OBJECT, POSITIVE, STRING,
+                     check_fields, is_finite_list, is_int)
 
 # The names this module takes from the numeric modules, bound on first use
 # (:func:`_numeric`), so that ``rate`` and ``plotdata``, which read the CSV
@@ -114,8 +116,9 @@ def _or_null(kind):
 # iterates, so a run takes at least 2 iterations.
 _FIELDS = {
     "problem": OBJECT,
-    **dict.fromkeys(("theta", "safety", "ratio"), NUMBER),
-    **dict.fromkeys(("tau", "sigma"), _or_null(NUMBER)),
+    **dict.fromkeys(("theta", "safety"), NUMBER),
+    "ratio": POSITIVE,
+    **dict.fromkeys(("tau", "sigma"), _or_null(POSITIVE)),
     "stop_tol": _or_null(NONNEGATIVE),
     "iters": (lambda v: is_int(v) and v >= 2, "an integer >= 2"),
     "seed": INTEGER,
@@ -443,7 +446,11 @@ def _get_kkt(problem, cfg: ExperimentConfig, cells) -> tuple:
 
 def _oracle_fields(kkt) -> dict:
     """Where the saddle point came from, for summary.json: its kind, the
-    solver steps that produced it (None for none) and its residual."""
+    solver steps that produced it (None for none) and its residual; all
+    three None when no saddle point was taken (``kkt`` None)."""
+    if kkt is None:
+        return dict.fromkeys(("kkt_oracle_kind", "kkt_oracle_iterations",
+                              "kkt_oracle_residual"))
     return {"kkt_oracle_kind": kkt.kind, "kkt_oracle_iterations": kkt.iterations,
             "kkt_oracle_residual": kkt.residual}
 
@@ -499,8 +506,6 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     _check_runnable(params, cfg)  # Invalid parameters fail before any oracle run
     kkt, prefix = _get_kkt(problem, cfg, [params])
     cell = _certified_cells(problem, {0: params}, cfg, kkt, prefix, keep_tables=True)[0]
-    if isinstance(cell, Exception):
-        raise cell
     summary = {
         "config": cfg.to_dict(),
         "problem": {"name": problem.name, "rows": problem.L.rows,
@@ -551,8 +556,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             params[i] = p
         except ValueError as e:  # UsageError is a ValueError
             unformed[i] = e
-    kkt, prefix = _get_kkt(problem, cfg, params.values())
-    outcomes = _certified_cells(problem, params, cfg, kkt, prefix)
+    # a sweep with no runnable cell runs no oracle, and reports none
+    kkt, prefix = _get_kkt(problem, cfg, params.values()) if params else (None, [])
+    cells = _certified_cells(problem, params, cfg, kkt, prefix)
 
     rows = []
     worst = 0
@@ -564,10 +570,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             row["exit_code"] = 2
             row["error"] = str(unformed[i])
             print(f"sweep cell theta={theta} safety={safety}: {unformed[i]}", file=sys.stderr)
-        elif isinstance(outcomes[i], Exception):  # the first run failure sets the exit
-            raise outcomes[i]
         else:
-            p, summ = params[i], outcomes[i].carry.result()
+            p, summ = params[i], cells[i].carry.result()
             row.update({
                 "tau": p.tau, "sigma": p.sigma, "product": p.product,
                 "status": summ["status"],
@@ -635,68 +639,63 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
     * otherwise the cell's row of the batch's :func:`run` call.
 
     No stop rule fires inside a cycle: each of its steps was taken, and
-    checked, by the run or piece in which the cycle was found. A cell ends
-    at its first failure: a non-finite iterate, a certificate error, or,
-    once its run is done, a fault outside the run. A cell whose run stops
-    leaves the batch as well. ``cfg.iters`` is at least 2 (checked at
-    load), so every segment certifies at least one window. An error that a
-    step raises itself (see :func:`run`) ends the whole batch and
-    propagates.
-    Returns index -> the finished :class:`_Cell` or its failure.
+    checked, by the run or piece in which the cycle was found. A cell whose
+    run stops leaves the batch. ``cfg.iters`` is at least 2 (checked at
+    load), so every segment certifies at least one window.
+
+    The first failure ends the whole batch and propagates: within a
+    segment, the batch's :func:`run` comes first (its NonFiniteIterateError
+    renumbered by the segment's first step, or an error a step raises
+    itself), then each cell's certification in index order (a certificate
+    error, or, once the cell's run is done, a fault outside it).
+    Returns index -> the finished :class:`_Cell`.
     """
     z0 = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
     live = {i: _Cell(p, z0, [] if keep_tables else None) for i, p in params.items()}
-    outcomes = {}
+    finished = {}
     fault_k = None if cfg.fault is None else int(cfg.fault["k"])
     width = problem.L.cols + problem.L.rows
     done = 0  # the steps each live cell has taken
     while live:
         steps = min(segment_end(done, width), cfg.iters) - done
         piece = prefix.pop(0) if prefix else None
-        # index -> (the cell's segment, or None, and its run's error, or None)
-        segs = {i: (_replayed(piece, steps, cfg.stop_tol), None)
+        segs = {i: _replayed(piece, steps, cfg.stop_tol)
                 for i, cell in live.items() if cell.cycle is None
                 and piece is not None and cell.params == piece.params}
         if not segs:  # no cell takes the pieces any more
             prefix.clear()
         for i, cell in live.items():
             if cell.cycle is not None:
-                seg, cell.cycle = tile_cycle(cell.cycle, steps)
-                segs[i] = (seg, None)
+                segs[i], cell.cycle = tile_cycle(cell.cycle, steps)
         ran = [i for i in live if i not in segs]
         if ran:
-            batch = run(problem, [live[i].params for i in ran], [live[i].z for i in ran],
-                        max_iters=steps, stop_tol=cfg.stop_tol,
-                        override_invalid=cfg.override_invalid)
-            segs.update(zip(ran, zip(batch.trajectories, batch.errors)))
+            try:
+                batch = run(problem, [live[i].params for i in ran],
+                            [live[i].z for i in ran], max_iters=steps,
+                            stop_tol=cfg.stop_tol, override_invalid=cfg.override_invalid)
+            except NonFiniteIterateError as e:  # named by its run-wide iteration
+                raise NonFiniteIterateError(done + e.iteration) from None
+            segs.update(zip(ran, batch.trajectories))
             del batch
         for i, cell in list(live.items()):
-            seg, err = segs.pop(i)
+            seg = segs.pop(i)
             first = cell.n_iters  # iterate index of seg.X[0], fed already unless 0
-            try:
-                if err is not None:  # named by its run-wide iteration
-                    raise NonFiniteIterateError(first + err.iteration)
-                cell.n_iters += seg.n_iters
-                cell.z = seg.final
-                runs_on = seg.stopped_at is None and cell.n_iters < cfg.iters
-                if runs_on and cell.cycle is None:
-                    cell.cycle = find_cycle(seg)
-                if fault_k is not None and first <= fault_k <= cell.n_iters:
-                    seg = corrupt_trajectory(seg, fault_k - first, float(cfg.fault["delta"]))
-                table = certify_trajectory(seg, kkt, problem, tol=cfg.tolerance,
-                                           carry=cell.carry)
-                if cell.tables is not None:
-                    cell.tables.append(table)
-                if runs_on:
-                    continue  # the cell runs on
-                if fault_k is not None:
-                    _check_iterate(fault_k, cell.n_iters)
-            except (ValueError, RuntimeError) as e:
-                outcomes[i] = e
-                del live[i]
-                continue
-            outcomes[i] = cell
-            del live[i]
+            cell.n_iters += seg.n_iters
+            cell.z = seg.final
+            runs_on = seg.stopped_at is None and cell.n_iters < cfg.iters
+            if runs_on and cell.cycle is None:
+                cell.cycle = find_cycle(seg)
+            if fault_k is not None and first <= fault_k <= cell.n_iters:
+                seg = corrupt_trajectory(seg, fault_k - first, float(cfg.fault["delta"]))
+            table = certify_trajectory(seg, kkt, problem, tol=cfg.tolerance,
+                                       carry=cell.carry)
+            if cell.tables is not None:
+                cell.tables.append(table)
+            if runs_on:
+                continue  # the cell runs on
+            if fault_k is not None:
+                _check_iterate(fault_k, cell.n_iters)
+            finished[i] = live.pop(i)
             if seg.stopped_at is not None:
                 cell.stopped_at = first + seg.stopped_at
             cell.final_residual = fixed_point_residual(
@@ -705,7 +704,7 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
         del piece, seg  # free this segment before the next one is run
         done += steps
     prefix.clear()
-    return outcomes
+    return finished
 
 
 def _replayed(piece: Trajectory, steps: int, stop_tol: float | None) -> Trajectory:

@@ -35,6 +35,7 @@ def is_finite_list(v) -> bool:
 INTEGER = (is_int, "an integer")
 NUMBER = (is_finite_number, "a finite number")
 NONNEGATIVE = (lambda v: is_finite_number(v) and v >= 0, "a finite number >= 0")
+POSITIVE = (lambda v: is_finite_number(v) and v > 0, "a finite number > 0")
 STRING = (lambda v: isinstance(v, str), "a string")
 OBJECT = (lambda v: isinstance(v, dict), "an object")
 VECTOR = (is_finite_list, "a list of finite numbers")

@@ -329,13 +329,11 @@ class RunBatch:
     """Iterate logs of cells that :func:`run` advanced together.
 
     ``trajectories[i]`` is cell i's Trajectory, exactly as a run of that
-    cell alone returns it, or None when the cell failed; ``errors[i]`` is
-    then the NonFiniteIterateError that run would raise. ``n_iters`` is the
-    number of steps the batch took: that of its longest-running cell.
+    cell alone returns it. ``n_iters`` is the number of steps the batch
+    took: that of its longest-running cell.
     """
 
     trajectories: tuple
-    errors: tuple
     n_iters: int
 
 
@@ -374,7 +372,7 @@ def run(problem, params, z0, max_iters: int,
     Trajectory, or for a batch a :class:`RunBatch`
         A cell's arithmetic never depends on the other cells: each cell's
         trajectory is bitwise that of its run alone. A cell leaves the
-        batch when it stops or fails; the others keep running.
+        batch when it stops; the others keep running.
 
     Raises
     ------
@@ -385,8 +383,9 @@ def run(problem, params, z0, max_iters: int,
         propagates unchanged and ends the whole batch.
     NonFiniteIterateError
         A prox argument or an iterate is non-finite (named by iteration
-        index), found by one finiteness pass per iteration; a batch reports
-        it per cell instead.
+        index), found by one finiteness pass per iteration. In a batch, the
+        first step at which any cell turns non-finite ends the whole batch,
+        with the error that cell's run alone would raise.
     """
     batch = not isinstance(params, SolverParams)
     cells = tuple(params) if batch else (params,)
@@ -419,46 +418,38 @@ def run(problem, params, z0, max_iters: int,
     else:
         x, y = xs[0], ys[0]
         tau, sigma, theta = cells[0].tau, cells[0].sigma, cells[0].theta
-    # a lone cell keeps plain vectors and float steps; rows() shows it as a
-    # one-row stack for the bookkeeping
-    rows = (lambda a: a) if stacked else (lambda a: a[None])
 
     B = len(cells)
     X = np.empty((B, max_iters + 1, n))
     Y = np.empty((B, max_iters + 1, m))
-    X[:, 0], Y[:, 0] = rows(x), rows(y)
+    X[:, 0], Y[:, 0] = x, y  # a lone cell's vectors fill its one row
     live = np.arange(B)  # the cell of each stack row
     at = slice(None) if stacked else 0  # where the rows go in X[:, k]
     ends = [max_iters] * B
     stopped = [None] * B
-    errors = [None] * B
     for k in range(1, max_iters + 1):
         x_new, y_new, finite = _advance(x, y, problem, tau, sigma, theta)
+        if not (finite.all() if stacked else finite):
+            raise NonFiniteIterateError(k)
         X[at, k], Y[at, k] = x_new, y_new
-        leave = ~finite  # the cells that fail or stop at k
-        if stop_tol is not None:
-            leave |= fixed_point_residual(x_new - x, y_new - y, tau, sigma) <= stop_tol
+        if stop_tol is None:
+            x, y = x_new, y_new
+            continue
+        stop = fixed_point_residual(x_new - x, y_new - y, tau, sigma) <= stop_tol
         x, y = x_new, y_new
-        if leave.any() if stacked else leave:
-            finite, leave = rows(finite), rows(leave)
-            for i in np.flatnonzero(leave).tolist():
-                cell = live[i]
-                if finite[i]:
-                    stopped[cell] = ends[cell] = k
-                else:
-                    errors[cell] = NonFiniteIterateError(k)
-            keep = ~leave
-            live = at = live[keep]
+        if not stacked:  # a lone cell keeps plain vectors and float steps
+            if stop:
+                stopped[0] = ends[0] = k
+                break
+        elif stop.any():
+            for cell in live[stop].tolist():
+                stopped[cell] = ends[cell] = k
+            live = at = live[~stop]
             if not live.size:
                 break
-            x, y, tau, sigma, theta = (a[keep] for a in (x, y, tau, sigma, theta))
+            x, y, tau, sigma, theta = (a[~stop] for a in (x, y, tau, sigma, theta))
 
     trajectories = tuple(
-        None if errors[i] else
         Trajectory(cells[i], X[i, : ends[i] + 1], Y[i, : ends[i] + 1], ends[i], stopped[i])
         for i in range(B))
-    if batch:
-        return RunBatch(trajectories, tuple(errors), k)
-    if errors[0]:
-        raise errors[0]
-    return trajectories[0]
+    return RunBatch(trajectories, k) if batch else trajectories[0]

@@ -52,7 +52,6 @@ def certified_runs(problem, kkt, cells, iters=RUN_ITERS, tol=1e-9):
     params = [grid_params(problem, theta, safety) for theta, safety in cells]
     z0 = c.PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
     batch = c.run(problem, params, [z0] * len(params), max_iters=iters, stop_tol=None)
-    assert not any(batch.errors)
     return [(p, traj, c.certify_trajectory(traj, kkt, problem, tol=tol))
             for p, traj in zip(params, batch.trajectories)]
 

@@ -224,6 +224,25 @@ def test_sweep_isolates_bad_cells(tmp_path, capsys):
     assert by_safety["1.5"]["exit_code"] == "2"
 
 
+def test_sweep_without_a_runnable_cell_runs_no_oracle(tmp_path, capsys, monkeypatch):
+    # the long-run oracle used to run (513 steps on this lasso) for no cell
+    import cpcert.harness as harness
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(harness, "kkt_by_long_run", no_oracle)
+    lasso = {"generator": "lasso", "params": {"rows": 90, "cols": 60, "lam": 0.2}}
+    cfg = write_config(tmp_path / "sweep.json", problem=lasso, iters=60,
+                       grid={"theta": [0.5, 1.0], "safety": [1.5]})  # 1.5 has no steps
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert [summary[k] for k in ("kkt_oracle_kind", "kkt_oracle_iterations",
+                                 "kkt_oracle_residual")] == [None, None, None]
+    assert [cell["status"] for cell in summary["cells"]] == ["config-error"] * 2
+
+
 def test_sweep_row_carries_its_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "sweep.json", iters=60,
                        grid={"theta": [1.0], "safety": [0.9, 1.5]})  # 1.5 has no steps
@@ -745,14 +764,12 @@ def test_sweep_row_equals_standalone_solve(tmp_path, extra):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("thetas, code, message", [
-    ([0.5, 0.25], 3, "non-finite iterate produced at iteration 1"),
-    ([0.25, 0.5], 1, "non-finite Lyapunov value"),
-])
-def test_sweep_first_failing_cell_in_grid_order_sets_exit(tmp_path, capsys, monkeypatch,
-                                                          thetas, code, message):
-    # the theta = 0.5 cell's run turns non-finite (exit 3); the huge fault
-    # makes every other cell's Lyapunov value non-finite (exit 1)
+@pytest.mark.parametrize("thetas", [[0.5, 0.25], [0.25, 0.5]],
+                         ids=["failing-cell-first", "failing-cell-second"])
+def test_sweep_ends_at_the_first_run_failure(tmp_path, capsys, monkeypatch, thetas):
+    # the theta = 0.5 cell's run turns non-finite at iteration 1, in the first
+    # segment's run (exit 3); the huge fault at k = 280, in the second
+    # segment, would make the other cell's Lyapunov value non-finite (exit 1)
     import cpcert.harness as harness
 
     build = harness.problem_from_config
@@ -770,12 +787,13 @@ def test_sweep_first_failing_cell_in_grid_order_sets_exit(tmp_path, capsys, monk
                              problem.gstar, problem.L, problem.kkt, problem.metadata)
 
     monkeypatch.setattr(harness, "problem_from_config", sabotaged)
-    cfg = write_config(tmp_path / "cfg.json", problem=TV_SMALL, iters=300,
-                       fault={"k": 280, "delta": 1e200},
-                       grid={"theta": thetas, "safety": [0.9]})
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "o" / "sweep_summary.json").exists()
+    code, out, calls = counted(monkeypatch, tmp_path, "o", "sweep", problem=TV_SMALL,
+                               iters=300, fault={"k": 280, "delta": 1e200},
+                               grid={"theta": thetas, "safety": [0.9]})
+    assert code == 3
+    assert "non-finite iterate produced at iteration 1" in capsys.readouterr().err
+    assert len(calls) == 1 and calls[0][0] == 2  # the first segment's run, both cells
+    assert not out.exists()
 
 
 def test_sweep_memory_is_one_segment_per_cell(tmp_path):
@@ -1144,6 +1162,33 @@ def test_sweep_rejects_tau_and_sigma(tmp_path, capsys, source):
     assert not (tmp_path / "o" / "sweep_summary.json").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("source", ["json", "option"])
+@pytest.mark.parametrize("name", ["ratio", "tau", "sigma"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_nonpositive_ratio_or_step_exits_2_at_load(tmp_path, capsys, monkeypatch,
+                                                   command, source, name, value):
+    # a sweep with ratio -1 wrote a config-error row for every cell and exited
+    # 0; solve rejected a nonpositive ratio, tau or sigma only after the build
+    import cpcert.harness as harness
+
+    def no_build(pc):
+        raise AssertionError("the problem was built")
+
+    monkeypatch.setattr(harness, "problem_from_config", no_build)
+    grid = {"grid": {"theta": [1.0], "safety": [0.9]}} if command == "sweep" else {}
+    cfg = write_config(tmp_path / "cfg.json", **grid,
+                       **({name: value} if source == "json" else {}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if source == "option":
+        argv.append(f"--{name}={value}")
+    assert main(argv) == 2
+    field = f"config field '{name}'" if source == "json" else f"--{name}"
+    assert f"{field} must be a finite number > 0, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_observational_run_past_the_p_positivity_corner(tmp_path):
     # 1 - sqrt(tau sigma) ||L|| theta (1 - theta) <= 0: the eta weights are
     # undefined, which an observational run reports as null / nan
@@ -1458,3 +1503,25 @@ def test_fault_inside_a_replayed_segment_is_caught_at_the_same_k(tmp_path, monke
     assert same_outputs(out, plain, SOLVE_FILES)
     first = json.loads((out / "summary.json").read_text())["certificates"]["first_failing_k"]
     assert first in (2498, 2499, 2500)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_overflowing_fault_inside_a_replayed_sweep_segment_ends_the_sweep(tmp_path, capsys,
+                                                                         monkeypatch):
+    # every cell replays its cycle from step 1792 on, so the fault at k = 1900
+    # lands in a tiled segment; the first cell in grid order fails there
+    tv = {"generator": "tv1d", "params": {"n": 50, "lam": 0.5, "seed": 0}}
+    overrides = dict(problem=tv, iters=2000, fault={"k": 1900, "delta": 1e308},
+                     grid={"theta": [0.1, 0.5, 1.0], "safety": [0.5, 0.9]})
+    code, out, calls = counted(monkeypatch, tmp_path, "replay", "sweep", **overrides)
+    replayed = capsys.readouterr().err
+    assert code == 1
+    assert [cells for cells, _ in calls] == [6, 6, 6, 6, 5, 2, 1]
+    code, plain, calls = counted(monkeypatch, tmp_path, "plain", "sweep", replay=False,
+                                 **overrides)
+    assert code == 1
+    assert [cells for cells, _ in calls] == [6] * 8
+    assert "non-finite Lyapunov value at iteration" in replayed
+    assert replayed == capsys.readouterr().err
+    assert not out.exists() and not plain.exists()

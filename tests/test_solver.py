@@ -388,12 +388,12 @@ def test_batched_run_matches_single_runs_bitwise(name):
     cells = batch_cells(problem)
     z0 = origin(problem)
     batch = run(problem, cells, [z0] * len(cells), max_iters=300, stop_tol=None)
-    assert batch.n_iters == 300 and not any(batch.errors)
+    assert batch.n_iters == 300
     for params, traj in zip(cells, batch.trajectories):
         assert_same_run(traj, run(problem, params, z0, max_iters=300, stop_tol=None))
     # a one-cell batch still returns a RunBatch, with the plain run's bits
     one = run(problem, cells[:1], [z0], max_iters=300, stop_tol=None)
-    assert isinstance(one, RunBatch) and (one.n_iters, one.errors) == (300, (None,))
+    assert isinstance(one, RunBatch) and one.n_iters == 300
     assert_same_run(one.trajectories[0], batch.trajectories[0])
 
 
@@ -412,22 +412,28 @@ def test_batched_run_stops_each_cell_as_alone(name):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-def test_batched_run_isolates_a_diverging_cell():
+@pytest.mark.parametrize("diverging", [{1: 1e3}, {1: 30.0, 3: 1e3}],
+                         ids=["one-cell", "two-cells"])
+def test_batched_run_raises_as_its_first_diverging_cell(diverging):
+    # Invalid steps tau = sigma = 1e3 turn non-finite at iteration 192 and
+    # 30 at 197, so with both the later-listed cell fails first
     problem = batch_problems()["quadratic"]
     norm = problem.L.norm_bound
     cells = batch_cells(problem, thetas=(0.5,))
-    cells.insert(1, SolverParams(1e3, 1e3, 0.5, norm))  # Invalid
+    for i, steps in diverging.items():
+        cells.insert(i, SolverParams(steps, steps, 0.5, norm))
     z0 = origin(problem)
-    batch = run(problem, cells, [z0] * len(cells), max_iters=200, stop_tol=None,
-                override_invalid=True)
-    with pytest.raises(c.NonFiniteIterateError) as alone:
-        run(problem, cells[1], z0, max_iters=200, stop_tol=None, override_invalid=True)
-    assert batch.trajectories[1] is None
-    assert str(batch.errors[1]) == str(alone.value)
-    for i in (0, 2, 3):
-        assert batch.errors[i] is None
-        assert_same_run(batch.trajectories[i],
-                        run(problem, cells[i], z0, max_iters=200, stop_tol=None))
+    alone = []
+    for i in diverging:
+        with pytest.raises(c.NonFiniteIterateError) as error:
+            run(problem, cells[i], z0, max_iters=200, stop_tol=None, override_invalid=True)
+        alone.append(error.value)
+    assert len({e.iteration for e in alone}) == len(alone)
+    first = min(alone, key=lambda e: e.iteration)
+    with pytest.raises(c.NonFiniteIterateError) as batch:
+        run(problem, cells, [z0] * len(cells), max_iters=200, stop_tol=None,
+            override_invalid=True)
+    assert (str(batch.value), batch.value.iteration) == (str(first), first.iteration)
 
 
 def test_batched_run_checks_its_cells():
