@@ -428,8 +428,8 @@ def _resolve_params(cfg: ExperimentConfig, operator_norm: float) -> SolverParams
 def _get_kkt(problem, cfg: ExperimentConfig, cells) -> tuple:
     """The saddle point for ``problem``, and the leading pieces of the
     long-run oracle's run when a cell in ``cells`` (SolverParams) runs at
-    the oracle's parameters, which a run of that cell replays
-    (:func:`_certified_cells`); otherwise no pieces are kept."""
+    the oracle's parameters with no ``cfg.stop_tol``, which a run of that
+    cell replays (:func:`_certified_cells`); otherwise no pieces are kept."""
     if problem.kkt is not None:
         return problem.kkt, []
     oracle_iters = (max(20000, 10 * cfg.iters) if cfg.oracle_iters is None
@@ -439,8 +439,9 @@ def _get_kkt(problem, cfg: ExperimentConfig, cells) -> tuple:
         theta=1.0, operator_norm=problem.L.norm_bound,
     )
     prefix = []
+    replays = cfg.stop_tol is None and oracle_params in cells
     kkt = kkt_by_long_run(problem, oracle_params, oracle_iters,
-                          prefix=prefix if oracle_params in cells else None)
+                          prefix=prefix if replays else None)
     return kkt, prefix
 
 
@@ -464,8 +465,8 @@ def _resolved_problem_config(cfg: ExperimentConfig) -> dict:
 
 
 def _build_problem(cfg: ExperimentConfig):
-    """The problem of a solve or sweep. A ``fault.k`` outside the run's
-    iterates 0..iters is a usage error, found before the build."""
+    """The problem of a solve, sweep or validate. A ``fault.k`` outside the
+    run's iterates 0..iters is a usage error, found before the build."""
     if cfg.fault is not None:
         try:
             _check_iterate(cfg.fault["k"], cfg.iters)
@@ -633,14 +634,15 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
       tiling that period (:func:`tile_cycle`);
     * a kept oracle piece: ``prefix`` holds the long-run oracle's leading
       pieces (see :func:`_get_kkt`), one per segment, and a cell at the
-      oracle's parameters takes each piece in place of its segment's run,
-      with ``cfg.stop_tol`` applied to it step by step as :func:`run`
-      would; the pieces are dropped once used or once no cell takes them;
+      oracle's parameters takes a piece whole in place of its segment's
+      run when the piece is exactly that segment, as many steps; the
+      pieces are dropped once used or once no cell takes them;
     * otherwise the cell's row of the batch's :func:`run` call.
 
-    No stop rule fires inside a cycle: each of its steps was taken, and
-    checked, by the run or piece in which the cycle was found. A cell whose
-    run stops leaves the batch. ``cfg.iters`` is at least 2 (checked at
+    No stop rule fires inside replayed iterates: each step of a cycle was
+    taken, and checked, by the run or piece in which the cycle was found,
+    and pieces are kept only for a run with no ``cfg.stop_tol``. A cell
+    whose run stops leaves the batch. ``cfg.iters`` is at least 2 (checked at
     load), so every segment certifies at least one window.
 
     The first failure ends the whole batch and propagates: within a
@@ -659,9 +661,9 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
     while live:
         steps = min(segment_end(done, width), cfg.iters) - done
         piece = prefix.pop(0) if prefix else None
-        segs = {i: _replayed(piece, steps, cfg.stop_tol)
-                for i, cell in live.items() if cell.cycle is None
-                and piece is not None and cell.params == piece.params}
+        segs = {i: piece for i, cell in live.items() if cell.cycle is None
+                and piece is not None and cell.params == piece.params
+                and piece.n_iters == steps}
         if not segs:  # no cell takes the pieces any more
             prefix.clear()
         for i, cell in live.items():
@@ -707,22 +709,6 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
     return finished
 
 
-def _replayed(piece: Trajectory, steps: int, stop_tol: float | None) -> Trajectory:
-    """The first ``steps`` steps of a kept oracle piece, as :func:`run` with
-    ``stop_tol`` returns them: cut at the first step whose fixed-point
-    residual is at most ``stop_tol``. The oracle's own stop rule does not
-    apply: a kept piece never stopped."""
-    X, Y = piece.X[: steps + 1], piece.Y[: steps + 1]
-    stopped = None
-    if stop_tol is not None:
-        res = fixed_point_residual(np.diff(X, axis=0), np.diff(Y, axis=0),
-                                   piece.params.tau, piece.params.sigma)
-        below = np.flatnonzero(res <= stop_tol)
-        stopped = int(below[0]) + 1 if below.size else None
-    n = steps if stopped is None else stopped
-    return Trajectory(piece.params, X[: n + 1], Y[: n + 1], n, stopped)
-
-
 def _csv_cell(v):
     if v is None:
         return ""
@@ -735,7 +721,7 @@ def _csv_cell(v):
 
 def cmd_validate(cfg: ExperimentConfig) -> int:
     _numeric()
-    problem = problem_from_config(_resolved_problem_config(cfg))
+    problem = _build_problem(cfg)
     params = _resolve_params(cfg, problem.L.norm_bound)
     print(json.dumps(_params_block(params), indent=2, sort_keys=True))
     return 0

@@ -380,10 +380,11 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     iterate 0) while they fit in the rows of one block left beside one
     segment's certifier working set
     (:func:`cpcert.certificates.spare_rows`). A run at ``params`` from the
-    origin may use them, bitwise, in place of its first segments' runs; it
-    holds them beside the working set of the segment it certifies, so the
-    budget bounds the iterate rows that run holds at once by one block's,
-    about ``_ORACLE_BLOCK_BYTES``.
+    origin with no stop rule may use each, whole and bitwise, in place of
+    the run of a first segment of the same length; a piece is never cut or
+    checked again. The run holds them beside the working set of the
+    segment it certifies, so the budget bounds the iterate rows that run
+    holds at once by one block's, about ``_ORACLE_BLOCK_BYTES``.
     """
     status = validate_params(params)
     if status.kind is not Validity.STRICTLY_VALID:

@@ -1321,6 +1321,18 @@ def test_fault_range_follows_the_iters_option(tmp_path, capsys):
     assert main(argv) == 1  # in range: the fault is caught
 
 
+def test_validate_checks_the_fault_range_as_solve_does(tmp_path, capsys):
+    # validate used to build the problem without the check and exit 0
+    cfg = write_config(tmp_path / "cfg.json", iters=200, fault={"k": 5000, "delta": 1.0})
+    out = tmp_path / "o"
+    for command in ("validate", "solve"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "iterate 5000 out of range 0..200" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 # --- a run at the long-run oracle's parameters replays its kept pieces --------
 
 # The oracle keeps the first four pieces of its run here, iterates 0..243:
@@ -1413,16 +1425,40 @@ def test_fault_inside_the_kept_prefix_is_caught_at_the_same_k(tmp_path, monkeypa
 
 
 def test_stop_tol_inside_the_kept_prefix_stops_at_the_same_k(tmp_path, monkeypatch):
-    # the fixed-point residual falls through 0.2 between k = 150 and 200
+    # the fixed-point residual falls through 0.2 between k = 150 and 200; a
+    # run with a stop rule is given no kept pieces, so it computes every step
+    import cpcert.harness as harness
+
+    prefixes, oracle = [], harness.kkt_by_long_run
+
+    def recording_oracle(*args, prefix=None, **kwargs):
+        prefixes.append(prefix)
+        return oracle(*args, prefix=prefix, **kwargs)
+
+    monkeypatch.setattr(harness, "kkt_by_long_run", recording_oracle)
     code, out, calls = counted(monkeypatch, tmp_path, "reuse", iters=400, stop_tol=0.2)
     assert code == 0
-    assert calls == []  # the cell stopped inside the replayed pieces
-    code, plain, calls = counted(monkeypatch, tmp_path, "plain", reuse=False, iters=400,
-                                 stop_tol=0.2)
-    assert code == 0 and calls
+    assert prefixes == [None]
+    code, plain, plain_calls = counted(monkeypatch, tmp_path, "plain", reuse=False,
+                                       iters=400, stop_tol=0.2)
+    assert code == 0 and calls == plain_calls
     assert same_outputs(out, plain, ("trajectory.csv", "summary.json"))
     stopped = json.loads((out / "summary.json").read_text())["stopped_at"]
     assert 150 < stopped < 200
+    steps = [steps for _, steps in calls]
+    assert sum(steps[:-1]) < stopped <= sum(steps)  # run up to the stop, no further
+
+
+def test_kept_piece_longer_than_the_last_segment_is_not_cut(tmp_path, monkeypatch):
+    # the oracle keeps pieces 0..60 and 60..121 among others; with iters 100
+    # the cell takes the first and runs its 40-step second segment itself
+    code, out, calls = counted(monkeypatch, tmp_path, "reuse", iters=100)
+    assert code == 0
+    assert calls == [(1, 40)]
+    code, plain, calls = counted(monkeypatch, tmp_path, "plain", reuse=False, iters=100)
+    assert code == 0
+    assert calls == [(1, 60), (1, 40)]
+    assert same_outputs(out, plain, ("trajectory.csv", "summary.json"))
 
 
 # --- a run that repeats a state replays its cycle ----------------------------
