@@ -13,10 +13,11 @@ Exit codes: 0 all asserted certificates pass, 1 a certificate failed,
 of the wrong shape), 3 the run could not be certified: the long-run
 oracle rejected its saddle point, or the solver produced a non-finite
 iterate. ``solve`` and ``sweep`` end at the first failure they meet, with
-its exit code, and write nothing: a sweep's run failures end the whole
-sweep, not only their cell. CSV and JSON outputs are byte-deterministic for a
-fixed config: floats are serialized with shortest round-trip precision and
-summaries carry no timestamps.
+its exit code, and write nothing: a sweep runs every cell or none, and a
+failure in one cell, a config error included, ends the whole sweep. CSV
+and JSON outputs are byte-deterministic for a fixed config: floats are
+serialized with shortest round-trip precision and summaries carry no
+timestamps.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .schema import (INTEGER, NONNEGATIVE, NUMBER, OBJECT, POSITIVE, STRING,
-                     check_fields, is_finite_list, is_int)
+from .schema import (INTEGER, NONNEGATIVE, NUMBER, OBJECT, POSITIVE, STRING, UNIT,
+                     UNIT_LIST, check_fields, is_int)
 
 # The names this module takes from the numeric modules, bound on first use
 # (:func:`_numeric`), so that ``rate`` and ``plotdata``, which read the CSV
@@ -113,10 +114,12 @@ def _or_null(kind):
 
 # The config's fields and their kinds (see cpcert.schema.check_fields),
 # accepting null where the default is null. Certification needs three
-# iterates, so a run takes at least 2 iterations.
+# iterates, so a run takes at least 2 iterations. ``theta`` is checked where
+# the steps are formed: explicit steps with ``override_invalid`` may run any.
 _FIELDS = {
     "problem": OBJECT,
-    **dict.fromkeys(("theta", "safety"), NUMBER),
+    "theta": NUMBER,
+    "safety": UNIT,
     "ratio": POSITIVE,
     **dict.fromkeys(("tau", "sigma"), _or_null(POSITIVE)),
     "stop_tol": _or_null(NONNEGATIVE),
@@ -131,10 +134,10 @@ _FIELDS = {
 }
 # The fields of the config's sub-objects, each required when the object is
 # given; ``problem``'s are checked when the problem is built
-# (cpcert.problems.problem_from_config).
+# (cpcert.problems.problem_from_config). A sweep forms every cell's steps
+# from its grid, so each grid theta lies in (0, 1] as well.
 _OBJECT_FIELDS = {
-    "grid": dict.fromkeys(("theta", "safety"), (lambda v: is_finite_list(v) and v != [],
-                                                "a non-empty list of finite numbers")),
+    "grid": dict.fromkeys(("theta", "safety"), UNIT_LIST),
     "fault": {"k": INTEGER, "delta": NUMBER},
 }
 # The typed command-line options of solve, sweep and validate, each setting
@@ -399,7 +402,8 @@ def write_json(path, obj) -> None:
 
 
 def corrupt_trajectory(traj: Trajectory, k: int, delta: float) -> Trajectory:
-    """Shift every entry of iterate k by delta (negative-control helper)."""
+    """Shift every entry of the primal iterate x_k by delta, leaving y_k
+    unchanged (negative-control helper)."""
     _check_iterate(k, traj.n_iters)
     X = traj.X.copy()
     X[k] += delta
@@ -418,10 +422,7 @@ def _resolve_params(cfg: ExperimentConfig, operator_norm: float) -> SolverParams
         raise UsageError("give both tau and sigma, or neither")
     if cfg.tau is not None:
         return SolverParams(cfg.tau, cfg.sigma, cfg.theta, operator_norm)
-    try:
-        tau, sigma = suggest_steps(cfg.theta, operator_norm, cfg.safety, cfg.ratio)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    tau, sigma = suggest_steps(cfg.theta, operator_norm, cfg.safety, cfg.ratio)
     return SolverParams(tau, sigma, cfg.theta, operator_norm)
 
 
@@ -429,7 +430,9 @@ def _get_kkt(problem, cfg: ExperimentConfig, cells) -> tuple:
     """The saddle point for ``problem``, and the leading pieces of the
     long-run oracle's run when a cell in ``cells`` (SolverParams) runs at
     the oracle's parameters with no ``cfg.stop_tol``, which a run of that
-    cell replays (:func:`_certified_cells`); otherwise no pieces are kept."""
+    cell replays (:func:`_certified_cells`); otherwise no pieces are kept.
+    Only pieces that end at or before ``cfg.iters`` are kept: no run takes
+    a step past its horizon."""
     if problem.kkt is not None:
         return problem.kkt, []
     oracle_iters = (max(20000, 10 * cfg.iters) if cfg.oracle_iters is None
@@ -442,16 +445,14 @@ def _get_kkt(problem, cfg: ExperimentConfig, cells) -> tuple:
     replays = cfg.stop_tol is None and oracle_params in cells
     kkt = kkt_by_long_run(problem, oracle_params, oracle_iters,
                           prefix=prefix if replays else None)
+    ends = itertools.accumulate(piece.n_iters for piece in prefix)
+    del prefix[sum(end <= cfg.iters for end in ends):]
     return kkt, prefix
 
 
 def _oracle_fields(kkt) -> dict:
     """Where the saddle point came from, for summary.json: its kind, the
-    solver steps that produced it (None for none) and its residual; all
-    three None when no saddle point was taken (``kkt`` None)."""
-    if kkt is None:
-        return dict.fromkeys(("kkt_oracle_kind", "kkt_oracle_iterations",
-                              "kkt_oracle_residual"))
+    solver steps that produced it (None for none) and its residual."""
     return {"kkt_oracle_kind": kkt.kind, "kkt_oracle_iterations": kkt.iterations,
             "kkt_oracle_residual": kkt.residual}
 
@@ -468,10 +469,7 @@ def _build_problem(cfg: ExperimentConfig):
     """The problem of a solve, sweep or validate. A ``fault.k`` outside the
     run's iterates 0..iters is a usage error, found before the build."""
     if cfg.fault is not None:
-        try:
-            _check_iterate(cfg.fault["k"], cfg.iters)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
+        _check_iterate(cfg.fault["k"], cfg.iters)
     return problem_from_config(_resolved_problem_config(cfg))
 
 
@@ -548,45 +546,29 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     ratio = float(cfg.ratio)
     grid = [(theta, safety) for theta in cfg.grid["theta"]
             for safety in cfg.grid["safety"]]
-    unformed = {}  # grid index -> why the cell's parameters could not be formed
-    params = {}
-    for i, (theta, safety) in enumerate(grid):
-        try:
-            p = SolverParams(*suggest_steps(theta, norm, safety, ratio), theta, norm)
-            _check_runnable(p, cfg)
-            params[i] = p
-        except ValueError as e:  # UsageError is a ValueError
-            unformed[i] = e
-    # a sweep with no runnable cell runs no oracle, and reports none
-    kkt, prefix = _get_kkt(problem, cfg, params.values()) if params else (None, [])
+    params = {i: SolverParams(*suggest_steps(theta, norm, safety, ratio), theta, norm)
+              for i, (theta, safety) in enumerate(grid)}
+    for p in params.values():
+        _check_runnable(p, cfg)
+    kkt, prefix = _get_kkt(problem, cfg, params.values())
     cells = _certified_cells(problem, params, cfg, kkt, prefix)
 
     rows = []
-    worst = 0
     for i, (theta, safety) in enumerate(grid):
-        row = {"theta": theta, "safety": safety, "ratio": ratio, "error": None}
-        if i in unformed:
-            row.update({k: None for k in SWEEP_COLUMNS if k not in row})
-            row["status"] = "config-error"
-            row["exit_code"] = 2
-            row["error"] = str(unformed[i])
-            print(f"sweep cell theta={theta} safety={safety}: {unformed[i]}", file=sys.stderr)
-        else:
-            p, summ = params[i], cells[i].carry.result()
-            row.update({
-                "tau": p.tau, "sigma": p.sigma, "product": p.product,
-                "status": summ["status"],
-                "v_monotone": (summ["fail_counts"]["v_monotone"] == 0
-                               if summ["asserted"] else None),
-                "max_descent_residual": summ["max_descent_residual"],
-                "ergodic_gap_final": summ["final_ergodic_gap"],
-                "all_pass": summ["all_pass"],
-                "first_failing_k": summ["first_failing_k"],
-                "exit_code": 0 if summ["all_pass"] in (True, None) else 1,
-            })
-            if row["exit_code"] == 1:
-                worst = 1
-        rows.append(row)
+        p, summ = params[i], cells[i].carry.result()
+        rows.append({
+            "theta": theta, "safety": safety, "ratio": ratio,
+            "tau": p.tau, "sigma": p.sigma, "product": p.product,
+            "status": summ["status"],
+            "v_monotone": (summ["fail_counts"]["v_monotone"] == 0
+                           if summ["asserted"] else None),
+            "max_descent_residual": summ["max_descent_residual"],
+            "ergodic_gap_final": summ["final_ergodic_gap"],
+            "all_pass": summ["all_pass"],
+            "first_failing_k": summ["first_failing_k"],
+            "exit_code": 0 if summ["all_pass"] in (True, None) else 1,
+            "error": None,  # kept for readers of sweep_summary.json: always null
+        })
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep_summary.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -596,7 +578,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             writer.writerow([_csv_cell(row[c]) for c in SWEEP_COLUMNS])
     write_json(out_dir / "sweep_summary.json",
                {"config": cfg.to_dict(), **_oracle_fields(kkt), "cells": rows})
-    return worst
+    return max(row["exit_code"] for row in rows)
 
 
 @dataclass

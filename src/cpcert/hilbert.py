@@ -129,7 +129,8 @@ class MatrixOperator(LinearOperator):
     iteration stops on relative change, and when the top singular values
     cluster it has been measured up to 1.0e-4 (relative) below ||L||
     with no warning raised (40x40 matrices, sigma_1 - sigma_2 from 1e-9
-    to 1e-2).
+    to 1e-2). A given ``norm_bound`` must be finite and nonnegative, as
+    :class:`LinearOperator` checks.
 
     :meth:`apply` and :meth:`apply_adjoint` multiply the matrix into a
     stack of column vectors (k, n, 1): a stacked matmul makes one
@@ -147,10 +148,9 @@ class MatrixOperator(LinearOperator):
             raise ValueError("matrix has non-finite entries")
         self._a = a.copy()
         self._a.flags.writeable = False
-        super().__init__(a.shape[0], a.shape[1], 0.0)
+        super().__init__(a.shape[0], a.shape[1], 0.0 if norm_bound is None else norm_bound)
         if norm_bound is None:
-            norm_bound = estimate_norm(self) * _NORM_SAFETY
-        self.norm_bound = float(norm_bound)
+            self.norm_bound = float(estimate_norm(self) * _NORM_SAFETY)
 
     @property
     def matrix(self) -> np.ndarray:

@@ -30,6 +30,12 @@ def is_finite_list(v) -> bool:
     return isinstance(v, list) and all(map(is_finite_number, v))
 
 
+def in_unit_range(v) -> bool:
+    """A finite number in (0, 1], the range of the paper's theta and of a
+    step-size safety factor."""
+    return is_finite_number(v) and 0 < v <= 1
+
+
 # The kinds of JSON value that the tables of :func:`check_fields` take:
 # (ok, what), where ``ok(value)`` accepts a value that ``what`` describes.
 INTEGER = (is_int, "an integer")
@@ -39,6 +45,9 @@ POSITIVE = (lambda v: is_finite_number(v) and v > 0, "a finite number > 0")
 STRING = (lambda v: isinstance(v, str), "a string")
 OBJECT = (lambda v: isinstance(v, dict), "an object")
 VECTOR = (is_finite_list, "a list of finite numbers")
+UNIT = (in_unit_range, "a finite number in (0, 1]")
+UNIT_LIST = (lambda v: isinstance(v, list) and v != [] and all(map(in_unit_range, v)),
+             "a non-empty list of finite numbers in (0, 1]")
 
 
 def check_fields(obj, fields: dict, where: str, name: str, required=(),

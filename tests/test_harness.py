@@ -207,52 +207,40 @@ def test_sweep_fifteen_cell_grid_passes(tmp_path):
     assert all(r["status"] == "StrictlyValid" for r in rows)
 
 
-def test_sweep_isolates_bad_cells(tmp_path, capsys):
-    cfg_path = tmp_path / "sweep.json"
-    cfg_path.write_text(json.dumps({
-        "problem": {"generator": "quadratic", "params": {"rows": 5, "cols": 4, "seed": 2}},
-        "iters": 60,
-        "grid": {"theta": [1.0], "safety": [0.9, 1.5]},  # 1.5 is a config error
-    }))
-    out = tmp_path / "out"
-    code = main(["sweep", "--config", str(cfg_path), "--out", str(out)])
-    assert code == 0  # no certificate failures; bad cell reported, others ran
-    rows = list(csv.DictReader((out / "sweep_summary.csv").read_text().splitlines()))
-    by_safety = {r["safety"]: r for r in rows}
-    assert by_safety["0.9"]["exit_code"] == "0"
-    assert by_safety["1.5"]["status"] == "config-error"
-    assert by_safety["1.5"]["exit_code"] == "2"
-
-
-def test_sweep_without_a_runnable_cell_runs_no_oracle(tmp_path, capsys, monkeypatch):
-    # the long-run oracle used to run (513 steps on this lasso) for no cell
+def never_called(monkeypatch, *names):
+    """Make each of ``names`` in cpcert.harness fail its test if called."""
     import cpcert.harness as harness
 
-    def no_oracle(*args, **kwargs):
-        raise AssertionError("the oracle ran")
+    for name in names:
+        def never(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} was called")
 
-    monkeypatch.setattr(harness, "kkt_by_long_run", no_oracle)
+        monkeypatch.setattr(harness, name, never)
+
+
+@pytest.mark.parametrize("grid", [
+    {"theta": [1.0], "safety": [0.9, 1.5]},
+    {"theta": [0.5, 1.0], "safety": [1.5]},
+], ids=["one-bad-cell", "no-runnable-cell"])
+def test_sweep_with_a_grid_safety_above_1_runs_no_cell(tmp_path, capsys, monkeypatch, grid):
+    # a safety of 1.5 used to make its cells config-error rows while the
+    # others ran, and the sweep exited 0; a sweep runs every cell or none
+    never_called(monkeypatch, "problem_from_config", "kkt_by_long_run")
     lasso = {"generator": "lasso", "params": {"rows": 90, "cols": 60, "lam": 0.2}}
-    cfg = write_config(tmp_path / "sweep.json", problem=lasso, iters=60,
-                       grid={"theta": [0.5, 1.0], "safety": [1.5]})  # 1.5 has no steps
+    cfg = write_config(tmp_path / "sweep.json", problem=lasso, iters=60, grid=grid)
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    summary = json.loads((out / "sweep_summary.json").read_text())
-    assert [summary[k] for k in ("kkt_oracle_kind", "kkt_oracle_iterations",
-                                 "kkt_oracle_residual")] == [None, None, None]
-    assert [cell["status"] for cell in summary["cells"]] == ["config-error"] * 2
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config field 'grid.safety' must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_sweep_row_carries_its_config_error(tmp_path, capsys):
+def test_sweep_rows_carry_a_null_error(tmp_path):
     cfg = write_config(tmp_path / "sweep.json", iters=60,
-                       grid={"theta": [1.0], "safety": [0.9, 1.5]})  # 1.5 has no steps
+                       grid={"theta": [1.0], "safety": [0.9, 1.0]})
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    good, bad = json.loads((out / "sweep_summary.json").read_text())["cells"]
-    assert good["error"] is None and good["status"] == "StrictlyValid"
-    assert bad["status"] == "config-error"
-    assert bad["error"] == "safety must lie in (0, 1], got 1.5"
-    assert f"safety=1.5: {bad['error']}" in capsys.readouterr().err
+    cells = json.loads((out / "sweep_summary.json").read_text())["cells"]
+    assert [cell["error"] for cell in cells] == [None, None]
     header = (out / "sweep_summary.csv").read_text().splitlines()[0]
     assert "error" not in header.split(",")
 
@@ -615,26 +603,32 @@ def test_generator_param_type_checks(tmp_path, generator, form, key, value):
         c.problem_from_config({"generator": generator, "params": {**params, key: value}})
 
 
+GRID_LIST = "a non-empty list of finite numbers in (0, 1]"
+
+
 @pytest.mark.parametrize("command, overrides, message", [
     ("sweep", {"grid": {"theta": [], "safety": [0.9]}},
-     "config field 'grid.theta' must be a non-empty list of finite numbers, got []"),
+     f"config field 'grid.theta' must be {GRID_LIST}, got []"),
     ("sweep", {"grid": {"theta": [1.0], "safety": []}},
-     "config field 'grid.safety' must be a non-empty list of finite numbers, got []"),
+     f"config field 'grid.safety' must be {GRID_LIST}, got []"),
+    ("sweep", {"grid": {"theta": [0.5, 1.5], "safety": [0.9]}},
+     f"config field 'grid.theta' must be {GRID_LIST}, got [0.5, 1.5]"),
+    ("sweep", {"grid": {"theta": [1.0], "safety": [0, 0.9]}},
+     f"config field 'grid.safety' must be {GRID_LIST}, got [0, 0.9]"),
+    ("sweep", {"grid": {"theta": [1.0], "safety": [0.9, 1.5]}},
+     f"config field 'grid.safety' must be {GRID_LIST}, got [0.9, 1.5]"),
     ("solve", {"tolerance": -1}, "config field 'tolerance' must be a finite number >= 0"),
     ("solve", {"stop_tol": -1.0}, "config field 'stop_tol' must be a finite number >= 0"),
-], ids=["grid-theta", "grid-safety", "tolerance", "stop_tol"])
+], ids=["grid-theta", "grid-safety", "grid-theta-1.5", "grid-safety-0", "grid-safety-1.5",
+        "tolerance", "stop_tol"])
 def test_config_range_error_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
                                                    command, overrides, message):
     # an empty grid list ran the lasso oracle, wrote "cells": [] and exited 0;
-    # a negative tolerance exited 2 only once the oracle and a first segment had run;
-    # a negative stop_tol never stopped a run and was recorded in summary.json
-    import cpcert.harness as harness
-
-    def never(*args, **kwargs):
-        raise AssertionError("a run started")
-
-    monkeypatch.setattr(harness, "kkt_by_long_run", never)
-    monkeypatch.setattr(harness, "run", never)
+    # a grid theta or safety outside (0, 1] made its cells config-error rows
+    # and exited 0; a negative tolerance exited 2 only once the oracle and a
+    # first segment had run; a negative stop_tol never stopped a run and was
+    # recorded in summary.json
+    never_called(monkeypatch, "problem_from_config", "kkt_by_long_run", "run")
     root = Path(__file__).resolve().parents[1]
     cfg = {**json.loads((root / "configs" / "lasso.json").read_text()), **overrides}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -1162,6 +1156,30 @@ def test_sweep_rejects_tau_and_sigma(tmp_path, capsys, source):
     assert not (tmp_path / "o" / "sweep_summary.json").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "validate"])
+@pytest.mark.parametrize("source", ["json", "option"])
+@pytest.mark.parametrize("value", [0.0, -1.0, 2.0])
+@pytest.mark.parametrize("steps", [{}, {"tau": 0.1, "sigma": 0.1}],
+                         ids=["safety-steps", "explicit-steps"])
+def test_safety_outside_the_unit_range_exits_2_at_load(tmp_path, capsys, monkeypatch,
+                                                       command, source, value, steps):
+    # solve and validate rejected such a safety only after the build, and
+    # not at all beside explicit tau and sigma, which leave it unused
+    never_called(monkeypatch, "problem_from_config")
+    cfg = write_config(tmp_path / "cfg.json", **steps,
+                       **({"safety": value} if source == "json" else {}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if source == "option":
+        argv.append(f"--safety={value}")
+    assert main(argv) == 2
+    field = "config field 'safety'" if source == "json" else "--safety"
+    captured = capsys.readouterr()
+    assert f"{field} must be a finite number in (0, 1], got {value!r}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 @pytest.mark.parametrize("source", ["json", "option"])
 @pytest.mark.parametrize("name", ["ratio", "tau", "sigma"])
@@ -1275,6 +1293,20 @@ def test_sweep_run_failure_exits_as_solve_does(tmp_path, capsys):
         out = tmp_path / command
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert "iterate 390 out of range 0..55" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_sweep_on_a_zero_operator_exits_2_as_solve_does(tmp_path, capsys):
+    # the sweep wrote a config-error row for its one cell and exited 0
+    (tmp_path / "zero.txt").write_text("2 2\n0.0 0.0\n0.0 0.0\n")
+    zero = {"generator": "quadratic",
+            "params": {"matrix": "zero.txt", "a": [1.0, 2.0], "b": [1.0, 0.5]}}
+    cfg = write_config(tmp_path / "cfg.json", problem=zero,
+                       grid={"theta": [1.0], "safety": [0.9]})
+    for command in ("solve", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error: operator_norm must be positive" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -1452,8 +1484,19 @@ def test_stop_tol_inside_the_kept_prefix_stops_at_the_same_k(tmp_path, monkeypat
 def test_kept_piece_longer_than_the_last_segment_is_not_cut(tmp_path, monkeypatch):
     # the oracle keeps pieces 0..60 and 60..121 among others; with iters 100
     # the cell takes the first and runs its 40-step second segment itself
+    import cpcert.harness as harness
+
+    given, certified_cells = [], harness._certified_cells
+
+    def recording(problem, params, cfg, kkt, prefix, **kwargs):
+        given.append([piece.n_iters for piece in prefix])
+        return certified_cells(problem, params, cfg, kkt, prefix, **kwargs)
+
+    monkeypatch.setattr(harness, "_certified_cells", recording)
     code, out, calls = counted(monkeypatch, tmp_path, "reuse", iters=100)
     assert code == 0
+    # the pieces past step 100 (60, 61 and 61 steps more) are not kept
+    assert given == [[60]]
     assert calls == [(1, 40)]
     code, plain, calls = counted(monkeypatch, tmp_path, "plain", reuse=False, iters=100)
     assert code == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,20 @@ def test_estimate_norm_zero_operator():
     L = MatrixOperator(np.zeros((3, 4)))
     assert L.norm_bound == 0.0
     assert estimate_norm(L) == 0.0
+
+
+@pytest.mark.parametrize("bound", [-1.0, math.nan, math.inf])
+def test_matrix_operator_rejects_a_bad_given_norm_bound(bound):
+    # a given bound skipped the check that LinearOperator applies: -1 and nan
+    # were accepted
+    with pytest.raises(ValueError, match="norm_bound must be finite and nonnegative"):
+        MatrixOperator(np.diag([3.0, 1.0]), norm_bound=bound)
+
+
+def test_matrix_operator_keeps_a_valid_or_estimated_norm_bound():
+    a = np.diag([3.0, 1.0])
+    assert MatrixOperator(a, norm_bound=1.0).norm_bound == 1.0
+    assert MatrixOperator(a).norm_bound == pytest.approx(3.0 * (1 + 1e-8), rel=1e-9)
 
 
 def test_estimate_norm_against_jacobi_oracle():
