@@ -19,8 +19,7 @@ import importlib
 _EXPORTS = {
     "hilbert": ("ForwardDifferenceOperator", "LinearOperator", "MatrixOperator",
                 "PPoint", "estimate_norm", "load_matrix"),
-    "prox": ("ProxFn", "conjugate", "l1", "prox_conjugate", "prox_l1",
-             "prox_quadratic", "quadratic_distance"),
+    "prox": ("ProxFn", "conjugate", "l1", "quadratic_distance"),
     "solver": ("NonFiniteIterateError", "SolverParams", "ParamStatus", "Trajectory",
                "Validity", "bound_rhs", "run", "step", "suggest_steps",
                "validate_params"),

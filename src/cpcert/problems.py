@@ -125,8 +125,6 @@ def make_lasso(A: LinearOperator, b, lam: float) -> ProblemSpec:
     b = as_vector(b)
     if b.shape[0] != A.rows:
         raise ValueError("data dimension does not match the operator")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
     g = _prox.quadratic_distance(b)
 
     def gstar_value(y):  # sum of y * (0.5 y + b), with one temporary the size of y
@@ -223,8 +221,6 @@ def make_tv1d(signal, lam: float) -> ProblemSpec:
     signal = as_vector(signal)
     if signal.shape[0] < 2:
         raise ValueError("signal must have at least 2 samples")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
     g = _prox.l1(lam)
     band = lam * (1.0 + 1e-12) + 1e-15  # roundoff guard for box membership
 

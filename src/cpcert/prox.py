@@ -2,20 +2,23 @@
 
 A :class:`ProxFn` bundles a function value map (extended-real, ``inf``
 allowed) with its proximal map ``prox(x, gamma) = argmin_z f(z) +
-||x - z||^2 / (2 gamma)``. Conjugate proxes are derived through the Moreau
-identity so problems can be stated in terms of g rather than g*.
+||x - z||^2 / (2 gamma)``. ``ProxFn.at(gamma)`` binds that map to one step,
+checked once, as :func:`cpcert.solver.run` binds it once per run; a shipped
+family's ``prox`` carries a binder that forms its step constants there, and
+its ``prox(x, gamma)`` is the bound map applied to x. Conjugate proxes are derived through the Moreau identity
+so problems can be stated in terms of g rather than g*.
 
 Value maps and prox maps are row-wise: a vector of shape (n,) gives a
 float (a vector, for a prox) and a stack of shape (k, n) gives one value
 (one row) per row. A prox of a stack takes a step column of shape (k, 1),
 one step per row, and computes each row with the arithmetic of its own
-single-vector prox. Prox maps check their step size and input shape but do
-not scan entries for finiteness; the solver loop does that once per
-iteration.
+single-vector prox. Prox maps check their input shape but do not scan
+entries for finiteness; the solver loop does that once per iteration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,15 +26,7 @@ import numpy as np
 
 from .hilbert import as_operand, as_vector
 
-__all__ = [
-    "ProxFn",
-    "prox_l1",
-    "prox_quadratic",
-    "prox_conjugate",
-    "l1",
-    "quadratic_distance",
-    "conjugate",
-]
+__all__ = ["ProxFn", "l1", "quadratic_distance", "conjugate"]
 
 
 @dataclass(frozen=True)
@@ -47,10 +42,24 @@ class ProxFn:
     once a run repeats a state, its later steps are replayed from the
     cycle, not recomputed (see :func:`cpcert.solver.find_cycle`), so the
     prox is not called again for them.
+
+    ``prox`` may carry a binder as its attribute ``bind``, as a shipped
+    family's does: ``prox.bind(gamma)`` returns the pure map x -> prox(x,
+    gamma) on a float64 vector or stack, with the bits of ``prox``. The
+    binder lives on the callable, so a ``ProxFn`` whose ``prox`` is
+    replaced (``dataclasses.replace``) drops it and binds the new ``prox``.
     """
 
     evaluate: Callable[[np.ndarray], float | np.ndarray]
     prox: Callable[[np.ndarray, float], np.ndarray]
+
+    def at(self, gamma) -> Callable[[np.ndarray], np.ndarray]:
+        """The map x -> prox(x, gamma) for a float step or a step column,
+        each step checked once, here, to be positive and finite."""
+        _check_step(gamma)
+        prox = self.prox
+        bind = getattr(prox, "bind", None)
+        return (lambda x: prox(x, gamma)) if bind is None else bind(gamma)
 
 
 def rowwise(values):
@@ -59,70 +68,70 @@ def rowwise(values):
 
 
 def _check_step(gamma):
-    """A step is a positive float, or a column of them for a stack."""
-    ok = (gamma > 0).all() if isinstance(gamma, np.ndarray) else gamma > 0
+    """A step is a positive finite float, or a column of them for a stack."""
+    if isinstance(gamma, np.ndarray):
+        ok = ((gamma > 0) & (gamma < math.inf)).all()
+    else:
+        ok = 0 < gamma < math.inf
     if not ok:
-        raise ValueError(f"prox step must be positive, got {gamma}")
+        raise ValueError(f"prox step must be positive and finite, got {gamma}")
 
 
-def prox_l1(x, gamma, lam: float) -> np.ndarray:
-    """Soft-thresholding: componentwise shrink towards 0 by gamma*lam."""
-    _check_step(gamma)
-    if lam < 0:
-        raise ValueError("l1 weight must be nonnegative")
-    x = as_operand(x)
-    return np.sign(x) * np.maximum(np.abs(x) - gamma * lam, 0.0)
+def _family(evaluate, bind) -> ProxFn:
+    """A shipped family's ProxFn: prox(x, gamma) is bind(gamma)(x), the
+    step checked first, and ``prox`` carries ``bind`` for :meth:`ProxFn.at`."""
 
+    def prox(x, gamma):
+        _check_step(gamma)
+        return bind(gamma)(as_operand(x))
 
-def prox_quadratic(x, gamma, a) -> np.ndarray:
-    """Prox of 0.5*||. - a||^2, i.e. (x + gamma*a) / (1 + gamma)."""
-    _check_step(gamma)
-    x = as_operand(x)
-    a = as_operand(a)
-    if x.shape[-1] != a.shape[-1]:
-        raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {a.shape[-1]}")
-    return (x + gamma * a) / (1.0 + gamma)
-
-
-def prox_conjugate(g: ProxFn, y, sigma) -> np.ndarray:
-    """Prox of the convex conjugate via the Moreau identity:
-
-    prox_{sigma g*}(y) = y - sigma * prox_{g/sigma}(y / sigma).
-    """
-    _check_step(sigma)
-    y = as_operand(y)
-    return y - sigma * g.prox(y / sigma, 1.0 / sigma)
+    prox.bind = bind
+    return ProxFn(evaluate, prox)
 
 
 # --- shipped function families -------------------------------------------
 
 def l1(lam: float) -> ProxFn:
-    """lam * ||.||_1"""
-    if lam < 0:
-        raise ValueError("l1 weight must be nonnegative")
-    return ProxFn(
-        evaluate=lambda x: rowwise(lam * np.abs(x).sum(axis=-1)),
-        prox=lambda x, gamma: prox_l1(x, gamma, lam),
-    )
+    """lam * ||.||_1; its prox shrinks each component towards 0 by gamma*lam."""
+    if not 0 <= lam < math.inf:  # a NaN weight fails this too
+        raise ValueError(f"l1 weight must be finite and nonnegative, got {lam}")
+
+    def bind(gamma):
+        shift = gamma * lam
+        return lambda x: np.sign(x) * np.maximum(np.abs(x) - shift, 0.0)
+
+    return _family(lambda x: rowwise(lam * np.abs(x).sum(axis=-1)), bind)
 
 
 def quadratic_distance(a) -> ProxFn:
-    """0.5 * ||. - a||^2"""
+    """0.5 * ||. - a||^2, whose prox is (x + gamma*a) / (1 + gamma)."""
     a = as_vector(a)
-    return ProxFn(
-        evaluate=lambda x: rowwise(0.5 * np.sum((x - a) ** 2, axis=-1)),
-        prox=lambda x, gamma: prox_quadratic(x, gamma, a),
-    )
+
+    def bind(gamma):
+        shift, scale = gamma * a, 1.0 + gamma
+
+        def pull(x):
+            if x.shape[-1] != a.shape[-1]:
+                raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {a.shape[-1]}")
+            return (x + shift) / scale
+        return pull
+
+    return _family(lambda x: rowwise(0.5 * np.sum((x - a) ** 2, axis=-1)), bind)
 
 
 def conjugate(g: ProxFn, evaluate: Callable[[np.ndarray], float | np.ndarray]) -> ProxFn:
-    """Build the ProxFn of g* with prox derived from g by Moreau.
+    """Build the ProxFn of g* with prox derived from g by Moreau:
 
-    The conjugate's value map cannot be derived automatically and must be
-    supplied, row-wise like every value map; shipped problem generators
-    register it analytically.
+    prox_{sigma g*}(y) = y - sigma * prox_{g/sigma}(y / sigma),
+
+    with g bound to 1/sigma when g* is bound to sigma. The conjugate's
+    value map cannot be derived automatically and must be supplied,
+    row-wise like every value map; shipped problem generators register it
+    analytically.
     """
-    return ProxFn(
-        evaluate=evaluate,
-        prox=lambda y, sigma: prox_conjugate(g, y, sigma),
-    )
+
+    def bind(sigma):
+        inner = g.at(1.0 / sigma)
+        return lambda y: y - sigma * inner(y / sigma)
+
+    return _family(evaluate, bind)

@@ -171,35 +171,37 @@ def suggest_steps(theta: float, operator_norm: float, safety: float = 0.99,
     return tau, sigma
 
 
-def _advance(x, y, problem, tau, sigma, theta):
+def _advance(x, y, L, prox_f, prox_g, tau, sigma, theta):
     """One update on raw arrays: returns (x_new, y_new, finite).
 
     ``x`` and ``y`` are one point's vectors with float step sizes, or the
     rows of a batch of cells, (B, n) and (B, m), with step columns of shape
-    (B, 1). Operators and proxes act on the last axis, so each row gets the
-    bits of its own single-cell update. ``finite`` is one flag per cell
-    from a finiteness pass over both prox arguments and both new iterates;
-    a prox such as a projection can map a non-finite argument to a finite
-    point, so checking the iterates alone would hide overflow.
+    (B, 1); ``prox_f`` and ``prox_g`` are f's and g*'s proxes bound to
+    ``tau`` and ``sigma`` (:meth:`cpcert.prox.ProxFn.at`). Operators and
+    proxes act on the last axis, so each row gets the bits of its own
+    single-cell update. ``finite`` is one flag, for every row, from a
+    finiteness pass over both prox arguments and both new iterates; a prox
+    such as a projection can map a non-finite argument to a finite point,
+    so checking the iterates alone would hide overflow.
     """
-    L = problem.L
     x_arg = x - tau * L.apply_adjoint(y)
-    x_new = problem.f.prox(x_arg, tau)
+    x_new = prox_f(x_arg)
     x_bar = x_new + theta * (x_new - x)
     y_arg = y + sigma * L.apply(x_bar)
-    y_new = problem.gstar.prox(y_arg, sigma)
-    finite = np.isfinite(np.concatenate((x_arg, y_arg, x_new, y_new), axis=-1)).all(axis=-1)
+    y_new = prox_g(y_arg)
+    finite = np.isfinite(np.concatenate((x_arg, y_arg, x_new, y_new), axis=-1)).all()
     return x_new, y_new, finite
 
 
 def step(z: PPoint, problem, params: SolverParams) -> PPoint:
     """One primal-dual update from z = (x_k, y_k) to (x_{k+1}, y_{k+1}).
 
-    ``problem`` provides ``f.prox``, ``gstar.prox`` and the operator ``L``.
+    ``problem`` provides ``f`` and ``gstar`` (ProxFn) and the operator ``L``.
     Raises ValueError if a prox argument or the new point is non-finite.
     """
-    x_new, y_new, finite = _advance(z.x, z.y, problem, params.tau,
-                                    params.sigma, params.theta)
+    tau, sigma = params.tau, params.sigma
+    x_new, y_new, finite = _advance(z.x, z.y, problem.L, problem.f.at(tau),
+                                    problem.gstar.at(sigma), tau, sigma, params.theta)
     if not finite:
         raise ValueError("step produced non-finite entries")
     return PPoint(x_new, y_new)
@@ -214,9 +216,7 @@ def fixed_point_residual(dx, dy, tau, sigma):
     them. Each norm is sqrt(v.dot(v)), np.linalg.norm's arithmetic on a
     vector, with the bits of that row alone: a stacked matmul of each row
     into itself makes one BLAS dot per row (a summed square, such as
-    ``(v * v).sum(-1)`` or einsum, rounds differently). One step takes
-    the dots directly, which skips most of the array overhead that a
-    lone cell's stop test would pay on every step.
+    ``(v * v).sum(-1)`` or einsum, rounds differently).
     """
     if dx.ndim == 1:
         return max(math.sqrt(dx.dot(dx)) / tau, math.sqrt(dy.dot(dy)) / sigma)
@@ -351,9 +351,9 @@ def run(problem, params, z0, max_iters: int,
         recomputing it (see :func:`find_cycle`).
     params : SolverParams or sequence of SolverParams
         Must not classify Invalid unless ``override_invalid`` is set. A
-        sequence runs a batch of cells, one per entry, advanced together as
-        the rows of (B, n) and (B, m) stacks; a one-cell batch steps on
-        plain vectors, as a single SolverParams does.
+        sequence runs a batch of cells, one per entry. Every run, a lone
+        cell's too, steps its cells as the rows of (B, n) and (B, m) stacks,
+        each prox bound to its step column once (and again as cells leave).
     z0 : PPoint or sequence of PPoint
         Initial point; for a batch, one per cell.
     max_iters : int
@@ -390,7 +390,6 @@ def run(problem, params, z0, max_iters: int,
     batch = not isinstance(params, SolverParams)
     cells = tuple(params) if batch else (params,)
     starts = tuple(z0) if batch else (z0,)
-    stacked = len(cells) > 1  # a lone cell steps on plain vectors, the cheaper form
     if not cells or len(starts) != len(cells):
         raise ValueError(f"a batch needs one start point per cell, got "
                          f"{len(starts)} for {len(cells)} cells")
@@ -403,51 +402,42 @@ def run(problem, params, z0, max_iters: int,
         raise ValueError("max_iters must be >= 1")
     L = problem.L
     n, m = L.cols, L.rows
-    xs, ys = [], []
-    for z in starts:
-        x, y = as_vector(z.x), as_vector(z.y)
+    points = [(as_vector(z.x), as_vector(z.y)) for z in starts]
+    for x, y in points:
         if x.shape[0] != n or y.shape[0] != m:
             raise ValueError(f"z0 dims ({x.shape[0]}, {y.shape[0]}) do not match "
                              f"problem dims ({n}, {m})")
-        xs.append(x)
-        ys.append(y)
-    if stacked:
-        x, y = np.stack(xs), np.stack(ys)
-        tau, sigma, theta = (np.array([[getattr(p, name)] for p in cells])
-                             for name in ("tau", "sigma", "theta"))
-    else:
-        x, y = xs[0], ys[0]
-        tau, sigma, theta = cells[0].tau, cells[0].sigma, cells[0].theta
+    x, y = (np.stack(side) for side in zip(*points))
+    tau, sigma, theta = (np.array([[getattr(p, name)] for p in cells])
+                         for name in ("tau", "sigma", "theta"))
+    prox_f, prox_g = problem.f.at(tau), problem.gstar.at(sigma)
 
     B = len(cells)
     X = np.empty((B, max_iters + 1, n))
     Y = np.empty((B, max_iters + 1, m))
-    X[:, 0], Y[:, 0] = x, y  # a lone cell's vectors fill its one row
+    X[:, 0], Y[:, 0] = x, y
     live = np.arange(B)  # the cell of each stack row
-    at = slice(None) if stacked else 0  # where the rows go in X[:, k]
+    rows = slice(None)  # where the live rows go in X[:, k]
     ends = [max_iters] * B
     stopped = [None] * B
     for k in range(1, max_iters + 1):
-        x_new, y_new, finite = _advance(x, y, problem, tau, sigma, theta)
-        if not (finite.all() if stacked else finite):
+        x_new, y_new, finite = _advance(x, y, L, prox_f, prox_g, tau, sigma, theta)
+        if not finite:
             raise NonFiniteIterateError(k)
-        X[at, k], Y[at, k] = x_new, y_new
+        X[rows, k], Y[rows, k] = x_new, y_new
         if stop_tol is None:
             x, y = x_new, y_new
             continue
         stop = fixed_point_residual(x_new - x, y_new - y, tau, sigma) <= stop_tol
         x, y = x_new, y_new
-        if not stacked:  # a lone cell keeps plain vectors and float steps
-            if stop:
-                stopped[0] = ends[0] = k
-                break
-        elif stop.any():
+        if np.count_nonzero(stop):  # a third of stop.any()'s overhead
             for cell in live[stop].tolist():
                 stopped[cell] = ends[cell] = k
-            live = at = live[~stop]
+            live = rows = live[~stop]
             if not live.size:
                 break
             x, y, tau, sigma, theta = (a[~stop] for a in (x, y, tau, sigma, theta))
+            prox_f, prox_g = problem.f.at(tau), problem.gstar.at(sigma)
 
     trajectories = tuple(
         Trajectory(cells[i], X[i, : ends[i] + 1], Y[i, : ends[i] + 1], ends[i], stopped[i])

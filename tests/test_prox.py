@@ -5,8 +5,7 @@ import pytest
 
 from cpcert.hilbert import MatrixOperator
 from cpcert.problems import make_lasso, make_tv1d
-from cpcert.prox import (ProxFn, conjugate, l1, prox_conjugate, prox_l1,
-                         prox_quadratic, quadratic_distance)
+from cpcert.prox import ProxFn, conjugate, l1, quadratic_distance
 
 from oracles import check_prox_inclusion, l1_subgrad_test, quadratic_subgrad_test
 
@@ -44,38 +43,43 @@ def shipped_functions():
     return cases
 
 
+def moreau(g):
+    """g*'s ProxFn, for tests of its prox alone (its value map is not used)."""
+    return conjugate(g, evaluate=lambda y: math.nan)
+
+
 def test_prox_l1_examples():
-    out = prox_l1(np.array([3.0, -0.5, 0.0]), 1.0, 1.0)
+    out = l1(1.0).prox(np.array([3.0, -0.5, 0.0]), 1.0)
     assert np.allclose(out, [2.0, 0.0, 0.0])
     x = np.array([1.5, -2.0, 0.25])
-    assert np.array_equal(prox_l1(x, 1.0, 0.0), x)
-    assert np.array_equal(prox_l1(np.zeros(3), 2.0, 1.0), np.zeros(3))
+    assert np.array_equal(l1(0.0).prox(x, 1.0), x)
+    assert np.array_equal(l1(1.0).prox(np.zeros(3), 2.0), np.zeros(3))
 
 
 def test_prox_l1_rejects_bad_args():
     with pytest.raises(ValueError):
-        prox_l1(np.ones(2), 0.0, 1.0)
+        l1(1.0).prox(np.ones(2), 0.0)
     with pytest.raises(ValueError):
-        prox_l1(np.ones(2), 1.0, -1.0)
+        l1(-1.0)
 
 
 def test_prox_quadratic_examples():
     a = np.array([0.4, -1.0])
-    assert np.allclose(prox_quadratic(a, 0.8, a), a)
+    assert np.allclose(quadratic_distance(a).prox(a, 0.8), a)
     # minimize 0.5 z^2 + 0.5 (z - 2)^2 by hand: z = 1
-    assert np.allclose(prox_quadratic(np.array([2.0]), 1.0, np.array([0.0])), [1.0])
+    assert np.allclose(quadratic_distance(np.array([0.0])).prox(np.array([2.0]), 1.0), [1.0])
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.standard_normal(4)
         gamma = float(rng.uniform(0.1, 5.0))
-        p = prox_quadratic(x, gamma, a=np.zeros(4) + 0.3)
+        p = quadratic_distance(np.zeros(4) + 0.3).prox(x, gamma)
         # inclusion (x - p)/gamma = p - a is a linear identity
         assert np.linalg.norm((x - p) / gamma - (p - 0.3)) <= 1e-12 * (1 + np.linalg.norm(x))
 
 
 def test_prox_quadratic_dimension_mismatch():
-    with pytest.raises(ValueError):
-        prox_quadratic(np.ones(2), 1.0, np.ones(3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        quadratic_distance(np.ones(3)).prox(np.ones(2), 1.0)
 
 
 def test_prox_conjugate_quadratic_closed_form():
@@ -85,7 +89,7 @@ def test_prox_conjugate_quadratic_closed_form():
     for _ in range(20):
         y = rng.standard_normal(2)
         sigma = float(rng.uniform(0.05, 10.0))
-        got = prox_conjugate(g, y, sigma)
+        got = moreau(g).prox(y, sigma)
         # direct prox of g*(u) = 0.5||u||^2 + <u, b>
         want = (y - sigma * b) / (1.0 + sigma)
         assert np.allclose(got, want, atol=1e-12)
@@ -96,7 +100,7 @@ def test_prox_conjugate_of_zero_projects_to_origin():
     rng = np.random.default_rng(3)
     for _ in range(10):
         y = rng.standard_normal(4)
-        assert np.allclose(prox_conjugate(g, y, float(rng.uniform(0.1, 3.0))), np.zeros(4))
+        assert np.allclose(moreau(g).prox(y, float(rng.uniform(0.1, 3.0))), np.zeros(4))
 
 
 def test_moreau_identity_for_shipped_g():
@@ -105,7 +109,7 @@ def test_moreau_identity_for_shipped_g():
         for _ in range(100):
             y = rng.standard_normal(5)
             sigma = float(10.0 ** rng.uniform(-3, 3))
-            lhs = prox_conjugate(g, y, sigma) + sigma * g.prox(y / sigma, 1.0 / sigma)
+            lhs = moreau(g).prox(y, sigma) + sigma * g.prox(y / sigma, 1.0 / sigma)
             assert np.linalg.norm(lhs - y) <= 1e-10 * (1.0 + np.linalg.norm(y))
 
 
@@ -176,3 +180,82 @@ def test_stacked_evaluate_matches_per_row():
         assert fn.evaluate(stack[:0]).shape == (0,), name
     values = tv_box.evaluate(stack)  # feasible and infeasible rows
     assert np.all(values[:5] == 0.0) and np.isinf(values[5:]).any()
+
+
+def bound_families():
+    """Each shipped family, with the arithmetic its prox had as a standalone
+    function (prox_l1, prox_quadratic, prox_conjugate), step per call."""
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal(5)
+
+    def shrink(lam):
+        return lambda x, gamma: np.sign(x) * np.maximum(np.abs(x) - gamma * lam, 0.0)
+
+    def pull(x, gamma):
+        return (x + gamma * a) / (1.0 + gamma)
+
+    def dual(inner):
+        return lambda y, sigma: y - sigma * inner(y / sigma, 1.0 / sigma)
+
+    return [
+        ("l1", l1(0.7), shrink(0.7)),
+        ("zero", l1(0.0), shrink(0.0)),
+        ("quadratic", quadratic_distance(a), pull),
+        ("box(conj l1)", moreau(l1(0.7)), dual(shrink(0.7))),
+        ("conj zero", moreau(l1(0.0)), dual(shrink(0.0))),
+        ("shifted quad (conj)", moreau(quadratic_distance(a)), dual(pull)),
+    ]
+
+
+def test_bound_prox_is_the_standalone_arithmetic_bitwise():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal(5) * 3.0
+    stack = rng.standard_normal((15, 5)) * 3.0
+    steps = 10.0 ** rng.uniform(-3, 3, (15, 1))  # a step column
+    for name, fn, want in bound_families():
+        for gamma in (0.37, 1.0, 2e-3, 400.0):
+            assert np.array_equal(fn.at(gamma)(x), want(x, gamma)), (name, gamma)
+            assert np.array_equal(fn.prox(x, gamma), want(x, gamma)), (name, gamma)
+        got = fn.at(steps)(stack)
+        assert np.array_equal(got, want(stack, steps)), name
+        assert np.array_equal(fn.prox(stack, steps), got), name
+        # each row has the bits of its own vector prox
+        rows = [fn.at(float(steps[i, 0]))(stack[i]) for i in range(15)]
+        assert np.array_equal(got, rows), name
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan,
+                                 np.array([[0.5], [0.0]]), np.array([[0.5], [math.inf]]),
+                                 np.array([[math.nan], [0.5]])])
+def test_a_bad_step_raises_when_bound(bad):
+    # the step is checked once, by at(), before any point is passed
+    message = "prox step must be positive and finite"
+    for name, fn, _ in bound_families():
+        with pytest.raises(ValueError, match=message):
+            fn.at(bad)
+        with pytest.raises(ValueError, match=message):
+            fn.prox(np.ones(5), bad)
+    calls = []
+    custom = ProxFn(evaluate=lambda x: 0.0, prox=lambda x, gamma: calls.append(gamma))
+    with pytest.raises(ValueError, match=message):
+        custom.at(bad)
+    assert calls == []
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_an_infinite_step_or_a_non_finite_weight_is_rejected(lam):
+    # an infinite step gave quadratic_distance(a).prox a NaN output; a NaN
+    # weight passed the l1 and generator checks (NaN < 0 is False), and an
+    # infinite one gave l1 a NaN value at 0 (inf * 0); the generators build
+    # their l1 before any costly work and let it raise
+    a = np.array([0.5, -1.0])
+    with pytest.raises(ValueError, match="prox step must be positive and finite"):
+        quadratic_distance(a).prox(np.ones(2), math.inf)
+    with pytest.raises(ValueError, match="l1 weight must be finite and nonnegative"):
+        l1(lam)
+    rng = np.random.default_rng(11)
+    A = MatrixOperator(rng.standard_normal((4, 3)))
+    with pytest.raises(ValueError, match="l1 weight must be finite and nonnegative"):
+        make_lasso(A, rng.standard_normal(4), lam)
+    with pytest.raises(ValueError, match="l1 weight must be finite and nonnegative"):
+        make_tv1d(rng.standard_normal(6), lam)

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -326,6 +326,55 @@ def test_fixed_point_residual_is_the_norm_ratio_bitwise():
         tau, sigma = rng.uniform(0.01, 2.0, 2)
         want = max(float(np.linalg.norm(dx)) / tau, float(np.linalg.norm(dy)) / sigma)
         assert fixed_point_residual(dx, dy, tau, sigma) == want
+
+
+def test_one_row_residual_has_the_vector_forms_bits():
+    # a stack's matmul makes one BLAS dot per row, the vector form's dot,
+    # so a one-row stack and the first row of a taller one have its bits
+    rng = np.random.default_rng(5)
+    for n, m in ((1, 1), (10, 12), (600, 900)):
+        dx, dy = rng.standard_normal((2, n)), rng.standard_normal((2, m))
+        tau, sigma = rng.uniform(0.01, 2.0, (2, 2, 1))  # step columns
+        want = fixed_point_residual(dx[0], dy[0], tau.item(0), sigma.item(0))
+        one = fixed_point_residual(dx[:1], dy[:1], tau[:1], sigma[:1])
+        assert one.shape == (1,) and one[0] == want
+        assert fixed_point_residual(dx, dy, tau, sigma)[0] == want
+        floats = fixed_point_residual(dx[:1], dy[:1], tau.item(0), sigma.item(0))
+        assert floats.shape == (1,) and floats[0] == want
+
+
+@pytest.mark.parametrize("replaced", [False, True])
+@pytest.mark.parametrize("cells", [1, 3])
+def test_run_binds_a_prox_given_alone_to_its_own_step(cells, replaced):
+    # a ProxFn built with prox alone, or one whose prox is swapped by
+    # dataclasses.replace (the binder goes with the old prox), binds as
+    # x -> prox(x, gamma): run calls it on each step with the step column
+    # of the cells still running
+    problem = batch_problems()["tv1d"]
+    params = batch_cells(problem, thetas=(0.25, 1.0, 0.5), safeties=(0.9,))[:cells]
+    steps = {"f": [], "gstar": []}
+
+    def recorded(name):
+        fn = getattr(problem, name)
+
+        def prox(x, gamma):
+            steps[name].append(gamma)
+            return fn.prox(x, gamma)
+
+        return replace(fn, prox=prox) if replaced else c.ProxFn(fn.evaluate, prox)
+
+    custom = c.ProblemSpec("custom", recorded("f"), recorded("gstar"), problem.L)
+    z0 = [origin(problem)] * cells
+    got = run(custom, params, z0, max_iters=1000, stop_tol=1e-6)
+    want = run(problem, params, z0, max_iters=1000, stop_tol=1e-6)
+    for a, b in zip(got.trajectories, want.trajectories):
+        assert_same_run(a, b)
+    ends = [t.n_iters for t in want.trajectories]
+    assert len(steps["f"]) == len(steps["gstar"]) == max(ends)
+    for k, (tau, sigma) in enumerate(zip(steps["f"], steps["gstar"]), start=1):
+        live = [p for p, end in zip(params, ends) if end >= k]
+        assert np.array_equal(tau, [[p.tau] for p in live]), k
+        assert np.array_equal(sigma, [[p.sigma] for p in live]), k
 
 
 def test_run_rejects_nonfinite_start():
