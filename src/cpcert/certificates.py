@@ -77,12 +77,6 @@ def segment_end(done: int, width: int) -> int:
     return ((done + 1) // s + 1) * s - 1
 
 
-def spare_rows(rows: int, width: int) -> int:
-    """Of ``rows`` rows of ``width`` = n + m floats, those left beside one
-    segment's certifier working set (``_WORKING_ROWS`` rows per iterate)."""
-    return rows - _WORKING_ROWS * _segment_iterates(width)
-
-
 # Where a saddle point came from: a closed form, a direct algorithm, a
 # short run whose point was polished on its active set, or a long run.
 ORACLE_KINDS = ("closed_form", "direct", "polished", "long_run")

@@ -426,28 +426,19 @@ def _resolve_params(cfg: ExperimentConfig, operator_norm: float) -> SolverParams
     return SolverParams(tau, sigma, cfg.theta, operator_norm)
 
 
-def _get_kkt(problem, cfg: ExperimentConfig, cells) -> tuple:
-    """The saddle point for ``problem``, and the leading pieces of the
-    long-run oracle's run when a cell in ``cells`` (SolverParams) runs at
-    the oracle's parameters with no ``cfg.stop_tol``, which a run of that
-    cell replays (:func:`_certified_cells`); otherwise no pieces are kept.
-    Only pieces that end at or before ``cfg.iters`` are kept: no run takes
-    a step past its horizon."""
+def _get_kkt(problem, cfg: ExperimentConfig):
+    """The saddle point for ``problem``: its own, or the long-run oracle's
+    at θ = 1, safety 0.9 and ratio 1, run ``cfg.oracle_iters`` steps
+    (default the larger of 20000 and 10 ``cfg.iters``)."""
     if problem.kkt is not None:
-        return problem.kkt, []
+        return problem.kkt
     oracle_iters = (max(20000, 10 * cfg.iters) if cfg.oracle_iters is None
                     else cfg.oracle_iters)
     oracle_params = SolverParams(
         *suggest_steps(1.0, problem.L.norm_bound, 0.9, 1.0),
         theta=1.0, operator_norm=problem.L.norm_bound,
     )
-    prefix = []
-    replays = cfg.stop_tol is None and oracle_params in cells
-    kkt = kkt_by_long_run(problem, oracle_params, oracle_iters,
-                          prefix=prefix if replays else None)
-    ends = itertools.accumulate(piece.n_iters for piece in prefix)
-    del prefix[sum(end <= cfg.iters for end in ends):]
-    return kkt, prefix
+    return kkt_by_long_run(problem, oracle_params, oracle_iters)
 
 
 def _oracle_fields(kkt) -> dict:
@@ -503,8 +494,8 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     problem = _build_problem(cfg)
     params = _resolve_params(cfg, problem.L.norm_bound)
     _check_runnable(params, cfg)  # Invalid parameters fail before any oracle run
-    kkt, prefix = _get_kkt(problem, cfg, [params])
-    cell = _certified_cells(problem, {0: params}, cfg, kkt, prefix, keep_tables=True)[0]
+    kkt = _get_kkt(problem, cfg)
+    cell = _certified_cells(problem, {0: params}, cfg, kkt, keep_tables=True)[0]
     summary = {
         "config": cfg.to_dict(),
         "problem": {"name": problem.name, "rows": problem.L.rows,
@@ -550,8 +541,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
               for i, (theta, safety) in enumerate(grid)}
     for p in params.values():
         _check_runnable(p, cfg)
-    kkt, prefix = _get_kkt(problem, cfg, params.values())
-    cells = _certified_cells(problem, params, cfg, kkt, prefix)
+    kkt = _get_kkt(problem, cfg)
+    cells = _certified_cells(problem, params, cfg, kkt)
 
     rows = []
     for i, (theta, safety) in enumerate(grid):
@@ -599,14 +590,14 @@ class _Cell:
 
 
 def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
-                     prefix: list, keep_tables: bool = False) -> dict:
+                     keep_tables: bool = False) -> dict:
     """Run and certify the cells ``params`` (index -> SolverParams) as one batch.
 
     The batch runs in segments that end at the step counts of
     :func:`cpcert.certificates.segment_end`, or at ``cfg.iters``. Each
     segment goes to each cell's certifier and is dropped, so memory holds
     one segment per cell, never a full history; with ``keep_tables`` each
-    cell also keeps its segment tables. A cell's segment has one of three
+    cell also keeps its segment tables. A cell's segment has one of two
     sources, each bitwise the segment :func:`run` would compute:
 
     * a replayed cycle: once a segment of the cell's repeats its last
@@ -614,16 +605,10 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
       corrupts the certifier's copy), the cell keeps one period of
       iterates, leaves the ``run`` batch, and takes every later segment by
       tiling that period (:func:`tile_cycle`);
-    * a kept oracle piece: ``prefix`` holds the long-run oracle's leading
-      pieces (see :func:`_get_kkt`), one per segment, and a cell at the
-      oracle's parameters takes a piece whole in place of its segment's
-      run when the piece is exactly that segment, as many steps; the
-      pieces are dropped once used or once no cell takes them;
     * otherwise the cell's row of the batch's :func:`run` call.
 
     No stop rule fires inside replayed iterates: each step of a cycle was
-    taken, and checked, by the run or piece in which the cycle was found,
-    and pieces are kept only for a run with no ``cfg.stop_tol``. A cell
+    taken, and checked, by the run in which the cycle was found. A cell
     whose run stops leaves the batch. ``cfg.iters`` is at least 2 (checked at
     load), so every segment certifies at least one window.
 
@@ -642,12 +627,7 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
     done = 0  # the steps each live cell has taken
     while live:
         steps = min(segment_end(done, width), cfg.iters) - done
-        piece = prefix.pop(0) if prefix else None
-        segs = {i: piece for i, cell in live.items() if cell.cycle is None
-                and piece is not None and cell.params == piece.params
-                and piece.n_iters == steps}
-        if not segs:  # no cell takes the pieces any more
-            prefix.clear()
+        segs = {}
         for i, cell in live.items():
             if cell.cycle is not None:
                 segs[i], cell.cycle = tile_cycle(cell.cycle, steps)
@@ -685,9 +665,8 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
             cell.final_residual = fixed_point_residual(
                 seg.X[-1] - seg.X[-2], seg.Y[-1] - seg.Y[-2],
                 cell.params.tau, cell.params.sigma)
-        del piece, seg  # free this segment before the next one is run
+        del seg  # free this segment before the next one is run
         done += steps
-    prefix.clear()
     return finished
 
 

@@ -244,13 +244,17 @@ def estimate_norm(L: LinearOperator, tol: float = 1e-10,
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a dense matrix from plain text: first line "rows cols", then
-    row-major whitespace-separated decimals."""
+    """Read a dense matrix from plain text: first line "rows cols", two
+    integers >= 1, then row-major whitespace-separated decimals."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise ValueError(f"{path}: missing 'rows cols' header")
-    rows, cols = int(tokens[0]), int(tokens[1])
+    header = tokens[:2]
+    if not all(t.isascii() and t.isdigit() and int(t) >= 1 for t in header):
+        raise ValueError(f"{path}: header 'rows cols' must be integers >= 1, "
+                         f"got {' '.join(header)!r}")
+    rows, cols = map(int, header)
     data = tokens[2:]
     if len(data) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} entries, found {len(data)}")

@@ -19,8 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import prox as _prox
-from .certificates import (KKTPoint, kkt_residual, make_kkt, segment_end,
-                           spare_rows)
+from .certificates import KKTPoint, kkt_residual, make_kkt, segment_end
 from .hilbert import (ForwardDifferenceOperator, LinearOperator,
                       MatrixOperator, PPoint, as_vector, load_matrix)
 from .prox import ProxFn, rowwise
@@ -43,9 +42,9 @@ __all__ = [
 
 
 # Iterations per block of the long-run oracle (the polish hook is tried
-# after each), and the bytes of iterates one block may span, which also
-# bound the pieces it keeps: 8 MiB keeps 512-iteration blocks up to
-# n + m = 2048.
+# after each), and the bytes of iterates one block may span: 8 MiB keeps
+# 512-iteration blocks up to n + m = 2048. The block sets only where the
+# polish is tried, and so which point the oracle returns.
 _ORACLE_BLOCK = 512
 _ORACLE_BLOCK_BYTES = 8 << 20
 # The largest fixed-point residual a saddle point stored with a problem may have.
@@ -345,8 +344,7 @@ def _condat_tv1d(s: list, lam: float) -> list:
 
 
 def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
-                    stop_tol: float = 1e-13, accept_tol: float = 1e-6,
-                    prefix: list | None = None) -> KKTPoint:
+                    stop_tol: float = 1e-13, accept_tol: float = 1e-6) -> KKTPoint:
     """Approximate saddle point from a solver run (oracle construction).
 
     Run far past the horizon of the experiment the point will serve (at
@@ -357,7 +355,9 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     certified run's segment (:func:`cpcert.certificates.segment_end`), the
     end of a block (:func:`_oracle_block` iterations) and the horizon.
     Each piece is dropped once its final point is copied, so memory holds
-    about one segment of iterates.
+    about one segment of iterates, and none outlives the oracle: a
+    certified run at ``params`` computes its own iterates, and shares none
+    with the saddle point it is measured against.
 
     If the problem has a ``polish`` hook, it is tried on the final point of
     every piece that did not stop and ends a block or the horizon. A
@@ -369,18 +369,6 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     its measured fixed-point residual and the solver steps taken; a
     residual above ``accept_tol`` rejects the oracle outright with
     :class:`OracleRejectedError`.
-
-    With a ``prefix`` list, the leading pieces that ran their whole
-    segment without stopping and ended inside the first block are
-    appended to it (as :class:`~cpcert.solver.Trajectory`, in order from
-    iterate 0) while they fit in the rows of one block left beside one
-    segment's certifier working set
-    (:func:`cpcert.certificates.spare_rows`). A run at ``params`` from the
-    origin with no stop rule may use each, whole and bitwise, in place of
-    the run of a first segment of the same length; a piece is never cut or
-    checked again. The run holds them beside the working set of the
-    segment it certifies, so the budget bounds the iterate rows that run
-    holds at once by one block's, about ``_ORACLE_BLOCK_BYTES``.
     """
     status = validate_params(params)
     if status.kind is not Validity.STRICTLY_VALID:
@@ -388,12 +376,10 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     z = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
     block = _oracle_block(problem)
     width = problem.L.rows + problem.L.cols
-    room = 0 if prefix is None else spare_rows(block + 1, width)  # rows left to keep
     done = 0
     kkt = None
     while done < iters:
-        whole = segment_end(done, width)
-        end = min(whole, (done // block + 1) * block, iters)
+        end = min(segment_end(done, width), (done // block + 1) * block, iters)
         try:
             traj = run(problem, params, z, end - done, stop_tol=stop_tol)
         except NonFiniteIterateError as e:  # named by its run-wide iteration
@@ -401,14 +387,6 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
         z = traj.final  # a copy: the piece is dropped before the next one runs
         done += traj.n_iters
         stopped = traj.stopped_at is not None
-        # keep whole unstopped segments, in order, while they fit; pieces from
-        # the origin to step ``done`` hold more than ``done`` rows, and the
-        # budget is at most ``block + 1``, so all fall in the first block
-        if stopped or done != whole or traj.X.shape[0] > room:
-            room = 0
-        else:
-            prefix.append(traj)
-            room -= traj.X.shape[0]
         del traj
         if stopped:
             break

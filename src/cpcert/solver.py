@@ -227,7 +227,7 @@ def fixed_point_residual(dx, dy, tau, sigma):
     return np.maximum(norms(dx) / tau, norms(dy) / sigma)[:, 0]
 
 
-def continued_cumsum(A: np.ndarray, prefix=None) -> np.ndarray:
+def continued_cumsum(A: np.ndarray, prefix: np.ndarray | None = None) -> np.ndarray:
     """Cumulative sums of the rows of ``A``, continuing a carried sum.
 
     Row j is prefix + A[0] + ... + A[j] (``prefix`` None for a fresh

@@ -1365,39 +1365,33 @@ def test_validate_checks_the_fault_range_as_solve_does(tmp_path, capsys):
         assert not out.exists()
 
 
-# --- a run at the long-run oracle's parameters replays its kept pieces --------
+# --- a run at the long-run oracle's parameters computes its own iterates -----
 
-# The oracle keeps the first four pieces of its run here, iterates 0..243:
-# 61-iterate segments, within the budget of one 512-iteration block.
+# The oracle polishes its point after its first 512-iteration block here (530
+# steps); a run certifies in 61-iterate segments, ending at k = 60, 121, ...
 LASSO_480x320 = {"generator": "lasso",
                  "params": {"rows": 480, "cols": 320, "lam": 0.2, "seed": 1}}
 
 
-def counted(monkeypatch, tmp_path, name, command="solve", reuse=True, replay=True,
+def counted(monkeypatch, tmp_path, name, command="solve", replay=True,
             problem=LASSO_480x320, **overrides):
     """Run ``command`` on ``problem``, the 480x320 lasso by default; the exit
     code, the output directory and the (cells, steps) of each ``harness.run``
-    call. With ``reuse`` False the oracle is given no list, so it keeps no
-    pieces; with ``replay`` False the cycle search finds nothing, so every
+    call. With ``replay`` False the cycle search finds nothing, so every
     step is run."""
     import cpcert.harness as harness
 
     calls = []
-    run, oracle = harness.run, harness.kkt_by_long_run
+    run = harness.run
 
     def counting_run(problem, params, z0, max_iters, **kwargs):
         calls.append((len(params), max_iters))
         return run(problem, params, z0, max_iters, **kwargs)
 
-    def withholding_oracle(*args, prefix=None, **kwargs):
-        return oracle(*args, **kwargs)
-
     cfg = write_config(tmp_path / f"{name}.json", problem=problem, **overrides)
     out = tmp_path / name
     with monkeypatch.context() as m:
         m.setattr(harness, "run", counting_run)
-        if not reuse:
-            m.setattr(harness, "kkt_by_long_run", withholding_oracle)
         if not replay:
             m.setattr(harness, "find_cycle", lambda seg: None)
         code = main([command, "--config", str(cfg), "--out", str(out)])
@@ -1408,100 +1402,59 @@ def same_outputs(a, b, names):
     return all((a / n).read_bytes() == (b / n).read_bytes() for n in names)
 
 
-def test_solve_at_the_oracle_parameters_runs_only_the_steps_not_kept(tmp_path,
-                                                                   monkeypatch):
-    problem = c.problem_from_config(LASSO_480x320)
-    norm = problem.L.norm_bound
-    params = c.SolverParams(*c.suggest_steps(1.0, norm, 0.9, 1.0), 1.0, norm)
-    kept = []
-    c.kkt_by_long_run(problem, params, 20000, prefix=kept)
-    kept_steps = sum(piece.n_iters for piece in kept)
-    assert kept_steps == 243
-    code, out, calls = counted(monkeypatch, tmp_path, "reuse", iters=400)
+def test_solve_at_the_oracle_parameters_runs_every_step(tmp_path, monkeypatch):
+    code, out, calls = counted(monkeypatch, tmp_path, "solve", iters=400)
     assert code == 0
-    assert sum(steps for _, steps in calls) == 400 - kept_steps
-    code, plain, calls = counted(monkeypatch, tmp_path, "plain", reuse=False, iters=400)
-    assert code == 0
-    assert sum(steps for _, steps in calls) == 400
-    assert same_outputs(out, plain, ("trajectory.csv", "summary.json"))
+    # every segment is run, the last one cut at the horizon
+    assert calls == [(1, 60)] + [(1, 61)] * 5 + [(1, 35)]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["kkt_oracle_iterations"] == 530
     assert summary["certificates"]["all_pass"] is True
 
 
-def test_sweep_with_the_oracle_cell_is_unchanged_by_reuse(tmp_path, monkeypatch):
+def test_sweep_with_the_oracle_cell_runs_every_cell(tmp_path, monkeypatch):
     grid = {"theta": [0.5, 1.0], "safety": [0.9, 0.99]}
-    code, out, calls = counted(monkeypatch, tmp_path, "reuse", "sweep", iters=300,
+    code, out, calls = counted(monkeypatch, tmp_path, "sweep", "sweep", iters=300,
                                grid=grid)
     assert code == 0
-    # the oracle's cell (theta 1, safety 0.9) sits out the first four segments
-    assert [cells for cells, _ in calls] == [3] * 4 + [4] * 1
-    code, plain, calls = counted(monkeypatch, tmp_path, "plain", "sweep", reuse=False,
-                                 iters=300, grid=grid)
-    assert code == 0
+    # the oracle's cell (theta 1, safety 0.9) runs in every segment
     assert [cells for cells, _ in calls] == [4] * 5
-    assert same_outputs(out, plain, ("sweep_summary.csv", "sweep_summary.json"))
 
 
-def test_fault_inside_the_kept_prefix_is_caught_at_the_same_k(tmp_path, monkeypatch):
+def test_fault_at_the_oracle_parameters_is_caught_at_its_k(tmp_path, monkeypatch):
     fault = {"k": 100, "delta": 1.0}
-    code, out, calls = counted(monkeypatch, tmp_path, "reuse", iters=400, fault=fault)
+    code, out, calls = counted(monkeypatch, tmp_path, "fault", iters=400, fault=fault)
     assert code == 1
-    assert sum(steps for _, steps in calls) == 400 - 243
-    code, plain, _ = counted(monkeypatch, tmp_path, "plain", reuse=False, iters=400,
-                             fault=fault)
-    assert code == 1
-    assert same_outputs(out, plain, ("trajectory.csv", "summary.json"))
+    assert sum(steps for _, steps in calls) == 400
     first = json.loads((out / "summary.json").read_text())["certificates"]["first_failing_k"]
     assert first in (98, 99, 100)
 
 
-def test_stop_tol_inside_the_kept_prefix_stops_at_the_same_k(tmp_path, monkeypatch):
-    # the fixed-point residual falls through 0.2 between k = 150 and 200; a
-    # run with a stop rule is given no kept pieces, so it computes every step
-    import cpcert.harness as harness
-
-    prefixes, oracle = [], harness.kkt_by_long_run
-
-    def recording_oracle(*args, prefix=None, **kwargs):
-        prefixes.append(prefix)
-        return oracle(*args, prefix=prefix, **kwargs)
-
-    monkeypatch.setattr(harness, "kkt_by_long_run", recording_oracle)
-    code, out, calls = counted(monkeypatch, tmp_path, "reuse", iters=400, stop_tol=0.2)
+def test_stop_tol_at_the_oracle_parameters_stops_the_run(tmp_path, monkeypatch):
+    # the fixed-point residual falls through 0.2 between k = 150 and 200
+    code, out, calls = counted(monkeypatch, tmp_path, "stop", iters=400, stop_tol=0.2)
     assert code == 0
-    assert prefixes == [None]
-    code, plain, plain_calls = counted(monkeypatch, tmp_path, "plain", reuse=False,
-                                       iters=400, stop_tol=0.2)
-    assert code == 0 and calls == plain_calls
-    assert same_outputs(out, plain, ("trajectory.csv", "summary.json"))
     stopped = json.loads((out / "summary.json").read_text())["stopped_at"]
     assert 150 < stopped < 200
     steps = [steps for _, steps in calls]
     assert sum(steps[:-1]) < stopped <= sum(steps)  # run up to the stop, no further
 
 
-def test_kept_piece_longer_than_the_last_segment_is_not_cut(tmp_path, monkeypatch):
-    # the oracle keeps pieces 0..60 and 60..121 among others; with iters 100
-    # the cell takes the first and runs its 40-step second segment itself
-    import cpcert.harness as harness
+def test_solve_at_the_oracle_parameters_holds_no_oracle_iterates(tmp_path):
+    # the oracle's iterates are dropped before the run starts: a solve at its
+    # safety (0.9) peaks no higher than one just beside it (0.89); holding
+    # the oracle's first pieces beside the run peaked at 4.1 against 3.0 MB
+    def solve(safety):
+        cfg = write_config(tmp_path / f"cfg{safety}.json", problem=LASSO_480x320,
+                           iters=400, safety=safety)
+        return main(["solve", "--config", str(cfg), "--out", str(tmp_path / f"out{safety}")])
 
-    given, certified_cells = [], harness._certified_cells
-
-    def recording(problem, params, cfg, kkt, prefix, **kwargs):
-        given.append([piece.n_iters for piece in prefix])
-        return certified_cells(problem, params, cfg, kkt, prefix, **kwargs)
-
-    monkeypatch.setattr(harness, "_certified_cells", recording)
-    code, out, calls = counted(monkeypatch, tmp_path, "reuse", iters=100)
-    assert code == 0
-    # the pieces past step 100 (60, 61 and 61 steps more) are not kept
-    assert given == [[60]]
-    assert calls == [(1, 40)]
-    code, plain, calls = counted(monkeypatch, tmp_path, "plain", reuse=False, iters=100)
-    assert code == 0
-    assert calls == [(1, 60), (1, 40)]
-    assert same_outputs(out, plain, ("trajectory.csv", "summary.json"))
+    assert solve(0.89) == 0  # the first solve in a process imports and caches modules
+    peaks = {}
+    for safety in (0.9, 0.89):
+        peaks[safety], code = traced_peak(solve, safety)
+        assert code == 0
+    assert peaks[0.9] <= 1.05 * peaks[0.89], peaks
 
 
 # --- a run that repeats a state replays its cycle ----------------------------

@@ -1,8 +1,11 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from cpcert.harness import main
 from cpcert.hilbert import (ForwardDifferenceOperator, MatrixOperator, PPoint,
                             as_vector, estimate_norm, load_matrix)
 from cpcert.solver import SolverParams, Validity, suggest_steps, validate_params
@@ -285,3 +288,22 @@ def test_load_matrix_rejects_bad_counts(tmp_path):
     path.write_text("2 2\n1.0 2.0 3.0\n")
     with pytest.raises(ValueError):
         load_matrix(path)
+
+
+@pytest.mark.parametrize("text", [
+    "-2 -3\n1 2 3 4 5 6\n",  # numpy: "can only specify one unknown dimension"
+    "2.0 3\n1 2 3 4 5 6\n",  # int(): "invalid literal for int() with base 10"
+    "0 3\n",                  # MatrixOperator: "operator dimensions must be positive"
+    "3\n",
+], ids=["negative", "float", "zero", "one-token"])
+def test_load_matrix_rejects_a_bad_header_naming_its_file(tmp_path, capsys, text):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        load_matrix(path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": {"generator": "quadratic",
+                                           "params": {"matrix": str(path), "a": [1.0] * 3,
+                                                      "b": [1.0] * 2}}}))
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert str(path) in capsys.readouterr().err

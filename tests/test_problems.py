@@ -207,7 +207,7 @@ def test_long_run_holds_one_block_at_a_time():
     assert peak <= 1.3 * block, peak / block
 
 
-def test_long_run_without_a_list_holds_one_segment():
+def test_long_run_holds_one_segment():
     # each block runs as pieces that end where a certified run's segments
     # end, 245 iterates here against 512 per block, and each piece is
     # dropped once its final point is copied (1.04 pieces measured)
@@ -220,75 +220,17 @@ def test_long_run_without_a_list_holds_one_segment():
     assert peak <= 1.3 * piece, peak / piece
 
 
-def test_long_run_keeps_the_first_blocks_leading_pieces():
+def test_long_run_stops_inside_a_segment_at_the_single_run_point():
+    # 61-iterate segments: the stop rule fires between k = 150 and 200, in
+    # the oracle's third or fourth piece
     lasso = c.random_lasso(480, 320, 0.2, seed=1)
     params = strict_params(lasso)
-    width = lasso.L.rows + lasso.L.cols
-    segment = certificates._segment_iterates(width)
-    kept = []
-    kkt = c.kkt_by_long_run(lasso, params, 20000, prefix=kept)
-    alone = c.kkt_by_long_run(lasso, params, 20000)
-    assert np.array_equal(kkt.star.x, alone.star.x)
-    assert np.array_equal(kkt.star.y, alone.star.y)
-    assert kkt.iterations == alone.iterations == 530
-    # pieces from the origin, each ending at a segment's last iterate
-    assert [p.n_iters for p in kept] == [segment - 1] + [segment] * 3
-    assert all(p.stopped_at is None and p.params == params for p in kept)
-    held = sum(p.X.nbytes + p.Y.nbytes for p in kept)
-    block = problems._oracle_block(lasso) + 1
-    assert held + certificates._WORKING_ROWS * segment * width * 8 <= block * width * 8
-    # bitwise the iterates of one run from the origin
     z0 = c.PPoint(np.zeros(lasso.L.cols), np.zeros(lasso.L.rows))
-    whole = c.run(lasso, params, z0, max_iters=sum(p.n_iters for p in kept), stop_tol=None)
-    X = np.concatenate([kept[0].X] + [p.X[1:] for p in kept[1:]])
-    Y = np.concatenate([kept[0].Y] + [p.Y[1:] for p in kept[1:]])
-    assert np.array_equal(X, whole.X) and np.array_equal(Y, whole.Y)
-
-
-def test_long_run_keeps_pieces_when_a_block_ends_on_a_segment_end(monkeypatch):
-    # 487-iteration blocks: block + 1 is eight 61-iterate segments, so no
-    # block end cuts a piece of the first block short
-    lasso = c.random_lasso(480, 320, 0.2, seed=1)
-    params = strict_params(lasso)
-    segment = certificates._segment_iterates(lasso.L.rows + lasso.L.cols)
-    cap_oracle_block(monkeypatch, lasso, 8 * segment - 1)
-    kept = []
-    kkt = c.kkt_by_long_run(lasso, params, 20000, prefix=kept)
-    alone = c.kkt_by_long_run(lasso, params, 20000)
-    assert np.array_equal(kkt.star.x, alone.star.x)
-    assert np.array_equal(kkt.star.y, alone.star.y)
-    assert kkt.iterations == alone.iterations
-    # whole segments from the origin, ending inside the first block
-    assert [p.n_iters for p in kept] == [segment - 1] + [segment] * (len(kept) - 1)
-    steps = sum(p.n_iters for p in kept)
-    assert kept and steps <= problems._oracle_block(lasso)
-    z0 = c.PPoint(np.zeros(lasso.L.cols), np.zeros(lasso.L.rows))
-    whole = c.run(lasso, params, z0, max_iters=steps, stop_tol=None)
-    X = np.concatenate([kept[0].X] + [p.X[1:] for p in kept[1:]])
-    Y = np.concatenate([kept[0].Y] + [p.Y[1:] for p in kept[1:]])
-    assert np.array_equal(X, whole.X) and np.array_equal(Y, whole.Y)
-
-
-def test_long_run_keeps_no_piece_that_stopped():
-    # the oracle's stop rule fires between k = 150 and 200, in its third or
-    # fourth piece: only the pieces before it are kept
-    lasso = c.random_lasso(480, 320, 0.2, seed=1)
-    params = strict_params(lasso)
-    kept = []
-    kkt = c.kkt_by_long_run(lasso, params, 20000, stop_tol=0.2, accept_tol=math.inf,
-                            prefix=kept)
-    assert 150 < kkt.iterations < 200
-    assert kept and all(p.stopped_at is None for p in kept)
-    assert sum(p.n_iters for p in kept) < kkt.iterations
-
-
-def test_long_run_keeps_no_piece_cut_short_by_its_horizon():
-    # 100 oracle iterations end inside the second 61-iterate segment
-    lasso = c.random_lasso(480, 320, 0.2, seed=1)
-    kept = []
-    c.kkt_by_long_run(lasso, strict_params(lasso), 100, stop_tol=None,
-                      accept_tol=math.inf, prefix=kept)
-    assert [p.n_iters for p in kept] == [60]
+    single = c.run(lasso, params, z0, max_iters=400, stop_tol=0.2)
+    kkt = c.kkt_by_long_run(lasso, params, 20000, stop_tol=0.2, accept_tol=math.inf)
+    assert 150 < kkt.iterations == single.stopped_at < 200
+    assert np.array_equal(kkt.star.x, single.final.x)
+    assert np.array_equal(kkt.star.y, single.final.y)
 
 
 def test_long_run_blocks_are_sized_by_bytes():

@@ -91,7 +91,7 @@ def test_rowwise_residual_is_each_rows_own_dots(shape):
         assert np.array_equal(got, want), (shape, dx.shape)
         # one step, with float steps, as a lone cell and the harness call it
         assert fixed_point_residual(dx[0], dy[0], tau[0, 0], sigma[0, 0]) == want[0]
-        # a history's increments, as a replayed oracle piece is checked
+        # a history's increments, as a finished cell's last step is checked
         hx = np.cumsum(np.vstack((np.zeros(n), dx)), axis=0)
         hy = np.cumsum(np.vstack((np.zeros(m), dy)), axis=0)
         got = fixed_point_residual(np.diff(hx, axis=0), np.diff(hy, axis=0), 0.3, 0.7)
