@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import PPoint
-from .solver import (ParamStatus, SolverParams, Trajectory, Validity,
+from .solver import (ParamStatus, SolverParams, Trajectory, Validity, _region_terms,
                      continued_cumsum, running_averages, validate_params)
 
 __all__ = [
@@ -128,11 +128,6 @@ def make_kkt(problem, star: PPoint, check_tol: float | None = 1e-8,
     return KKTPoint(star, f_star, gstar_star, res, kind, iterations)
 
 
-def _eta_numerator(params: SolverParams) -> float:
-    t = params.theta
-    return 4.0 * t * (2.0 - t) - params.product * (1.0 - 2.0 * t + 9.0 * t ** 2 - 4.0 * t ** 3)
-
-
 def eta_coefficients(params: SolverParams) -> tuple[float, float]:
     """The increment weights (eta_+, eta_-) of the descent inequality.
 
@@ -146,7 +141,8 @@ def eta_coefficients(params: SolverParams) -> tuple[float, float]:
     if not 0.0 < t <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {t}")
     s = math.sqrt(params.tau * params.sigma) * params.operator_norm
-    num = _eta_numerator(params)
+    rhs_num, rhs_den = _region_terms(t)
+    num = rhs_num - params.product * rhs_den
     den_plus = 8.0 * (1.0 + s * t * (1.0 - t))
     den_minus = 8.0 * (1.0 - s * t * (1.0 - t))
     if den_plus <= 0 or den_minus <= 0:

@@ -662,9 +662,9 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
             finished[i] = live.pop(i)
             if seg.stopped_at is not None:
                 cell.stopped_at = first + seg.stopped_at
-            cell.final_residual = fixed_point_residual(
-                seg.X[-1] - seg.X[-2], seg.Y[-1] - seg.Y[-2],
-                cell.params.tau, cell.params.sigma)
+            cell.final_residual = float(fixed_point_residual(
+                np.diff(seg.X[-2:], axis=0), np.diff(seg.Y[-2:], axis=0),
+                cell.params.tau, cell.params.sigma)[0])
         del seg  # free this segment before the next one is run
         done += steps
     return finished

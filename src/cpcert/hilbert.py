@@ -258,4 +258,7 @@ def load_matrix(path) -> np.ndarray:
     data = tokens[2:]
     if len(data) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} entries, found {len(data)}")
-    return np.array(data, dtype=float).reshape(rows, cols)
+    try:
+        return np.array(data, dtype=float).reshape(rows, cols)
+    except ValueError as e:  # an entry that is not a decimal
+        raise ValueError(f"{path}: {e}") from None

@@ -41,12 +41,11 @@ __all__ = [
 ]
 
 
-# Iterations per block of the long-run oracle (the polish hook is tried
-# after each), and the bytes of iterates one block may span: 8 MiB keeps
-# 512-iteration blocks up to n + m = 2048. The block sets only where the
-# polish is tried, and so which point the oracle returns.
+# Iterations per block of the long-run oracle: the polish hook is tried
+# after each. The block sets only where the polish is tried, and so which
+# point the oracle returns; the oracle's memory is bounded by segments
+# (`certificates.segment_end`) alone.
 _ORACLE_BLOCK = 512
-_ORACLE_BLOCK_BYTES = 8 << 20
 # The largest fixed-point residual a saddle point stored with a problem may have.
 _STORED_KKT_TOL = 1e-8
 # A polished point is run this many more solver steps, and kept only if the
@@ -353,11 +352,11 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     checked on every step, so the point is the one a single run of
     ``iters`` steps ends at. Each piece ends at the first of: the end of a
     certified run's segment (:func:`cpcert.certificates.segment_end`), the
-    end of a block (:func:`_oracle_block` iterations) and the horizon.
-    Each piece is dropped once its final point is copied, so memory holds
-    about one segment of iterates, and none outlives the oracle: a
-    certified run at ``params`` computes its own iterates, and shares none
-    with the saddle point it is measured against.
+    end of a block (``_ORACLE_BLOCK`` iterations at every width) and the
+    horizon. Each piece is dropped once its final point is copied, so
+    memory holds about one segment of iterates, and none outlives the
+    oracle: a certified run at ``params`` computes its own iterates, and
+    shares none with the saddle point it is measured against.
 
     If the problem has a ``polish`` hook, it is tried on the final point of
     every piece that did not stop and ends a block or the horizon. A
@@ -374,12 +373,12 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     if status.kind is not Validity.STRICTLY_VALID:
         raise ValueError(f"long-run oracle needs StrictlyValid parameters, got {status}")
     z = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
-    block = _oracle_block(problem)
     width = problem.L.rows + problem.L.cols
     done = 0
     kkt = None
     while done < iters:
-        end = min(segment_end(done, width), (done // block + 1) * block, iters)
+        block_end = (done // _ORACLE_BLOCK + 1) * _ORACLE_BLOCK
+        end = min(segment_end(done, width), block_end, iters)
         try:
             traj = run(problem, params, z, end - done, stop_tol=stop_tol)
         except NonFiniteIterateError as e:  # named by its run-wide iteration
@@ -390,7 +389,7 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
         del traj
         if stopped:
             break
-        if problem.polish is not None and (done % block == 0 or done == iters):
+        if problem.polish is not None and (done % _ORACLE_BLOCK == 0 or done == iters):
             kkt = _polished(problem, params, z, stop_tol, done)
             if kkt is not None:
                 break
@@ -420,13 +419,6 @@ def _polished(problem: ProblemSpec, params, z: PPoint, stop_tol: float,
     kkt = make_kkt(problem, traj.final, check_tol=None, kind="polished",
                    iterations=done + traj.n_iters)
     return kkt if kkt.residual <= _POLISH_TOL else None
-
-
-def _oracle_block(problem: ProblemSpec) -> int:
-    """Iterations per oracle block: ``_ORACLE_BLOCK``, or fewer so that a
-    block spans about ``_ORACLE_BLOCK_BYTES`` of iterates (at least one)."""
-    per_iterate = 8 * (problem.L.rows + problem.L.cols)
-    return min(_ORACLE_BLOCK, max(1, _ORACLE_BLOCK_BYTES // per_iterate))
 
 
 # --- seeded instance builders and the config registry ---------------------
@@ -536,7 +528,10 @@ def read_problem_file(cfg, base_dir="."):
             raise ValueError(f"problem file {path} is in a reference cycle")
         seen.add(path.resolve())
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except ValueError as e:  # JSONDecodeError, or text that is not UTF-8
+                raise ValueError(f"problem file {path} is not valid JSON: {e}") from None
         base_dir = path.parent
     check_fields(cfg, _GENERATOR_REFERENCE, "problem", "problem.{}", ("generator",))
     params = cfg.get("params", {})

@@ -124,7 +124,14 @@ def bound_rhs(theta: float) -> float:
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-    return 4.0 * theta * (2.0 - theta) / (1.0 - 2.0 * theta + 9.0 * theta ** 2 - 4.0 * theta ** 3)
+    num, den = _region_terms(theta)
+    return num / den
+
+
+def _region_terms(theta: float) -> tuple[float, float]:
+    """The numerator and denominator of :func:`bound_rhs`, as it states them."""
+    return (4.0 * theta * (2.0 - theta),
+            1.0 - 2.0 * theta + 9.0 * theta ** 2 - 4.0 * theta ** 3)
 
 
 def validate_params(p: SolverParams) -> ParamStatus:
@@ -210,17 +217,14 @@ def step(z: PPoint, problem, params: SolverParams) -> PPoint:
 def fixed_point_residual(dx, dy, tau, sigma):
     """max(||dx||/tau, ||dy||/sigma) for each row of a step's increments.
 
-    ``dx`` and ``dy`` are one step's vectors, giving a float, or stacks of
-    steps (k, n) and (k, m), giving k values; ``tau`` and ``sigma`` are
-    floats or step columns of shape (k, 1), as :func:`_advance` takes
-    them. Each norm is sqrt(v.dot(v)), np.linalg.norm's arithmetic on a
-    vector, with the bits of that row alone: a stacked matmul of each row
-    into itself makes one BLAS dot per row (a summed square, such as
-    ``(v * v).sum(-1)`` or einsum, rounds differently).
+    ``dx`` and ``dy`` are stacks of steps (k, n) and (k, m), giving k
+    values; ``tau`` and ``sigma`` are floats or step columns of shape
+    (k, 1), as :func:`_advance` takes them. Each norm is sqrt(v.dot(v)),
+    np.linalg.norm's arithmetic on a vector, with the bits of that row
+    alone: a stacked matmul of each row into itself makes one BLAS dot per
+    row (a summed square, such as ``(v * v).sum(-1)`` or einsum, rounds
+    differently).
     """
-    if dx.ndim == 1:
-        return max(math.sqrt(dx.dot(dx)) / tau, math.sqrt(dy.dot(dy)) / sigma)
-
     def norms(d):  # one per row, shape (k, 1) like the step columns
         return np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0]
 

@@ -16,7 +16,7 @@ import cpcert as c
 from cpcert.harness import (_FIELDS, _OBJECT_FIELDS, CSV_COLUMNS, ExperimentConfig,
                             UsageError, corrupt_trajectory, emit_plotdata, fit_rate,
                             main, read_trajectory_csv, recompute_flags_from_csv)
-from cpcert.problems import GENERATORS, INTEGER
+from cpcert.problems import GENERATORS, INTEGER, read_problem_file
 from cpcert.solver import running_averages
 
 from conftest import traced_peak
@@ -1269,6 +1269,18 @@ def test_problem_file_reference_cycle_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", problem={"file": "p.json"})
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "reference cycle" in capsys.readouterr().err
+
+
+def test_problem_file_that_is_not_json_is_named_in_its_error(tmp_path, capsys):
+    # the error used to be the decoder's alone: "Expecting value: line 1
+    # column 1 (char 0)"
+    path = tmp_path / "p.json"
+    path.write_text("not json\n")
+    with pytest.raises(ValueError, match=f"problem file {re.escape(str(path))} is not valid JSON"):
+        read_problem_file({"file": "p.json"}, tmp_path)
+    cfg = write_config(tmp_path / "cfg.json", problem={"file": "p.json"})
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", [61, -1])

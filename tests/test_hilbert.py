@@ -307,3 +307,18 @@ def test_load_matrix_rejects_a_bad_header_naming_its_file(tmp_path, capsys, text
                                                       "b": [1.0] * 2}}}))
     assert main(["validate", "--config", str(cfg)]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+def test_load_matrix_names_its_file_on_a_bad_entry(tmp_path, capsys):
+    # the entry error used to be numpy's alone: "could not convert string
+    # to float: 'x'"
+    path = tmp_path / "m.txt"
+    path.write_text("2 2\n1 2 x 4\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'x'"):
+        load_matrix(path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": {"generator": "quadratic",
+                                           "params": {"matrix": str(path), "a": [1.0] * 2,
+                                                      "b": [1.0] * 2}}}))
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert str(path) in capsys.readouterr().err

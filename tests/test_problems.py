@@ -164,26 +164,19 @@ def test_long_run_blocks_stop_inside_second_block():
     assert np.array_equal(kkt.star.y, single.final.y)
 
 
-def cap_oracle_block(monkeypatch, tv, rows):
-    """Set the oracle's byte cap to ``rows`` iterates of ``tv``."""
-    monkeypatch.setattr(problems, "_ORACLE_BLOCK_BYTES",
-                        rows * 8 * (tv.L.rows + tv.L.cols))
-    assert problems._oracle_block(tv) == rows
-
-
-def test_byte_capped_blocks_end_at_single_run_point(monkeypatch):
+def test_small_blocks_end_at_single_run_point(monkeypatch):
     # 1300 iterations run as 144 blocks of 9 and one of 4
     tv, params, z0 = blocked_oracle_case()
-    cap_oracle_block(monkeypatch, tv, 9)
+    monkeypatch.setattr(problems, "_ORACLE_BLOCK", 9)
     kkt = c.kkt_by_long_run(tv, params, 1300, stop_tol=None)
     final = c.run(tv, params, z0, max_iters=1300, stop_tol=None).final
     assert np.array_equal(kkt.star.x, final.x)
     assert np.array_equal(kkt.star.y, final.y)
 
 
-def test_byte_capped_blocks_stop_inside_a_block(monkeypatch):
+def test_small_blocks_stop_inside_a_block(monkeypatch):
     tv, params, z0 = blocked_oracle_case()
-    cap_oracle_block(monkeypatch, tv, 9)
+    monkeypatch.setattr(problems, "_ORACLE_BLOCK", 9)
     single = c.run(tv, params, z0, max_iters=1300, stop_tol=1e-11)
     assert single.stopped_at % 9 not in (0, 1)  # neither a block's first nor last step
     kkt = c.kkt_by_long_run(tv, params, 1300, stop_tol=1e-11)
@@ -197,16 +190,6 @@ def oracle_peak_bytes(problem, iters):
         stop_tol=None, accept_tol=math.inf))[0]
 
 
-def test_long_run_holds_one_block_at_a_time():
-    # the last block's final point used to be views that pinned the whole
-    # block while the next one ran: two blocks' history live at once
-    lasso = c.random_lasso(120, 80, 0.2, seed=1)
-    rows = problems._oracle_block(lasso)
-    block = (rows + 1) * (lasso.L.rows + lasso.L.cols) * 8
-    peak = oracle_peak_bytes(lasso, 3 * rows)
-    assert peak <= 1.3 * block, peak / block
-
-
 def test_long_run_holds_one_segment():
     # each block runs as pieces that end where a certified run's segments
     # end, 245 iterates here against 512 per block, and each piece is
@@ -214,8 +197,8 @@ def test_long_run_holds_one_segment():
     lasso = c.random_lasso(120, 80, 0.2, seed=1)
     width = lasso.L.rows + lasso.L.cols
     segment = certificates._segment_iterates(width)
-    assert 2 * segment < problems._oracle_block(lasso)
-    peak = oracle_peak_bytes(lasso, 3 * problems._oracle_block(lasso))
+    assert 2 * segment < problems._ORACLE_BLOCK
+    peak = oracle_peak_bytes(lasso, 3 * problems._ORACLE_BLOCK)
     piece = (segment + 1) * width * 8
     assert peak <= 1.3 * piece, peak / piece
 
@@ -233,13 +216,35 @@ def test_long_run_stops_inside_a_segment_at_the_single_run_point():
     assert np.array_equal(kkt.star.y, single.final.y)
 
 
-def test_long_run_blocks_are_sized_by_bytes():
-    # 300 iterations of a wide problem used to be one block of 301
-    # iterates, 24 MB at n = 5000; now blocks hold about 8 MiB each
+def test_wide_long_run_holds_one_segment():
+    # at n = 5000 a segment is 8 iterates, so 300 steps run as 38 pieces
+    # inside one block, and each is dropped once its final point is copied
+    # (1.82 pieces measured)
     tv = c.make_tv1d(c.default_tv_signal(5000, seed=0), lam=0.5)
-    assert problems._oracle_block(tv) < 300
+    width = tv.L.rows + tv.L.cols
+    piece = (certificates._segment_iterates(width) + 1) * width * 8
     peak = oracle_peak_bytes(tv, 300)
-    assert peak <= 1.3 * problems._ORACLE_BLOCK_BYTES, peak / problems._ORACLE_BLOCK_BYTES
+    assert peak <= 2.5 * piece, peak / piece
+
+
+def test_wide_long_run_tries_the_polish_once_per_block():
+    # n + m = 2199: the polish is tried after every 512 steps and at the
+    # horizon, whatever the width, on the point a single run ends at
+    tv = c.make_tv1d(c.default_tv_signal(1100, seed=0), lam=0.5)
+    tried = []
+
+    def polish(z):
+        tried.append(z)
+        return None
+
+    params = strict_params(tv)
+    hooked = dataclasses.replace(tv, polish=polish)
+    c.kkt_by_long_run(hooked, params, 1000, stop_tol=None, accept_tol=math.inf)
+    assert len(tried) == 2
+    z0 = c.PPoint(np.zeros(tv.L.cols), np.zeros(tv.L.rows))
+    final = c.run(tv, params, z0, max_iters=512, stop_tol=None).final
+    assert np.array_equal(tried[0].x, final.x)
+    assert np.array_equal(tried[0].y, final.y)
 
 
 def test_long_run_names_the_run_wide_nonfinite_iteration():

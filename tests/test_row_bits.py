@@ -89,8 +89,9 @@ def test_rowwise_residual_is_each_rows_own_dots(shape):
         got = fixed_point_residual(dx, dy, tau, sigma)
         assert got.shape == (dx.shape[0],)
         assert np.array_equal(got, want), (shape, dx.shape)
-        # one step, with float steps, as a lone cell and the harness call it
-        assert fixed_point_residual(dx[0], dy[0], tau[0, 0], sigma[0, 0]) == want[0]
+        # one step as a one-row stack, with float steps
+        one = fixed_point_residual(dx[:1], dy[:1], tau.item(0), sigma.item(0))
+        assert one.shape == (1,) and one[0] == want[0]
         # a history's increments, as a finished cell's last step is checked
         hx = np.cumsum(np.vstack((np.zeros(n), dx)), axis=0)
         hy = np.cumsum(np.vstack((np.zeros(m), dy)), axis=0)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -325,17 +326,20 @@ def test_fixed_point_residual_is_the_norm_ratio_bitwise():
         dx, dy = rng.standard_normal(n), rng.standard_normal(m)
         tau, sigma = rng.uniform(0.01, 2.0, 2)
         want = max(float(np.linalg.norm(dx)) / tau, float(np.linalg.norm(dy)) / sigma)
-        assert fixed_point_residual(dx, dy, tau, sigma) == want
+        assert want == max(math.sqrt(dx.dot(dx)) / tau, math.sqrt(dy.dot(dy)) / sigma)
+        got = fixed_point_residual(dx[None], dy[None], tau, sigma)
+        assert got.shape == (1,) and got[0] == want
 
 
 def test_one_row_residual_has_the_vector_forms_bits():
-    # a stack's matmul makes one BLAS dot per row, the vector form's dot,
-    # so a one-row stack and the first row of a taller one have its bits
+    # a stack's matmul makes one BLAS dot per row, a vector's own dot, so
+    # a one-row stack and the first row of a taller one have its bits
     rng = np.random.default_rng(5)
     for n, m in ((1, 1), (10, 12), (600, 900)):
         dx, dy = rng.standard_normal((2, n)), rng.standard_normal((2, m))
         tau, sigma = rng.uniform(0.01, 2.0, (2, 2, 1))  # step columns
-        want = fixed_point_residual(dx[0], dy[0], tau.item(0), sigma.item(0))
+        want = max(math.sqrt(dx[0].dot(dx[0])) / tau.item(0),
+                   math.sqrt(dy[0].dot(dy[0])) / sigma.item(0))
         one = fixed_point_residual(dx[:1], dy[:1], tau[:1], sigma[:1])
         assert one.shape == (1,) and one[0] == want
         assert fixed_point_residual(dx, dy, tau, sigma)[0] == want
