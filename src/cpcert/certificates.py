@@ -242,8 +242,9 @@ class CertifyCarry:
     need. The last table holds the run constants, computed once with the
     first segment: V(0), the parameter status, whether the checks are
     asserted, and the increment weights. The summary is folded as the
-    tables arrive: their row count, the largest residuals, the failures of
-    each check and the first failing k. A segment's last row has no
+    tables arrive: the largest residuals, the failures of each check and
+    the first failing k. Its row count is the iterates fed, less the two
+    that complete the last window. A segment's last row has no
     successor in its own table, so its V-monotonicity check is made when
     the next segment arrives. A call that raises leaves the carry as it was.
     """
@@ -256,7 +257,6 @@ class CertifyCarry:
     lty_star: np.ndarray | None = None
     overlap: tuple = ()
     last: CertificateTable | None = None
-    rows: int = 0
     max_residual: dict = field(default_factory=dict)
     fail_counts: dict = field(default_factory=lambda: dict.fromkeys(_CHECKS, 0))
     first_failing_k: int | None = None
@@ -264,7 +264,6 @@ class CertifyCarry:
     def _fold(self, table: CertificateTable) -> None:
         """Fold the next segment's table into the run's summary."""
         prev, self.last = self.last, table
-        self.rows += len(table.ks)
         for name in ("descent_residual", "lower_bound_residual"):
             m = np.max(getattr(table, name))
             self.max_residual[name] = np.maximum(self.max_residual.get(name, m), m)
@@ -291,7 +290,7 @@ class CertifyCarry:
         when the checks are not asserted)."""
         t = self.last
         out = {
-            "rows": self.rows,
+            "rows": self.iterates - 2,
             "status": t.status.kind.value,
             "asserted": t.asserted,
             "tol": t.tol,

@@ -182,7 +182,7 @@ class ExperimentConfig:
                 raw = json.load(fh)
         except FileNotFoundError:
             raise UsageError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or text that is not UTF-8
             raise UsageError(f"config file {path} is not valid JSON: {e}") from None
         check_fields(raw, _FIELDS, "the config", "config field '{}'", ("problem",),
                      UsageError)

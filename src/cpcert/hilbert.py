@@ -247,7 +247,10 @@ def load_matrix(path) -> np.ndarray:
     """Read a dense matrix from plain text: first line "rows cols", two
     integers >= 1, then row-major whitespace-separated decimals."""
     with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
+        try:
+            tokens = fh.read().split()
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
     if len(tokens) < 2:
         raise ValueError(f"{path}: missing 'rows cols' header")
     header = tokens[:2]

@@ -212,9 +212,9 @@ def make_tv1d(signal, lam: float) -> ProblemSpec:
     g* is the indicator of the box ||y||_inf <= lam; its prox (the box
     projection) again follows from g by Moreau. The operator bound is the
     safe analytic value 2. The saddle point comes from a direct solve
-    (:func:`_tv1d_direct`) and is attached as ``kkt`` with kind
-    ``"direct"``; should its residual exceed what a stored point may have
-    (1e-8), none is attached and the long-run oracle serves instead.
+    (:func:`_tv1d_direct`) and is attached as ``kkt``; should its residual
+    exceed what a stored point may have (1e-8), none is attached and the
+    long-run oracle serves instead.
     """
     signal = as_vector(signal)
     if signal.shape[0] < 2:
@@ -234,16 +234,13 @@ def make_tv1d(signal, lam: float) -> ProblemSpec:
         L=ForwardDifferenceOperator(signal.shape[0]),
         metadata={"generator": "tv1d", "lam": lam},
     )
-    res, star = _tv1d_direct(problem, signal, lam)
-    if res > _STORED_KKT_TOL:
-        return problem
-    return replace(problem, kkt=make_kkt(problem, star, check_tol=None, kind="direct"))
+    kkt = _tv1d_direct(problem, signal, lam)
+    return problem if kkt.residual > _STORED_KKT_TOL else replace(problem, kkt=kkt)
 
 
-def _tv1d_direct(problem: ProblemSpec, signal: np.ndarray,
-                 lam: float) -> tuple[float, PPoint]:
-    """The fixed-point residual and the TV-1D saddle point (x*, y*) of
-    ``problem``, from Condat's algorithm.
+def _tv1d_direct(problem: ProblemSpec, signal: np.ndarray, lam: float) -> KKTPoint:
+    """The TV-1D saddle point (x*, y*) of ``problem``, from Condat's
+    algorithm: a KKTPoint of kind ``"direct"`` with its fixed-point residual.
 
     Stationarity, x* - signal + L^T y* = 0, gives y*_i = sum_{j<=i}
     (x*_j - signal_j), clipped to the box. That plain sum carries rounding
@@ -253,9 +250,9 @@ def _tv1d_direct(problem: ProblemSpec, signal: np.ndarray,
     """
     x = np.array(_condat_tv1d(signal.tolist(), lam))
     plain = PPoint(x, np.clip(np.cumsum(x - signal)[:-1], -lam, lam))
-    resummed = _tv1d_resummed(signal, lam, x)
-    return min(((kkt_residual(problem, z), z) for z in (resummed, plain)),
-               key=lambda t: t[0])
+    return min((make_kkt(problem, z, check_tol=None, kind="direct")
+                for z in (_tv1d_resummed(signal, lam, x), plain)),
+               key=lambda kkt: kkt.residual)
 
 
 def _tv1d_resummed(signal: np.ndarray, lam: float, x: np.ndarray) -> PPoint:
@@ -347,25 +344,19 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     """Approximate saddle point from a solver run (oracle construction).
 
     Run far past the horizon of the experiment the point will serve (at
-    least 10x). The run goes in pieces, each continuing from the last
-    one's final point; the iteration is memoryless and the stop rule is
-    checked on every step, so the point is the one a single run of
-    ``iters`` steps ends at. Each piece ends at the first of: the end of a
-    certified run's segment (:func:`cpcert.certificates.segment_end`), the
-    end of a block (``_ORACLE_BLOCK`` iterations at every width) and the
-    horizon. Each piece is dropped once its final point is copied, so
-    memory holds about one segment of iterates, and none outlives the
-    oracle: a certified run at ``params`` computes its own iterates, and
-    shares none with the saddle point it is measured against.
+    least 10x), in blocks of ``_ORACLE_BLOCK`` iterations that each run in
+    segment pieces (:func:`_run_pieces`): memory holds about one segment of
+    iterates, none of which outlives the oracle, and the point is the one
+    a single run of ``iters`` steps ends at.
 
     If the problem has a ``polish`` hook, it is tried on the final point of
-    every piece that did not stop and ends a block or the horizon. A
-    candidate is run ``_POLISH_ITERS`` more steps and kept, ending the
-    run, if its fixed-point residual is then at most ``_POLISH_TOL``; such
-    a point has kind ``"polished"``. A candidate that fails is dropped and
-    the run goes on as if it had never been tried, so the point otherwise
-    is the long run's, of kind ``"long_run"``. The returned point carries
-    its measured fixed-point residual and the solver steps taken; a
+    every block that did not stop. A candidate is run ``_POLISH_ITERS``
+    more steps, in pieces too, and kept, ending the run, if its fixed-point
+    residual is then at most ``_POLISH_TOL``; such a point has kind
+    ``"polished"``. A candidate that fails, by a non-finite step too, is
+    dropped and the run goes on as if it had never been tried; the point
+    otherwise is the long run's, of kind ``"long_run"``. The returned point
+    carries its measured fixed-point residual and the solver steps taken; a
     residual above ``accept_tol`` rejects the oracle outright with
     :class:`OracleRejectedError`.
     """
@@ -373,26 +364,23 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     if status.kind is not Validity.STRICTLY_VALID:
         raise ValueError(f"long-run oracle needs StrictlyValid parameters, got {status}")
     z = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
-    width = problem.L.rows + problem.L.cols
-    done = 0
-    kkt = None
-    while done < iters:
-        block_end = (done // _ORACLE_BLOCK + 1) * _ORACLE_BLOCK
-        end = min(segment_end(done, width), block_end, iters)
-        try:
-            traj = run(problem, params, z, end - done, stop_tol=stop_tol)
-        except NonFiniteIterateError as e:  # named by its run-wide iteration
-            raise NonFiniteIterateError(done + e.iteration) from None
-        z = traj.final  # a copy: the piece is dropped before the next one runs
-        done += traj.n_iters
-        stopped = traj.stopped_at is not None
-        del traj
+    done, kkt = 0, None
+    while done < iters and kkt is None:
+        block_end = min((done // _ORACLE_BLOCK + 1) * _ORACLE_BLOCK, iters)
+        z, done, stopped = _run_pieces(problem, params, z, done, block_end, stop_tol)
         if stopped:
             break
-        if problem.polish is not None and (done % _ORACLE_BLOCK == 0 or done == iters):
-            kkt = _polished(problem, params, z, stop_tol, done)
-            if kkt is not None:
-                break
+        candidate = None if problem.polish is None else problem.polish(z)
+        if candidate is None:
+            continue
+        try:
+            star, steps, _ = _run_pieces(problem, params, candidate, done,
+                                         done + _POLISH_ITERS, stop_tol)
+        except NonFiniteIterateError:
+            continue
+        kkt = make_kkt(problem, star, check_tol=None, kind="polished", iterations=steps)
+        if kkt.residual > _POLISH_TOL:
+            kkt = None
     if kkt is None:
         kkt = make_kkt(problem, z, check_tol=None, kind="long_run", iterations=done)
     if kkt.residual > accept_tol:
@@ -403,22 +391,29 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     return kkt
 
 
-def _polished(problem: ProblemSpec, params, z: PPoint, stop_tol: float,
-              done: int) -> KKTPoint | None:
-    """The polish hook's candidate from z, the final point after ``done``
-    steps, run ``_POLISH_ITERS`` more steps: a ``"polished"`` KKTPoint
-    counting all the steps taken, if its fixed-point residual is then at
-    most ``_POLISH_TOL``; otherwise None."""
-    candidate = problem.polish(z)
-    if candidate is None:
-        return None
-    try:
-        traj = run(problem, params, candidate, _POLISH_ITERS, stop_tol=stop_tol)
-    except NonFiniteIterateError:
-        return None
-    kkt = make_kkt(problem, traj.final, check_tol=None, kind="polished",
-                   iterations=done + traj.n_iters)
-    return kkt if kkt.residual <= _POLISH_TOL else None
+def _run_pieces(problem: ProblemSpec, params, z: PPoint, done: int, end: int,
+                stop_tol: float | None) -> tuple[PPoint, int, bool]:
+    """Run from z, the point after ``done`` steps, to step ``end``: the
+    final point, the steps done and whether the stop rule ended the run.
+
+    Each piece is one :func:`run` call that ends at a segment end
+    (:func:`cpcert.certificates.segment_end`) or at ``end`` and is dropped
+    once its final point is copied, so memory holds about one segment of
+    iterates. The iteration is memoryless and the stop rule is checked on
+    every step, so the point is the one a single run ends at. A
+    :class:`NonFiniteIterateError` is named by its run-wide step.
+    """
+    width = problem.L.rows + problem.L.cols
+    stopped = False
+    while done < end and not stopped:
+        try:
+            traj = run(problem, params, z, min(segment_end(done, width), end) - done,
+                       stop_tol=stop_tol)
+        except NonFiniteIterateError as e:
+            raise NonFiniteIterateError(done + e.iteration) from None
+        z, done, stopped = traj.final, done + traj.n_iters, traj.stopped_at is not None
+        del traj
+    return z, done, stopped
 
 
 # --- seeded instance builders and the config registry ---------------------

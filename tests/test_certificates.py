@@ -365,6 +365,14 @@ def test_table_matches_per_row_reference_bitwise(theta, tv_problem, monkeypatch)
         assert_segments_match_reference(monkeypatch, traj, kkt, problem)
 
 
+def test_certify_needs_two_iterations(tv_problem):
+    problem, kkt = tv_problem
+    params = SolverParams(*suggest_steps(1.0, problem.L.norm_bound),
+                          theta=1.0, operator_norm=problem.L.norm_bound)
+    with pytest.raises(ValueError, match="at least 2 iterations"):
+        certify_trajectory(origin_run(problem, params, 1), kkt, problem)
+
+
 def test_certify_rejects_vector_only_value_map():
     tv = c.make_tv1d(np.array([1.0, 0.0, 1.0, 0.5]), lam=0.7)
     params = SolverParams(*suggest_steps(1.0, tv.L.norm_bound),

@@ -1226,6 +1226,19 @@ def test_observational_run_past_the_p_positivity_corner(tmp_path):
     assert np.isfinite(cols["lyapunov"]).all()
 
 
+def test_observational_run_beyond_theta_one(tmp_path):
+    # eta_coefficients rejects theta = 1.5, so the eta weights are null too
+    cfg = write_config(tmp_path / "cfg.json", theta=1.5, tau=0.1, sigma=0.1,
+                       override_invalid=True)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["params"]["status"] == "Invalid"
+    cert = summary["certificates"]
+    assert cert["mode"] == "observational"
+    assert cert["eta_plus"] is None and cert["eta_minus"] is None
+
+
 # --- problem errors, file references and fault ranges, before any output ------
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
@@ -1281,6 +1294,36 @@ def test_problem_file_that_is_not_json_is_named_in_its_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", problem={"file": "p.json"})
     assert main(["validate", "--config", str(cfg)]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"not json\n", "config file {} is not valid JSON"),
+    # used to be the codec's message alone: "'utf-8' codec can't decode
+    # byte 0xff in position 0: invalid start byte"
+    (b"\xff\xfe{}", "config file {} is not valid JSON"),
+    (b"[]", "the config must be an object"),
+], ids=["not-json", "not-utf8", "list"])
+def test_config_file_error_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    message = message.format(path)
+    with pytest.raises(UsageError, match=re.escape(message)):
+        ExperimentConfig.from_file(path)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("solve", {"tau": 0.1}, "give both tau and sigma, or neither"),
+    ("sweep", {}, "sweep config needs grid"),
+], ids=["tau-alone", "sweep-without-grid"])
+def test_step_or_grid_error_exits_2_before_any_output(tmp_path, capsys, command,
+                                                     overrides, message):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("k", [61, -1])

@@ -301,10 +301,16 @@ def test_load_matrix_rejects_a_bad_header_naming_its_file(tmp_path, capsys, text
     path.write_text(text)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         load_matrix(path)
+    assert_validate_names_matrix(tmp_path, capsys, path, 3, 2)
+
+
+def assert_validate_names_matrix(tmp_path, capsys, path, cols, rows):
+    """``validate`` on a quadratic built on the matrix file at ``path``
+    exits 2 and names the file."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": {"generator": "quadratic",
-                                           "params": {"matrix": str(path), "a": [1.0] * 3,
-                                                      "b": [1.0] * 2}}}))
+                                           "params": {"matrix": str(path), "a": [1.0] * cols,
+                                                      "b": [1.0] * rows}}}))
     assert main(["validate", "--config", str(cfg)]) == 2
     assert str(path) in capsys.readouterr().err
 
@@ -316,9 +322,20 @@ def test_load_matrix_names_its_file_on_a_bad_entry(tmp_path, capsys):
     path.write_text("2 2\n1 2 x 4\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'x'"):
         load_matrix(path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"problem": {"generator": "quadratic",
-                                           "params": {"matrix": str(path), "a": [1.0] * 2,
-                                                      "b": [1.0] * 2}}}))
-    assert main(["validate", "--config", str(cfg)]) == 2
-    assert str(path) in capsys.readouterr().err
+    assert_validate_names_matrix(tmp_path, capsys, path, 2, 2)
+
+
+def test_load_matrix_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    # the error used to be the codec's alone: "'utf-8' codec can't decode
+    # byte 0xff in position 8: invalid start byte"
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"2 2\n1 2 \xff 4\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*position 8"):
+        load_matrix(path)
+    assert_validate_names_matrix(tmp_path, capsys, path, 2, 2)
+
+
+def test_adjoint_rejects_a_vector_of_the_wrong_length():
+    for L in (MatrixOperator(np.ones((3, 2))), ForwardDifferenceOperator(4)):
+        with pytest.raises(ValueError, match="adjoint expects"):
+            L.apply_adjoint(np.zeros(L.rows + 1))

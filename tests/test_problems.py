@@ -227,6 +227,19 @@ def test_wide_long_run_holds_one_segment():
     assert peak <= 2.5 * piece, peak / piece
 
 
+def test_polish_check_holds_one_segment():
+    # n + m = 1500: 32-iterate segments, so the 50-step polish check runs as
+    # pieces too (1.27 pieces measured; 1.82 with the check as one piece)
+    lasso = c.random_lasso(900, 600, 0.2, seed=0)
+    width = lasso.L.rows + lasso.L.cols
+    piece = (certificates._segment_iterates(width) + 1) * width * 8
+    assert certificates._segment_iterates(width) < problems._POLISH_ITERS
+    params = strict_params(lasso)
+    peak, kkt = traced_peak(c.kkt_by_long_run, lasso, params, 4000)
+    assert kkt.kind == "polished" and kkt.iterations == 562
+    assert peak <= 1.5 * piece, peak / piece
+
+
 def test_wide_long_run_tries_the_polish_once_per_block():
     # n + m = 2199: the polish is tried after every 512 steps and at the
     # horizon, whatever the width, on the point a single run ends at
@@ -425,6 +438,33 @@ def test_failed_polish_ends_at_the_long_run_point(monkeypatch, iters, stop_tol):
     assert np.array_equal(kkt.star.y, single.final.y)
     assert kkt.iterations == single.n_iters
     assert single.stopped_at == (None if stop_tol is None else kkt.iterations)
+
+
+def test_non_finite_polish_check_drops_the_candidate():
+    # the prox fails on the first step of each check; the check's
+    # NonFiniteIterateError drops the candidate, and the run goes on
+    tv, params, z0 = blocked_oracle_case()
+    prox, tried, armed = tv.f.prox, [], [False]
+
+    def f_prox(x, gamma):
+        if armed[0]:
+            armed[0] = False
+            return np.full_like(x, np.nan)
+        return prox(x, gamma)
+
+    def polish(z):
+        tried.append(z)
+        armed[0] = True
+        return z
+
+    hooked = c.ProblemSpec(tv.name, c.ProxFn(tv.f.evaluate, f_prox), tv.gstar, tv.L,
+                           polish=polish)
+    kkt = c.kkt_by_long_run(hooked, params, 1300, stop_tol=None, accept_tol=math.inf)
+    final = c.run(tv, params, z0, max_iters=1300, stop_tol=None).final
+    assert len(tried) == 3
+    assert kkt.kind == "long_run" and kkt.iterations == 1300
+    assert np.array_equal(kkt.star.x, final.x)
+    assert np.array_equal(kkt.star.y, final.y)
 
 
 def test_failed_refinement_ends_at_the_long_run_point(monkeypatch):

@@ -389,6 +389,15 @@ def test_run_rejects_nonfinite_start():
         run(problem, params, z0, max_iters=3)
 
 
+def test_run_rejects_a_start_of_the_wrong_dimension_or_no_steps():
+    problem = one_d_problem()
+    params = SolverParams(0.5, 0.5, 1.0, 1.0)
+    with pytest.raises(ValueError, match="z0 dims"):
+        run(problem, params, c.PPoint(np.zeros(2), np.zeros(1)), max_iters=3)
+    with pytest.raises(ValueError, match="max_iters must be >= 1"):
+        run(problem, params, c.PPoint(np.zeros(1), np.zeros(1)), max_iters=0)
+
+
 @pytest.mark.parametrize("theta", [0.1, 0.5, 1.0])
 def test_run_matches_checked_reference_bitwise(theta):
     quad = c.random_quadratic(12, 10, seed=7)
