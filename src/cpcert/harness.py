@@ -33,8 +33,8 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .schema import (INTEGER, NONNEGATIVE, NUMBER, OBJECT, POSITIVE, STRING, UNIT,
-                     UNIT_LIST, check_fields, is_int)
+from .schema import (COUNT, INTEGER, NONNEGATIVE, NUMBER, OBJECT, POSITIVE, SEED, STRING,
+                     UNIT, UNIT_LIST, check_fields, is_int)
 
 # The names this module takes from the numeric modules, bound on first use
 # (:func:`_numeric`), so that ``rate`` and ``plotdata``, which read the CSV
@@ -124,10 +124,10 @@ _FIELDS = {
     **dict.fromkeys(("tau", "sigma"), _or_null(POSITIVE)),
     "stop_tol": _or_null(NONNEGATIVE),
     "iters": (lambda v: is_int(v) and v >= 2, "an integer >= 2"),
-    "seed": INTEGER,
+    "seed": SEED,
     "tolerance": NONNEGATIVE,
     "override_invalid": (lambda v: isinstance(v, bool), "true or false"),
-    "oracle_iters": _or_null((lambda v: is_int(v) and v >= 1, "an integer >= 1")),
+    "oracle_iters": _or_null(COUNT),
     "fault": _or_null(OBJECT),
     "grid": _or_null(OBJECT),
     "out": STRING,
@@ -427,18 +427,12 @@ def _resolve_params(cfg: ExperimentConfig, operator_norm: float) -> SolverParams
 
 
 def _get_kkt(problem, cfg: ExperimentConfig):
-    """The saddle point for ``problem``: its own, or the long-run oracle's
-    at θ = 1, safety 0.9 and ratio 1, run ``cfg.oracle_iters`` steps
-    (default the larger of 20000 and 10 ``cfg.iters``)."""
+    """The saddle point for ``problem``: its own, or the long-run oracle's over
+    ``cfg.oracle_iters`` steps (default the larger of 20000 and 10 ``cfg.iters``)."""
     if problem.kkt is not None:
         return problem.kkt
-    oracle_iters = (max(20000, 10 * cfg.iters) if cfg.oracle_iters is None
-                    else cfg.oracle_iters)
-    oracle_params = SolverParams(
-        *suggest_steps(1.0, problem.L.norm_bound, 0.9, 1.0),
-        theta=1.0, operator_norm=problem.L.norm_bound,
-    )
-    return kkt_by_long_run(problem, oracle_params, oracle_iters)
+    return kkt_by_long_run(problem, max(20000, 10 * cfg.iters) if cfg.oracle_iters is None
+                           else cfg.oracle_iters)
 
 
 def _oracle_fields(kkt) -> dict:
@@ -816,6 +810,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if args.command == "sweep" and (args.theta, args.safety) != (None, None):
+            raise UsageError("a sweep takes theta and safety from grid, not options")
         if args.command in ("solve", "sweep", "validate"):
             cfg = ExperimentConfig.from_file(args.config)
             cfg.apply_overrides(args)

@@ -7,6 +7,8 @@ estimation, and plain-text matrix input.
 
 from __future__ import annotations
 
+import itertools
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -243,25 +245,64 @@ def estimate_norm(L: LinearOperator, tol: float = 1e-10,
     return sigma
 
 
+# Characters of matrix text that :func:`load_matrix` splits and converts
+# at a time.
+_TEXT_CHUNK = 1 << 16
+
+
 def load_matrix(path) -> np.ndarray:
     """Read a dense matrix from plain text: first line "rows cols", two
-    integers >= 1, then row-major whitespace-separated decimals."""
+    integers >= 1, then row-major whitespace-separated decimals.
+
+    The text is split and converted in chunks of ``_TEXT_CHUNK``
+    characters into one preallocated array, so memory holds the matrix and
+    one chunk's tokens, however the entries are laid out in lines."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            tokens = fh.read().split()
+            return _read_matrix(path, fh)
         except UnicodeDecodeError as e:
             raise ValueError(f"{path}: {e}") from None
+
+
+def _read_matrix(path, fh) -> np.ndarray:
+    chunks = _token_chunks(fh)
+    tokens = []
+    for chunk in chunks:  # up to the two header tokens
+        tokens += chunk
+        if len(tokens) >= 2:
+            break
     if len(tokens) < 2:
         raise ValueError(f"{path}: missing 'rows cols' header")
-    header = tokens[:2]
+    header, tokens = tokens[:2], tokens[2:]
     if not all(t.isascii() and t.isdigit() and int(t) >= 1 for t in header):
         raise ValueError(f"{path}: header 'rows cols' must be integers >= 1, "
                          f"got {' '.join(header)!r}")
     rows, cols = map(int, header)
-    data = tokens[2:]
-    if len(data) != rows * cols:
-        raise ValueError(f"{path}: expected {rows * cols} entries, found {len(data)}")
-    try:
-        return np.array(data, dtype=float).reshape(rows, cols)
-    except ValueError as e:  # an entry that is not a decimal
-        raise ValueError(f"{path}: {e}") from None
+    # a file of n bytes holds fewer than n // 2 + 1 entries, so a header
+    # larger than its file allocates no more (a pipe has size 0: no bound)
+    size = os.fstat(fh.fileno()).st_size
+    out = np.empty(min(rows * cols, size // 2 + 1) if size else rows * cols)
+    found = 0
+    for chunk in itertools.chain([tokens], chunks):
+        room = out[found:found + len(chunk)]
+        try:
+            room[:] = np.array(chunk[:len(room)], dtype=float)
+        except ValueError as e:  # an entry that is not a decimal
+            raise ValueError(f"{path}: {e}") from None
+        found += len(chunk)
+    if found != rows * cols:
+        raise ValueError(f"{path}: expected {rows * cols} entries, found {found}")
+    return out.reshape(rows, cols)
+
+
+def _token_chunks(fh):
+    """The whitespace-separated tokens of the text file ``fh``, as one list
+    per ``_TEXT_CHUNK`` characters read; a token cut by a chunk's end is
+    carried into the next list."""
+    carry = ""
+    while text := fh.read(_TEXT_CHUNK):
+        tokens = (carry + text).split()
+        carry = "" if text[-1].isspace() else tokens.pop()
+        yield tokens
+    if carry:
+        yield [carry]

@@ -23,8 +23,8 @@ from .certificates import KKTPoint, kkt_residual, make_kkt, segment_end
 from .hilbert import (ForwardDifferenceOperator, LinearOperator,
                       MatrixOperator, PPoint, as_vector, load_matrix)
 from .prox import ProxFn, rowwise
-from .schema import INTEGER, NUMBER, OBJECT, STRING, VECTOR, check_fields
-from .solver import NonFiniteIterateError, Validity, run, validate_params
+from .schema import COUNT, NUMBER, OBJECT, SEED, STRING, VECTOR, check_fields
+from .solver import NonFiniteIterateError, SolverParams, run, suggest_steps
 
 __all__ = [
     "OracleRejectedError",
@@ -52,6 +52,9 @@ _STORED_KKT_TOL = 1e-8
 # fixed-point residual after them is at most _POLISH_TOL.
 _POLISH_ITERS = 50
 _POLISH_TOL = 1e-12
+# The long run's stop rule and its rejection threshold, on the fixed-point residual.
+_ORACLE_STOP_TOL = 1e-13
+_ORACLE_ACCEPT_TOL = 1e-6
 
 
 class OracleRejectedError(RuntimeError):
@@ -339,13 +342,13 @@ def _condat_tv1d(s: list, lam: float) -> list:
             umax = -lam
 
 
-def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
-                    stop_tol: float = 1e-13, accept_tol: float = 1e-6) -> KKTPoint:
-    """Approximate saddle point from a solver run (oracle construction).
+def kkt_by_long_run(problem: ProblemSpec, iters: int) -> KKTPoint:
+    """Approximate saddle point from a run of its own at θ = 1, safety 0.9, ratio 1.
 
-    Run far past the horizon of the experiment the point will serve (at
-    least 10x), in blocks of ``_ORACLE_BLOCK`` iterations that each run in
-    segment pieces (:func:`_run_pieces`): memory holds about one segment of
+    Those steps are StrictlyValid for every positive norm bound. Run far
+    past the horizon of the experiment the point will serve (at least 10x),
+    in blocks of ``_ORACLE_BLOCK`` iterations that each run in segment
+    pieces (:func:`_run_pieces`): memory holds about one segment of
     iterates, none of which outlives the oracle, and the point is the one
     a single run of ``iters`` steps ends at.
 
@@ -357,17 +360,16 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
     dropped and the run goes on as if it had never been tried; the point
     otherwise is the long run's, of kind ``"long_run"``. The returned point
     carries its measured fixed-point residual and the solver steps taken; a
-    residual above ``accept_tol`` rejects the oracle outright with
+    residual above ``_ORACLE_ACCEPT_TOL`` rejects the oracle outright with
     :class:`OracleRejectedError`.
     """
-    status = validate_params(params)
-    if status.kind is not Validity.STRICTLY_VALID:
-        raise ValueError(f"long-run oracle needs StrictlyValid parameters, got {status}")
+    norm = problem.L.norm_bound
+    params = SolverParams(*suggest_steps(1.0, norm, 0.9, 1.0), 1.0, norm)
     z = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
     done, kkt = 0, None
     while done < iters and kkt is None:
         block_end = min((done // _ORACLE_BLOCK + 1) * _ORACLE_BLOCK, iters)
-        z, done, stopped = _run_pieces(problem, params, z, done, block_end, stop_tol)
+        z, done, stopped = _run_pieces(problem, params, z, done, block_end)
         if stopped:
             break
         candidate = None if problem.polish is None else problem.polish(z)
@@ -375,7 +377,7 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
             continue
         try:
             star, steps, _ = _run_pieces(problem, params, candidate, done,
-                                         done + _POLISH_ITERS, stop_tol)
+                                         done + _POLISH_ITERS)
         except NonFiniteIterateError:
             continue
         kkt = make_kkt(problem, star, check_tol=None, kind="polished", iterations=steps)
@@ -383,18 +385,18 @@ def kkt_by_long_run(problem: ProblemSpec, params, iters: int,
             kkt = None
     if kkt is None:
         kkt = make_kkt(problem, z, check_tol=None, kind="long_run", iterations=done)
-    if kkt.residual > accept_tol:
+    if kkt.residual > _ORACLE_ACCEPT_TOL:
         raise OracleRejectedError(
-            f"long-run oracle rejected: residual {kkt.residual:.3e} > {accept_tol:g} "
-            f"after {kkt.iterations} iterations"
+            f"long-run oracle rejected: residual {kkt.residual:.3e} > "
+            f"{_ORACLE_ACCEPT_TOL:g} after {kkt.iterations} iterations"
         )
     return kkt
 
 
-def _run_pieces(problem: ProblemSpec, params, z: PPoint, done: int, end: int,
-                stop_tol: float | None) -> tuple[PPoint, int, bool]:
+def _run_pieces(problem: ProblemSpec, params, z: PPoint, done: int,
+                end: int) -> tuple[PPoint, int, bool]:
     """Run from z, the point after ``done`` steps, to step ``end``: the
-    final point, the steps done and whether the stop rule ended the run.
+    final point, the steps done and whether ``_ORACLE_STOP_TOL`` ended it.
 
     Each piece is one :func:`run` call that ends at a segment end
     (:func:`cpcert.certificates.segment_end`) or at ``end`` and is dropped
@@ -408,7 +410,7 @@ def _run_pieces(problem: ProblemSpec, params, z: PPoint, done: int, end: int,
     while done < end and not stopped:
         try:
             traj = run(problem, params, z, min(segment_end(done, width), end) - done,
-                       stop_tol=stop_tol)
+                       stop_tol=_ORACLE_STOP_TOL)
         except NonFiniteIterateError as e:
             raise NonFiniteIterateError(done + e.iteration) from None
         z, done, stopped = traj.final, done + traj.n_iters, traj.stopped_at is not None
@@ -489,11 +491,11 @@ class Generator(NamedTuple):
 
 
 GENERATORS = {
-    "quadratic": Generator(_build_quadratic, {"rows": INTEGER, "cols": INTEGER},
+    "quadratic": Generator(_build_quadratic, {"rows": COUNT, "cols": COUNT},
                            {"matrix": STRING, "a": VECTOR, "b": VECTOR}),
-    "lasso": Generator(_build_lasso, {"rows": INTEGER, "cols": INTEGER, "lam": NUMBER},
+    "lasso": Generator(_build_lasso, {"rows": COUNT, "cols": COUNT, "lam": NUMBER},
                        {"matrix": STRING, "b": VECTOR, "lam": NUMBER}),
-    "tv1d": Generator(_build_tv1d, {"n": INTEGER, "lam": NUMBER},
+    "tv1d": Generator(_build_tv1d, {"n": COUNT, "lam": NUMBER},
                       {"signal": VECTOR, "lam": NUMBER}, {"noise": NUMBER}),
 }
 # The two forms of a problem reference: a file, or a generator and its params.
@@ -548,6 +550,6 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     params = cfg.get("params", {})
     seeded = next(iter(generator.data)) not in params
     form = generator.seeded if seeded else generator.data
-    check_fields(params, {**form, **(generator.optional if seeded else {}), "seed": INTEGER},
+    check_fields(params, {**form, **(generator.optional if seeded else {}), "seed": SEED},
                  f"{cfg['generator']} params", "generator parameter '{}'", tuple(form))
     return generator.build(params)

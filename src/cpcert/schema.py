@@ -39,6 +39,8 @@ def in_unit_range(v) -> bool:
 # The kinds of JSON value that the tables of :func:`check_fields` take:
 # (ok, what), where ``ok(value)`` accepts a value that ``what`` describes.
 INTEGER = (is_int, "an integer")
+COUNT = (lambda v: is_int(v) and v >= 1, "an integer >= 1")
+SEED = (lambda v: is_int(v) and v >= 0, "an integer >= 0")
 NUMBER = (is_finite_number, "a finite number")
 NONNEGATIVE = (lambda v: is_finite_number(v) and v >= 0, "a finite number >= 0")
 POSITIVE = (lambda v: is_finite_number(v) and v > 0, "a finite number > 0")

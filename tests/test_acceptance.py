@@ -154,9 +154,7 @@ def test_criterion_6_iterate_convergence_and_eta(quad_problems):
 def test_criterion_7_oracle_cross_validation(quad_problems):
     with criterion(7, "oracle cross-validation"):
         problem = quad_problems[2]
-        tau, sigma = suggest_steps(0.75, problem.L.norm_bound, 0.9)
-        params = SolverParams(tau, sigma, 0.75, problem.L.norm_bound)
-        kkt = c.kkt_by_long_run(problem, params, 100000)
+        kkt = c.kkt_by_long_run(problem, 100000)
         star = problem.kkt.star
         err = math.hypot(np.linalg.norm(kkt.star.x - star.x),
                          np.linalg.norm(kkt.star.y - star.y))

@@ -134,9 +134,7 @@ def test_duality_gap_nonnegative_on_random_points():
 
 def test_duality_gap_infinite_outside_domain():
     tv = c.make_tv1d(np.array([1.0, 0.0, 1.0]), lam=0.5)
-    tau, sigma = suggest_steps(1.0, tv.L.norm_bound)
-    params = SolverParams(tau, sigma, 1.0, tv.L.norm_bound)
-    kkt = c.kkt_by_long_run(tv, params, 50000)
+    kkt = c.kkt_by_long_run(tv, 50000)
     outside = c.PPoint(np.zeros(3), np.array([5.0, 5.0]))  # |y| > lam
     assert duality_gap(outside, kkt, tv) == math.inf
 
@@ -245,9 +243,7 @@ def test_descent_residual_along_quadratic_run():
 
 def test_descent_residual_tv_new_regime():
     tv = c.make_tv1d(c.default_tv_signal(30, seed=1), lam=0.4)
-    oracle = SolverParams(*suggest_steps(1.0, tv.L.norm_bound, 0.9),
-                          theta=1.0, operator_norm=tv.L.norm_bound)
-    kkt = c.kkt_by_long_run(tv, oracle, 200000)
+    kkt = c.kkt_by_long_run(tv, 200000)
     tau, sigma = suggest_steps(0.3, tv.L.norm_bound, 0.9)
     params = SolverParams(tau, sigma, 0.3, tv.L.norm_bound)
     z0 = c.PPoint(np.zeros(30), np.zeros(29))
@@ -377,7 +373,7 @@ def test_certify_rejects_vector_only_value_map():
     tv = c.make_tv1d(np.array([1.0, 0.0, 1.0, 0.5]), lam=0.7)
     params = SolverParams(*suggest_steps(1.0, tv.L.norm_bound),
                           theta=1.0, operator_norm=tv.L.norm_bound)
-    kkt = c.kkt_by_long_run(tv, params, 50000)
+    kkt = c.kkt_by_long_run(tv, 50000)
     z0 = c.PPoint(np.zeros(4), np.zeros(3))
     traj = c.run(tv, params, z0, max_iters=20, stop_tol=None)
     assert certify_trajectory(traj, kkt, tv).asserted
@@ -391,8 +387,7 @@ def test_certify_rejects_vector_only_value_map():
 def test_block_split_bitwise_lasso_signed_zeros(monkeypatch):
     lasso = c.random_lasso(30, 20, 0.2, seed=3)
     norm = lasso.L.norm_bound
-    kkt = c.kkt_by_long_run(lasso, SolverParams(*suggest_steps(1.0, norm, 0.9),
-                                                theta=1.0, operator_norm=norm), 20000)
+    kkt = c.kkt_by_long_run(lasso, 20000)
     traj = origin_run(lasso, SolverParams(*suggest_steps(0.5, norm, 0.9),
                                           theta=0.5, operator_norm=norm), 120)
     # soft-thresholding leaves -0.0 entries in the history
@@ -468,9 +463,7 @@ def run_segments(problem, params, iters):
 def segment_problems(tv_problem):
     quad = c.random_quadratic(12, 10, seed=7)
     lasso = c.random_lasso(30, 20, 0.2, seed=3)
-    norm = lasso.L.norm_bound
-    lasso_kkt = c.kkt_by_long_run(lasso, SolverParams(*suggest_steps(1.0, norm, 0.9),
-                                                      theta=1.0, operator_norm=norm), 20000)
+    lasso_kkt = c.kkt_by_long_run(lasso, 20000)
     return [(quad, quad.kkt), tv_problem, (lasso, lasso_kkt)]
 
 

@@ -16,7 +16,8 @@ import cpcert as c
 from cpcert.harness import (_FIELDS, _OBJECT_FIELDS, CSV_COLUMNS, ExperimentConfig,
                             UsageError, corrupt_trajectory, emit_plotdata, fit_rate,
                             main, read_trajectory_csv, recompute_flags_from_csv)
-from cpcert.problems import GENERATORS, INTEGER, read_problem_file
+from cpcert.problems import GENERATORS, read_problem_file
+from cpcert.schema import SEED
 from cpcert.solver import running_averages
 
 from conftest import traced_peak
@@ -532,6 +533,8 @@ def test_run_failures_exit_3(tmp_path, capsys):
     {"fault": {"k": [20], "delta": 1.0}},
     {"fault": {"k": 20, "delta": None}},
     {"problem": [1]},
+    # a negative seed exited 2 with numpy's "expected non-negative integer"
+    {"seed": -1},
 ])
 def test_config_field_of_wrong_type_exits_2(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
@@ -551,6 +554,12 @@ def test_config_field_of_wrong_type_exits_2(tmp_path, capsys, overrides):
     {"generator": "quadratic", "params": {"rows": 4, "cols": 3, "seed": 1.9}},
     {"generator": "lasso", "params": {"rows": 6, "cols": 4.0, "lam": 0.1}},
     {"generator": "tv1d", "params": {"n": 20.5, "lam": 0.5}},
+    # a negative size or seed exited 2 with numpy's message, which named
+    # neither the field nor the file
+    {"generator": "quadratic", "params": {"rows": -3, "cols": 3}},
+    {"generator": "lasso", "params": {"rows": 6, "cols": -3, "lam": 0.1}},
+    {"generator": "tv1d", "params": {"n": -3, "lam": 0.5}},
+    {"generator": "quadratic", "params": {"rows": 4, "cols": 3, "seed": -1}},
 ])
 def test_generator_param_of_wrong_type_exits_2(tmp_path, capsys, problem):
     cfg = write_config(tmp_path / "cfg.json", problem=problem)
@@ -593,7 +602,7 @@ def test_config_type_checks(tmp_path, field, value):
 @pytest.mark.parametrize("generator, form, key, value", [
     (name, form, key, wrong_type(kind)) for name, spec in GENERATORS.items()
     for form, table in (("seeded", {**spec.seeded, **spec.optional}), ("data", spec.data))
-    for key, kind in {**table, "seed": INTEGER}.items()])
+    for key, kind in {**table, "seed": SEED}.items()])
 def test_generator_param_type_checks(tmp_path, generator, form, key, value):
     (tmp_path / "m.txt").write_text("2 2\n1.0 0.5\n0.0 2.0\n")
     params = {k: str(tmp_path / v) if k == "matrix" else v
@@ -1154,6 +1163,19 @@ def test_sweep_rejects_tau_and_sigma(tmp_path, capsys, source):
     assert main(argv) == 2
     assert "give no tau or sigma" in capsys.readouterr().err
     assert not (tmp_path / "o" / "sweep_summary.json").exists()
+
+
+@pytest.mark.parametrize("option", [["--theta", "0.3"], ["--safety", "0.5"],
+                                    ["--theta", "1.0", "--safety", "0.9"]])
+def test_sweep_rejects_theta_and_safety_options(tmp_path, capsys, monkeypatch, option):
+    # a sweep given --theta 0.3 --safety 0.5 ran the grid's theta and safety
+    # and recorded 0.3 and 0.5 in sweep_summary.json's config
+    never_called(monkeypatch, "problem_from_config", "kkt_by_long_run", "run")
+    cfg = write_config(tmp_path / "cfg.json", grid={"theta": [1.0], "safety": [0.9]})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)] + option) == 2
+    assert "a sweep takes theta and safety from grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "validate"])

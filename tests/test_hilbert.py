@@ -5,11 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from cpcert import hilbert
 from cpcert.harness import main
 from cpcert.hilbert import (ForwardDifferenceOperator, MatrixOperator, PPoint,
                             as_vector, estimate_norm, load_matrix)
 from cpcert.solver import SolverParams, Validity, suggest_steps, validate_params
 
+from conftest import traced_peak
 from oracles import dot, jacobi_spectral_norm, p_inner, p_quadratic_form
 
 
@@ -281,6 +283,38 @@ def test_matrix_text_roundtrip(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("3 5\n" + "".join(" ".join(map(repr, row)) + "\n" for row in a.tolist()))
     assert np.array_equal(load_matrix(path), a)
+
+
+@pytest.mark.parametrize("layout", ["row-per-line", "value-per-line", "one-line"])
+def test_load_matrix_peak_is_near_the_matrix(tmp_path, layout):
+    # the whole text used to be split into one list of strings first: a
+    # 1000x1000 matrix peaked at 12.0x its 8 MB
+    a = np.random.default_rng(15).standard_normal((500, 400))
+    rows = [" ".join(map(repr, row)) for row in a.tolist()]
+    body = {"row-per-line": "\n".join(rows), "one-line": " ".join(rows),
+            "value-per-line": "\n".join(map(repr, a.ravel().tolist()))}[layout]
+    path = tmp_path / "m.txt"
+    path.write_text(f"500 400\n{body}\n")
+    peak, got = traced_peak(load_matrix, path)
+    assert np.array_equal(got, a)
+    assert peak <= 3 * a.nbytes, peak / a.nbytes
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+def test_load_matrix_joins_tokens_cut_by_a_chunk(tmp_path, monkeypatch, chunk):
+    a = np.random.default_rng(16).standard_normal((4, 3))
+    path = tmp_path / "m.txt"
+    path.write_text("\n  4\t3 \n" + "\n".join(" ".join(map(repr, row)) for row in a.tolist()))
+    monkeypatch.setattr(hilbert, "_TEXT_CHUNK", chunk)
+    assert np.array_equal(load_matrix(path), a)
+
+
+def test_load_matrix_header_larger_than_its_file(tmp_path):
+    # the count is checked without an array of the header's size
+    path = tmp_path / "m.txt"
+    path.write_text("100000 100000\n1 2 3\n")
+    with pytest.raises(ValueError, match="expected 10000000000 entries, found 3$"):
+        load_matrix(path)
 
 
 def test_load_matrix_rejects_bad_counts(tmp_path):

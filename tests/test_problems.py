@@ -9,13 +9,14 @@ import cpcert as c
 from cpcert import certificates, problems
 from cpcert.certificates import kkt_residual
 from cpcert.problems import problem_from_config
-from cpcert.solver import SolverParams, suggest_steps
+from cpcert.solver import SolverParams, Validity, suggest_steps, validate_params
 
 from conftest import traced_peak
 from oracles import duality_gap, tv1d_exhaustive
 
 
 def strict_params(problem, theta=1.0, safety=0.9, ratio=1.0):
+    """StrictlyValid steps; at the defaults, the long-run oracle's own."""
     tau, sigma = suggest_steps(theta, problem.L.norm_bound, safety, ratio)
     return SolverParams(tau, sigma, theta, problem.L.norm_bound)
 
@@ -59,7 +60,7 @@ def test_lasso_huge_lambda_gives_zero_solution():
     b = rng.standard_normal(6)
     lam = float(np.max(np.abs(A.apply_adjoint(b)))) * 2.0
     problem = c.make_lasso(A, b, lam)
-    kkt = c.kkt_by_long_run(problem, strict_params(problem), 50000)
+    kkt = c.kkt_by_long_run(problem, 50000)
     # optimality at 0: ||A^T b||_inf <= lam
     assert np.max(np.abs(kkt.star.x)) <= 1e-7
     assert np.allclose(kkt.star.y, -b, atol=1e-6)
@@ -71,7 +72,7 @@ def test_lasso_zero_lambda_square_invertible():
     A = c.MatrixOperator(a)
     b = rng.standard_normal(4)
     problem = c.make_lasso(A, b, lam=0.0)
-    kkt = c.kkt_by_long_run(problem, strict_params(problem), 100000)
+    kkt = c.kkt_by_long_run(problem, 100000)
     want = np.linalg.solve(a, b)
     assert np.allclose(kkt.star.x, want, atol=1e-6)
 
@@ -80,21 +81,21 @@ def test_lasso_zero_data_gives_zero():
     rng = np.random.default_rng(5)
     A = c.MatrixOperator(rng.standard_normal((5, 3)))
     problem = c.make_lasso(A, np.zeros(5), lam=0.7)
-    kkt = c.kkt_by_long_run(problem, strict_params(problem), 50000)
+    kkt = c.kkt_by_long_run(problem, 50000)
     assert np.max(np.abs(kkt.star.x)) <= 1e-8
 
 
 def test_tv_zero_lambda_returns_signal():
     sig = np.array([1.0, -0.5, 2.0, 0.0])
     problem = c.make_tv1d(sig, lam=0.0)
-    kkt = c.kkt_by_long_run(problem, strict_params(problem), 50000)
+    kkt = c.kkt_by_long_run(problem, 50000)
     assert np.allclose(kkt.star.x, sig, atol=1e-8)
 
 
 def test_tv_constant_signal_unchanged():
     sig = np.full(6, 1.3)
     problem = c.make_tv1d(sig, lam=0.8)
-    kkt = c.kkt_by_long_run(problem, strict_params(problem), 50000)
+    kkt = c.kkt_by_long_run(problem, 50000)
     assert np.allclose(kkt.star.x, sig, atol=1e-8)
 
 
@@ -106,7 +107,7 @@ def test_tv_small_instances_match_exhaustive_oracle():
         for lam in (0.15, 0.4):
             want = tv1d_exhaustive(sig, lam)
             problem = c.make_tv1d(sig, lam)
-            kkt = c.kkt_by_long_run(problem, strict_params(problem), 200000)
+            kkt = c.kkt_by_long_run(problem, 200000)
             assert np.max(np.abs(kkt.star.x - want)) <= 1e-7, (trial, lam)
             assert np.max(np.abs(problem.kkt.star.x - want)) <= 1e-12, (trial, lam)
 
@@ -118,7 +119,7 @@ def test_tv_requires_two_samples():
 
 def test_long_run_matches_closed_form_quadratic():
     problem = c.random_quadratic(8, 6, seed=9)
-    kkt = c.kkt_by_long_run(problem, strict_params(problem, theta=0.5), 100000)
+    kkt = c.kkt_by_long_run(problem, 100000)
     star = problem.kkt.star
     err = np.hypot(np.linalg.norm(kkt.star.x - star.x), np.linalg.norm(kkt.star.y - star.y))
     assert err <= 1e-7
@@ -127,9 +128,8 @@ def test_long_run_matches_closed_form_quadratic():
 
 def test_long_run_is_near_fixed_point():
     problem = c.random_quadratic(5, 5, seed=10)
-    params = strict_params(problem, theta=0.75)
-    kkt = c.kkt_by_long_run(problem, params, 100000)
-    moved = c.step(kkt.star, problem, params)
+    kkt = c.kkt_by_long_run(problem, 100000)
+    moved = c.step(kkt.star, problem, strict_params(problem, theta=0.75))
     assert np.linalg.norm(moved.x - kkt.star.x) <= 1e-9
     assert np.linalg.norm(moved.y - kkt.star.y) <= 1e-9
 
@@ -137,7 +137,7 @@ def test_long_run_is_near_fixed_point():
 def test_long_run_rejects_unconverged():
     problem = c.random_quadratic(8, 6, seed=11)
     with pytest.raises(RuntimeError):
-        c.kkt_by_long_run(problem, strict_params(problem), iters=2)
+        c.kkt_by_long_run(problem, iters=2)
 
 
 def blocked_oracle_case():
@@ -146,20 +146,22 @@ def blocked_oracle_case():
     return tv, strict_params(tv, theta=1.0), z0
 
 
-def test_long_run_blocks_end_at_single_run_point():
+def test_long_run_blocks_end_at_single_run_point(monkeypatch):
     # 1300 iterations run as blocks of 512, 512 and 276
     tv, params, z0 = blocked_oracle_case()
-    kkt = c.kkt_by_long_run(tv, params, 1300, stop_tol=None)
+    monkeypatch.setattr(problems, "_ORACLE_STOP_TOL", None)
+    kkt = c.kkt_by_long_run(tv, 1300)
     final = c.run(tv, params, z0, max_iters=1300, stop_tol=None).final
     assert np.array_equal(kkt.star.x, final.x)
     assert np.array_equal(kkt.star.y, final.y)
 
 
-def test_long_run_blocks_stop_inside_second_block():
+def test_long_run_blocks_stop_inside_second_block(monkeypatch):
     tv, params, z0 = blocked_oracle_case()
     single = c.run(tv, params, z0, max_iters=1300, stop_tol=1e-11)
     assert 512 < single.stopped_at <= 1024
-    kkt = c.kkt_by_long_run(tv, params, 1300, stop_tol=1e-11)
+    monkeypatch.setattr(problems, "_ORACLE_STOP_TOL", 1e-11)
+    kkt = c.kkt_by_long_run(tv, 1300)
     assert np.array_equal(kkt.star.x, single.final.x)
     assert np.array_equal(kkt.star.y, single.final.y)
 
@@ -168,7 +170,8 @@ def test_small_blocks_end_at_single_run_point(monkeypatch):
     # 1300 iterations run as 144 blocks of 9 and one of 4
     tv, params, z0 = blocked_oracle_case()
     monkeypatch.setattr(problems, "_ORACLE_BLOCK", 9)
-    kkt = c.kkt_by_long_run(tv, params, 1300, stop_tol=None)
+    monkeypatch.setattr(problems, "_ORACLE_STOP_TOL", None)
+    kkt = c.kkt_by_long_run(tv, 1300)
     final = c.run(tv, params, z0, max_iters=1300, stop_tol=None).final
     assert np.array_equal(kkt.star.x, final.x)
     assert np.array_equal(kkt.star.y, final.y)
@@ -179,18 +182,24 @@ def test_small_blocks_stop_inside_a_block(monkeypatch):
     monkeypatch.setattr(problems, "_ORACLE_BLOCK", 9)
     single = c.run(tv, params, z0, max_iters=1300, stop_tol=1e-11)
     assert single.stopped_at % 9 not in (0, 1)  # neither a block's first nor last step
-    kkt = c.kkt_by_long_run(tv, params, 1300, stop_tol=1e-11)
+    monkeypatch.setattr(problems, "_ORACLE_STOP_TOL", 1e-11)
+    kkt = c.kkt_by_long_run(tv, 1300)
     assert np.array_equal(kkt.star.x, single.final.x)
     assert np.array_equal(kkt.star.y, single.final.y)
 
 
-def oracle_peak_bytes(problem, iters):
-    return traced_peak(lambda: c.kkt_by_long_run(
-        problem, strict_params(problem, theta=1.0), iters,
-        stop_tol=None, accept_tol=math.inf))[0]
+def unchecked_oracle(monkeypatch):
+    """Run the oracle to its horizon and accept any residual."""
+    monkeypatch.setattr(problems, "_ORACLE_STOP_TOL", None)
+    monkeypatch.setattr(problems, "_ORACLE_ACCEPT_TOL", math.inf)
 
 
-def test_long_run_holds_one_segment():
+def oracle_peak_bytes(monkeypatch, problem, iters):
+    unchecked_oracle(monkeypatch)
+    return traced_peak(lambda: c.kkt_by_long_run(problem, iters))[0]
+
+
+def test_long_run_holds_one_segment(monkeypatch):
     # each block runs as pieces that end where a certified run's segments
     # end, 245 iterates here against 512 per block, and each piece is
     # dropped once its final point is copied (1.04 pieces measured)
@@ -198,32 +207,34 @@ def test_long_run_holds_one_segment():
     width = lasso.L.rows + lasso.L.cols
     segment = certificates._segment_iterates(width)
     assert 2 * segment < problems._ORACLE_BLOCK
-    peak = oracle_peak_bytes(lasso, 3 * problems._ORACLE_BLOCK)
+    peak = oracle_peak_bytes(monkeypatch, lasso, 3 * problems._ORACLE_BLOCK)
     piece = (segment + 1) * width * 8
     assert peak <= 1.3 * piece, peak / piece
 
 
-def test_long_run_stops_inside_a_segment_at_the_single_run_point():
+def test_long_run_stops_inside_a_segment_at_the_single_run_point(monkeypatch):
     # 61-iterate segments: the stop rule fires between k = 150 and 200, in
     # the oracle's third or fourth piece
     lasso = c.random_lasso(480, 320, 0.2, seed=1)
     params = strict_params(lasso)
     z0 = c.PPoint(np.zeros(lasso.L.cols), np.zeros(lasso.L.rows))
     single = c.run(lasso, params, z0, max_iters=400, stop_tol=0.2)
-    kkt = c.kkt_by_long_run(lasso, params, 20000, stop_tol=0.2, accept_tol=math.inf)
+    monkeypatch.setattr(problems, "_ORACLE_STOP_TOL", 0.2)
+    monkeypatch.setattr(problems, "_ORACLE_ACCEPT_TOL", math.inf)
+    kkt = c.kkt_by_long_run(lasso, 20000)
     assert 150 < kkt.iterations == single.stopped_at < 200
     assert np.array_equal(kkt.star.x, single.final.x)
     assert np.array_equal(kkt.star.y, single.final.y)
 
 
-def test_wide_long_run_holds_one_segment():
+def test_wide_long_run_holds_one_segment(monkeypatch):
     # at n = 5000 a segment is 8 iterates, so 300 steps run as 38 pieces
     # inside one block, and each is dropped once its final point is copied
     # (1.82 pieces measured)
     tv = c.make_tv1d(c.default_tv_signal(5000, seed=0), lam=0.5)
     width = tv.L.rows + tv.L.cols
     piece = (certificates._segment_iterates(width) + 1) * width * 8
-    peak = oracle_peak_bytes(tv, 300)
+    peak = oracle_peak_bytes(monkeypatch, tv, 300)
     assert peak <= 2.5 * piece, peak / piece
 
 
@@ -234,13 +245,12 @@ def test_polish_check_holds_one_segment():
     width = lasso.L.rows + lasso.L.cols
     piece = (certificates._segment_iterates(width) + 1) * width * 8
     assert certificates._segment_iterates(width) < problems._POLISH_ITERS
-    params = strict_params(lasso)
-    peak, kkt = traced_peak(c.kkt_by_long_run, lasso, params, 4000)
+    peak, kkt = traced_peak(c.kkt_by_long_run, lasso, 4000)
     assert kkt.kind == "polished" and kkt.iterations == 562
     assert peak <= 1.5 * piece, peak / piece
 
 
-def test_wide_long_run_tries_the_polish_once_per_block():
+def test_wide_long_run_tries_the_polish_once_per_block(monkeypatch):
     # n + m = 2199: the polish is tried after every 512 steps and at the
     # horizon, whatever the width, on the point a single run ends at
     tv = c.make_tv1d(c.default_tv_signal(1100, seed=0), lam=0.5)
@@ -250,19 +260,19 @@ def test_wide_long_run_tries_the_polish_once_per_block():
         tried.append(z)
         return None
 
-    params = strict_params(tv)
     hooked = dataclasses.replace(tv, polish=polish)
-    c.kkt_by_long_run(hooked, params, 1000, stop_tol=None, accept_tol=math.inf)
+    unchecked_oracle(monkeypatch)
+    c.kkt_by_long_run(hooked, 1000)
     assert len(tried) == 2
     z0 = c.PPoint(np.zeros(tv.L.cols), np.zeros(tv.L.rows))
-    final = c.run(tv, params, z0, max_iters=512, stop_tol=None).final
+    final = c.run(tv, strict_params(tv), z0, max_iters=512, stop_tol=None).final
     assert np.array_equal(tried[0].x, final.x)
     assert np.array_equal(tried[0].y, final.y)
 
 
-def test_long_run_names_the_run_wide_nonfinite_iteration():
+def test_long_run_names_the_run_wide_nonfinite_iteration(monkeypatch):
     # the prox fails at iteration 600, inside the second block of 512
-    tv, params, _ = blocked_oracle_case()
+    tv, _, _ = blocked_oracle_case()
     prox, calls = tv.f.prox, []
 
     def f_prox(x, gamma):
@@ -270,22 +280,47 @@ def test_long_run_names_the_run_wide_nonfinite_iteration():
         return np.full_like(x, np.nan) if len(calls) == 600 else prox(x, gamma)
 
     bad = c.ProblemSpec(tv.name, c.ProxFn(tv.f.evaluate, f_prox), tv.gstar, tv.L)
+    monkeypatch.setattr(problems, "_ORACLE_STOP_TOL", None)
     with pytest.raises(c.NonFiniteIterateError, match="at iteration 600$"):
-        c.kkt_by_long_run(bad, params, 1300, stop_tol=None)
+        c.kkt_by_long_run(bad, 1300)
 
 
-def test_long_run_rejection_reports_total_iterations():
-    tv, params, _ = blocked_oracle_case()
+def test_long_run_rejection_reports_total_iterations(monkeypatch):
+    tv, _, _ = blocked_oracle_case()
+    monkeypatch.setattr(problems, "_ORACLE_STOP_TOL", None)
+    monkeypatch.setattr(problems, "_ORACLE_ACCEPT_TOL", 0.0)
     with pytest.raises(c.OracleRejectedError, match="after 1300 iterations"):
-        c.kkt_by_long_run(tv, params, 1300, stop_tol=None, accept_tol=0.0)
+        c.kkt_by_long_run(tv, 1300)
 
 
-def test_long_run_requires_strict_params():
-    problem = c.random_quadratic(5, 4, seed=12)
-    tau, sigma = suggest_steps(1.0, problem.L.norm_bound, safety=1.0)
-    boundary = SolverParams(tau, sigma, 1.0, problem.L.norm_bound)
-    with pytest.raises(ValueError):
-        c.kkt_by_long_run(problem, boundary, 1000)
+def params_bits(params):
+    return [float(v).hex() for v in dataclasses.astuple(params)]
+
+
+ORACLE_CASES = {
+    "quadratic": lambda: c.random_quadratic(5, 4, seed=12),
+    "lasso": lambda: c.random_lasso(30, 20, 0.2, seed=3),
+    "tv1d": lambda: c.make_tv1d(c.default_tv_signal(50, seed=0), lam=0.5),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_long_run_picks_the_oracle_params(monkeypatch, name):
+    # the oracle forms its own steps, theta = 1, safety 0.9 and ratio 1
+    # against the norm bound: bitwise the steps the harness formed for it
+    # when the oracle took them as an argument
+    problem, seen, run = ORACLE_CASES[name](), [], problems.run
+
+    def spy(problem, params, *args, **kwargs):
+        seen.append(params)
+        return run(problem, params, *args, **kwargs)
+
+    monkeypatch.setattr(problems, "run", spy)
+    c.kkt_by_long_run(problem, 20000)
+    norm = problem.L.norm_bound
+    want = SolverParams(*suggest_steps(1.0, norm, 0.9, 1.0), theta=1.0, operator_norm=norm)
+    assert seen and all(params_bits(p) == params_bits(want) for p in seen)
+    assert validate_params(want).kind is Validity.STRICTLY_VALID
 
 
 def test_problem_spec_rejects_bogus_kkt():
@@ -348,7 +383,7 @@ def assert_direct(problem, tol=1e-12):
 def test_tv_direct_matches_long_run(seed):
     tv = c.make_tv1d(c.default_tv_signal(50, seed=seed), lam=0.5)
     star = assert_direct(tv)
-    long_run = c.kkt_by_long_run(tv, strict_params(tv), 200000)
+    long_run = c.kkt_by_long_run(tv, 200000)
     assert long_run.kind == "long_run"
     assert np.max(np.abs(long_run.star.x - star.x)) <= 1e-11
     assert np.max(np.abs(long_run.star.y - star.y)) <= 1e-11
@@ -404,14 +439,14 @@ def test_tv_direct_falls_back_to_the_long_run(monkeypatch):
 
 @pytest.mark.parametrize("rows, cols", [(90, 60), (200, 100)])
 @pytest.mark.parametrize("seed", range(5))
-def test_polished_lasso_matches_long_run(rows, cols, seed):
+def test_polished_lasso_matches_long_run(monkeypatch, rows, cols, seed):
     lasso = c.random_lasso(rows, cols, 0.2, seed)
-    params = strict_params(lasso)
-    kkt = c.kkt_by_long_run(lasso, params, 4000)
+    kkt = c.kkt_by_long_run(lasso, 4000)
     assert kkt.kind == "polished"
     assert kkt.residual <= problems._POLISH_TOL
     plain = dataclasses.replace(lasso, polish=None)
-    long_run = c.kkt_by_long_run(plain, params, 4000, stop_tol=None)
+    monkeypatch.setattr(problems, "_ORACLE_STOP_TOL", None)
+    long_run = c.kkt_by_long_run(plain, 4000)
     assert long_run.kind == "long_run" and long_run.iterations == 4000
     assert np.max(np.abs(kkt.star.x - long_run.star.x)) <= 1e-12
     assert np.max(np.abs(kkt.star.y - long_run.star.y)) <= 1e-12
@@ -429,7 +464,8 @@ def test_failed_polish_ends_at_the_long_run_point(monkeypatch, iters, stop_tol):
     monkeypatch.setattr(problems, "_lasso_polish", refuse)
     lasso = c.random_lasso(90, 60, 0.2, seed=0)
     params = strict_params(lasso)
-    kkt = c.kkt_by_long_run(lasso, params, iters, stop_tol=stop_tol)
+    monkeypatch.setattr(problems, "_ORACLE_STOP_TOL", stop_tol)
+    kkt = c.kkt_by_long_run(lasso, iters)
     z0 = c.PPoint(np.zeros(lasso.L.cols), np.zeros(lasso.L.rows))
     single = c.run(lasso, params, z0, max_iters=iters, stop_tol=stop_tol)
     assert calls  # the hook was tried after a block that did not stop
@@ -440,7 +476,7 @@ def test_failed_polish_ends_at_the_long_run_point(monkeypatch, iters, stop_tol):
     assert single.stopped_at == (None if stop_tol is None else kkt.iterations)
 
 
-def test_non_finite_polish_check_drops_the_candidate():
+def test_non_finite_polish_check_drops_the_candidate(monkeypatch):
     # the prox fails on the first step of each check; the check's
     # NonFiniteIterateError drops the candidate, and the run goes on
     tv, params, z0 = blocked_oracle_case()
@@ -459,7 +495,8 @@ def test_non_finite_polish_check_drops_the_candidate():
 
     hooked = c.ProblemSpec(tv.name, c.ProxFn(tv.f.evaluate, f_prox), tv.gstar, tv.L,
                            polish=polish)
-    kkt = c.kkt_by_long_run(hooked, params, 1300, stop_tol=None, accept_tol=math.inf)
+    unchecked_oracle(monkeypatch)
+    kkt = c.kkt_by_long_run(hooked, 1300)
     final = c.run(tv, params, z0, max_iters=1300, stop_tol=None).final
     assert len(tried) == 3
     assert kkt.kind == "long_run" and kkt.iterations == 1300
@@ -472,7 +509,8 @@ def test_failed_refinement_ends_at_the_long_run_point(monkeypatch):
     lasso = c.random_lasso(90, 60, 0.2, seed=0)
     params = strict_params(lasso)
     monkeypatch.setattr(problems, "_POLISH_TOL", 0.0)
-    kkt = c.kkt_by_long_run(lasso, params, 1300, stop_tol=None)
+    monkeypatch.setattr(problems, "_ORACLE_STOP_TOL", None)
+    kkt = c.kkt_by_long_run(lasso, 1300)
     z0 = c.PPoint(np.zeros(lasso.L.cols), np.zeros(lasso.L.rows))
     final = c.run(lasso, params, z0, max_iters=1300, stop_tol=None).final
     assert kkt.kind == "long_run" and kkt.iterations == 1300
@@ -493,8 +531,8 @@ def test_polish_refuses_a_support_larger_than_the_rows(monkeypatch):
         return out
 
     monkeypatch.setattr(problems, "_lasso_polish", spy)
-    kkt = c.kkt_by_long_run(lasso, strict_params(lasso), 3000, stop_tol=None,
-                            accept_tol=math.inf)
+    unchecked_oracle(monkeypatch)
+    kkt = c.kkt_by_long_run(lasso, 3000)
     wide = [out for size, out in seen if size > lasso.L.rows]
     assert wide and all(out is None for out in wide)
     if kkt.kind == "polished":
