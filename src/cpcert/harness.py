@@ -33,8 +33,8 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .schema import (COUNT, INTEGER, NONNEGATIVE, NUMBER, OBJECT, POSITIVE, SEED, STRING,
-                     UNIT, UNIT_LIST, check_fields, is_int)
+from .schema import (COUNT, COUNT2, INTEGER, NONNEGATIVE, NUMBER, OBJECT, POSITIVE, SEED,
+                     STRING, UNIT, UNIT_LIST, check_fields)
 
 # The names this module takes from the numeric modules, bound on first use
 # (:func:`_numeric`), so that ``rate`` and ``plotdata``, which read the CSV
@@ -123,7 +123,7 @@ _FIELDS = {
     "ratio": POSITIVE,
     **dict.fromkeys(("tau", "sigma"), _or_null(POSITIVE)),
     "stop_tol": _or_null(NONNEGATIVE),
-    "iters": (lambda v: is_int(v) and v >= 2, "an integer >= 2"),
+    "iters": COUNT2,
     "seed": SEED,
     "tolerance": NONNEGATIVE,
     "override_invalid": (lambda v: isinstance(v, bool), "true or false"),

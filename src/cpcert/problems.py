@@ -5,7 +5,8 @@ function g* (value map registered analytically, prox obtained through the
 Moreau identity when the problem is stated via g), the coupling operator,
 and, where available, a saddle point exact to rounding: in closed form for
 the quadratic family, by a direct algorithm for TV-1D. The lasso has
-neither; its long-run oracle polishes a short run's point instead.
+neither; its long-run oracle tries an active-set solve from its start
+point, and from its run's points after that.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .certificates import KKTPoint, kkt_residual, make_kkt, segment_end
 from .hilbert import (ForwardDifferenceOperator, LinearOperator,
                       MatrixOperator, PPoint, as_vector, load_matrix)
 from .prox import ProxFn, rowwise
-from .schema import COUNT, NUMBER, OBJECT, SEED, STRING, VECTOR, check_fields
+from .schema import COUNT, COUNT2, NUMBER, OBJECT, SEED, STRING, VECTOR, check_fields
 from .solver import NonFiniteIterateError, SolverParams, run, suggest_steps
 
 __all__ = [
@@ -41,10 +42,11 @@ __all__ = [
 ]
 
 
-# Iterations per block of the long-run oracle: the polish hook is tried
-# after each. The block sets only where the polish is tried, and so which
-# point the oracle returns; the oracle's memory is bounded by segments
-# (`certificates.segment_end`) alone.
+# Iterations per block of the long-run oracle: the polish hook is tried on
+# the start point and after each block. The block sets only where the
+# polish is tried, and so which point the oracle returns; the memory of
+# the oracle's runs is bounded by segments (`certificates.segment_end`)
+# alone.
 _ORACLE_BLOCK = 512
 # The largest fixed-point residual a saddle point stored with a problem may have.
 _STORED_KKT_TOL = 1e-8
@@ -52,6 +54,10 @@ _STORED_KKT_TOL = 1e-8
 # fixed-point residual after them is at most _POLISH_TOL.
 _POLISH_ITERS = 50
 _POLISH_TOL = 1e-12
+# The lasso polish's active-set solve: its most passes, and the columns of
+# A^T A formed per matrix product.
+_PDAS_PASSES = 50
+_GRAM_BLOCK = 128
 # The long run's stop rule and its rejection threshold, on the fixed-point residual.
 _ORACLE_STOP_TOL = 1e-13
 _ORACLE_ACCEPT_TOL = 1e-6
@@ -77,7 +83,8 @@ class ProblemSpec:
     kkt: KKTPoint | None = None
     metadata: dict = field(default_factory=dict)
     # polish(z) -> a candidate saddle point refined from the iterate z, or
-    # None; :func:`kkt_by_long_run` tries it after each block of its run
+    # None; :func:`kkt_by_long_run` tries it on its start point and after
+    # each block of its run
     polish: Callable[[PPoint], PPoint | None] | None = None
 
     def __post_init__(self):
@@ -116,7 +123,7 @@ def make_quadratic(L: LinearOperator, a, b) -> ProblemSpec:
     return replace(problem, kkt=kkt)
 
 
-def make_lasso(A: LinearOperator, b, lam: float) -> ProblemSpec:
+def make_lasso(A: MatrixOperator, b, lam: float) -> ProblemSpec:
     """f = lam*||.||_1, g = 0.5||. - b||^2 composed with A.
 
     g*(y) = 0.5||y||^2 + <y, b>; its prox follows from g by Moreau. No
@@ -145,40 +152,58 @@ def make_lasso(A: LinearOperator, b, lam: float) -> ProblemSpec:
     )
 
 
-def _lasso_polish(A: LinearOperator, b: np.ndarray, lam: float,
+def _lasso_polish(A: MatrixOperator, b: np.ndarray, lam: float,
                   x: np.ndarray) -> PPoint | None:
-    """The lasso solution on the support and signs of ``x``, or None.
+    """The lasso solution by a primal-dual active-set solve from ``x``, or None.
 
-    Solution polishing as in OSQP (Stellato et al., Math. Prog. Comp.
-    2020): take S = {x != 0} and s = sign(x_S), and solve the reduced
+    The active-set solve of Hintermueller, Ito and Kunisch (SIAM J. Optim.
+    2002): each pass takes u = x + A^T (b - Ax), the active set
+    S = {|u| > lam} and its signs s = sign(u_S), and solves the reduced
     normal equations A_S^T A_S x_S = A_S^T b - lam s by conjugate gradients
-    from x_S. Only operator applies on masked vectors are used, so nothing
-    of the size of A is formed. The result, with y = Ax - b, satisfies the
-    lasso's optimality conditions if sign(x_S) is still s and
-    |A^T y| <= lam off S; otherwise, or if |S| is 0 or exceeds the rows
-    (A_S^T A_S is then singular), there is no candidate.
+    from x_S, with x = 0 off S. It stops when (S, s) repeats, or after
+    ``_PDAS_PASSES`` passes. G = A^T A is formed once, ``_GRAM_BLOCK``
+    columns per product so that no packing buffer of BLAS adds to it; each
+    reduced product is the masked (G v)[S], so no copy of G_SS or A_S is
+    made. The result, with y = Ax - b, satisfies the lasso's optimality
+    conditions if sign(x_S) is still s and |A^T y| <= lam off S; otherwise,
+    or if |S| is 0 or exceeds the rows (A_S^T A_S is then singular), there
+    is no candidate.
     """
-    support = x != 0
-    size = int(np.count_nonzero(support))
-    if not 0 < size <= A.rows:
-        return None
-    signs = np.sign(x[support])
-    padded = np.zeros_like(x)
+    a = A.matrix
+    gram = np.empty((A.cols, A.cols))
+    for j in range(0, A.cols, _GRAM_BLOCK):
+        np.matmul(a.T, a[:, j:j + _GRAM_BLOCK], out=gram[:, j:j + _GRAM_BLOCK])
+    atb = A.apply_adjoint(b)
+    padded = np.empty_like(x)
+    active = None
+    for _ in range(_PDAS_PASSES):
+        u = x + atb - gram @ x
+        support = np.abs(u) > lam
+        signs = np.sign(u[support])
+        if active is not None and np.array_equal(support, active[0]) \
+                and np.array_equal(signs, active[1]):
+            break
+        size = int(np.count_nonzero(support))
+        if not 0 < size <= A.rows:
+            return None
+        padded.fill(0.0)
 
-    def normal(v):  # A_S^T A_S v
-        padded[support] = v
-        return A.apply_adjoint(A.apply(padded))[support]
+        def normal(v):  # A_S^T A_S v, as (G v)[S]
+            padded[support] = v
+            return (gram @ padded)[support]
 
-    rhs = A.apply_adjoint(b)[support] - lam * signs
-    x_s = _conjugate_gradients(normal, rhs, x[support], max_iters=2 * size + 10)
-    if not np.array_equal(np.sign(x_s), signs):
+        x_s = _conjugate_gradients(normal, atb[support] - lam * signs, x[support],
+                                   max_iters=2 * size + 10)
+        x = np.zeros_like(x)
+        x[support] = x_s
+        active = support, signs
+    del gram
+    if not np.array_equal(np.sign(x[support]), signs):
         return None
-    xp = np.zeros_like(x)
-    xp[support] = x_s
-    y = A.apply(xp) - b
+    y = A.apply(x) - b
     if np.max(np.abs(A.apply_adjoint(y)[~support]), initial=0.0) > lam:
         return None
-    return PPoint(xp, y)
+    return PPoint(x, y)
 
 
 def _conjugate_gradients(apply, rhs: np.ndarray, x: np.ndarray,
@@ -352,10 +377,11 @@ def kkt_by_long_run(problem: ProblemSpec, iters: int) -> KKTPoint:
     iterates, none of which outlives the oracle, and the point is the one
     a single run of ``iters`` steps ends at.
 
-    If the problem has a ``polish`` hook, it is tried on the final point of
-    every block that did not stop. A candidate is run ``_POLISH_ITERS``
-    more steps, in pieces too, and kept, ending the run, if its fixed-point
-    residual is then at most ``_POLISH_TOL``; such a point has kind
+    If the problem has a ``polish`` hook, it is tried on the start point
+    (0, 0), before the first block, and on the final point of every block
+    that did not stop. A candidate is run ``_POLISH_ITERS`` more steps, in
+    pieces too, and kept, ending the run, if its fixed-point residual is
+    then at most ``_POLISH_TOL``; such a point has kind
     ``"polished"``. A candidate that fails, by a non-finite step too, is
     dropped and the run goes on as if it had never been tried; the point
     otherwise is the long run's, of kind ``"long_run"``. The returned point
@@ -367,22 +393,26 @@ def kkt_by_long_run(problem: ProblemSpec, iters: int) -> KKTPoint:
     params = SolverParams(*suggest_steps(1.0, norm, 0.9, 1.0), 1.0, norm)
     z = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
     done, kkt = 0, None
-    while done < iters and kkt is None:
+    while True:
+        candidate = None if problem.polish is None else problem.polish(z)
+        if candidate is not None:
+            try:
+                star, steps, _ = _run_pieces(problem, params, candidate, done,
+                                             done + _POLISH_ITERS)
+            except NonFiniteIterateError:
+                pass
+            else:
+                kkt = make_kkt(problem, star, check_tol=None, kind="polished",
+                               iterations=steps)
+                if kkt.residual <= _POLISH_TOL:
+                    break
+                kkt = None
+        if done >= iters:
+            break
         block_end = min((done // _ORACLE_BLOCK + 1) * _ORACLE_BLOCK, iters)
         z, done, stopped = _run_pieces(problem, params, z, done, block_end)
         if stopped:
             break
-        candidate = None if problem.polish is None else problem.polish(z)
-        if candidate is None:
-            continue
-        try:
-            star, steps, _ = _run_pieces(problem, params, candidate, done,
-                                         done + _POLISH_ITERS)
-        except NonFiniteIterateError:
-            continue
-        kkt = make_kkt(problem, star, check_tol=None, kind="polished", iterations=steps)
-        if kkt.residual > _POLISH_TOL:
-            kkt = None
     if kkt is None:
         kkt = make_kkt(problem, z, check_tol=None, kind="long_run", iterations=done)
     if kkt.residual > _ORACLE_ACCEPT_TOL:
@@ -495,7 +525,8 @@ GENERATORS = {
                            {"matrix": STRING, "a": VECTOR, "b": VECTOR}),
     "lasso": Generator(_build_lasso, {"rows": COUNT, "cols": COUNT, "lam": NUMBER},
                        {"matrix": STRING, "b": VECTOR, "lam": NUMBER}),
-    "tv1d": Generator(_build_tv1d, {"n": COUNT, "lam": NUMBER},
+    # a signal has at least 2 samples, so that it has a difference
+    "tv1d": Generator(_build_tv1d, {"n": COUNT2, "lam": NUMBER},
                       {"signal": VECTOR, "lam": NUMBER}, {"noise": NUMBER}),
 }
 # The two forms of a problem reference: a file, or a generator and its params.

@@ -40,6 +40,7 @@ def in_unit_range(v) -> bool:
 # (ok, what), where ``ok(value)`` accepts a value that ``what`` describes.
 INTEGER = (is_int, "an integer")
 COUNT = (lambda v: is_int(v) and v >= 1, "an integer >= 1")
+COUNT2 = (lambda v: is_int(v) and v >= 2, "an integer >= 2")
 SEED = (lambda v: is_int(v) and v >= 0, "an integer >= 0")
 NUMBER = (is_finite_number, "a finite number")
 NONNEGATIVE = (lambda v: is_finite_number(v) and v >= 0, "a finite number >= 0")

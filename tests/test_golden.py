@@ -5,12 +5,17 @@ configs/tv_sweep.json must write these exact bytes. The lasso config covers
 the dense-gemm operator images and the stacked lasso conjugate value map. A
 change that moves any output bit has to say so and update the hashes.
 
-Last regenerated when the lasso oracle began polishing its point on the
-active set and TV-1D began taking z* from Condat's direct algorithm: z*
-moved by about 1e-14, which moves the lasso and tv_sweep certificate values
-in their last bits. Every summary also gained the oracle's provenance
-(``kkt_oracle_kind``, ``kkt_oracle_iterations``) and each sweep row an
-``error`` field; the quadratic trajectory.csv did not change.
+The lasso hashes were last regenerated when the lasso polish became an
+active-set solve tried on the oracle's start point: z* is now the polish
+of (0, 0), checked after 2 solver steps where it was the polish of the
+point after 512 steps (513 steps in all). z* moved in its last bits, which
+moves the lasso certificate values in theirs, and ``kkt_oracle_iterations``
+fell from 513 to 2. The quadratic and tv_sweep hashes were last
+regenerated when the lasso oracle began polishing its point and TV-1D
+began taking z* from Condat's direct algorithm, which moved the tv_sweep
+certificate values in their last bits; every summary then gained the
+oracle's provenance (``kkt_oracle_kind``, ``kkt_oracle_iterations``) and
+each sweep row an ``error`` field.
 """
 
 import hashlib
@@ -25,8 +30,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 GOLDEN = {
     ("solve", "lasso.json"): {
-        "trajectory.csv": "bd2015a8352ae024ac08e99cd2bd7ebc47136c9c2668fb7c9e7d27dca866c486",
-        "summary.json": "c33811eb89b5d1a9bc84c2012eb89128e67c864898c8beda044ba97dfb5c76b0",
+        "trajectory.csv": "5e1d59097a0d057fa72f3ae37a8856a075078d7a62f99bb7b8b3c1141b9fde60",
+        "summary.json": "c44825b43ca34b708426b2b435b7ecaae4842c14a3d0610d742b73e6bd012d5f",
     },
     ("solve", "quadratic.json"): {
         "trajectory.csv": "037a7d08b393dd336374a56ea33356fc697c5ba4b45ff65e72ef7d184907b240",

@@ -17,7 +17,7 @@ from cpcert.harness import (_FIELDS, _OBJECT_FIELDS, CSV_COLUMNS, ExperimentConf
                             UsageError, corrupt_trajectory, emit_plotdata, fit_rate,
                             main, read_trajectory_csv, recompute_flags_from_csv)
 from cpcert.problems import GENERATORS, read_problem_file
-from cpcert.schema import SEED
+from cpcert.schema import COUNT2, SEED
 from cpcert.solver import running_averages
 
 from conftest import traced_peak
@@ -514,11 +514,17 @@ def test_config_seed_is_problem_seed_fallback(tmp_path):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_run_failures_exit_3(tmp_path, capsys):
-    # an oracle rejection or a non-finite iterate is not a certificate failure
-    lasso = {"generator": "lasso", "params": {"rows": 6, "cols": 4, "lam": 0.1, "seed": 1}}
-    cfg = write_config(tmp_path / "oracle.json", problem=lasso, oracle_iters=2)
+    # an oracle rejection or a non-finite iterate is not a certificate failure.
+    # The 3x8 lasso's active set at the start point, {|A^T b| > lam}, has all
+    # 8 columns, more than its rows, so the polish refuses it, and 2 steps
+    # of the long run leave a residual of about 1.3
+    wide = {"generator": "lasso", "params": {"rows": 3, "cols": 8, "lam": 0.1, "seed": 1}}
+    problem = c.problem_from_config(wide)
+    assert problem.polish(c.PPoint(np.zeros(8), np.zeros(3))) is None
+    cfg = write_config(tmp_path / "oracle.json", problem=wide, oracle_iters=2)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 3
     assert "long-run oracle rejected" in capsys.readouterr().err
+    lasso = {"generator": "lasso", "params": {"rows": 6, "cols": 4, "lam": 0.1, "seed": 1}}
     cfg = write_config(tmp_path / "diverge.json", problem=lasso, tau=1e3, sigma=1e3,
                        iters=200)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "b"),
@@ -565,6 +571,18 @@ def test_generator_param_of_wrong_type_exits_2(tmp_path, capsys, problem):
     cfg = write_config(tmp_path / "cfg.json", problem=problem)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "generator" in capsys.readouterr().err
+
+
+def test_tv1d_single_sample_exits_2_naming_n(tmp_path, capsys):
+    # "n": 1 passed the "an integer >= 1" check, then exited 2 with "signal
+    # must have at least 2 samples", which named neither the field nor the
+    # config; n shares the "an integer >= 2" kind of the run's iters
+    assert GENERATORS["tv1d"].seeded["n"] is _FIELDS["iters"] is COUNT2
+    problem = {"generator": "tv1d", "params": {"n": 1, "lam": 0.5}}
+    cfg = write_config(tmp_path / "cfg.json", problem=problem)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "generator parameter 'n' must be an integer >= 2, got 1" in err
 
 
 def wrong_type(kind):
@@ -1444,8 +1462,9 @@ def test_validate_checks_the_fault_range_as_solve_does(tmp_path, capsys):
 
 # --- a run at the long-run oracle's parameters computes its own iterates -----
 
-# The oracle polishes its point after its first 512-iteration block here (530
-# steps); a run certifies in 61-iterate segments, ending at k = 60, 121, ...
+# The oracle's polish of its start point is kept here, its check stopped by
+# the stop rule after 26 steps; a run certifies in 61-iterate segments,
+# ending at k = 60, 121, ...
 LASSO_480x320 = {"generator": "lasso",
                  "params": {"rows": 480, "cols": 320, "lam": 0.2, "seed": 1}}
 
@@ -1485,7 +1504,7 @@ def test_solve_at_the_oracle_parameters_runs_every_step(tmp_path, monkeypatch):
     # every segment is run, the last one cut at the horizon
     assert calls == [(1, 60)] + [(1, 61)] * 5 + [(1, 35)]
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["kkt_oracle_iterations"] == 530
+    assert summary["kkt_oracle_iterations"] == 26
     assert summary["certificates"]["all_pass"] is True
 
 

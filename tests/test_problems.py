@@ -214,8 +214,9 @@ def test_long_run_holds_one_segment(monkeypatch):
 
 def test_long_run_stops_inside_a_segment_at_the_single_run_point(monkeypatch):
     # 61-iterate segments: the stop rule fires between k = 150 and 200, in
-    # the oracle's third or fourth piece
-    lasso = c.random_lasso(480, 320, 0.2, seed=1)
+    # the oracle's third or fourth piece; without the hook, which would
+    # solve this lasso from the start point
+    lasso = dataclasses.replace(c.random_lasso(480, 320, 0.2, seed=1), polish=None)
     params = strict_params(lasso)
     z0 = c.PPoint(np.zeros(lasso.L.cols), np.zeros(lasso.L.rows))
     single = c.run(lasso, params, z0, max_iters=400, stop_tol=0.2)
@@ -240,19 +241,52 @@ def test_wide_long_run_holds_one_segment(monkeypatch):
 
 def test_polish_check_holds_one_segment():
     # n + m = 1500: 32-iterate segments, so the 50-step polish check runs as
-    # pieces too (1.27 pieces measured; 1.82 with the check as one piece)
+    # pieces too (1.27 pieces measured; 1.82 with the check as one piece).
+    # The candidate, the polish of the start point, is formed outside the
+    # trace: the polish's own peak is its Gram matrix (see below).
     lasso = c.random_lasso(900, 600, 0.2, seed=0)
     width = lasso.L.rows + lasso.L.cols
     piece = (certificates._segment_iterates(width) + 1) * width * 8
     assert certificates._segment_iterates(width) < problems._POLISH_ITERS
-    peak, kkt = traced_peak(c.kkt_by_long_run, lasso, 4000)
-    assert kkt.kind == "polished" and kkt.iterations == 562
+    candidate = lasso.polish(c.PPoint(np.zeros(lasso.L.cols), np.zeros(lasso.L.rows)))
+    hooked = dataclasses.replace(lasso, polish=lambda z: candidate)
+    peak, kkt = traced_peak(c.kkt_by_long_run, hooked, 4000)
+    assert kkt.kind == "polished" and kkt.iterations == problems._POLISH_ITERS
     assert peak <= 1.5 * piece, peak / piece
 
 
+def test_polish_forms_one_gram_matrix():
+    # G = A^T A is the polish's one array of n^2 floats (1.02 of it
+    # measured): a copy of G_SS or of A_S would add |S| columns, 589 here
+    lasso = c.random_lasso(900, 600, 0.2, seed=0)
+    n = lasso.L.cols
+    z0 = c.PPoint(np.zeros(n), np.zeros(lasso.L.rows))
+    peak, candidate = traced_peak(lasso.polish, z0)
+    assert candidate is not None and np.count_nonzero(candidate.x) >= n // 2
+    assert peak <= 1.1 * 8 * n * n + 32 * 8 * n, peak / (8 * n * n)
+
+
+def test_start_point_polish_solves_the_bench_lasso():
+    # the active-set solve from (0, 0) is kept after its 50-step check; the
+    # long run took 562 steps to a point whose polish was kept
+    for seed in (0, 97):
+        kkt = c.kkt_by_long_run(c.random_lasso(900, 600, 0.2, seed), 4000)
+        assert kkt.kind == "polished" and kkt.iterations == problems._POLISH_ITERS
+        assert kkt.residual <= problems._POLISH_TOL
+
+
+def test_polish_solves_the_underdetermined_lasso_the_long_run_could_not():
+    # 300x600, lam = 0.2, seed 6: the long run was rejected at 7.96e-6
+    # after 20000 steps; a block-end polish is now kept (at step 2591)
+    kkt = c.kkt_by_long_run(c.random_lasso(300, 600, 0.2, seed=6), 20000)
+    assert kkt.kind == "polished" and kkt.iterations < 20000
+    assert kkt.residual <= 1e-12
+
+
 def test_wide_long_run_tries_the_polish_once_per_block(monkeypatch):
-    # n + m = 2199: the polish is tried after every 512 steps and at the
-    # horizon, whatever the width, on the point a single run ends at
+    # n + m = 2199: the polish is tried on the start point, after every 512
+    # steps and at the horizon, whatever the width, on the point a single
+    # run ends at
     tv = c.make_tv1d(c.default_tv_signal(1100, seed=0), lam=0.5)
     tried = []
 
@@ -263,11 +297,12 @@ def test_wide_long_run_tries_the_polish_once_per_block(monkeypatch):
     hooked = dataclasses.replace(tv, polish=polish)
     unchecked_oracle(monkeypatch)
     c.kkt_by_long_run(hooked, 1000)
-    assert len(tried) == 2
+    assert len(tried) == 3
+    assert not tried[0].x.any() and not tried[0].y.any()
     z0 = c.PPoint(np.zeros(tv.L.cols), np.zeros(tv.L.rows))
     final = c.run(tv, strict_params(tv), z0, max_iters=512, stop_tol=None).final
-    assert np.array_equal(tried[0].x, final.x)
-    assert np.array_equal(tried[0].y, final.y)
+    assert np.array_equal(tried[1].x, final.x)
+    assert np.array_equal(tried[1].y, final.y)
 
 
 def test_long_run_names_the_run_wide_nonfinite_iteration(monkeypatch):
@@ -478,7 +513,8 @@ def test_failed_polish_ends_at_the_long_run_point(monkeypatch, iters, stop_tol):
 
 def test_non_finite_polish_check_drops_the_candidate(monkeypatch):
     # the prox fails on the first step of each check; the check's
-    # NonFiniteIterateError drops the candidate, and the run goes on
+    # NonFiniteIterateError drops the candidate, and the run goes on: the
+    # start point's, then after steps 512, 1024 and 1300
     tv, params, z0 = blocked_oracle_case()
     prox, tried, armed = tv.f.prox, [], [False]
 
@@ -498,7 +534,7 @@ def test_non_finite_polish_check_drops_the_candidate(monkeypatch):
     unchecked_oracle(monkeypatch)
     kkt = c.kkt_by_long_run(hooked, 1300)
     final = c.run(tv, params, z0, max_iters=1300, stop_tol=None).final
-    assert len(tried) == 3
+    assert len(tried) == 4
     assert kkt.kind == "long_run" and kkt.iterations == 1300
     assert np.array_equal(kkt.star.x, final.x)
     assert np.array_equal(kkt.star.y, final.y)
