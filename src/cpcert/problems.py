@@ -161,23 +161,27 @@ def _lasso_polish(A: MatrixOperator, b: np.ndarray, lam: float,
     S = {|u| > lam} and its signs s = sign(u_S), and solves the reduced
     normal equations A_S^T A_S x_S = A_S^T b - lam s by conjugate gradients
     from x_S, with x = 0 off S. It stops when (S, s) repeats, or after
-    ``_PDAS_PASSES`` passes. G = A^T A is formed once, ``_GRAM_BLOCK``
-    columns per product so that no packing buffer of BLAS adds to it; each
-    reduced product is the masked (G v)[S], so no copy of G_SS or A_S is
-    made. The result, with y = Ax - b, satisfies the lasso's optimality
-    conditions if sign(x_S) is still s and |A^T y| <= lam off S; otherwise,
-    or if |S| is 0 or exceeds the rows (A_S^T A_S is then singular), there
-    is no candidate.
+    ``_PDAS_PASSES`` passes. Each reduced product is the masked
+    (A^T A v)[S], so no copy of G_SS or A_S is made. Where A has at least
+    as many rows as columns, G = A^T A (no larger than A) is formed once
+    the first active set passes the guard, ``_GRAM_BLOCK`` columns per
+    product so that no packing buffer of BLAS adds to it, and the products
+    after that are G v; otherwise each is two operator applies, which for a
+    wide A also cost less than G v once n > 2m. The result, with
+    y = Ax - b, satisfies the lasso's optimality conditions if sign(x_S) is
+    still s and |A^T y| <= lam off S; otherwise, or if |S| is 0 or exceeds
+    the rows (A_S^T A_S is then singular), there is no candidate.
     """
-    a = A.matrix
-    gram = np.empty((A.cols, A.cols))
-    for j in range(0, A.cols, _GRAM_BLOCK):
-        np.matmul(a.T, a[:, j:j + _GRAM_BLOCK], out=gram[:, j:j + _GRAM_BLOCK])
+    gram = None
+
+    def normal_full(v):  # A^T A v
+        return A.apply_adjoint(A.apply(v)) if gram is None else gram @ v
+
     atb = A.apply_adjoint(b)
     padded = np.empty_like(x)
     active = None
     for _ in range(_PDAS_PASSES):
-        u = x + atb - gram @ x
+        u = x + atb - normal_full(x)
         support = np.abs(u) > lam
         signs = np.sign(u[support])
         if active is not None and np.array_equal(support, active[0]) \
@@ -186,18 +190,22 @@ def _lasso_polish(A: MatrixOperator, b: np.ndarray, lam: float,
         size = int(np.count_nonzero(support))
         if not 0 < size <= A.rows:
             return None
+        if gram is None and A.cols <= A.rows:
+            a = A.matrix
+            gram = np.empty((A.cols, A.cols))
+            for j in range(0, A.cols, _GRAM_BLOCK):
+                np.matmul(a.T, a[:, j:j + _GRAM_BLOCK], out=gram[:, j:j + _GRAM_BLOCK])
         padded.fill(0.0)
 
-        def normal(v):  # A_S^T A_S v, as (G v)[S]
+        def normal(v):  # A_S^T A_S v, as (A^T A v)[S]
             padded[support] = v
-            return (gram @ padded)[support]
+            return normal_full(padded)[support]
 
         x_s = _conjugate_gradients(normal, atb[support] - lam * signs, x[support],
                                    max_iters=2 * size + 10)
         x = np.zeros_like(x)
         x[support] = x_s
         active = support, signs
-    del gram
     if not np.array_equal(np.sign(x[support]), signs):
         return None
     y = A.apply(x) - b

@@ -574,9 +574,8 @@ def test_generator_param_of_wrong_type_exits_2(tmp_path, capsys, problem):
 
 
 def test_tv1d_single_sample_exits_2_naming_n(tmp_path, capsys):
-    # "n": 1 passed the "an integer >= 1" check, then exited 2 with "signal
-    # must have at least 2 samples", which named neither the field nor the
-    # config; n shares the "an integer >= 2" kind of the run's iters
+    # a signal needs 2 samples to have a difference: n shares the "an
+    # integer >= 2" kind of the run's iters, and its exit-2 message names it
     assert GENERATORS["tv1d"].seeded["n"] is _FIELDS["iters"] is COUNT2
     problem = {"generator": "tv1d", "params": {"n": 1, "lam": 0.5}}
     cfg = write_config(tmp_path / "cfg.json", problem=problem)

@@ -243,7 +243,7 @@ def test_polish_check_holds_one_segment():
     # n + m = 1500: 32-iterate segments, so the 50-step polish check runs as
     # pieces too (1.27 pieces measured; 1.82 with the check as one piece).
     # The candidate, the polish of the start point, is formed outside the
-    # trace: the polish's own peak is its Gram matrix (see below).
+    # trace; test_lasso_oracle_peak bounds the whole oracle, polish included.
     lasso = c.random_lasso(900, 600, 0.2, seed=0)
     width = lasso.L.rows + lasso.L.cols
     piece = (certificates._segment_iterates(width) + 1) * width * 8
@@ -266,9 +266,24 @@ def test_polish_forms_one_gram_matrix():
     assert peak <= 1.1 * 8 * n * n + 32 * 8 * n, peak / (8 * n * n)
 
 
+@pytest.mark.parametrize("rows", [900, 100])
+def test_lasso_oracle_peak(rows):
+    # the whole oracle on a 600-column lasso: its runs hold about one
+    # segment piece, and the polish holds G = A^T A besides only where A
+    # has at least as many rows as columns. 900x600: 7.48 pieces, G being
+    # 7.27; 100x600, polished at the fourth try: 1.13 pieces, where G would
+    # be 7.24
+    lasso = c.random_lasso(rows, 600, 0.2, seed=0)
+    n, width = lasso.L.cols, lasso.L.rows + lasso.L.cols
+    piece = (certificates._segment_iterates(width) + 1) * width * 8
+    gram = 8 * n * n if n <= rows else 0
+    peak, kkt = traced_peak(c.kkt_by_long_run, lasso, 4000)
+    assert kkt.kind == "polished"
+    assert peak <= 1.5 * piece + 1.1 * gram, (peak / piece, gram / piece)
+
+
 def test_start_point_polish_solves_the_bench_lasso():
-    # the active-set solve from (0, 0) is kept after its 50-step check; the
-    # long run took 562 steps to a point whose polish was kept
+    # the active-set solve from (0, 0) is kept after its 50-step check
     for seed in (0, 97):
         kkt = c.kkt_by_long_run(c.random_lasso(900, 600, 0.2, seed), 4000)
         assert kkt.kind == "polished" and kkt.iterations == problems._POLISH_ITERS
@@ -276,8 +291,8 @@ def test_start_point_polish_solves_the_bench_lasso():
 
 
 def test_polish_solves_the_underdetermined_lasso_the_long_run_could_not():
-    # 300x600, lam = 0.2, seed 6: the long run was rejected at 7.96e-6
-    # after 20000 steps; a block-end polish is now kept (at step 2591)
+    # 300x600, lam = 0.2, seed 6: the long run alone stalls above the 1e-6
+    # acceptance threshold within 20000 steps; a block-end polish is kept
     kkt = c.kkt_by_long_run(c.random_lasso(300, 600, 0.2, seed=6), 20000)
     assert kkt.kind == "polished" and kkt.iterations < 20000
     assert kkt.residual <= 1e-12
