@@ -77,6 +77,19 @@ def segment_end(done: int, width: int) -> int:
     return ((done + 1) // s + 1) * s - 1
 
 
+def certify_beside_run(width: int) -> bool:
+    """Whether a run of iterates of ``width`` = n + m entries certifies
+    each segment while a worker thread runs the next one.
+
+    So it does where its segments are byte-bound (fewer than
+    ``_MAX_SEGMENT`` iterates, n + m > 192): a step's operator applies
+    and the certifier's row passes are then numpy calls long enough to
+    run beside each other on two cores, the GIL released. On narrower
+    runs the two threads would mostly hand the GIL to each other.
+    """
+    return _segment_iterates(width) < _MAX_SEGMENT
+
+
 # Where a saddle point came from: a closed form, a direct algorithm, a
 # short run whose point was polished on its active set, or a long run.
 ORACLE_KINDS = ("closed_form", "direct", "polished", "long_run")

@@ -25,11 +25,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import importlib
 import itertools
 import json
 import math
 import sys
+import threading
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -42,8 +44,8 @@ from .schema import (COUNT, COUNT2, INTEGER, NONNEGATIVE, NUMBER, OBJECT, POSITI
 # calls them through this module's globals, where tests replace them and
 # the benchmark wraps them by attribute.
 _NUMERIC = {
-    ".certificates": ("CertifyCarry", "_flag_arrays", "certify_trajectory",
-                      "segment_end"),
+    ".certificates": ("CertifyCarry", "_flag_arrays", "certify_beside_run",
+                      "certify_trajectory", "segment_end"),
     ".problems": ("OracleRejectedError", "kkt_by_long_run", "problem_from_config",
                   "read_problem_file"),
     ".solver": ("NonFiniteIterateError", "SolverParams", "Trajectory", "Validity",
@@ -583,6 +585,58 @@ class _Cell:
     final_residual: float = math.nan
 
 
+def _batch_run(problem, starts: dict, steps: int, done: int, cfg: ExperimentConfig) -> dict:
+    """Index -> segment of each cell of ``starts`` (index -> its params and
+    point after ``done`` steps), from one batch :func:`run` of ``steps``
+    steps. Its NonFiniteIterateError is renumbered by its run-wide step."""
+    if not starts:
+        return {}
+    params, points = zip(*starts.values())
+    try:
+        batch = run(problem, list(params), list(points), max_iters=steps,
+                    stop_tol=cfg.stop_tol, override_invalid=cfg.override_invalid)
+    except NonFiniteIterateError as e:
+        raise NonFiniteIterateError(done + e.iteration) from None
+    return dict(zip(starts, batch.trajectories))
+
+
+class _Pending:
+    """A call ``fn(*args)`` made later: on a worker thread once
+    :meth:`start` is called, otherwise on the calling thread by
+    :meth:`result`."""
+
+    def __init__(self, fn, *args):
+        self._call = functools.partial(fn, *args)
+        self._thread = None
+        self._outcome = None  # (value, error) once the worker has returned
+
+    def start(self) -> None:
+        self._thread = threading.Thread(target=self._record)
+        self._thread.start()
+
+    def _record(self) -> None:
+        try:
+            self._outcome = self._call(), None
+        except BaseException as e:  # raised on the calling thread by result()
+            self._outcome = None, e
+
+    def result(self):
+        """The call's value, or its error raised."""
+        if self._thread is None:
+            return self._call()
+        self._thread.join()
+        (value, error), self._outcome = self._outcome, None
+        if error is not None:
+            raise error
+        return value
+
+    def cancel(self) -> None:
+        """Wait for a started call to end, and drop its outcome."""
+        if self._thread is not None:
+            self._thread.join()
+            self._outcome = None
+
+
 def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
                      keep_tables: bool = False) -> dict:
     """Run and certify the cells ``params`` (index -> SolverParams) as one batch.
@@ -590,9 +644,10 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
     The batch runs in segments that end at the step counts of
     :func:`cpcert.certificates.segment_end`, or at ``cfg.iters``. Each
     segment goes to each cell's certifier and is dropped, so memory holds
-    one segment per cell, never a full history; with ``keep_tables`` each
-    cell also keeps its segment tables. A cell's segment has one of two
-    sources, each bitwise the segment :func:`run` would compute:
+    one segment per cell, two where segments overlap (below), never a full
+    history; with ``keep_tables`` each cell also keeps its segment tables.
+    A cell's segment has one of two sources, each bitwise the segment
+    :func:`run` would compute:
 
     * a replayed cycle: once a segment of the cell's repeats its last
       iterate bitwise (:func:`find_cycle`, searched before a ``fault``
@@ -606,37 +661,39 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
     whose run stops leaves the batch. ``cfg.iters`` is at least 2 (checked at
     load), so every segment certifies at least one window.
 
-    The first failure ends the whole batch and propagates: within a
-    segment, the batch's :func:`run` comes first (its NonFiniteIterateError
-    renumbered by the segment's first step, or an error a step raises
-    itself), then each cell's certification in index order (a certificate
-    error, or, once the cell's run is done, a fault outside it).
-    Returns index -> the finished :class:`_Cell`.
+    Once a segment is in, the calling thread takes each cell's final
+    point, cycle and ``fault`` copy, and finishes the cells whose run is
+    done; then it certifies the segment. Where
+    :func:`cpcert.certificates.certify_beside_run` holds, the next
+    segment's batch :func:`run` is meanwhile made on a worker thread, and
+    memory holds one more segment per cell; elsewhere, and for the first
+    segment, the run is made on the calling thread once the segment before
+    it is certified and dropped. The order of failures is the same either
+    way, and the first one ends the whole batch and propagates: a
+    segment's run (its NonFiniteIterateError renumbered by the segment's
+    first step, or an error a step raises itself), then each cell's
+    certification of it in index order (a certificate error, or, once the
+    cell's run is done, a fault outside it), then the next segment's run.
+    No worker thread outlives the call. Returns index -> the finished
+    :class:`_Cell`.
     """
     z0 = PPoint(np.zeros(problem.L.cols), np.zeros(problem.L.rows))
     live = {i: _Cell(p, z0, [] if keep_tables else None) for i, p in params.items()}
     finished = {}
     fault_k = None if cfg.fault is None else int(cfg.fault["k"])
     width = problem.L.cols + problem.L.rows
-    done = 0  # the steps each live cell has taken
-    while live:
-        steps = min(segment_end(done, width), cfg.iters) - done
-        segs = {}
-        for i, cell in live.items():
+    beside = certify_beside_run(width)
+    done, steps = 0, min(segment_end(0, width), cfg.iters)
+    pending = _Pending(_batch_run, problem, {i: (p, z0) for i, p in params.items()},
+                       steps, done, cfg)
+    while pending is not None:
+        segs = pending.result()
+        cells = list(live.items())  # this segment's, in index order
+        for i, cell in cells:
             if cell.cycle is not None:
                 segs[i], cell.cycle = tile_cycle(cell.cycle, steps)
-        ran = [i for i in live if i not in segs]
-        if ran:
-            try:
-                batch = run(problem, [live[i].params for i in ran],
-                            [live[i].z for i in ran], max_iters=steps,
-                            stop_tol=cfg.stop_tol, override_invalid=cfg.override_invalid)
-            except NonFiniteIterateError as e:  # named by its run-wide iteration
-                raise NonFiniteIterateError(done + e.iteration) from None
-            segs.update(zip(ran, batch.trajectories))
-            del batch
-        for i, cell in list(live.items()):
-            seg = segs.pop(i)
+        for i, cell in cells:
+            seg = segs[i]
             first = cell.n_iters  # iterate index of seg.X[0], fed already unless 0
             cell.n_iters += seg.n_iters
             cell.z = seg.final
@@ -644,23 +701,39 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
             if runs_on and cell.cycle is None:
                 cell.cycle = find_cycle(seg)
             if fault_k is not None and first <= fault_k <= cell.n_iters:
-                seg = corrupt_trajectory(seg, fault_k - first, float(cfg.fault["delta"]))
-            table = certify_trajectory(seg, kkt, problem, tol=cfg.tolerance,
-                                       carry=cell.carry)
-            if cell.tables is not None:
-                cell.tables.append(table)
+                segs[i] = seg = corrupt_trajectory(seg, fault_k - first,
+                                                   float(cfg.fault["delta"]))
             if runs_on:
                 continue  # the cell runs on
-            if fault_k is not None:
-                _check_iterate(fault_k, cell.n_iters)
             finished[i] = live.pop(i)
             if seg.stopped_at is not None:
                 cell.stopped_at = first + seg.stopped_at
             cell.final_residual = float(fixed_point_residual(
                 np.diff(seg.X[-2:], axis=0), np.diff(seg.Y[-2:], axis=0),
                 cell.params.tau, cell.params.sigma)[0])
-        del seg  # free this segment before the next one is run
         done += steps
+        pending = None
+        if live:
+            steps = min(segment_end(done, width), cfg.iters) - done
+            starts = {i: (cell.params, cell.z) for i, cell in live.items()
+                      if cell.cycle is None}
+            pending = _Pending(_batch_run, problem, starts, steps, done, cfg)
+            if beside and starts:
+                pending.start()
+        try:
+            for i, cell in cells:
+                seg = segs.pop(i)
+                table = certify_trajectory(seg, kkt, problem, tol=cfg.tolerance,
+                                           carry=cell.carry)
+                if cell.tables is not None:
+                    cell.tables.append(table)
+                if fault_k is not None and i not in live:
+                    _check_iterate(fault_k, cell.n_iters)
+        except BaseException:
+            if pending is not None:
+                pending.cancel()
+            raise
+        del seg, table  # free this segment before the next one is joined
     return finished
 
 

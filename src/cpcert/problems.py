@@ -24,7 +24,8 @@ from .certificates import KKTPoint, kkt_residual, make_kkt, segment_end
 from .hilbert import (ForwardDifferenceOperator, LinearOperator,
                       MatrixOperator, PPoint, as_vector, load_matrix)
 from .prox import ProxFn, rowwise
-from .schema import COUNT, COUNT2, NUMBER, OBJECT, SEED, STRING, VECTOR, check_fields
+from .schema import (COUNT, COUNT2, NONNEGATIVE, NUMBER, OBJECT, SEED, STRING, VECTOR,
+                     check_fields)
 from .solver import NonFiniteIterateError, SolverParams, run, suggest_steps
 
 __all__ = [
@@ -531,11 +532,11 @@ class Generator(NamedTuple):
 GENERATORS = {
     "quadratic": Generator(_build_quadratic, {"rows": COUNT, "cols": COUNT},
                            {"matrix": STRING, "a": VECTOR, "b": VECTOR}),
-    "lasso": Generator(_build_lasso, {"rows": COUNT, "cols": COUNT, "lam": NUMBER},
-                       {"matrix": STRING, "b": VECTOR, "lam": NUMBER}),
+    "lasso": Generator(_build_lasso, {"rows": COUNT, "cols": COUNT, "lam": NONNEGATIVE},
+                       {"matrix": STRING, "b": VECTOR, "lam": NONNEGATIVE}),
     # a signal has at least 2 samples, so that it has a difference
-    "tv1d": Generator(_build_tv1d, {"n": COUNT2, "lam": NUMBER},
-                      {"signal": VECTOR, "lam": NUMBER}, {"noise": NUMBER}),
+    "tv1d": Generator(_build_tv1d, {"n": COUNT2, "lam": NONNEGATIVE},
+                      {"signal": VECTOR, "lam": NONNEGATIVE}, {"noise": NUMBER}),
 }
 # The two forms of a problem reference: a file, or a generator and its params.
 _FILE_REFERENCE = {"file": STRING}

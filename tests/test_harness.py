@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from cpcert.harness import (_FIELDS, _OBJECT_FIELDS, CSV_COLUMNS, ExperimentConf
                             UsageError, corrupt_trajectory, emit_plotdata, fit_rate,
                             main, read_trajectory_csv, recompute_flags_from_csv)
 from cpcert.problems import GENERATORS, read_problem_file
-from cpcert.schema import COUNT2, SEED
+from cpcert.schema import COUNT2, NONNEGATIVE, SEED
 from cpcert.solver import running_averages
 
 from conftest import traced_peak
@@ -584,6 +586,25 @@ def test_tv1d_single_sample_exits_2_naming_n(tmp_path, capsys):
     assert "generator parameter 'n' must be an integer >= 2, got 1" in err
 
 
+@pytest.mark.parametrize("problem", [
+    {"generator": "tv1d", "params": {"n": 50, "lam": -0.5}},
+    {"generator": "tv1d", "params": {"signal": [1.0, 2.0, 3.0], "lam": -0.5}},
+    {"generator": "lasso", "params": {"rows": 900, "cols": 600, "lam": -0.5}},
+    {"generator": "lasso", "params": {"matrix": "m.txt", "b": [1.0, 0.5], "lam": -0.5}},
+], ids=["tv1d-seeded", "tv1d-data", "lasso-seeded", "lasso-data"])
+def test_negative_lam_exits_2_at_load_naming_the_field(tmp_path, capsys, problem):
+    # a negative lam exited 2 only once the problem was built (a seeded lasso
+    # first drew its matrix and ran power iteration on it), with the l1
+    # weight's message, which named neither the field nor the config
+    (tmp_path / "m.txt").write_text("2 2\n1.0 0.5\n0.0 2.0\n")
+    assert all(GENERATORS[name].seeded["lam"] is GENERATORS[name].data["lam"] is NONNEGATIVE
+               for name in ("lasso", "tv1d"))
+    cfg = write_config(tmp_path / "cfg.json", problem=problem)
+    assert main(["validate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "generator parameter 'lam' must be a finite number >= 0, got -0.5" in err
+
+
 def wrong_type(kind):
     """A JSON value of a type that ``kind`` (a checker table entry) does not take."""
     return 3 if kind[1] == "a string" else "x"
@@ -851,14 +872,16 @@ def test_solve_writes_nothing_when_it_fails_after_its_first_segment(tmp_path, ca
 
 
 def sabotage_f_prox(monkeypatch, at_call, bad):
-    """Make the built problem's f.prox return ``bad(x)`` at its call ``at_call``."""
+    """Make the built problem's f.prox return ``bad(x)`` at its call
+    ``at_call``; returns the list of its calls' steps."""
     import cpcert.harness as harness
 
     build = harness.problem_from_config
+    calls = []
 
     def sabotaged(pc):
         problem = build(pc)
-        prox, calls = problem.f.prox, []
+        prox = problem.f.prox
 
         def f_prox(x, gamma):
             calls.append(gamma)
@@ -870,6 +893,7 @@ def sabotage_f_prox(monkeypatch, at_call, bad):
         return spec
 
     monkeypatch.setattr(harness, "problem_from_config", sabotaged)
+    return calls
 
 
 # The theta = 1 run of QUAD_12x10 reaches a fixed point at iterate 220, after
@@ -1652,3 +1676,120 @@ def test_overflowing_fault_inside_a_replayed_sweep_segment_ends_the_sweep(tmp_pa
     assert "non-finite Lyapunov value at iteration" in replayed
     assert replayed == capsys.readouterr().err
     assert not out.exists() and not plain.exists()
+
+
+# --- a wide run certifies each segment while a worker thread runs the next ---
+
+# A run of this quadratic certifies in 196-iterate segments (n + m = 250),
+# ending at k = 195, 391, 587, ...; it repeats no state within 600 steps.
+QUAD_150x100 = {"generator": "quadratic", "params": {"rows": 150, "cols": 100, "seed": 7}}
+TV_300 = {"generator": "tv1d", "params": {"n": 300, "seed": 0, "lam": 0.5}}
+
+
+def beside_or_inline(monkeypatch, beside, worker_delay=0.0):
+    """Make the harness certify each segment beside the next segment's run
+    (``beside``) or before it, at every width, a run on a worker thread
+    starting ``worker_delay`` seconds late. Returns the list of the threads
+    that call ``harness.run``, one entry a call."""
+    import cpcert.harness as harness
+
+    monkeypatch.setattr(harness, "certify_beside_run", lambda width: beside)
+    threads, run = [], harness.run
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.current_thread())
+        if threads[-1] is not threading.main_thread():
+            time.sleep(worker_delay)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", recorded)
+    return threads
+
+
+def test_only_byte_bound_segments_are_certified_beside_the_run():
+    # the 256-iterate cap binds up to n + m = 192: quad_long (22), tv_sweep
+    # (99) and the negative control keep one thread
+    from cpcert.certificates import certify_beside_run
+
+    assert [certify_beside_run(w) for w in (22, 99, 192, 193, 1500)] == [
+        False, False, False, True, True]
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("solve", {"problem": LASSO_480x320, "iters": 200}),
+    ("sweep", {"problem": TV_300, "iters": 300,
+               "grid": {"theta": [0.5, 1.0], "safety": [0.9, 0.99]}}),
+    ("solve", {"problem": QUAD_150x100, "iters": 500, "fault": {"k": 250, "delta": 1.0}}),
+], ids=["wide-lasso-solve", "tv1d-sweep", "fault-in-second-segment"])
+def test_certifying_beside_the_next_run_keeps_every_byte(tmp_path, monkeypatch, command,
+                                                         overrides):
+    # the caller's thread runs the first segment and the worker every later
+    # one; the outputs are those of the one-thread order, whatever the
+    # number of BLAS threads, and with the GIL handed over every 10 us
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    outputs = {}
+    switch = sys.getswitchinterval()
+    for beside in (False, True):
+        out = tmp_path / str(beside)
+        with monkeypatch.context() as m:
+            threads = beside_or_inline(m, beside)
+            sys.setswitchinterval(1e-5)
+            try:
+                code = main([command, "--config", str(cfg), "--out", str(out)])
+            finally:
+                sys.setswitchinterval(switch)
+        assert len(threads) >= 3
+        assert [t is threading.current_thread() for t in threads] == [
+            True] + [not beside] * (len(threads) - 1)
+        outputs[beside] = code, {p.name: p.read_bytes() for p in out.iterdir()}
+    assert outputs[True] == outputs[False]
+    assert outputs[True][0] == (1 if "fault" in overrides else 0)
+
+
+@pytest.mark.parametrize("fault, at_call, code, message", [
+    ({"k": 300, "delta": 1e308}, 400, 1, "non-finite Lyapunov value at iteration 299"),
+    (None, 300, 3, "non-finite iterate produced at iteration 300"),
+], ids=["certificate-error-before-next-run-error", "run-error-on-the-worker"])
+def test_certifying_beside_the_next_run_keeps_the_failure_order(
+        tmp_path, capsys, monkeypatch, fault, at_call, code, message):
+    # the fault at k = 300 makes the second segment's Lyapunov value
+    # non-finite while the worker's run of the third segment produces a
+    # NaN at step 400: the certificate error is raised, once that run has
+    # ended, though it starts late; a run error on the worker is numbered
+    # by its run-wide step. No worker thread is left.
+    assert_no_repeat(QUAD_150x100, 600)
+    calls = sabotage_f_prox(monkeypatch, at_call, lambda x: np.full_like(x, np.nan))
+    threads = beside_or_inline(monkeypatch, True, worker_delay=0.1)
+    cfg = write_config(tmp_path / "cfg.json", problem=QUAD_150x100, iters=600, fault=fault)
+    out = tmp_path / "out"
+    before = threading.active_count()
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == code
+    assert threading.active_count() == before
+    assert f"{message}\n" in capsys.readouterr().err
+    assert len(calls) == at_call  # the failing step ran, on the worker
+    assert threads[-1] is not threading.current_thread()
+    assert not out.exists()
+
+
+def test_certifying_beside_the_next_run_holds_one_more_segment(monkeypatch):
+    # the worker fills the next segment (33 iterates of n + m = 1500 floats,
+    # 0.4 MB) while the caller certifies this one, and holds its step's
+    # vectors: 1.08-1.21 segments above the one-thread order were measured.
+    # The certification loop is traced alone: a whole solve's traced peak
+    # (9.8 MB) is the oracle's, and hides it.
+    import cpcert.harness as harness
+
+    pc = {"generator": "lasso", "params": {"rows": 900, "cols": 600, "lam": 0.2, "seed": 0}}
+    problem = c.problem_from_config(pc)
+    norm = problem.L.norm_bound
+    params = {0: c.SolverParams(*c.suggest_steps(1.0, norm, 0.9), 1.0, norm)}
+    kkt = harness.kkt_by_long_run(problem, 4000)
+    cfg = ExperimentConfig(problem=pc, iters=200)
+    peaks = {}
+    for beside in (False, True):
+        monkeypatch.setattr(harness, "certify_beside_run", lambda width: beside)
+        peaks[beside], cells = traced_peak(harness._certified_cells, problem, params, cfg,
+                                           kkt)
+        assert cells[0].n_iters == 200
+    segment = 33 * 1500 * 8
+    assert peaks[True] <= peaks[False] + 1.5 * segment, (peaks, segment)
