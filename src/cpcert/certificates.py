@@ -23,11 +23,12 @@ no pass/fail claims.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import PPoint
+from .hilbert import MatrixOperator, PPoint
 from .solver import (ParamStatus, SolverParams, Trajectory, Validity, _region_terms,
                      continued_cumsum, running_averages, validate_params)
 
@@ -77,17 +78,38 @@ def segment_end(done: int, width: int) -> int:
     return ((done + 1) // s + 1) * s - 1
 
 
-def certify_beside_run(width: int) -> bool:
-    """Whether a run of iterates of ``width`` = n + m entries certifies
-    each segment while a worker thread runs the next one.
+# The fewest entries of a dense operator whose run certifies each segment
+# beside the next segment's run: on two cores, two threads calling 900x600
+# gemv with one BLAS thread each ran 1.85x as fast as one thread calling
+# both, and 300x600 gemv 0.83x.
+_BESIDE_MIN_ENTRIES = 900 * 600
 
-    So it does where its segments are byte-bound (fewer than
-    ``_MAX_SEGMENT`` iterates, n + m > 192): a step's operator applies
-    and the certifier's row passes are then numpy calls long enough to
-    run beside each other on two cores, the GIL released. On narrower
-    runs the two threads would mostly hand the GIL to each other.
+
+def _one_blas_thread() -> bool:
+    """Whether the environment pins BLAS to one thread: the first of
+    OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS that is set
+    (OpenBLAS and MKL read their own before OMP's) says 1."""
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value:
+            return value == "1"
+    return False
+
+
+def certify_beside_run(L) -> bool:
+    """Whether a run with operator ``L`` certifies each segment while a
+    worker thread runs the next one.
+
+    So it does where that was measured to pay: ``L`` is a dense matrix of
+    at least ``_BESIDE_MIN_ENTRIES`` entries, whose gemv calls release the
+    GIL long enough for the certifier to run beside them, BLAS is pinned
+    to one thread (:func:`_one_blas_thread`) and there is a second core.
+    Where BLAS threads already use every core, the worker's calls and the
+    certifier's oversubscribe them, and on smaller or matrix-free
+    operators the two threads mostly hand the GIL to each other.
     """
-    return _segment_iterates(width) < _MAX_SEGMENT
+    return (isinstance(L, MatrixOperator) and L.rows * L.cols >= _BESIDE_MIN_ENTRIES
+            and _one_blas_thread() and (os.cpu_count() or 1) >= 2)
 
 
 # Where a saddle point came from: a closed form, a direct algorithm, a

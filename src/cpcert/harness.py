@@ -682,45 +682,45 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
     finished = {}
     fault_k = None if cfg.fault is None else int(cfg.fault["k"])
     width = problem.L.cols + problem.L.rows
-    beside = certify_beside_run(width)
+    beside = certify_beside_run(problem.L)
     done, steps = 0, min(segment_end(0, width), cfg.iters)
     pending = _Pending(_batch_run, problem, {i: (p, z0) for i, p in params.items()},
                        steps, done, cfg)
-    while pending is not None:
-        segs = pending.result()
-        cells = list(live.items())  # this segment's, in index order
-        for i, cell in cells:
-            if cell.cycle is not None:
-                segs[i], cell.cycle = tile_cycle(cell.cycle, steps)
-        for i, cell in cells:
-            seg = segs[i]
-            first = cell.n_iters  # iterate index of seg.X[0], fed already unless 0
-            cell.n_iters += seg.n_iters
-            cell.z = seg.final
-            runs_on = seg.stopped_at is None and cell.n_iters < cfg.iters
-            if runs_on and cell.cycle is None:
-                cell.cycle = find_cycle(seg)
-            if fault_k is not None and first <= fault_k <= cell.n_iters:
-                segs[i] = seg = corrupt_trajectory(seg, fault_k - first,
-                                                   float(cfg.fault["delta"]))
-            if runs_on:
-                continue  # the cell runs on
-            finished[i] = live.pop(i)
-            if seg.stopped_at is not None:
-                cell.stopped_at = first + seg.stopped_at
-            cell.final_residual = float(fixed_point_residual(
-                np.diff(seg.X[-2:], axis=0), np.diff(seg.Y[-2:], axis=0),
-                cell.params.tau, cell.params.sigma)[0])
-        done += steps
-        pending = None
-        if live:
-            steps = min(segment_end(done, width), cfg.iters) - done
-            starts = {i: (cell.params, cell.z) for i, cell in live.items()
-                      if cell.cycle is None}
-            pending = _Pending(_batch_run, problem, starts, steps, done, cfg)
-            if beside and starts:
-                pending.start()
-        try:
+    try:
+        while pending is not None:
+            segs = pending.result()
+            cells = list(live.items())  # this segment's, in index order
+            for i, cell in cells:
+                if cell.cycle is not None:
+                    segs[i], cell.cycle = tile_cycle(cell.cycle, steps)
+            for i, cell in cells:
+                seg = segs[i]
+                first = cell.n_iters  # iterate index of seg.X[0], fed already unless 0
+                cell.n_iters += seg.n_iters
+                cell.z = seg.final
+                runs_on = seg.stopped_at is None and cell.n_iters < cfg.iters
+                if runs_on and cell.cycle is None:
+                    cell.cycle = find_cycle(seg)
+                if fault_k is not None and first <= fault_k <= cell.n_iters:
+                    segs[i] = seg = corrupt_trajectory(seg, fault_k - first,
+                                                       float(cfg.fault["delta"]))
+                if runs_on:
+                    continue  # the cell runs on
+                finished[i] = live.pop(i)
+                if seg.stopped_at is not None:
+                    cell.stopped_at = first + seg.stopped_at
+                cell.final_residual = float(fixed_point_residual(
+                    np.diff(seg.X[-2:], axis=0), np.diff(seg.Y[-2:], axis=0),
+                    cell.params.tau, cell.params.sigma)[0])
+            done += steps
+            pending = None
+            if live:
+                steps = min(segment_end(done, width), cfg.iters) - done
+                starts = {i: (cell.params, cell.z) for i, cell in live.items()
+                          if cell.cycle is None}
+                pending = _Pending(_batch_run, problem, starts, steps, done, cfg)
+                if beside and starts:
+                    pending.start()
             for i, cell in cells:
                 seg = segs.pop(i)
                 table = certify_trajectory(seg, kkt, problem, tol=cfg.tolerance,
@@ -729,11 +729,10 @@ def _certified_cells(problem, params: dict, cfg: ExperimentConfig, kkt,
                     cell.tables.append(table)
                 if fault_k is not None and i not in live:
                     _check_iterate(fault_k, cell.n_iters)
-        except BaseException:
-            if pending is not None:
-                pending.cancel()
-            raise
-        del seg, table  # free this segment before the next one is joined
+            del seg, table  # free this segment before the next one is joined
+    finally:
+        if pending is not None:
+            pending.cancel()  # no worker outlives the call, whatever ends it
     return finished
 
 

@@ -19,7 +19,7 @@ from cpcert.harness import (_FIELDS, _OBJECT_FIELDS, CSV_COLUMNS, ExperimentConf
                             UsageError, corrupt_trajectory, emit_plotdata, fit_rate,
                             main, read_trajectory_csv, recompute_flags_from_csv)
 from cpcert.problems import GENERATORS, read_problem_file
-from cpcert.schema import COUNT2, NONNEGATIVE, SEED
+from cpcert.schema import COUNT2, SEED
 from cpcert.solver import running_averages
 
 from conftest import traced_peak
@@ -593,12 +593,9 @@ def test_tv1d_single_sample_exits_2_naming_n(tmp_path, capsys):
     {"generator": "lasso", "params": {"matrix": "m.txt", "b": [1.0, 0.5], "lam": -0.5}},
 ], ids=["tv1d-seeded", "tv1d-data", "lasso-seeded", "lasso-data"])
 def test_negative_lam_exits_2_at_load_naming_the_field(tmp_path, capsys, problem):
-    # a negative lam exited 2 only once the problem was built (a seeded lasso
-    # first drew its matrix and ran power iteration on it), with the l1
-    # weight's message, which named neither the field nor the config
+    # lam is checked at load, in both forms of lasso and tv1d: validate
+    # exits 2 with the message that names the field
     (tmp_path / "m.txt").write_text("2 2\n1.0 0.5\n0.0 2.0\n")
-    assert all(GENERATORS[name].seeded["lam"] is GENERATORS[name].data["lam"] is NONNEGATIVE
-               for name in ("lasso", "tv1d"))
     cfg = write_config(tmp_path / "cfg.json", problem=problem)
     assert main(["validate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
@@ -1678,7 +1675,7 @@ def test_overflowing_fault_inside_a_replayed_sweep_segment_ends_the_sweep(tmp_pa
     assert not out.exists() and not plain.exists()
 
 
-# --- a wide run certifies each segment while a worker thread runs the next ---
+# --- a large dense run certifies each segment while a worker thread runs the next ---
 
 # A run of this quadratic certifies in 196-iterate segments (n + m = 250),
 # ending at k = 195, 391, 587, ...; it repeats no state within 600 steps.
@@ -1688,12 +1685,12 @@ TV_300 = {"generator": "tv1d", "params": {"n": 300, "seed": 0, "lam": 0.5}}
 
 def beside_or_inline(monkeypatch, beside, worker_delay=0.0):
     """Make the harness certify each segment beside the next segment's run
-    (``beside``) or before it, at every width, a run on a worker thread
+    (``beside``) or before it, on every operator, a run on a worker thread
     starting ``worker_delay`` seconds late. Returns the list of the threads
     that call ``harness.run``, one entry a call."""
     import cpcert.harness as harness
 
-    monkeypatch.setattr(harness, "certify_beside_run", lambda width: beside)
+    monkeypatch.setattr(harness, "certify_beside_run", lambda L: beside)
     threads, run = [], harness.run
 
     def recorded(*args, **kwargs):
@@ -1706,13 +1703,31 @@ def beside_or_inline(monkeypatch, beside, worker_delay=0.0):
     return threads
 
 
-def test_only_byte_bound_segments_are_certified_beside_the_run():
-    # the 256-iterate cap binds up to n + m = 192: quad_long (22), tv_sweep
-    # (99) and the negative control keep one thread
+def test_only_large_dense_runs_on_one_blas_thread_are_certified_beside_the_run(monkeypatch):
+    # at least 900 x 600 dense entries, BLAS pinned to one thread by the
+    # first thread variable set, and two cores; matrix-free operators,
+    # such as TV-1D's, keep one thread at any size
     from cpcert.certificates import certify_beside_run
+    from cpcert.hilbert import ForwardDifferenceOperator, MatrixOperator
 
-    assert [certify_beside_run(w) for w in (22, 99, 192, 193, 1500)] == [
-        False, False, False, True, True]
+    def dense(rows, cols):
+        return MatrixOperator(np.zeros((rows, cols)), norm_bound=1.0)
+
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert not certify_beside_run(dense(900, 600))  # BLAS threads on every core
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert [certify_beside_run(dense(r, cols)) for r, cols in (
+        (900, 600), (600, 900), (1800, 1200), (899, 600), (300, 600))] == [
+        True, True, True, False, False]
+    assert not certify_beside_run(ForwardDifferenceOperator(20000))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # read before OMP_NUM_THREADS
+    assert not certify_beside_run(dense(900, 600))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert certify_beside_run(dense(900, 600))
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert not certify_beside_run(dense(900, 600))
 
 
 @pytest.mark.parametrize("command, overrides", [
@@ -1787,7 +1802,7 @@ def test_certifying_beside_the_next_run_holds_one_more_segment(monkeypatch):
     cfg = ExperimentConfig(problem=pc, iters=200)
     peaks = {}
     for beside in (False, True):
-        monkeypatch.setattr(harness, "certify_beside_run", lambda width: beside)
+        monkeypatch.setattr(harness, "certify_beside_run", lambda L: beside)
         peaks[beside], cells = traced_peak(harness._certified_cells, problem, params, cfg,
                                            kkt)
         assert cells[0].n_iters == 200
