@@ -757,7 +757,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
 def cmd_rate(csv_path, metric: str, window: tuple[int, int]) -> int:
     """Print the :func:`fit_rate` of ``metric`` against k from a trajectory
     CSV, read by :func:`_csv_blocks`; only these two columns are kept."""
-    if metric not in CSV_COLUMNS:
+    if metric not in CSV_COLUMNS[1:]:
         raise UsageError(f"unknown metric {metric!r}; available: {CSV_COLUMNS[1:]}")
     j, width = CSV_COLUMNS.index(metric), len(CSV_COLUMNS)
     ks, values = [], []

@@ -5,17 +5,23 @@ configs/tv_sweep.json must write these exact bytes. The lasso config covers
 the dense-gemm operator images and the stacked lasso conjugate value map. A
 change that moves any output bit has to say so and update the hashes.
 
-The lasso hashes were last regenerated when the lasso polish became an
-active-set solve tried on the oracle's start point: z* is now the polish
-of (0, 0), checked after 2 solver steps where it was the polish of the
-point after 512 steps (513 steps in all). z* moved in its last bits, which
-moves the lasso certificate values in theirs, and ``kkt_oracle_iterations``
-fell from 513 to 2. The quadratic and tv_sweep hashes were last
-regenerated when the lasso oracle began polishing its point and TV-1D
-began taking z* from Condat's direct algorithm, which moved the tv_sweep
-certificate values in their last bits; every summary then gained the
-oracle's provenance (``kkt_oracle_kind``, ``kkt_oracle_iterations``) and
-each sweep row an ``error`` field.
+The lasso hashes were last regenerated when the polish's active-set
+passes began stopping their conjugate gradients at a relative residual of
+1e-6, solving to rounding level (1e-15) only the pass that confirms the
+active set. z* is the same start-point polish reached along other
+iterates, so it moved in its last bits (x* by at most 1.5e-15, y* by
+3.9e-15), which moves the lasso certificate values in theirs; its check
+now stops after 1 solver step where it took 2 (``kkt_oracle_iterations``),
+and its residual went from 4.5e-14 to 6.5e-14. Before that, they were
+regenerated when the polish became an active-set solve tried on the
+oracle's start point, checked after 2 solver steps where it was the polish
+of the point after 512 steps (513 steps in all). The quadratic and
+tv_sweep hashes were last regenerated when the lasso oracle began
+polishing its point and TV-1D began taking z* from Condat's direct
+algorithm, which moved the tv_sweep certificate values in their last
+bits; every summary then gained the oracle's provenance
+(``kkt_oracle_kind``, ``kkt_oracle_iterations``) and each sweep row an
+``error`` field.
 """
 
 import hashlib
@@ -30,8 +36,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 GOLDEN = {
     ("solve", "lasso.json"): {
-        "trajectory.csv": "5e1d59097a0d057fa72f3ae37a8856a075078d7a62f99bb7b8b3c1141b9fde60",
-        "summary.json": "c44825b43ca34b708426b2b435b7ecaae4842c14a3d0610d742b73e6bd012d5f",
+        "trajectory.csv": "3f29c74d4eff0c56fc9e4fa8712bdf74f20bd68fbe22b9a2a770fd2ef8ed9292",
+        "summary.json": "e98732031b386cd979ec1af104f08d068d2eceb236daeeb981992c023cc4218a",
     },
     ("solve", "quadratic.json"): {
         "trajectory.csv": "037a7d08b393dd336374a56ea33356fc697c5ba4b45ff65e72ef7d184907b240",

@@ -331,6 +331,18 @@ def test_rate_command_on_solver_output(tmp_path, capsys):
     assert main(["rate", str(out / "trajectory.csv"), "--metric", "nope"]) == 2
 
 
+def test_rate_refuses_the_k_column_as_a_metric(tmp_path, capsys):
+    # k is the abscissa of every fit, not one of the metrics rate offers
+    cfg = write_config(tmp_path / "cfg.json", iters=100)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["rate", str(out / "trajectory.csv"), "--metric", "k"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "unknown metric 'k'; available: ['gap'," in captured.err
+
+
 @pytest.fixture(scope="module")
 def good_csv_lines(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("csv")

@@ -290,10 +290,55 @@ def test_start_point_polish_solves_the_bench_lasso():
         assert kkt.residual <= problems._POLISH_TOL
 
 
-def test_polish_solves_the_underdetermined_lasso_the_long_run_could_not():
-    # 300x600, lam = 0.2, seed 6: the long run alone stalls above the 1e-6
-    # acceptance threshold within 20000 steps; a block-end polish is kept
-    kkt = c.kkt_by_long_run(c.random_lasso(300, 600, 0.2, seed=6), 20000)
+@pytest.mark.parametrize("seed", [0, 97])
+def test_start_point_polish_of_the_bench_lasso_takes_few_products(monkeypatch, seed):
+    # passes that only find the next active set stop their conjugate
+    # gradients at a relative residual of 1e-6: 474 and 466 products with
+    # A^T A measured, against over 1000 with every pass at rounding level
+    lasso = c.random_lasso(900, 600, 0.2, seed)
+    cg, solves, applies = problems._conjugate_gradients, [], []
+
+    def counted(apply, *args, **kwargs):
+        solves.append(kwargs["rtol"])
+
+        def product(v):
+            applies.append(None)
+            return apply(v)
+
+        return cg(product, *args, **kwargs)
+
+    monkeypatch.setattr(problems, "_conjugate_gradients", counted)
+    candidate = lasso.polish(c.PPoint(np.zeros(lasso.L.cols), np.zeros(lasso.L.rows)))
+    assert candidate is not None and kkt_residual(lasso, candidate) <= 1e-11
+    assert solves[-1] == problems._PDAS_TIGHT_TOL
+    # each pass takes one product for u; the last pass finds (S, s) repeated
+    # and solves nothing
+    assert len(applies) + len(solves) + 1 <= 600
+
+
+def test_polish_solves_its_last_pass_to_rounding_level(monkeypatch):
+    # a pass budget that ends before (S, s) repeats ends on a solve to
+    # rounding level, so a loose solve is never returned: here a run's
+    # point whose one pass finds the lasso's active set, whose loose solve
+    # would leave a residual of 2e-10, and the bench lasso's start point
+    monkeypatch.setattr(problems, "_PDAS_PASSES", 1)
+    lasso = c.random_lasso(90, 60, 0.2, seed=1)
+    z0 = c.PPoint(np.zeros(60), np.zeros(90))
+    z = c.run(lasso, strict_params(lasso), z0, max_iters=600, stop_tol=None).final
+    candidate = lasso.polish(z)
+    assert candidate is not None and kkt_residual(lasso, candidate) <= 1e-11
+    bench = c.random_lasso(900, 600, 0.2, seed=0)
+    candidate = bench.polish(c.PPoint(np.zeros(600), np.zeros(900)))
+    assert candidate is None or kkt_residual(bench, candidate) <= 1e-11
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+def test_polish_solves_the_underdetermined_lasso_the_long_run_could_not(seed):
+    # 300x600, lam = 0.2: the start point's active set exceeds the rows, so
+    # a block-end polish is kept (at step 1035 for seed 0 and 2573 for seed
+    # 6, where the long run alone stalls above the 1e-6 acceptance
+    # threshold within 20000 steps)
+    kkt = c.kkt_by_long_run(c.random_lasso(300, 600, 0.2, seed=seed), 20000)
     assert kkt.kind == "polished" and kkt.iterations < 20000
     assert kkt.residual <= 1e-12
 
