@@ -5,7 +5,15 @@ configs/tv_sweep.json must write these exact bytes. The lasso config covers
 the dense-gemm operator images and the stacked lasso conjugate value map. A
 change that moves any output bit has to say so and update the hashes.
 
-The lasso hashes were last regenerated when the polish's active-set
+The quadratic and lasso hashes were last regenerated when
+``estimate_norm`` moved from power iteration on L*L to Golub-Kahan-Lanczos
+bidiagonalization. The ``MatrixOperator`` norm bound rose by 4.8e-11
+(quadratic) and 4.6e-10 (lasso) relative, to within rounding of ||A||_2
+times 1 + 1e-8, so tau and sigma fell by as much and every iterate moved;
+the lasso's z* is still the start point's polish, its check now reaching
+a residual of 6.5e-14 after 1 solver step as before. The tv_sweep hashes
+did not move: TV-1D has the analytic bound 2. Before that, the lasso
+hashes were regenerated when the polish's active-set
 passes began stopping their conjugate gradients at a relative residual of
 1e-6, solving to rounding level (1e-15) only the pass that confirms the
 active set. z* is the same start-point polish reached along other
@@ -15,11 +23,11 @@ now stops after 1 solver step where it took 2 (``kkt_oracle_iterations``),
 and its residual went from 4.5e-14 to 6.5e-14. Before that, they were
 regenerated when the polish became an active-set solve tried on the
 oracle's start point, checked after 2 solver steps where it was the polish
-of the point after 512 steps (513 steps in all). The quadratic and
-tv_sweep hashes were last regenerated when the lasso oracle began
-polishing its point and TV-1D began taking z* from Condat's direct
-algorithm, which moved the tv_sweep certificate values in their last
-bits; every summary then gained the oracle's provenance
+of the point after 512 steps (513 steps in all). The tv_sweep hashes
+were last regenerated, and the quadratic ones the time before, when the
+lasso oracle began polishing its point and TV-1D began taking z* from
+Condat's direct algorithm, which moved the tv_sweep certificate values
+in their last bits; every summary then gained the oracle's provenance
 (``kkt_oracle_kind``, ``kkt_oracle_iterations``) and each sweep row an
 ``error`` field.
 """
@@ -36,12 +44,12 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 GOLDEN = {
     ("solve", "lasso.json"): {
-        "trajectory.csv": "3f29c74d4eff0c56fc9e4fa8712bdf74f20bd68fbe22b9a2a770fd2ef8ed9292",
-        "summary.json": "e98732031b386cd979ec1af104f08d068d2eceb236daeeb981992c023cc4218a",
+        "trajectory.csv": "b9465f63c369dcabeaeb9136e752c320a161ff0cf83484a1f7ac9c4f99c71ecf",
+        "summary.json": "4d228d55f36151b486d5acb7157374a58ba5b74000df0e17929cc19f2b23b3e7",
     },
     ("solve", "quadratic.json"): {
-        "trajectory.csv": "037a7d08b393dd336374a56ea33356fc697c5ba4b45ff65e72ef7d184907b240",
-        "summary.json": "bffa6dc951e841701ea4b9067f565f41dcef483ef0c42580e929afe0d83826e7",
+        "trajectory.csv": "8faaaa958891100635fb7a62c841380380379712d24458232b01cb3a1fbe7faf",
+        "summary.json": "5a49d2495c2f6efde610b05a95986aa4b4ee1ed462b7131b92aff12a5277369c",
     },
     ("sweep", "tv_sweep.json"): {
         "sweep_summary.csv": "a63c067e80871444a026bb6fe13df87071cfb2bff270ec6fcd22171d99cb069c",

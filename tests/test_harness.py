@@ -1437,6 +1437,25 @@ def test_sweep_on_a_zero_operator_exits_2_as_solve_does(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_operator_too_small_for_float_steps_exits_2(tmp_path, capsys):
+    # the bound of a 1e-200 diagonal was estimated as 0.0 ("operator_norm
+    # must be positive"); estimated right, its square underflowed in the
+    # steps' formula, a ZeroDivisionError that exited 1 with a traceback
+    (tmp_path / "tiny.txt").write_text("2 2\n1e-200 0.0\n0.0 1e-200\n")
+    tiny = {"generator": "quadratic",
+            "params": {"matrix": "tiny.txt", "a": [1.0, 2.0], "b": [1.0, 0.5]}}
+    cfg = write_config(tmp_path / "cfg.json", problem=tiny,
+                       grid={"theta": [1.0], "safety": [0.9]})
+    message = "error: operator_norm 1.00000001e-200 and ratio 1.0 give no finite positive steps"
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    for command in ("solve", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_sweep_value_map_of_wrong_shape_exits_2(tmp_path, capsys, monkeypatch):
     import cpcert.harness as harness
 
@@ -1495,7 +1514,7 @@ def test_validate_checks_the_fault_range_as_solve_does(tmp_path, capsys):
 # --- a run at the long-run oracle's parameters computes its own iterates -----
 
 # The oracle's polish of its start point is kept here, its check stopped by
-# the stop rule after 26 steps; a run certifies in 61-iterate segments,
+# the stop rule after 30 steps; a run certifies in 61-iterate segments,
 # ending at k = 60, 121, ...
 LASSO_480x320 = {"generator": "lasso",
                  "params": {"rows": 480, "cols": 320, "lam": 0.2, "seed": 1}}
@@ -1536,7 +1555,7 @@ def test_solve_at_the_oracle_parameters_runs_every_step(tmp_path, monkeypatch):
     # every segment is run, the last one cut at the horizon
     assert calls == [(1, 60)] + [(1, 61)] * 5 + [(1, 35)]
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["kkt_oracle_iterations"] == 26
+    assert summary["kkt_oracle_iterations"] == 30
     assert summary["certificates"]["all_pass"] is True
 
 
@@ -1587,8 +1606,8 @@ def test_solve_at_the_oracle_parameters_holds_no_oracle_iterates(tmp_path):
 
 # --- a run that repeats a state replays its cycle ----------------------------
 
-# quad_long's problem: at theta 0.5 its run enters a period-6 cycle at
-# k = 1546, found at the end of the segment of steps 1536..1791
+# quad_long's problem: at theta 0.5 its run enters a period-12 cycle at
+# k = 403, found at the end of the segment of steps 256..511
 QUAD_12x10_SEED0 = {"generator": "quadratic", "params": {"rows": 12, "cols": 10, "seed": 0}}
 SOLVE_FILES = ("trajectory.csv", "summary.json")
 
@@ -1610,11 +1629,11 @@ def test_solve_at_a_fixed_point_runs_one_segment(tmp_path, monkeypatch):
     assert summary["final_fixed_point_residual"] == 0.0
 
 
-def test_solve_in_a_period_6_cycle_runs_only_until_it_is_found(tmp_path, monkeypatch):
+def test_solve_in_a_cycle_runs_only_until_it_is_found(tmp_path, monkeypatch):
     code, out, calls = counted(monkeypatch, tmp_path, "replay", problem=QUAD_12x10_SEED0,
                                theta=0.5, iters=20000)
     assert code == 0
-    assert len(calls) == 7 and sum(steps for _, steps in calls) == 1791
+    assert len(calls) == 2 and sum(steps for _, steps in calls) == 511
     code, plain, calls = counted(monkeypatch, tmp_path, "plain", replay=False,
                                  problem=QUAD_12x10_SEED0, theta=0.5, iters=20000)
     assert code == 0
@@ -1638,12 +1657,12 @@ def test_sweep_cells_leave_the_batch_as_they_repeat(tmp_path, monkeypatch):
 
 
 def test_stop_tol_never_fires_inside_a_replayed_cycle(tmp_path, monkeypatch):
-    # every step's fixed-point residual stays above 3e-17 (the cycle's
-    # smallest is 4.7e-17), so neither run stops
+    # every step's fixed-point residual stays above 3e-17 (the smallest is
+    # 9.3e-17, the cycle's 1.1e-16), so neither run stops
     overrides = dict(problem=QUAD_12x10_SEED0, theta=0.5, iters=3000, stop_tol=3e-17)
     code, out, calls = counted(monkeypatch, tmp_path, "replay", **overrides)
     assert code == 0
-    assert sum(steps for _, steps in calls) == 1791
+    assert sum(steps for _, steps in calls) == 511
     code, plain, _ = counted(monkeypatch, tmp_path, "plain", replay=False, **overrides)
     assert code == 0
     assert same_outputs(out, plain, SOLVE_FILES)
@@ -1657,7 +1676,7 @@ def test_fault_inside_a_replayed_segment_is_caught_at_the_same_k(tmp_path, monke
                      fault={"k": 2500, "delta": 1e-3})
     code, out, calls = counted(monkeypatch, tmp_path, "replay", **overrides)
     assert code == 1
-    assert sum(steps for _, steps in calls) == 1791
+    assert sum(steps for _, steps in calls) == 511
     code, plain, _ = counted(monkeypatch, tmp_path, "plain", replay=False, **overrides)
     assert code == 1
     assert same_outputs(out, plain, SOLVE_FILES)

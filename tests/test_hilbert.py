@@ -9,6 +9,7 @@ from cpcert import hilbert
 from cpcert.harness import main
 from cpcert.hilbert import (ForwardDifferenceOperator, MatrixOperator, PPoint,
                             as_vector, estimate_norm, load_matrix)
+from cpcert.problems import random_lasso
 from cpcert.solver import SolverParams, Validity, suggest_steps, validate_params
 
 from conftest import traced_peak
@@ -145,11 +146,114 @@ def test_estimate_norm_rejects_bad_tol():
         estimate_norm(MatrixOperator(np.eye(2), norm_bound=1.0), tol=0.0)
 
 
-@pytest.mark.xfail(strict=True, reason="MatrixOperator's bound is a power-iteration "
-                   "estimate, which lies below ||A||_2 on a clustered spectrum")
+def test_estimate_norm_rejects_a_cap_below_one_step():
+    # max_iters=0 warned and returned 0.0
+    with pytest.raises(ValueError, match="max_iters must be at least 1, got 0"):
+        estimate_norm(MatrixOperator(np.eye(2), norm_bound=1.0), max_iters=0)
+
+
+def assert_bound_is_the_norm(L, a):
+    """``L``'s estimated bound lies on or above ||a||_2, and the estimate it
+    inflates within 1e-12 (relative) of it."""
+    norm = np.linalg.norm(a, 2)
+    assert L.norm_bound >= norm
+    assert abs(L.norm_bound / hilbert._NORM_SAFETY - norm) <= 1e-12 * norm
+
+
+def test_norm_bound_on_the_criterion_7_family():
+    rng = np.random.default_rng(777)
+    for _ in range(20):
+        a = rng.standard_normal((int(rng.integers(1, 11)), int(rng.integers(1, 11))))
+        assert_bound_is_the_norm(MatrixOperator(a), a)
+
+
+def counted_applies(L):
+    """Wrap ``L.apply`` and ``L.apply_adjoint`` to append to the returned list."""
+    calls = []
+    for name in ("apply", "apply_adjoint"):
+        method = getattr(L, name)
+
+        def counted(v, method=method):
+            calls.append(None)
+            return method(v)
+
+        setattr(L, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 97])
+def test_estimate_norm_on_the_bench_matrix(seed):
+    # power iteration took 250 and 856 applies, and its estimate lay
+    # 1.5e-9 and 5.6e-9 below ||A||_2; Lanczos takes 116 and 136 applies
+    # and peaks at 0.8 and 1.2 MB
+    L = random_lasso(900, 600, 0.2, seed).L
+    assert_bound_is_the_norm(L, L.matrix)
+    calls = counted_applies(L)
+    peak, _ = traced_peak(estimate_norm, L)
+    assert len(calls) <= 160
+    assert peak <= 2e6
+
+
+@pytest.fixture(scope="module")
+def clustered_bases():
+    rng = np.random.default_rng(34)
+    return np.linalg.qr(rng.standard_normal((900, 600)))[0], np.linalg.qr(
+        rng.standard_normal((600, 600)))[0]
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+def test_norm_bound_on_a_clustered_spectrum(clustered_bases, gap):
+    # 900x600 U diag(s) V^T with sigma_1 - sigma_2 = gap
+    u, v = clustered_bases
+    s = np.linspace(1.0 - gap, 0.1, 600)
+    s[0] = 1.0
+    a = (u * s) @ v.T
+    assert_bound_is_the_norm(MatrixOperator(a), a)
+
+
+@pytest.mark.parametrize("a", [
+    [[1e200, 1e200], [1e200, -1e200]],  # the squared norms overflowed: bound inf
+    1e-160 * np.eye(2),  # 10000 steps, then nan
+    1e-200 * np.eye(2),  # the squares underflowed: bound 0.0
+], ids=["1e200", "1e-160", "1e-200"])
+def test_norm_bound_at_extreme_scales(a):
+    L = MatrixOperator(a)
+    assert_bound_is_the_norm(L, np.asarray(a))
+    calls = counted_applies(L)
+    estimate_norm(L)
+    assert len(calls) <= 4
+
+
+def test_a_norm_bound_that_overflows_is_refused():
+    a = [[1.5e308, 1.5e308], [1.5e308, -1.5e308]]  # ||A||_2 = 2.1e308
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="norm_bound must be finite and nonnegative, got inf"):
+        MatrixOperator(a)
+
+
+def test_top_singular_triple_of_a_bidiagonal_matches_the_svd():
+    # the Lanczos steps read s and |q_n| from hilbert._top_right, which
+    # calls no LAPACK routine; np.linalg.svd is the reference
+    rng = np.random.default_rng(35)
+    for trial in range(300):
+        k = int(rng.integers(1, 90))
+        alphas = rng.random(k) * 30 + 1e-3
+        betas = rng.random(k + trial % 2 - 1) * 25  # k x k, or k x (k + 1)
+        if trial % 5 == 0 and betas.size:  # near breakdown
+            betas[rng.integers(0, betas.size):] *= 1e-13
+        scale = (1.0, 1e250, 1e-250)[trial % 3]
+        m = np.zeros((k, betas.size + 1))
+        m[range(k), range(k)] = alphas * scale
+        m[range(betas.size), range(1, betas.size + 1)] = betas * scale
+        _, values, right = np.linalg.svd(m)
+        s, q_last = hilbert._top_right((alphas * scale).tolist(), (betas * scale).tolist())
+        assert abs(s - values[0]) <= 1e-14 * values[0], trial
+        assert abs(q_last - abs(right[0, -1])) <= 1e-12, trial
+
+
 def test_steps_asserted_on_a_clustered_spectrum_are_valid_for_the_true_norm():
-    # 40x40 U diag(s) V^T with sigma_1 - sigma_2 = 1e-6: the bound lies
-    # 9.8e-7 (relative) below ||A||_2
+    # 40x40 U diag(s) V^T with sigma_1 - sigma_2 = 1e-6: the power-iteration
+    # bound lay 9.8e-7 (relative) below ||A||_2
     rng = np.random.default_rng(3)
     u, v = (np.linalg.qr(rng.standard_normal((40, 40)))[0] for _ in range(2))
     s = np.linspace(0.1, 1.0 - 1e-6, 40)

@@ -135,6 +135,14 @@ def test_suggest_steps_domain():
         suggest_steps(0.5, 0.0)
     with pytest.raises(ValueError):
         suggest_steps(0.0, 1.0)
+    # ||L||^2 out of the float range raised ZeroDivisionError and
+    # OverflowError, which no exit code handled
+    for norm in (1e-200, 1e-160, 1e200):
+        with pytest.raises(ValueError, match="give no finite positive steps"):
+            suggest_steps(0.5, norm)
+    for norm in (1e-150, 1.0, 1e150):
+        sigma = math.sqrt(0.99 * bound_rhs(0.5) / norm ** 2)
+        assert suggest_steps(0.5, norm) == (sigma, sigma)
 
 
 def one_d_problem():
@@ -590,14 +598,14 @@ def test_tile_cycle_continues_the_cycle(steps):
 def test_tiled_cycle_is_the_run_bitwise():
     # a converged run repeats a state; tiling its cycle gives the bits that
     # running on from the cycle's last iterate gives. This run enters a
-    # period-6 cycle at k = 1546.
+    # period-12 cycle at k = 403.
     problem = c.random_quadratic(12, 10, seed=0)
     norm = problem.L.norm_bound
     params = SolverParams(*suggest_steps(0.5, norm, 0.9), 0.5, norm)
     z0 = c.PPoint(np.zeros(10), np.zeros(12))
     head = run(problem, params, z0, 1600, stop_tol=None)
     cycle = find_cycle(head)
-    assert cycle.n_iters == 6
+    assert cycle.n_iters == 12
     seg, _ = tile_cycle(cycle, 100)
     tail = run(problem, params, head.final, 100, stop_tol=None)
     assert seg.X.tobytes() == tail.X.tobytes() and seg.Y.tobytes() == tail.Y.tobytes()
